@@ -27,12 +27,11 @@ from .config import (
     serialize_config,
 )
 from .engine import (
+    ReplicationSummary,
     SeededGenerator,
-    Trajectory,
     derive_seed,
-    run_replication,
     run_replications,
-    step,
+    run_seeds,
 )
 from .errors import (
     CertificationError,
@@ -76,13 +75,13 @@ __all__ = [
     "HypothesisCertificate",
     "InverseTimeSchedule",
     "ProductDecay",
+    "ReplicationSummary",
     "ScheduleReport",
     "SeededGenerator",
     "SequenceSchedule",
     "SgdCheckError",
     "ShiftedQuadratic",
     "StochasticProblem",
-    "Trajectory",
     "UsageError",
     "Verdict",
     "audit_certificate",
@@ -99,9 +98,9 @@ __all__ = [
     "load_config",
     "parse_config",
     "product_decay",
-    "run_replication",
     "run_replications",
+    "run_seeds",
     "sample_in_ball",
     "serialize_config",
-    "step",
+    "validate_schedule",
 ]

@@ -1,8 +1,8 @@
 """Estimation and verification of the convergence guarantees.
 
-Given replicated trajectories this module estimates d_n, the mean squared
-distance to the optimum at step n, and compares it against the one-step
-envelope
+Given the per-step statistics of replicated runs this module estimates d_n,
+the mean squared distance to the optimum at step n, and compares it against
+the one-step envelope
 
     b_0 = d_0,    b_{n+1} = (1 - rate_n * mu) * b_n + rate_n^2 * B,
 
@@ -16,13 +16,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .engine import Trajectory
 from .errors import DomainError, UsageError
 from .objective import HypothesisCertificate, StochasticProblem, row_dot, sq_norm
 from .schedule import ConstantSchedule, Schedule
+
+if TYPE_CHECKING:
+    from .engine import ReplicationSummary
 
 
 @dataclass(frozen=True, eq=False)
@@ -79,45 +82,56 @@ class ProductDecay:
     log_majorant: float
 
 
-def _column_stats(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Per-column mean and standard error, independent of row order.
+# Values sorted and summed at once by step_stats; bounds its temporaries.
+_STATS_CHUNK = 1 << 16
 
-    Columns are sorted before aggregation so any permutation of the rows
-    yields bit-identical results; constant columns get an exact mean and a
-    standard error of exactly zero.
+
+def step_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each row of a step-major block.
+
+    ``block[n]`` holds one value per replication.  Every row is sorted and
+    then summed strictly left to right, for the mean and for the squared
+    deviations alike, so the result does not depend on the order of the
+    replications nor on how the steps are split into blocks.  Constant rows
+    (a single replication included) get an exact mean and a standard error of
+    exactly zero.
     """
-    rows = matrix.shape[0]
-    ordered = np.sort(matrix, axis=0)
-    mean = ordered.mean(axis=0)
-    constant = ordered[0] == ordered[-1]
-    mean = np.where(constant, ordered[0], mean)
-    deviations = ordered - mean
-    variance = np.einsum("ij,ij->j", deviations, deviations) / (rows - 1)
-    stderr = np.sqrt(variance / rows)
-    stderr = np.where(constant, 0.0, stderr)
+    steps, rows = block.shape
+    mean = np.empty(steps)
+    stderr = np.empty(steps)
+    chunk = max(1, _STATS_CHUNK // rows)
+    for lo in range(0, steps, chunk):
+        ordered = np.sort(block[lo:lo + chunk], axis=1)
+        work = np.add.accumulate(ordered, axis=1)
+        part = work[:, -1] / rows
+        constant = ordered[:, 0] == ordered[:, -1]
+        part = np.where(constant, ordered[:, 0], part)
+        np.subtract(ordered, part[:, None], out=work)
+        np.multiply(work, work, out=work)
+        np.add.accumulate(work, axis=1, out=work)
+        variance = work[:, -1] / max(rows - 1, 1)
+        mean[lo:lo + chunk] = part
+        stderr[lo:lo + chunk] = np.where(constant, 0.0, np.sqrt(variance / rows))
     return mean, stderr
 
 
-def estimate_dn(trajectories: list[Trajectory]) -> DnSeries:
-    """Aggregate replications into a d_n estimate with standard errors.
+def estimate_dn(runs: ReplicationSummary) -> DnSeries:
+    """The d_n estimate with standard errors of a set of replications.
 
-    Needs at least two replications of a common horizon.  Aggregation is
-    independent of the order of the list.
+    Needs at least two replications.  The statistics were folded step by
+    step while the replications ran, independently of their order.
     """
-    count = len(trajectories)
+    count = runs.replications
     if count < 2:
         raise UsageError("estimating d_n needs at least two replications")
-    steps = trajectories[0].steps
-    if any(t.steps != steps for t in trajectories):
-        raise UsageError("all replications must share the same horizon")
-    sq = np.stack([t.sq_dist for t in trajectories])
-    mean, stderr = _column_stats(sq)
-    flags = np.stack([t.in_region for t in trajectories])
-    fraction = flags.sum(axis=0) / count
-    mean.flags.writeable = False
-    stderr.flags.writeable = False
+    fraction = runs.in_region_count / count
     fraction.flags.writeable = False
-    return DnSeries(replications=count, mean=mean, stderr=stderr, in_region_fraction=fraction)
+    return DnSeries(
+        replications=count,
+        mean=runs.sq_dist_mean,
+        stderr=runs.sq_dist_stderr,
+        in_region_fraction=fraction,
+    )
 
 
 def bound_sequence(
@@ -190,6 +204,26 @@ def check_recurrence(dn: DnSeries, bounds: BoundSequence, z: float = 3.0) -> Ver
     )
 
 
+def validate_neighborhood(
+    cert: HypothesisCertificate, schedule: Schedule, window: int, horizon: int
+) -> int:
+    """Check that the neighborhood claim applies to a run; returns the window.
+
+    Needs only the certificate, the schedule and the horizon, so a run can be
+    refused before any replication starts.
+    """
+    if not isinstance(schedule, ConstantSchedule):
+        raise UsageError("the neighborhood check applies to constant schedules only")
+    if schedule.rho * cert.strong_convexity >= 1.0:
+        raise UsageError("the neighborhood claim needs rho * mu < 1")
+    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
+        raise UsageError("window must be an integer >= 1")
+    window = int(window)
+    if window > horizon + 1:
+        raise UsageError(f"window {window} exceeds the horizon of {horizon} steps")
+    return window
+
+
 def check_neighborhood(
     dn: DnSeries,
     cert: HypothesisCertificate,
@@ -203,18 +237,10 @@ def check_neighborhood(
     the last ``window`` steps the estimate must satisfy
     mean_n <= theta * (1 + tol_rel) + 3 * stderr_n.
     """
-    if not isinstance(schedule, ConstantSchedule):
-        raise UsageError("the neighborhood check applies to constant schedules only")
+    horizon = dn.steps
+    window = validate_neighborhood(cert, schedule, window, horizon)
     rho = schedule.rho
     mu = cert.strong_convexity
-    if rho * mu >= 1.0:
-        raise UsageError("the neighborhood claim needs rho * mu < 1")
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
-        raise UsageError("window must be an integer >= 1")
-    window = int(window)
-    horizon = dn.steps
-    if window > horizon + 1:
-        raise UsageError(f"window {window} exceeds the horizon of {horizon} steps")
     tol_rel = float(tol_rel)
     if not math.isfinite(tol_rel) or tol_rel < 0.0:
         raise UsageError("tol_rel must be a finite real >= 0")

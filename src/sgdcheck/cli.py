@@ -23,6 +23,7 @@ from .analyzer import (
     check_recurrence,
     estimate_dn,
     product_decay,
+    validate_neighborhood,
 )
 from .config import ExperimentConfig, build_problem, build_schedule, load_config
 from .engine import SeededGenerator, derive_seed, run_replications
@@ -206,11 +207,14 @@ def cmd_run(args) -> int:
     problem = build_problem(cfg.problem)
     schedule = build_schedule(cfg.schedule)
     cert = problem.certify(cfg.region_radius, cfg.x0)
-    sched_report = validate_schedule(schedule, cert.strong_convexity)
-    trajectories = run_replications(
+    for spec in cfg.checks:
+        if spec["type"] == "neighborhood":
+            validate_neighborhood(cert, schedule, spec["window"], cfg.horizon)
+    sched_report = validate_schedule(schedule, cert.strong_convexity, cfg.horizon)
+    runs = run_replications(
         problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed, cfg.replications
     )
-    dn = estimate_dn(trajectories)
+    dn = estimate_dn(runs)
     bounds = bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon)
     verdicts = _run_checks(cfg, problem, schedule, cert, dn, bounds)
 

@@ -4,14 +4,17 @@ The update is the plain one: x drops by the current rate times the sampled
 gradient, with no projection, averaging, or momentum.  Each replication owns
 a counter-based generator keyed by a 64-bit seed, so trajectories are
 bit-reproducible across runs and platforms and replications are independent
-by construction.
+by construction.  Runs keep per-step statistics of the squared distance to
+the optimum, not the paths themselves.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from .analyzer import step_stats
 from .errors import DivergenceError, UsageError
 from .objective import HypothesisCertificate, StochasticProblem, as_float_vector, sq_norm
 from .schedule import Schedule
@@ -73,32 +76,35 @@ class SeededGenerator:
         return self._gen.normal(size=size)
 
 
-@dataclass(frozen=True, eq=False)
-class Trajectory:
-    """One replication: squared distances to the optimum plus region flags.
+# Noise values held at once across all replications.  The horizon is cut into
+# blocks of max(1, BLOCK_BUDGET // (replications * values per step)) steps, so
+# the engine's working memory does not grow with the horizon.
+BLOCK_BUDGET = 1 << 22
 
-    ``sq_dist[n]`` is ||x_n - x*||^2 for n = 0..steps and ``in_region[n]``
-    records whether x_n stayed inside the certified ball.  The iterates
-    themselves can be replayed from ``seed``; only the final one is kept.
+
+@dataclass(frozen=True, eq=False)
+class ReplicationSummary:
+    """Per-step statistics of replications run in lockstep.
+
+    For n = 0..steps, ``sq_dist_mean[n]`` and ``sq_dist_stderr[n]`` are the
+    mean of ||x_n - x*||^2 over the replications and its standard error, and
+    ``in_region_count[n]`` is the number of replications whose iterate was
+    inside the certified ball.  With a single seed the mean is that
+    replication's own squared distance and the standard error is zero.  The
+    paths are not kept: replication i can be replayed from ``seeds[i]``, and
+    ``final_x[i]`` is its last iterate.
     """
 
-    seed: int
+    seeds: tuple[int, ...]
     steps: int
-    sq_dist: np.ndarray
-    in_region: np.ndarray
+    sq_dist_mean: np.ndarray
+    sq_dist_stderr: np.ndarray
+    in_region_count: np.ndarray
     final_x: np.ndarray
 
-
-def step(x: np.ndarray, rate: float, gradient: np.ndarray, step_index: int | None = None) -> np.ndarray:
-    """One SGD update: x minus rate times gradient, with no projection.
-
-    Raises DivergenceError carrying ``step_index`` when the result leaves the
-    finite floating-point range; iterates are never silently truncated.
-    """
-    result = x - rate * gradient
-    if not np.all(np.isfinite(result)):
-        raise DivergenceError(step_index if step_index is not None else -1)
-    return result
+    @property
+    def replications(self) -> int:
+        return len(self.seeds)
 
 
 def _check_steps(steps) -> int:
@@ -107,42 +113,87 @@ def _check_steps(steps) -> int:
     return int(steps)
 
 
-def run_replication(
+def run_seeds(
     problem: StochasticProblem,
     schedule: Schedule,
     x0,
     steps: int,
-    seed: int,
     cert: HypothesisCertificate,
-) -> Trajectory:
-    """Run one seeded replication for ``steps`` updates.
+    seeds,
+) -> ReplicationSummary:
+    """Run one replication per seed for ``steps`` updates, all in lockstep.
 
-    The noise block for the whole horizon is drawn up front from a fresh
-    generator keyed by ``seed`` (the stream is identical to drawing one
-    sample per step), then the recursion is applied step by step.  Identical
-    inputs give bit-identical trajectories.
+    The replications advance together on stacked arrays.  Every
+    floating-point operation on an iterate is elementwise, so replication i
+    follows the same path whatever the other seeds are, and identical inputs
+    give bit-identical results.  The horizon is cut into blocks: each
+    generator draws the noise of the next block into one step-major buffer,
+    and after the block its squared distances are folded into the per-step
+    statistics and dropped.  Philox streams are counter based, so drawing
+    block by block yields the same values as one draw for the whole horizon.
+    Memory is O(R * (b * d + 1) + H) for R seeds, blocks of b steps, d noise
+    values per step and H steps.
+
+    Raises DivergenceError at the first step where any iterate is no longer
+    finite, naming the replication and its seed.
     """
     steps = _check_steps(steps)
-    x = as_float_vector(x0, problem.dimension, "x0").copy()
-    gen = SeededGenerator(seed)
-    noise = problem.noise_block(gen, steps)
+    generators = [SeededGenerator(seed) for seed in seeds]
+    if not generators:
+        raise UsageError("at least one seed is required")
+    seeds = tuple(gen.seed for gen in generators)
+    count = len(seeds)
+    x0 = as_float_vector(x0, problem.dimension, "x0")
     rates = schedule.rates(0, steps)
     center = cert.region_center
+    radius_sq = cert.region_radius * cert.region_radius
+    per_step = math.prod(problem.noise_shape)
+    block = min(steps, max(1, BLOCK_BUDGET // (count * per_step)))
 
-    sq_dist = np.empty(steps + 1)
-    sq_dist[0] = sq_norm(x - center)
-    for n in range(steps):
-        gradient = problem.pointwise_gradient(noise[n], x)
-        x = step(x, rates[n], gradient, step_index=n + 1)
-        value = sq_norm(x - center)
-        if not np.isfinite(value):
-            raise DivergenceError(n + 1)
-        sq_dist[n + 1] = value
-    in_region = sq_dist <= cert.region_radius * cert.region_radius
-    sq_dist.flags.writeable = False
-    in_region.flags.writeable = False
-    x.flags.writeable = False
-    return Trajectory(seed=int(seed), steps=steps, sq_dist=sq_dist, in_region=in_region, final_x=x)
+    mean = np.empty(steps + 1)
+    stderr = np.empty(steps + 1)
+    inside = np.empty(steps + 1, dtype=np.int64)
+
+    def fold(rows: np.ndarray, first: int) -> None:
+        span = slice(first, first + rows.shape[0])
+        mean[span], stderr[span] = step_stats(rows)
+        inside[span] = np.count_nonzero(rows <= radius_sq, axis=1)
+
+    x = np.repeat(x0[None, :], count, axis=0)
+    fold(sq_norm(x - center)[None, :], 0)
+    noise = None
+    sq_dist = np.empty((block, count))
+    for start in range(0, steps, block):
+        length = min(block, steps - start)
+        for i, gen in enumerate(generators):
+            draws = problem.noise_block(gen, length)
+            if noise is None:
+                noise = np.empty((block, count) + draws.shape[1:], dtype=draws.dtype)
+            noise[:length, i] = draws
+        for k in range(length):
+            gradient = problem.pointwise_gradient(noise[k], x)
+            x = x - rates[start + k] * gradient
+            values = sq_norm(x - center)
+            sq_dist[k] = values
+            if not np.all(np.isfinite(values)):
+                bad = int(np.flatnonzero(~np.isfinite(values))[0])
+                raise DivergenceError(
+                    start + k + 1,
+                    f"non-finite iterate at step {start + k + 1} in replication {bad} "
+                    f"(seed {seeds[bad]})",
+                )
+        fold(sq_dist[:length], start + 1)
+
+    for array in (mean, stderr, inside, x):
+        array.flags.writeable = False
+    return ReplicationSummary(
+        seeds=seeds,
+        steps=steps,
+        sq_dist_mean=mean,
+        sq_dist_stderr=stderr,
+        in_region_count=inside,
+        final_x=x,
+    )
 
 
 def run_replications(
@@ -153,50 +204,12 @@ def run_replications(
     cert: HypothesisCertificate,
     master_seed: int,
     count: int,
-) -> list[Trajectory]:
+) -> ReplicationSummary:
     """Run ``count`` replications seeded from ``master_seed`` in lockstep.
 
-    Replication i uses derive_seed(master_seed, i).  All replications are
-    advanced together on stacked arrays purely as a speed measure; every
-    floating-point operation is elementwise, so each row is bit-identical to
-    the trajectory run_replication would produce for the same seed.
+    Replication i uses derive_seed(master_seed, i); see run_seeds.
     """
-    steps = _check_steps(steps)
     if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
         raise UsageError("count must be an integer >= 1")
-    count = int(count)
-    x0 = as_float_vector(x0, problem.dimension, "x0")
-    seeds = [derive_seed(master_seed, i) for i in range(count)]
-    noise = np.stack([problem.noise_block(SeededGenerator(s), steps) for s in seeds])
-    rates = schedule.rates(0, steps)
-    center = cert.region_center
-
-    x = np.repeat(x0[None, :], count, axis=0)
-    sq_dist = np.empty((count, steps + 1))
-    sq_dist[:, 0] = sq_norm(x - center)
-    for n in range(steps):
-        gradient = problem.pointwise_gradient(noise[:, n], x)
-        x = x - rates[n] * gradient
-        values = sq_norm(x - center)
-        sq_dist[:, n + 1] = values
-        if not np.all(np.isfinite(values)):
-            bad = int(np.flatnonzero(~np.isfinite(values))[0])
-            raise DivergenceError(
-                n + 1,
-                f"non-finite iterate at step {n + 1} in replication {bad} "
-                f"(seed {seeds[bad]})",
-            )
-    in_region = sq_dist <= cert.region_radius * cert.region_radius
-
-    trajectories = []
-    for i in range(count):
-        sq = sq_dist[i].copy()
-        flags = in_region[i].copy()
-        final = x[i].copy()
-        sq.flags.writeable = False
-        flags.flags.writeable = False
-        final.flags.writeable = False
-        trajectories.append(
-            Trajectory(seed=seeds[i], steps=steps, sq_dist=sq, in_region=flags, final_x=final)
-        )
-    return trajectories
+    seeds = [derive_seed(master_seed, i) for i in range(int(count))]
+    return run_seeds(problem, schedule, x0, steps, cert, seeds)

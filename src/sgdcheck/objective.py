@@ -36,6 +36,10 @@ RANK_TOL = 1e-10
 
 MAX_DIMENSION = 64
 
+# Samples that audit_certificate evaluates at once after drawing them all;
+# bounds its temporaries without changing any draw or any per-sample value.
+_AUDIT_CHUNK = 1 << 15
+
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     """Inner product over the last axis, batch friendly and order stable."""
@@ -129,6 +133,11 @@ class StochasticProblem(abc.ABC):
     @abc.abstractmethod
     def dimension(self) -> int: ...
 
+    @property
+    @abc.abstractmethod
+    def noise_shape(self) -> tuple[int, ...]:
+        """Shape of one noise value, the draw of a single step."""
+
     @abc.abstractmethod
     def sample_noise(self, rng):
         """Draw one noise value from the family's law."""
@@ -205,6 +214,10 @@ class ShiftedQuadratic(StochasticProblem):
     @property
     def dimension(self) -> int:
         return self.center.shape[0]
+
+    @property
+    def noise_shape(self) -> tuple[int, ...]:
+        return (self.dimension,)
 
     def sample_noise(self, rng) -> np.ndarray:
         return rng.uniform(-self.noise_halfwidth, self.noise_halfwidth, size=self.dimension)
@@ -301,6 +314,10 @@ class FiniteSumLeastSquares(StochasticProblem):
     @property
     def rows(self) -> int:
         return self.design.shape[0]
+
+    @property
+    def noise_shape(self) -> tuple[int, ...]:
+        return ()
 
     def sample_noise(self, rng) -> int:
         return int(rng.integers(self.rows))
@@ -434,20 +451,23 @@ def audit_certificate(
     ys = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
     noise = problem.noise_block(rng, samples)
 
-    grads = problem.pointwise_gradient(noise, xs)
-    ratios = np.asarray(sq_norm(grads)) / cert.grad_sq_bound
+    mu = cert.strong_convexity
+    ratios = np.empty(samples)
+    rel_slack = np.empty(samples)
+    for lo in range(0, samples, _AUDIT_CHUNK):
+        part = slice(lo, lo + _AUDIT_CHUNK)
+        x, y = xs[part], ys[part]
+        grads = problem.pointwise_gradient(noise[part], x)
+        ratios[part] = np.asarray(sq_norm(grads)) / cert.grad_sq_bound
+        loss_x = np.asarray(problem.mean_loss(x))
+        loss_y = np.asarray(problem.mean_loss(y))
+        gap = y - x
+        quad = 0.5 * mu * np.asarray(sq_norm(gap))
+        slack = loss_y - loss_x - np.asarray(row_dot(problem.mean_gradient(x), gap)) - quad
+        scale = np.maximum.reduce([np.ones(quad.shape[0]), np.abs(loss_x), np.abs(loss_y), quad])
+        rel_slack[part] = slack / scale
     grad_bad = ratios > 1.0 + AUDIT_RTOL
     worst_grad = int(np.argmax(ratios))
-
-    mu = cert.strong_convexity
-    loss_x = np.asarray(problem.mean_loss(xs))
-    loss_y = np.asarray(problem.mean_loss(ys))
-    grad_x = problem.mean_gradient(xs)
-    gap = ys - xs
-    quad = 0.5 * mu * np.asarray(sq_norm(gap))
-    slack = loss_y - loss_x - np.asarray(row_dot(grad_x, gap)) - quad
-    scale = np.maximum.reduce([np.ones(samples), np.abs(loss_x), np.abs(loss_y), quad])
-    rel_slack = slack / scale
     convexity_bad = rel_slack < -AUDIT_RTOL
     worst_convexity = int(np.argmin(rel_slack))
 

@@ -122,8 +122,9 @@ class ScheduleReport:
     ``robbins_monro`` is True when the rates tend to zero and their series
     diverges, False when either provably fails, and None when undecidable
     for the schedule kind.  ``max_rate_mu`` is the largest rate times mu over
-    all steps and ``stability_ok`` says that product stays below one, which
-    keeps every factor of the one-step envelope positive.
+    all steps, or over the steps of a run when a horizon is given, and
+    ``stability_ok`` says that product stays below one, which keeps every
+    factor of the one-step envelope positive.
     """
 
     tends_to_zero: bool | None
@@ -137,22 +138,33 @@ class ScheduleReport:
 _SAMPLE_MAX = 1 << 20
 
 
-def validate_schedule(schedule: Schedule, mu: float) -> ScheduleReport:
-    """Report the decay, divergence, and stability properties of a schedule."""
+def validate_schedule(schedule: Schedule, mu: float, horizon: int | None = None) -> ScheduleReport:
+    """Report the decay, divergence, and stability properties of a schedule.
+
+    With a ``horizon`` the largest rate is taken over the rates of steps
+    0..horizon-1, the ones a run of that many updates uses.
+    """
     mu = float(mu)
     if not math.isfinite(mu) or mu <= 0.0:
         raise UsageError("mu must be a finite positive real")
     if isinstance(schedule, ConstantSchedule):
         tends_to_zero: bool | None = False
         sum_diverges: bool | None = True
-        max_rate = schedule.rho
     elif isinstance(schedule, InverseTimeSchedule):
         tends_to_zero = True
         sum_diverges = True
-        max_rate = schedule.rate(0)
     else:
         tends_to_zero = None
         sum_diverges = None
+    if horizon is not None:
+        if isinstance(horizon, bool) or not isinstance(horizon, (int, np.integer)) or horizon < 1:
+            raise UsageError("horizon must be an integer >= 1")
+        max_rate = float(np.max(schedule.rates(0, int(horizon))))
+    elif isinstance(schedule, ConstantSchedule):
+        max_rate = schedule.rho
+    elif isinstance(schedule, InverseTimeSchedule):
+        max_rate = schedule.rate(0)
+    else:
         # Best effort for arbitrary sequences: probe a geometric index grid.
         grid = [0] + [1 << p for p in range(0, _SAMPLE_MAX.bit_length())]
         max_rate = max(schedule.rate(n) for n in grid if n <= _SAMPLE_MAX)

@@ -25,8 +25,8 @@ from sgdcheck import (
     check_recurrence,
     estimate_dn,
     product_decay,
-    run_replication,
     run_replications,
+    run_seeds,
     sample_in_ball,
 )
 from sgdcheck.cli import ENV_OUTPUT_DIR, main
@@ -133,12 +133,12 @@ def test_criterion_5_noiseless_geometric_contraction(scoreboard):
     """Without noise the iterates contract geometrically to the optimum."""
     problem = standard_quadratic(noise_halfwidth=0.0)
     cert = problem.certify(RADIUS, X0)
-    traj = run_replication(problem, ConstantSchedule(rho=0.5), X0, 100, 1, cert)
+    runs = run_seeds(problem, ConstantSchedule(rho=0.5), X0, 100, cert, [1])
 
     expected_sq = 4.0 * 0.25 ** np.arange(101)
-    sq_ok = np.allclose(traj.sq_dist, expected_sq, rtol=1e-10, atol=0.0)
+    sq_ok = np.allclose(runs.sq_dist_mean, expected_sq, rtol=1e-10, atol=0.0)
     expected_final = np.array(X0) * 0.5**100
-    final_ok = np.allclose(traj.final_x, expected_final, rtol=1e-10, atol=0.0)
+    final_ok = np.allclose(runs.final_x[0], expected_final, rtol=1e-10, atol=0.0)
     scoreboard("criterion 5: noiseless geometric contraction", sq_ok and final_ok)
     assert sq_ok
     assert final_ok

@@ -15,8 +15,8 @@ from sgdcheck import (
     InverseTimeSchedule,
     SeededGenerator,
     SequenceSchedule,
+    ReplicationSummary,
     ShiftedQuadratic,
-    Trajectory,
     UsageError,
     bound_sequence,
     check_convergence,
@@ -26,13 +26,22 @@ from sgdcheck import (
     estimate_dn,
     product_decay,
 )
+from sgdcheck import analyzer
+from sgdcheck.analyzer import step_stats
 
 
-def make_trajectory(sq_dist, in_region=None, seed=0):
-    sq = np.asarray(sq_dist, dtype=float)
-    flags = np.ones_like(sq, dtype=bool) if in_region is None else np.asarray(in_region)
-    return Trajectory(
-        seed=seed, steps=sq.shape[0] - 1, sq_dist=sq, in_region=flags, final_x=np.zeros(1)
+def make_runs(rows, in_region=None):
+    """A replication summary folded from explicit squared-distance rows."""
+    rows = np.asarray(rows, dtype=float)
+    flags = np.ones_like(rows, dtype=bool) if in_region is None else np.asarray(in_region)
+    mean, stderr = step_stats(rows.T)
+    return ReplicationSummary(
+        seeds=tuple(range(rows.shape[0])),
+        steps=rows.shape[1] - 1,
+        sq_dist_mean=mean,
+        sq_dist_stderr=stderr,
+        in_region_count=flags.sum(axis=0),
+        final_x=np.zeros((rows.shape[0], 1)),
     )
 
 
@@ -58,9 +67,7 @@ def make_series(mean, stderr=None, fraction=None, replications=4):
 class TestEstimateDn:
     def test_two_point_example(self):
         # Columns {0, 2}: mean 1, sample std sqrt(2), standard error 1.
-        series = estimate_dn(
-            [make_trajectory([0.0, 0.0], seed=1), make_trajectory([2.0, 2.0], seed=2)]
-        )
+        series = estimate_dn(make_runs([[0.0, 0.0], [2.0, 2.0]]))
         np.testing.assert_array_equal(series.mean, [1.0, 1.0])
         np.testing.assert_array_equal(series.stderr, [1.0, 1.0])
         np.testing.assert_array_equal(series.in_region_fraction, [1.0, 1.0])
@@ -68,33 +75,74 @@ class TestEstimateDn:
         assert series.steps == 1
 
     def test_constant_columns_are_exact(self):
-        series = estimate_dn([make_trajectory([0.3, 0.1])] * 3)
+        series = estimate_dn(make_runs([[0.3, 0.1]] * 3))
         np.testing.assert_array_equal(series.mean, [0.3, 0.1])
         np.testing.assert_array_equal(series.stderr, [0.0, 0.0])
 
     def test_order_invariance_is_bitwise(self):
         rng = SeededGenerator(10)
         rows = rng.uniform(0.0, 1.0, size=(7, 30))
-        forward = estimate_dn([make_trajectory(r, seed=i) for i, r in enumerate(rows)])
-        backward = estimate_dn(
-            [make_trajectory(r, seed=i) for i, r in enumerate(rows)][::-1]
-        )
+        forward = estimate_dn(make_runs(rows))
+        backward = estimate_dn(make_runs(rows[::-1]))
         assert np.array_equal(forward.mean, backward.mean)
         assert np.array_equal(forward.stderr, backward.stderr)
 
     def test_region_fraction(self):
-        inside = make_trajectory([0.0, 0.0], in_region=[True, True])
-        outside = make_trajectory([0.0, 0.0], in_region=[True, False])
-        series = estimate_dn([inside, outside])
+        series = estimate_dn(make_runs([[0.0, 0.0], [0.0, 0.0]], [[True, True], [True, False]]))
         np.testing.assert_array_equal(series.in_region_fraction, [1.0, 0.5])
 
     def test_needs_two_replications(self):
         with pytest.raises(UsageError):
-            estimate_dn([make_trajectory([1.0, 1.0])])
+            estimate_dn(make_runs([[1.0, 1.0]]))
 
-    def test_needs_common_horizon(self):
-        with pytest.raises(UsageError):
-            estimate_dn([make_trajectory([1.0, 1.0]), make_trajectory([1.0, 1.0, 1.0])])
+
+class TestStepStats:
+    def test_single_replication_is_exact(self):
+        mean, stderr = step_stats(np.array([[0.1], [0.7], [3.0]]))
+        np.testing.assert_array_equal(mean, [0.1, 0.7, 3.0])
+        np.testing.assert_array_equal(stderr, [0.0, 0.0, 0.0])
+
+    def test_sums_sorted_values_left_to_right(self):
+        # The mean and the squared deviations are summed in ascending order
+        # of the values, one after another, so a plain Python loop over the
+        # sorted values reproduces every bit.
+        rng = SeededGenerator(11)
+        block = rng.uniform(0.0, 1.0, size=(40, 25)) ** 3 * 1e3
+        mean, stderr = step_stats(block)
+        for n, row in enumerate(block):
+            ordered = sorted(row)
+            total = 0.0
+            for value in ordered:
+                total += value
+            expected_mean = total / len(ordered)
+            squares = 0.0
+            for value in ordered:
+                squares += (value - expected_mean) * (value - expected_mean)
+            expected_stderr = np.sqrt(squares / (len(ordered) - 1) / len(ordered))
+            assert mean[n] == expected_mean
+            assert stderr[n] == expected_stderr
+
+    def test_replication_order_is_invisible(self):
+        rng = SeededGenerator(12)
+        block = rng.uniform(0.0, 5.0, size=(30, 64))
+        mean, stderr = step_stats(block)
+        for trial in range(5):
+            order = np.argsort(rng.uniform(0.0, 1.0, size=64))
+            permuted_mean, permuted_stderr = step_stats(block[:, order])
+            assert np.array_equal(mean, permuted_mean)
+            assert np.array_equal(stderr, permuted_stderr)
+
+    def test_step_split_is_invisible(self, monkeypatch):
+        rng = SeededGenerator(13)
+        block = rng.uniform(0.0, 5.0, size=(101, 32))
+        mean, stderr = step_stats(block)
+        for chunk in (32, 7 * 32, 200 * 32):
+            monkeypatch.setattr(analyzer, "_STATS_CHUNK", chunk)
+            assert np.array_equal(step_stats(block)[0], mean)
+            assert np.array_equal(step_stats(block)[1], stderr)
+        pieces = [step_stats(block[lo:lo + 13]) for lo in range(0, 101, 13)]
+        assert np.array_equal(np.concatenate([p[0] for p in pieces]), mean)
+        assert np.array_equal(np.concatenate([p[1] for p in pieces]), stderr)
 
 
 class TestBoundSequence:

@@ -1,5 +1,6 @@
 """End-to-end tests for the command line interface and its file outputs."""
 import json
+import time
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from sgdcheck import (
     estimate_dn,
     run_replications,
 )
+from sgdcheck import cli
 from sgdcheck.cli import CSV_HEADER, ENV_OUTPUT_DIR, main
 
 
@@ -198,6 +200,52 @@ class TestRunCommand:
         write_config(config, x0=[5.0, 0.0])
         assert main(["run", str(config)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
+
+
+class TestRunPreflight:
+    """Check/schedule mismatches known from the config stop a run before it starts."""
+
+    @pytest.mark.parametrize(
+        "overrides, message",
+        [
+            (
+                {"schedule": {"kind": "inverse_time", "scale": 1.0, "offset": 2.0}},
+                "applies to constant schedules only",
+            ),
+            ({"schedule": {"kind": "constant", "rho": 1.0}}, "needs rho * mu < 1"),
+            ({"window": 20002}, "window 20002 exceeds the horizon of 20000 steps"),
+        ],
+    )
+    def test_neighborhood_mismatch_exits_two_before_running(
+        self, tmp_path, out_dir, capsys, monkeypatch, overrides, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("replications started for a config that cannot be checked")
+
+        monkeypatch.setattr(cli, "run_replications", refuse)
+        overrides = dict(overrides)
+        window = overrides.pop("window", 100)
+        config = tmp_path / "experiment.json"
+        write_config(
+            config,
+            horizon=20000,
+            replications=200,
+            checks=[{"type": "neighborhood", "window": window, "tol_rel": 0.2}],
+            **overrides,
+        )
+        started = time.monotonic()
+        assert main(["run", str(config)]) == 2
+        assert time.monotonic() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert message in err
+        assert not out_dir.exists()
+
+    def test_window_of_the_whole_horizon_still_runs(self, tmp_path, out_dir):
+        config = tmp_path / "experiment.json"
+        write_config(config, checks=[{"type": "neighborhood", "window": 51, "tol_rel": 0.2}])
+        assert main(["run", str(config)]) in (0, 1)
+        assert (out_dir / "report.txt").exists()
 
 
 class TestVerifyCommand:

@@ -4,9 +4,12 @@ The frozen seed-derivation values are the published SplitMix64 outputs for
 master seed 0, so a regression here means the keying scheme changed and every
 stored result becomes irreproducible.
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from sgdcheck import engine
 from sgdcheck import (
     ConstantSchedule,
     DivergenceError,
@@ -16,10 +19,12 @@ from sgdcheck import (
     ShiftedQuadratic,
     UsageError,
     derive_seed,
-    run_replication,
+    estimate_dn,
     run_replications,
-    step,
+    run_seeds,
 )
+from sgdcheck.analyzer import step_stats
+from sgdcheck.objective import sq_norm
 
 # SplitMix64 stream for master seed 0 (indices 0..3).
 SPLITMIX64_SEED0 = [
@@ -94,20 +99,30 @@ class TestSeededGenerator:
 
 
 class TestStep:
+    """One SGD update, observed through a one-step, one-seed run."""
+
     def test_arithmetic(self):
-        x = np.array([1.0, -2.0])
-        g = np.array([0.5, 0.5])
-        np.testing.assert_array_equal(step(x, 0.1, g), [0.95, -2.05])
+        # Without noise the gradient at x = (1, -2) is x - center = (0.5, 0.5).
+        problem = ShiftedQuadratic(curvature=1.0, center=[0.5, -2.5], noise_halfwidth=0.0)
+        cert = problem.certify(2.0, [1.0, -2.0])
+        runs = run_seeds(problem, ConstantSchedule(rho=0.1), [1.0, -2.0], 1, cert, [3])
+        np.testing.assert_array_equal(runs.final_x, [[0.95, -2.05]])
 
     def test_does_not_mutate_input(self):
-        x = np.array([1.0, -2.0])
-        step(x, 0.1, np.array([1.0, 1.0]))
-        np.testing.assert_array_equal(x, [1.0, -2.0])
+        problem, sched, cert = quadratic_setup()
+        x0 = np.array([2.0, 0.0])
+        runs = run_seeds(problem, sched, x0, 5, cert, [1, 2])
+        np.testing.assert_array_equal(x0, [2.0, 0.0])
+        assert not np.shares_memory(runs.final_x, x0)
 
     def test_nonfinite_result_raises_with_index(self):
+        # 1 - 1e200 * 1 is finite but its square overflows at step 1.
+        problem = ShiftedQuadratic(curvature=1.0, center=[0.0], noise_halfwidth=0.0)
+        cert = problem.certify(2.0, [1.0])
         with pytest.raises(DivergenceError) as info:
-            step(np.array([1.0]), 1.0, np.array([np.inf]), step_index=17)
-        assert info.value.step_index == 17
+            run_seeds(problem, ConstantSchedule(rho=1e200), [1.0], 5, cert, [17])
+        assert info.value.step_index == 1
+        assert "seed 17" in str(info.value)
 
 
 def quadratic_setup(halfwidth=0.5, rho=0.05, radius=2.0, x0=(2.0, 0.0)):
@@ -116,55 +131,84 @@ def quadratic_setup(halfwidth=0.5, rho=0.05, radius=2.0, x0=(2.0, 0.0)):
     return problem, ConstantSchedule(rho=rho), cert
 
 
+def finite_sum_setup():
+    rng = SeededGenerator(3)
+    problem = FiniteSumLeastSquares(design=rng.normal(size=(6, 2)), targets=rng.normal(size=6))
+    x0 = problem.minimizer() + np.array([1.0, 0.0])
+    cert = problem.certify(3.0, x0)
+    return problem, InverseTimeSchedule(scale=1.0, offset=10.0), cert, x0
+
+
+def assert_same_runs(a, b):
+    assert a.seeds == b.seeds
+    assert a.steps == b.steps
+    assert np.array_equal(a.sq_dist_mean, b.sq_dist_mean)
+    assert np.array_equal(a.sq_dist_stderr, b.sq_dist_stderr)
+    assert np.array_equal(a.in_region_count, b.in_region_count)
+    assert np.array_equal(a.final_x, b.final_x)
+
+
 class TestRunReplication:
+    """Runs of a single seed, where the statistics are the path itself."""
+
     def test_noiseless_contraction_is_exact(self):
         # With no noise and rate 0.5 each step halves the iterate, so the
         # squared distance contracts by exactly 0.25.
         problem = ShiftedQuadratic(curvature=1.0, center=[0.0], noise_halfwidth=0.0)
         cert = problem.certify(2.0, [1.0])
-        traj = run_replication(problem, ConstantSchedule(rho=0.5), [1.0], 3, 42, cert)
-        np.testing.assert_array_equal(traj.sq_dist, [1.0, 0.25, 0.0625, 0.015625])
-        np.testing.assert_array_equal(traj.final_x, [0.125])
+        runs = run_seeds(problem, ConstantSchedule(rho=0.5), [1.0], 3, cert, [42])
+        np.testing.assert_array_equal(runs.sq_dist_mean, [1.0, 0.25, 0.0625, 0.015625])
+        np.testing.assert_array_equal(runs.sq_dist_stderr, [0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(runs.final_x, [[0.125]])
 
     def test_reruns_are_bit_identical(self):
         problem, sched, cert = quadratic_setup()
-        a = run_replication(problem, sched, [2.0, 0.0], 200, 11, cert)
-        b = run_replication(problem, sched, [2.0, 0.0], 200, 11, cert)
-        assert np.array_equal(a.sq_dist, b.sq_dist)
-        assert np.array_equal(a.final_x, b.final_x)
-        assert np.array_equal(a.in_region, b.in_region)
+        a = run_seeds(problem, sched, [2.0, 0.0], 200, cert, [11])
+        b = run_seeds(problem, sched, [2.0, 0.0], 200, cert, [11])
+        assert_same_runs(a, b)
 
     def test_noise_replay_reproduces_trajectory(self):
         # Replaying the same noise block through the raw update rule must
         # reproduce the runner's result exactly, not just approximately.
         problem, sched, cert = quadratic_setup()
-        traj = run_replication(problem, sched, [2.0, 0.0], 150, 13, cert)
+        runs = run_seeds(problem, sched, [2.0, 0.0], 150, cert, [13])
         noise = problem.noise_block(SeededGenerator(13), 150)
         x = np.array([2.0, 0.0])
+        path = [sq_norm(x)]
         for n in range(150):
             x = x - sched.rate(n) * problem.pointwise_gradient(noise[n], x)
-        np.testing.assert_array_equal(traj.final_x, x)
-        assert traj.sq_dist[150] == np.dot(x, x)
+            path.append(sq_norm(x))
+        np.testing.assert_array_equal(runs.final_x[0], x)
+        np.testing.assert_array_equal(runs.sq_dist_mean, path)
+        assert runs.sq_dist_mean[150] == np.dot(x, x)
 
     def test_containment_when_guaranteed(self):
         problem, sched, cert = quadratic_setup(halfwidth=0.5, rho=0.05, radius=2.0)
         assert cert.guaranteed_containment
-        traj = run_replication(problem, sched, [2.0, 0.0], 2000, 99, cert)
-        assert traj.in_region.all()
+        runs = run_seeds(problem, sched, [2.0, 0.0], 2000, cert, [99])
+        assert np.all(runs.in_region_count == 1)
 
     def test_trajectory_shapes_and_seed(self):
         problem, sched, cert = quadratic_setup()
-        traj = run_replication(problem, sched, [2.0, 0.0], 50, 5, cert)
-        assert traj.steps == 50
-        assert traj.seed == 5
-        assert traj.sq_dist.shape == (51,)
-        assert traj.in_region.shape == (51,)
-        assert not traj.sq_dist.flags.writeable
+        runs = run_seeds(problem, sched, [2.0, 0.0], 50, cert, [5])
+        assert runs.steps == 50
+        assert runs.seeds == (5,)
+        assert runs.replications == 1
+        assert runs.sq_dist_mean.shape == (51,)
+        assert runs.sq_dist_stderr.shape == (51,)
+        assert runs.in_region_count.shape == (51,)
+        assert runs.final_x.shape == (1, 2)
+        assert not runs.sq_dist_mean.flags.writeable
+        assert not runs.final_x.flags.writeable
 
     def test_step_count_validation(self):
         problem, sched, cert = quadratic_setup()
         with pytest.raises(UsageError):
-            run_replication(problem, sched, [2.0, 0.0], 0, 5, cert)
+            run_seeds(problem, sched, [2.0, 0.0], 0, cert, [5])
+        with pytest.raises(UsageError):
+            run_seeds(problem, sched, [2.0, 0.0], 5, cert, [])
+        with pytest.raises(UsageError):
+            run_seeds(problem, sched, [2.0, 0.0], 5, cert, [-1])
 
     def test_divergence_raises_with_step_index(self):
         # rate * curvature = 3 flips the sign and doubles the distance every
@@ -172,48 +216,133 @@ class TestRunReplication:
         problem = ShiftedQuadratic(curvature=1.0, center=[0.0], noise_halfwidth=0.0)
         cert = problem.certify(2.0, [2.0])
         with pytest.raises(DivergenceError) as info:
-            run_replication(problem, ConstantSchedule(rho=3.0), [2.0], 2000, 1, cert)
+            run_seeds(problem, ConstantSchedule(rho=3.0), [2.0], 2000, cert, [1])
         assert 0 < info.value.step_index <= 2000
 
 
+def solo_rows(problem, sched, x0, steps, cert, seeds):
+    solos = [run_seeds(problem, sched, x0, steps, cert, [seed]) for seed in seeds]
+    return solos, np.stack([solo.sq_dist_mean for solo in solos])
+
+
 class TestRunReplications:
+    def check_against_solo(self, problem, sched, x0, steps, cert, master_seed, count):
+        batch = run_replications(problem, sched, x0, steps, cert, master_seed, count)
+        seeds = tuple(derive_seed(master_seed, i) for i in range(count))
+        assert batch.seeds == seeds
+        solos, rows = solo_rows(problem, sched, x0, steps, cert, seeds)
+        for i, solo in enumerate(solos):
+            assert np.array_equal(batch.final_x[i], solo.final_x[0])
+        mean, stderr = step_stats(rows.T)
+        assert np.array_equal(batch.sq_dist_mean, mean)
+        assert np.array_equal(batch.sq_dist_stderr, stderr)
+        assert np.array_equal(
+            batch.in_region_count, sum(solo.in_region_count for solo in solos)
+        )
+
     def test_rows_match_solo_runs_quadratic(self):
         problem, sched, cert = quadratic_setup()
-        batch = run_replications(problem, sched, [2.0, 0.0], 120, cert, 7, 5)
-        assert len(batch) == 5
-        for i, traj in enumerate(batch):
-            seed = derive_seed(7, i)
-            assert traj.seed == seed
-            solo = run_replication(problem, sched, [2.0, 0.0], 120, seed, cert)
-            assert np.array_equal(traj.sq_dist, solo.sq_dist)
-            assert np.array_equal(traj.final_x, solo.final_x)
-            assert np.array_equal(traj.in_region, solo.in_region)
+        self.check_against_solo(problem, sched, [2.0, 0.0], 120, cert, 7, 5)
 
     def test_rows_match_solo_runs_finite_sum(self):
-        rng = SeededGenerator(3)
-        problem = FiniteSumLeastSquares(design=rng.normal(size=(6, 2)), targets=rng.normal(size=6))
-        x_star = problem.minimizer()
-        cert = problem.certify(3.0, x_star + np.array([1.0, 0.0]))
-        sched = InverseTimeSchedule(scale=1.0, offset=10.0)
-        x0 = x_star + np.array([1.0, 0.0])
-        batch = run_replications(problem, sched, x0, 80, cert, 21, 4)
-        for i, traj in enumerate(batch):
-            solo = run_replication(problem, sched, x0, 80, derive_seed(21, i), cert)
-            assert np.array_equal(traj.sq_dist, solo.sq_dist)
-            assert np.array_equal(traj.final_x, solo.final_x)
+        problem, sched, cert, x0 = finite_sum_setup()
+        self.check_against_solo(problem, sched, x0, 80, cert, 21, 4)
 
     def test_divergence_step_matches_solo(self):
         problem = ShiftedQuadratic(curvature=1.0, center=[0.0], noise_halfwidth=0.0)
         cert = problem.certify(2.0, [2.0])
         sched = ConstantSchedule(rho=3.0)
         with pytest.raises(DivergenceError) as solo_info:
-            run_replication(problem, sched, [2.0], 2000, derive_seed(4, 0), cert)
+            run_seeds(problem, sched, [2.0], 2000, cert, [derive_seed(4, 0)])
         with pytest.raises(DivergenceError) as batch_info:
             run_replications(problem, sched, [2.0], 2000, cert, 4, 2)
         assert batch_info.value.step_index == solo_info.value.step_index
-        assert "replication" in str(batch_info.value)
+        assert "replication 0" in str(batch_info.value)
+        assert f"seed {derive_seed(4, 0)}" in str(batch_info.value)
+
+    def test_divergence_names_the_first_bad_replication(self):
+        # With noise the seeds run away at different steps; the batch stops
+        # at the earliest one-seed divergence and names that replication.
+        problem, _, _ = quadratic_setup()
+        cert = problem.certify(3.0, [2.0, 0.0])
+        sched = ConstantSchedule(rho=3.0)
+        seeds = [8, 9, 10]
+        solo_steps = []
+        for seed in seeds:
+            with pytest.raises(DivergenceError) as info:
+                run_seeds(problem, sched, [2.0, 0.0], 3000, cert, [seed])
+            solo_steps.append(info.value.step_index)
+        first = int(np.argmin(solo_steps))
+        with pytest.raises(DivergenceError) as batch_info:
+            run_seeds(problem, sched, [2.0, 0.0], 3000, cert, seeds)
+        assert batch_info.value.step_index == solo_steps[first]
+        assert f"replication {first} (seed {seeds[first]})" in str(batch_info.value)
 
     def test_count_validation(self):
         problem, sched, cert = quadratic_setup()
         with pytest.raises(UsageError):
             run_replications(problem, sched, [2.0, 0.0], 10, cert, 7, 0)
+
+
+class TestBlocks:
+    """The horizon is cut into blocks; no block length may change a bit."""
+
+    @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])
+    def test_block_length_is_invisible(self, family, monkeypatch):
+        if family == "quadratic":
+            problem, sched, cert = quadratic_setup()
+            x0, per_step = [2.0, 0.0], 2
+        else:
+            problem, sched, cert, x0 = finite_sum_setup()
+            per_step = 1
+        count, steps = 5, 120
+        results = []
+        # Blocks of 1 step, of 7 steps (prime, does not divide 120), and of
+        # the whole horizon.
+        for block in (1, 7, steps + 50):
+            monkeypatch.setattr(engine, "BLOCK_BUDGET", block * count * per_step)
+            results.append(run_replications(problem, sched, x0, steps, cert, 7, count))
+        for other in results[1:]:
+            assert_same_runs(results[0], other)
+
+    def test_noise_is_drawn_in_blocks(self, monkeypatch):
+        problem, sched, cert = quadratic_setup()
+        lengths = []
+        original = type(problem).noise_block
+
+        def recording(self, rng, count):
+            lengths.append(count)
+            return original(self, rng, count)
+
+        monkeypatch.setattr(type(problem), "noise_block", recording)
+        monkeypatch.setattr(engine, "BLOCK_BUDGET", 7 * 3 * 2)
+        run_replications(problem, sched, [2.0, 0.0], 50, cert, 7, 3)
+        assert lengths == [7] * 21 + [1] * 3
+
+    def test_divergence_step_does_not_depend_on_blocks(self, monkeypatch):
+        problem = ShiftedQuadratic(curvature=1.0, center=[0.0], noise_halfwidth=0.0)
+        cert = problem.certify(2.0, [2.0])
+        steps = []
+        for budget in (1, 13, 1 << 22):
+            monkeypatch.setattr(engine, "BLOCK_BUDGET", budget)
+            with pytest.raises(DivergenceError) as info:
+                run_replications(problem, ConstantSchedule(rho=3.0), [2.0], 2000, cert, 4, 1)
+            steps.append(info.value.step_index)
+        assert steps[0] == steps[1] == steps[2]
+
+    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
+        # Blocks of 1024 steps at R = 256 and d = 2, so both horizons run in
+        # full blocks.  Holding the paths would take R * H * 8 bytes for the
+        # squared distances alone: 31 MiB at H = 16000.
+        monkeypatch.setattr(engine, "BLOCK_BUDGET", 1 << 19)
+        problem, sched, cert = quadratic_setup()
+        peaks = []
+        for steps in (2000, 16000):
+            tracemalloc.start()
+            try:
+                estimate_dn(run_replications(problem, sched, [2.0, 0.0], steps, cert, 3, 256))
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
+        assert peaks[1] < 16 * 2**20, peaks

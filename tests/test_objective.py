@@ -13,6 +13,7 @@ from sgdcheck import (
     check_gradients,
     sample_in_ball,
 )
+from sgdcheck import objective
 from sgdcheck.objective import row_dot, sq_norm
 
 import dataclasses
@@ -289,6 +290,39 @@ class TestAudit:
         cert = problem.certify(2.0, [2.0, 0.0])
         with pytest.raises(UsageError):
             audit_certificate(problem, cert, 0, SeededGenerator(74))
+
+    @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])
+    def test_chunking_is_invisible(self, family, monkeypatch):
+        # Samples are drawn in full and then evaluated in chunks; no chunk
+        # size may change a ratio, a count or a witness.
+        if family == "quadratic":
+            problem = make_quadratic(halfwidth=0.5)
+            cert = problem.certify(2.0, [2.0, 0.0])
+        else:
+            rng = SeededGenerator(75)
+            problem = FiniteSumLeastSquares(
+                design=rng.normal(size=(12, 3)), targets=rng.normal(size=12)
+            )
+            cert = problem.certify(1.5, problem.minimizer())
+        corrupted = dataclasses.replace(
+            cert,
+            grad_sq_bound=cert.grad_sq_bound * 0.8,
+            strong_convexity=cert.strong_convexity * 1.1,
+        )
+        reports = []
+        for chunk in (7, 1000, 1 << 20):
+            monkeypatch.setattr(objective, "_AUDIT_CHUNK", chunk)
+            reports.append(audit_certificate(problem, corrupted, 5003, SeededGenerator(76)))
+        first = reports[0]
+        assert first.grad_violations > 0 and first.convexity_violations > 0
+        for other in reports[1:]:
+            assert other.max_grad_ratio == first.max_grad_ratio
+            assert other.min_convexity_slack == first.min_convexity_slack
+            assert other.grad_violations == first.grad_violations
+            assert other.convexity_violations == first.convexity_violations
+            for mine, theirs in zip(other.grad_witness + other.convexity_witness,
+                                    first.grad_witness + first.convexity_witness):
+                assert np.array_equal(mine, theirs)
 
 
 class TestSampleInBall:

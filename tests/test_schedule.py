@@ -113,6 +113,21 @@ class TestValidateSchedule:
         assert report.max_rate_mu == pytest.approx(0.25)
         assert report.stability_ok
 
+    def test_horizon_covers_every_rate_of_the_run(self):
+        # A spike at n = 3 falls between the probed indices 2 and 4.
+        sched = SequenceSchedule(lambda n: 5.0 if n == 3 else 0.1, label="spike")
+        assert validate_schedule(sched, mu=1.0).stability_ok
+        report = validate_schedule(sched, mu=1.0, horizon=10)
+        assert report.max_rate_mu == 5.0
+        assert report.stability_ok is False
+        assert validate_schedule(sched, mu=1.0, horizon=3).max_rate_mu == 0.1
+
+    def test_horizon_keeps_analytic_kinds(self):
+        for sched in (ConstantSchedule(rho=0.1), InverseTimeSchedule(scale=2.0, offset=3.0)):
+            assert validate_schedule(sched, 0.7, horizon=50) == validate_schedule(sched, 0.7)
+        with pytest.raises(UsageError):
+            validate_schedule(ConstantSchedule(rho=0.1), 1.0, horizon=0)
+
     def test_rejects_bad_mu(self):
         with pytest.raises(UsageError):
             validate_schedule(ConstantSchedule(rho=0.1), mu=0.0)
