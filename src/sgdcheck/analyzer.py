@@ -155,13 +155,12 @@ def bound_sequence(
     steps = int(steps)
     mu = cert.strong_convexity
     grad_bound = cert.grad_sq_bound
-    rates = schedule.rates(0, steps)
     values = np.empty(steps + 1)
-    values[0] = d0
-    for n in range(steps):
-        rate = rates[n]
+    values[0] = d = d0
+    for n, rate in enumerate(schedule.rates(0, steps).tolist(), start=1):
         pivot = rate * grad_bound / mu
-        values[n + 1] = (1.0 - rate * mu) * (values[n] - pivot) + pivot
+        d = (1.0 - rate * mu) * (d - pivot) + pivot
+        values[n] = d
     values.flags.writeable = False
     return BoundSequence(values=values, d0=d0, strong_convexity=mu, grad_sq_bound=grad_bound)
 
@@ -222,6 +221,17 @@ def validate_neighborhood(
     if window > horizon + 1:
         raise UsageError(f"window {window} exceeds the horizon of {horizon} steps")
     return window
+
+
+def validate_lemma(schedule: Schedule, mu: float, n: int) -> None:
+    """Refuse a lemma range whose factors leave the domain, before any run.
+
+    The config schedule kinds are non-increasing, so when rate(n) * mu < 1
+    every factor of the range from n on is positive; product_decay checks
+    the whole range again when it runs.
+    """
+    if schedule.rate(n) * mu >= 1.0:
+        raise DomainError(f"rate({n}) * mu >= 1; every factor must stay positive")
 
 
 def check_neighborhood(

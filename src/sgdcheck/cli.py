@@ -23,6 +23,7 @@ from .analyzer import (
     check_recurrence,
     estimate_dn,
     product_decay,
+    validate_lemma,
     validate_neighborhood,
 )
 from .config import ExperimentConfig, build_problem, build_schedule, load_config
@@ -47,6 +48,11 @@ _AUX_BASE = 1 << 32
 CSV_HEADER = "n,rho_n,d_hat,stderr,bound_b_n,in_region_fraction"
 
 ORACLE_RTOL = 1e-12
+
+# Rows of series.csv formatted per write; the text of a long run is never
+# held in memory at once.
+SERIES_CHUNK_ROWS = 4096
+_SERIES_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
 def _g17(value: float) -> str:
@@ -151,14 +157,20 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
-def _series_csv(rates: np.ndarray, dn: DnSeries, bounds: BoundSequence) -> str:
-    lines = [CSV_HEADER]
-    for n in range(dn.mean.shape[0]):
-        lines.append(
-            f"{n},{_g17(rates[n])},{_g17(dn.mean[n])},{_g17(dn.stderr[n])},"
-            f"{_g17(bounds.values[n])},{_g17(dn.in_region_fraction[n])}"
-        )
-    return "\n".join(lines) + "\n"
+def _write_series_csv(path: Path, rates: np.ndarray, dn: DnSeries, bounds: BoundSequence) -> None:
+    """Write ``series.csv``, formatting SERIES_CHUNK_ROWS rows at a time.
+
+    ``"%.17g" % v`` renders a float exactly like ``_g17``, NaN and infinities
+    included.
+    """
+    columns = (rates, dn.mean, dn.stderr, bounds.values, dn.in_region_fraction)
+    total = dn.mean.shape[0]
+    with path.open("w", encoding="utf-8", newline="\n") as handle:
+        handle.write(CSV_HEADER + "\n")
+        for lo in range(0, total, SERIES_CHUNK_ROWS):
+            hi = min(lo + SERIES_CHUNK_ROWS, total)
+            rows = zip(range(lo, hi), *(column[lo:hi].tolist() for column in columns))
+            handle.write("".join([_SERIES_ROW % row for row in rows]))
 
 
 def _report_lines(cfg: ExperimentConfig, problem, schedule, cert, sched_report,
@@ -210,6 +222,8 @@ def cmd_run(args) -> int:
     for spec in cfg.checks:
         if spec["type"] == "neighborhood":
             validate_neighborhood(cert, schedule, spec["window"], cfg.horizon)
+        elif spec["type"] == "lemma":
+            validate_lemma(schedule, cert.strong_convexity, spec["n"])
     sched_report = validate_schedule(schedule, cert.strong_convexity, cfg.horizon)
     runs = run_replications(
         problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed, cfg.replications
@@ -221,7 +235,7 @@ def cmd_run(args) -> int:
     out_dir = _resolve_output_dir(cfg)
     out_dir.mkdir(parents=True, exist_ok=True)
     rates = schedule.rates(0, cfg.horizon + 1)
-    _write_text(out_dir / "series.csv", _series_csv(rates, dn, bounds))
+    _write_series_csv(out_dir / "series.csv", rates, dn, bounds)
     report = _report_lines(cfg, problem, schedule, cert, sched_report, dn, verdicts)
     _write_text(out_dir / "report.txt", "\n".join(report) + "\n")
     for line in report:

@@ -134,8 +134,11 @@ def run_seeds(
     Memory is O(R * (b * d + 1) + H) for R seeds, blocks of b steps, d noise
     values per step and H steps.
 
-    Raises DivergenceError at the first step where any iterate is no longer
-    finite, naming the replication and its seed.
+    Each step updates the iterates in place, with the same floating-point
+    operations in the same order as x - rate * gradient.  Raises
+    DivergenceError at the first step where any squared distance is no
+    longer finite, naming the replication and its seed; the divergence scan
+    runs once per block.
     """
     steps = _check_steps(steps)
     generators = [SeededGenerator(seed) for seed in seeds]
@@ -159,10 +162,13 @@ def run_seeds(
         mean[span], stderr[span] = step_stats(rows)
         inside[span] = np.count_nonzero(rows <= radius_sq, axis=1)
 
+    # The run owns x, a fresh copy of x0, and updates it in place.
     x = np.repeat(x0[None, :], count, axis=0)
     fold(sq_norm(x - center)[None, :], 0)
     noise = None
     sq_dist = np.empty((block, count))
+    grad = np.empty_like(x)
+    diff = np.empty_like(x)
     for start in range(0, steps, block):
         length = min(block, steps - start)
         for i, gen in enumerate(generators):
@@ -170,18 +176,23 @@ def run_seeds(
             if noise is None:
                 noise = np.empty((block, count) + draws.shape[1:], dtype=draws.dtype)
             noise[:length, i] = draws
-        for k in range(length):
-            gradient = problem.pointwise_gradient(noise[k], x)
-            x = x - rates[start + k] * gradient
-            values = sq_norm(x - center)
-            sq_dist[k] = values
-            if not np.all(np.isfinite(values)):
-                bad = int(np.flatnonzero(~np.isfinite(values))[0])
-                raise DivergenceError(
-                    start + k + 1,
-                    f"non-finite iterate at step {start + k + 1} in replication {bad} "
-                    f"(seed {seeds[bad]})",
-                )
+        # A block runs on past its first non-finite value; the scan below
+        # reports that value, so overflow and NaN are not warned about here.
+        with np.errstate(over="ignore", invalid="ignore"):
+            for k in range(length):
+                g = problem.pointwise_gradient(noise[k], x, out=grad)
+                np.multiply(g, rates[start + k], out=g)
+                np.subtract(x, g, out=x)
+                np.subtract(x, center, out=diff)
+                sq_norm(diff, out=sq_dist[k])
+        # max propagates NaN and inf, so one reduction screens the block.
+        if not np.isfinite(sq_dist[:length].max()):
+            k, bad = map(int, np.argwhere(~np.isfinite(sq_dist[:length]))[0])
+            raise DivergenceError(
+                start + k + 1,
+                f"non-finite iterate at step {start + k + 1} in replication {bad} "
+                f"(seed {seeds[bad]})",
+            )
         fold(sq_dist[:length], start + 1)
 
     for array in (mean, stderr, inside, x):

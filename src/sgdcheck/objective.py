@@ -46,9 +46,9 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
     return np.einsum("...i,...i->...", a, b)
 
 
-def sq_norm(d: np.ndarray) -> np.ndarray | float:
-    """Squared Euclidean norm over the last axis."""
-    return np.einsum("...i,...i->...", d, d)
+def sq_norm(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | float:
+    """Squared Euclidean norm over the last axis, written into ``out`` if given."""
+    return np.einsum("...i,...i->...", d, d, out=out)
 
 
 def as_float_vector(value, dim: int | None, name: str) -> np.ndarray:
@@ -154,7 +154,13 @@ class StochasticProblem(abc.ABC):
     def pointwise_loss(self, noise, x): ...
 
     @abc.abstractmethod
-    def pointwise_gradient(self, noise, x): ...
+    def pointwise_gradient(self, noise, x, out=None):
+        """Gradient of the loss at ``x`` for ``noise``.
+
+        With ``out`` given, the gradient is written into that array, whose
+        shape must be the broadcast shape of the batch, and ``out`` is
+        returned; the values are the same bits either way.
+        """
 
     @abc.abstractmethod
     def mean_loss(self, x): ...
@@ -232,9 +238,13 @@ class ShiftedQuadratic(StochasticProblem):
         diff = x - self.center - noise
         return 0.5 * self.curvature * sq_norm(diff)
 
-    def pointwise_gradient(self, noise, x):
+    def pointwise_gradient(self, noise, x, out=None):
         x = self._check_x(x)
-        return self.curvature * (x - self.center - noise)
+        # Without out each operation allocates its result, as the plain
+        # expression does; with out every operation writes into it.
+        diff = np.subtract(x, self.center, out=out)
+        diff = np.subtract(diff, noise, out=out)
+        return np.multiply(diff, self.curvature, out=out)
 
     def mean_loss(self, x):
         x = self._check_x(x)
@@ -331,11 +341,12 @@ class FiniteSumLeastSquares(StochasticProblem):
         residual = row_dot(rows, x) - self.targets[noise]
         return 0.5 * residual * residual
 
-    def pointwise_gradient(self, noise, x):
+    def pointwise_gradient(self, noise, x, out=None):
         x = self._check_x(x)
-        rows = self.design[noise]
+        # The default bounds-checked mode: a bad row index raises.
+        rows = self.design.take(noise, axis=0, out=out)
         residual = row_dot(rows, x) - self.targets[noise]
-        return rows * np.asarray(residual)[..., None]
+        return np.multiply(rows, np.asarray(residual)[..., None], out=out)
 
     def mean_loss(self, x):
         x = self._check_x(x)

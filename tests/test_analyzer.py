@@ -178,6 +178,25 @@ class TestBoundSequence:
         assert bounds.values[10_000] < 0.01
         assert bounds.values[10_000] < bounds.values[1000] < bounds.values[0]
 
+    @pytest.mark.parametrize(
+        "schedule",
+        [ConstantSchedule(rho=0.013), InverseTimeSchedule(scale=0.7, offset=3.3)],
+    )
+    def test_matches_numpy_scalar_loop(self, schedule):
+        # The envelope recursion on numpy float64 scalars read back from the
+        # array, one step at a time.
+        cert = make_cert(mu=0.37, grad_sq_bound=2.9)
+        steps = 5000
+        rates = schedule.rates(0, steps)
+        expected = np.empty(steps + 1)
+        expected[0] = 1.7
+        for n in range(steps):
+            rate = rates[n]
+            pivot = rate * cert.grad_sq_bound / cert.strong_convexity
+            expected[n + 1] = (1.0 - rate * cert.strong_convexity) * (expected[n] - pivot) + pivot
+        bounds = bound_sequence(1.7, schedule, cert, steps)
+        assert bounds.values.tobytes() == expected.tobytes()
+
     def test_input_validation(self):
         cert = make_cert()
         with pytest.raises(UsageError):

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from sgdcheck import (
+    BoundSequence,
+    DnSeries,
     bound_sequence,
     build_problem,
     build_schedule,
@@ -202,6 +204,48 @@ class TestRunCommand:
         assert capsys.readouterr().err.startswith("config error:")
 
 
+def reference_series_csv(rates, dn, bounds) -> bytes:
+    """series.csv as written one format(v, ".17g") call per field."""
+
+    def g17(value):
+        return format(float(value), ".17g")
+
+    lines = [CSV_HEADER]
+    for n in range(dn.mean.shape[0]):
+        lines.append(
+            f"{n},{g17(rates[n])},{g17(dn.mean[n])},{g17(dn.stderr[n])},"
+            f"{g17(bounds.values[n])},{g17(dn.in_region_fraction[n])}"
+        )
+    return ("\n".join(lines) + "\n").encode("utf-8")
+
+
+class TestSeriesWriter:
+    SPECIAL = [0.0, -0.0, 5e-324, 1.7976931348623157e308, np.inf, np.nan, 1.0 / 3.0]
+
+    @pytest.mark.parametrize(
+        "rows", [1, cli.SERIES_CHUNK_ROWS, 2 * cli.SERIES_CHUNK_ROWS + 3]
+    )
+    def test_matches_per_field_formatting(self, tmp_path, rows):
+        rng = np.random.default_rng(rows)
+        columns = []
+        for j in range(5):
+            values = rng.standard_normal(rows) * 10.0 ** rng.integers(-300, 300, size=rows)
+            picks = rng.random(rows) < 0.3
+            values[picks] = rng.choice(self.SPECIAL, size=int(picks.sum()))
+            # Every special value in every column, at a different row each.
+            span = min(rows, len(self.SPECIAL))
+            values[:span] = np.roll(self.SPECIAL, j)[:span]
+            columns.append(values)
+        rates, mean, stderr, bound_values, fraction = columns
+        dn = DnSeries(replications=1, mean=mean, stderr=stderr, in_region_fraction=fraction)
+        bounds = BoundSequence(
+            values=bound_values, d0=0.0, strong_convexity=1.0, grad_sq_bound=1.0
+        )
+        path = tmp_path / "series.csv"
+        cli._write_series_csv(path, rates, dn, bounds)
+        assert path.read_bytes() == reference_series_csv(rates, dn, bounds)
+
+
 class TestRunPreflight:
     """Check/schedule mismatches known from the config stop a run before it starts."""
 
@@ -239,6 +283,30 @@ class TestRunPreflight:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert message in err
+        assert not out_dir.exists()
+
+    def test_lemma_outside_the_domain_exits_two_before_running(
+        self, tmp_path, out_dir, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("replications started for a config that cannot be checked")
+
+        monkeypatch.setattr(cli, "run_replications", refuse)
+        config = tmp_path / "experiment.json"
+        # rate(0) * mu = 1 / 1 * 1: the first factor of the product is zero.
+        write_config(
+            config,
+            schedule={"kind": "inverse_time", "scale": 1.0, "offset": 1.0},
+            horizon=20000,
+            replications=200,
+            checks=[{"type": "lemma", "n": 0, "k": 10}],
+        )
+        started = time.monotonic()
+        assert main(["run", str(config)]) == 2
+        assert time.monotonic() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert "rate(0) * mu >= 1; every factor must stay positive" in err
         assert not out_dir.exists()
 
     def test_window_of_the_whole_horizon_still_runs(self, tmp_path, out_dir):

@@ -5,6 +5,7 @@ master seed 0, so a regression here means the keying scheme changed and every
 stored result becomes irreproducible.
 """
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sgdcheck import (
     ConstantSchedule,
     DivergenceError,
     FiniteSumLeastSquares,
+    HypothesisCertificate,
     InverseTimeSchedule,
     SeededGenerator,
     ShiftedQuadratic,
@@ -167,20 +169,48 @@ class TestRunReplication:
         b = run_seeds(problem, sched, [2.0, 0.0], 200, cert, [11])
         assert_same_runs(a, b)
 
-    def test_noise_replay_reproduces_trajectory(self):
-        # Replaying the same noise block through the raw update rule must
-        # reproduce the runner's result exactly, not just approximately.
-        problem, sched, cert = quadratic_setup()
-        runs = run_seeds(problem, sched, [2.0, 0.0], 150, cert, [13])
-        noise = problem.noise_block(SeededGenerator(13), 150)
-        x = np.array([2.0, 0.0])
-        path = [sq_norm(x)]
+    def test_noise_replay_reproduces_trajectory(self, monkeypatch):
+        # Replaying the same noise through the allocating update rule must
+        # reproduce the runner's in-place steps exactly, not approximately,
+        # for both families, for one seed and for three run together, across
+        # blocks of 7 steps.
+        for family in ("quadratic", "finite_sum"):
+            for seeds in ([13], [13, 14, 15]):
+                self.check_replay(family, seeds, monkeypatch)
+
+    @staticmethod
+    def check_replay(family, seeds, monkeypatch):
+        if family == "quadratic":
+            problem, sched, cert = quadratic_setup()
+            x0, per_step = [2.0, 0.0], 2
+        else:
+            problem, sched, cert, x0 = finite_sum_setup()
+            per_step = 1
+        monkeypatch.setattr(engine, "BLOCK_BUDGET", 7 * len(seeds) * per_step)
+        runs = run_seeds(problem, sched, x0, 150, cert, seeds)
+        noise = np.stack(
+            [problem.noise_block(SeededGenerator(seed), 150) for seed in seeds], axis=1
+        )
+        center = cert.region_center
+        x = np.repeat(np.asarray(x0, dtype=float)[None, :], len(seeds), axis=0)
+        path = [sq_norm(x - center)]
         for n in range(150):
             x = x - sched.rate(n) * problem.pointwise_gradient(noise[n], x)
-            path.append(sq_norm(x))
-        np.testing.assert_array_equal(runs.final_x[0], x)
-        np.testing.assert_array_equal(runs.sq_dist_mean, path)
-        assert runs.sq_dist_mean[150] == np.dot(x, x)
+            path.append(sq_norm(x - center))
+        path = np.array(path)
+        mean, stderr = step_stats(path)
+        inside = np.count_nonzero(path <= cert.region_radius**2, axis=1)
+        for got, expected in [
+            (runs.final_x, x),
+            (runs.sq_dist_mean, mean),
+            (runs.sq_dist_stderr, stderr),
+            (runs.in_region_count, inside),
+        ]:
+            assert got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+        if len(seeds) == 1:
+            np.testing.assert_array_equal(runs.sq_dist_mean, path[:, 0])
+            assert runs.sq_dist_mean[150] == np.dot(x[0] - center, x[0] - center)
 
     def test_containment_when_guaranteed(self):
         problem, sched, cert = quadratic_setup(halfwidth=0.5, rho=0.05, radius=2.0)
@@ -329,6 +359,45 @@ class TestBlocks:
                 run_replications(problem, ConstantSchedule(rho=3.0), [2.0], 2000, cert, 4, 1)
             steps.append(info.value.step_index)
         assert steps[0] == steps[1] == steps[2]
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_divergence_scan_matches_one_step_blocks(self, where, monkeypatch):
+        # One design row of norm 1e100 makes the first step that samples it
+        # overflow, while the other rows contract, so the squared distances
+        # stay small until they jump to inf.  Seeds 13 and 15 both first
+        # draw that row at step 12 (seeds 9 and 10 later), so the error must
+        # name replication 1.  Blocks are cut so that step 12 is a block's
+        # first, a middle or its last step; the block runs on past it into
+        # overflow and NaN.
+        rng = SeededGenerator(5)
+        design = np.vstack([rng.normal(size=(39, 2)), [[1e100, 0.0]]])
+        problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=40))
+        cert = HypothesisCertificate(
+            strong_convexity=1.0,
+            grad_sq_bound=1.0,
+            region_center=np.zeros(2),
+            region_radius=10.0,
+            guaranteed_containment=False,
+        )
+        seeds = [9, 13, 15, 10]
+
+        def diverge(block):
+            monkeypatch.setattr(engine, "BLOCK_BUDGET", block * len(seeds))
+            with warnings.catch_warnings(record=True) as caught:
+                warnings.simplefilter("always")
+                with pytest.raises(DivergenceError) as info:
+                    run_seeds(problem, ConstantSchedule(rho=0.1), [1.0, 0.5], 300, cert, seeds)
+            assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+            return info.value
+
+        reference = diverge(1)
+        assert reference.step_index == 12
+        assert "replication 1 (seed 13)" in str(reference)
+        # Step 12 is row 11 of the first block, or row 0 of the second.
+        block = {"first": 11, "middle": 24, "last": 12}[where]
+        error = diverge(block)
+        assert error.step_index == reference.step_index
+        assert str(error) == str(reference)
 
     def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
         # Blocks of 1024 steps at R = 256 and d = 2, so both horizons run in

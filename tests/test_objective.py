@@ -206,6 +206,55 @@ class TestGradientConsistency:
         assert report.passed, report
 
 
+def assert_same_bits(got, expected):
+    assert got.shape == np.shape(expected)
+    assert got.tobytes() == np.asarray(expected, dtype=float).tobytes()
+
+
+class TestOutBuffers:
+    """Writing into a caller's buffer gives the bits of the allocating call."""
+
+    def draws(self, family, batch):
+        rng = SeededGenerator(44)
+        if family == "quadratic":
+            problem = ShiftedQuadratic(curvature=1.7, center=[0.4, -0.1, 0.3], noise_halfwidth=0.6)
+        else:
+            problem = FiniteSumLeastSquares(design=rng.normal(size=(6, 3)), targets=rng.normal(size=6))
+        noise = problem.noise_block(rng, 5) if batch else problem.sample_noise(rng)
+        x = rng.normal(size=(5, 3) if batch else 3)
+        if family == "quadratic":
+            formula = 1.7 * (x - problem.center - noise)
+        else:
+            rows = problem.design[noise]
+            formula = rows * (row_dot(rows, x) - problem.targets[noise])[..., None]
+        return problem, noise, x, formula
+
+    @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])
+    @pytest.mark.parametrize("batch", [False, True])
+    def test_pointwise_gradient_out(self, family, batch):
+        problem, noise, x, formula = self.draws(family, batch)
+        allocated = problem.pointwise_gradient(noise, x)
+        assert_same_bits(allocated, formula)
+        buf = np.empty_like(x)
+        assert problem.pointwise_gradient(noise, x, out=buf) is buf
+        assert_same_bits(buf, allocated)
+
+    def test_out_keeps_the_row_bounds_check(self):
+        problem, _, x, _ = self.draws("finite_sum", True)
+        with pytest.raises(IndexError):
+            problem.pointwise_gradient(np.array([0, 1, 2, 3, 6]), x, out=np.empty_like(x))
+
+    def test_sq_norm_out(self):
+        d = SeededGenerator(45).normal(size=(7, 3))
+        # A row of a step-major buffer, as the engine passes it.
+        row = np.empty((2, 7))[1]
+        assert sq_norm(d, out=row) is row
+        assert_same_bits(row, sq_norm(d))
+        buf = np.empty(())
+        assert sq_norm(d[0], out=buf) is buf
+        assert_same_bits(buf, sq_norm(d[0]))
+
+
 class TestUnbiasedness:
     """Sampled gradients average to the mean gradient."""
 
