@@ -84,6 +84,35 @@ class ProductDecay:
 
 # Values sorted and summed at once by step_stats; bounds its temporaries.
 _STATS_CHUNK = 1 << 16
+# Rows whose sum overflows are summed again scaled by 2^-_RESCALE, which
+# brings any finite value and its square well inside the float range.
+_RESCALE = 600
+
+
+def stats_chunk_steps(rows: int) -> int:
+    """Steps of ``rows`` values each that step_stats sorts and sums at once."""
+    return max(1, _STATS_CHUNK // rows)
+
+
+def _row_totals(values: np.ndarray, square: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    """Left-to-right sum of each row of ``values``, or of their squares.
+
+    Returns the sums and, per row, the exponent e such that the sum is the
+    one of values * 2^-e: 0, or _RESCALE for a row whose plain sum
+    overflows, which is summed again scaled.
+    """
+    with np.errstate(over="ignore"):
+        work = np.multiply(values, values) if square else values.copy()
+        np.add.accumulate(work, axis=1, out=work)
+    totals = work[:, -1].copy()
+    over = np.isinf(totals)
+    shift = np.where(over, _RESCALE, 0).astype(np.intc)
+    if over.any():
+        scaled = np.ldexp(values[over], -_RESCALE)
+        if square:
+            np.multiply(scaled, scaled, out=scaled)
+        totals[over] = np.add.accumulate(scaled, axis=1)[:, -1]
+    return totals, shift
 
 
 def step_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -94,24 +123,25 @@ def step_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     deviations alike, so the result does not depend on the order of the
     replications nor on how the steps are split into blocks.  Constant rows
     (a single replication included) get an exact mean and a standard error of
-    exactly zero.
+    exactly zero.  A row of finite values whose sum or sum of squared
+    deviations would overflow is summed scaled by an exact power of two, so
+    its mean and standard error stay finite; every other row keeps its bits.
     """
     steps, rows = block.shape
     mean = np.empty(steps)
     stderr = np.empty(steps)
-    chunk = max(1, _STATS_CHUNK // rows)
+    chunk = stats_chunk_steps(rows)
     for lo in range(0, steps, chunk):
         ordered = np.sort(block[lo:lo + chunk], axis=1)
-        work = np.add.accumulate(ordered, axis=1)
-        part = work[:, -1] / rows
         constant = ordered[:, 0] == ordered[:, -1]
-        part = np.where(constant, ordered[:, 0], part)
-        np.subtract(ordered, part[:, None], out=work)
-        np.multiply(work, work, out=work)
-        np.add.accumulate(work, axis=1, out=work)
-        variance = work[:, -1] / max(rows - 1, 1)
+        total, shift = _row_totals(ordered)
+        part = np.where(constant, ordered[:, 0], np.ldexp(total / rows, shift))
+        # The deviations overwrite the sorted values.
+        np.subtract(ordered, part[:, None], out=ordered)
+        total, shift = _row_totals(ordered, square=True)
+        root = np.ldexp(np.sqrt(total / max(rows - 1, 1) / rows), shift)
         mean[lo:lo + chunk] = part
-        stderr[lo:lo + chunk] = np.where(constant, 0.0, np.sqrt(variance / rows))
+        stderr[lo:lo + chunk] = np.where(constant, 0.0, root)
     return mean, stderr
 
 
@@ -322,13 +352,44 @@ def check_convergence(dn: DnSeries, checkpoints) -> Verdict:
     )
 
 
+# Terms of the lemma range evaluated at once by product_decay.  A multiple of
+# 8 and at least 128, so every part is one that numpy's pairwise summation
+# of the whole range would also sum on its own.
+_LEMMA_CHUNK = 1 << 16
+
+
+def _range_sums(schedule: Schedule, mu: float, first: int, count: int) -> tuple[float, float]:
+    """Sums of log1p(-t) and of t over t = rate_l * mu, l = first..first+count-1.
+
+    Splits the range the way numpy's pairwise summation splits an array, at
+    half its length rounded down to a multiple of 8, until a part holds at
+    most _LEMMA_CHUNK terms, and sums each part with np.sum: the result has
+    the bits of np.sum over the whole range, in O(_LEMMA_CHUNK) memory.
+    Parts are evaluated left to right, so a DomainError names the first
+    factor that leaves the domain.
+    """
+    if count > _LEMMA_CHUNK:
+        half = count // 2
+        half -= half % 8
+        log_left, lin_left = _range_sums(schedule, mu, first, half)
+        log_right, lin_right = _range_sums(schedule, mu, first + half, count - half)
+        return log_left + log_right, lin_left + lin_right
+    terms = schedule.rates(first, count) * mu
+    if np.any(terms >= 1.0):
+        bad = first + int(np.flatnonzero(terms >= 1.0)[0])
+        raise DomainError(f"rate({bad}) * mu >= 1; every factor must stay positive")
+    return np.sum(np.log1p(-terms)), np.sum(terms)
+
+
 def product_decay(schedule: Schedule, mu: float, n: int, k: int) -> ProductDecay:
     """Product of (1 - rate_l * mu) for l = n..n+k, against its majorant.
 
     The product is evaluated in the log domain, exp of the sum of
     log1p(-rate_l * mu), and paired with the analytic majorant
     exp(-sum of rate_l * mu), which dominates it because log(1 - t) <= -t.
-    Any factor with rate_l * mu >= 1 leaves the domain of the lemma.
+    Any factor with rate_l * mu >= 1 leaves the domain of the lemma.  The
+    range is summed in parts of bounded length, so memory does not grow
+    with k.
     """
     mu = float(mu)
     if not math.isfinite(mu) or mu <= 0.0:
@@ -337,16 +398,9 @@ def product_decay(schedule: Schedule, mu: float, n: int, k: int) -> ProductDecay
         raise UsageError("n must be an integer >= 0")
     if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
         raise UsageError("k must be an integer >= 0")
-    n = int(n)
-    k = int(k)
-    terms = schedule.rates(n, k + 1) * mu
-    if np.any(terms >= 1.0):
-        bad = n + int(np.flatnonzero(terms >= 1.0)[0])
-        raise DomainError(
-            f"rate({bad}) * mu >= 1; every factor must stay positive"
-        )
-    log_product = float(np.sum(np.log1p(-terms)))
-    log_majorant = float(-np.sum(terms))
+    log_sum, rate_sum = _range_sums(schedule, mu, int(n), int(k) + 1)
+    log_product = float(log_sum)
+    log_majorant = float(-rate_sum)
     return ProductDecay(
         product=math.exp(log_product),
         majorant=math.exp(log_majorant),

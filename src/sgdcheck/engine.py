@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import step_stats
+from .analyzer import stats_chunk_steps, step_stats
 from .errors import DivergenceError, UsageError
 from .objective import HypothesisCertificate, StochasticProblem, as_float_vector, sq_norm
 from .schedule import Schedule
@@ -127,18 +127,19 @@ def run_seeds(
     floating-point operation on an iterate is elementwise, so replication i
     follows the same path whatever the other seeds are, and identical inputs
     give bit-identical results.  The horizon is cut into blocks: each
-    generator draws the noise of the next block into one step-major buffer,
-    and after the block its squared distances are folded into the per-step
-    statistics and dropped.  Philox streams are counter based, so drawing
-    block by block yields the same values as one draw for the whole horizon.
-    Memory is O(R * (b * d + 1) + H) for R seeds, blocks of b steps, d noise
-    values per step and H steps.
+    generator draws the noise of the next block into one step-major buffer.
+    Philox streams are counter based, so drawing block by block yields the
+    same values as one draw for the whole horizon.  Within a block the steps
+    run in runs of f = max(1, 2^16 // R) steps, the ones analyzer.step_stats
+    sorts at once; after each run the squared distances are scanned for
+    divergence, folded into the per-step statistics and dropped.  Memory is
+    O(R * b * d + 2^16 + H) for R seeds, blocks of b steps, d noise values
+    per step and H steps.
 
     Each step updates the iterates in place, with the same floating-point
     operations in the same order as x - rate * gradient.  Raises
     DivergenceError at the first step where any squared distance is no
-    longer finite, naming the replication and its seed; the divergence scan
-    runs once per block.
+    longer finite, naming the replication and its seed.
     """
     steps = _check_steps(steps)
     generators = [SeededGenerator(seed) for seed in seeds]
@@ -166,7 +167,8 @@ def run_seeds(
     x = np.repeat(x0[None, :], count, axis=0)
     fold(sq_norm(x - center)[None, :], 0)
     noise = None
-    sq_dist = np.empty((block, count))
+    run = min(block, stats_chunk_steps(count))
+    sq_dist = np.empty((run, count))
     grad = np.empty_like(x)
     diff = np.empty_like(x)
     for start in range(0, steps, block):
@@ -176,24 +178,29 @@ def run_seeds(
             if noise is None:
                 noise = np.empty((block, count) + draws.shape[1:], dtype=draws.dtype)
             noise[:length, i] = draws
-        # A block runs on past its first non-finite value; the scan below
-        # reports that value, so overflow and NaN are not warned about here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for k in range(length):
-                g = problem.pointwise_gradient(noise[k], x, out=grad)
-                np.multiply(g, rates[start + k], out=g)
-                np.subtract(x, g, out=x)
-                np.subtract(x, center, out=diff)
-                sq_norm(diff, out=sq_dist[k])
-        # max propagates NaN and inf, so one reduction screens the block.
-        if not np.isfinite(sq_dist[:length].max()):
-            k, bad = map(int, np.argwhere(~np.isfinite(sq_dist[:length]))[0])
-            raise DivergenceError(
-                start + k + 1,
-                f"non-finite iterate at step {start + k + 1} in replication {bad} "
-                f"(seed {seeds[bad]})",
-            )
-        fold(sq_dist[:length], start + 1)
+        for lo in range(0, length, run):
+            width = min(run, length - lo)
+            first = start + lo
+            # A run of steps goes on past its first non-finite value; the
+            # scan below reports that value, so overflow and NaN are not
+            # warned about here.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k in range(width):
+                    g = problem.pointwise_gradient(noise[lo + k], x, out=grad)
+                    np.multiply(g, rates[first + k], out=g)
+                    np.subtract(x, g, out=x)
+                    np.subtract(x, center, out=diff)
+                    sq_norm(diff, out=sq_dist[k])
+            rows = sq_dist[:width]
+            # max propagates NaN and inf, so one reduction screens the run.
+            if not np.isfinite(rows.max()):
+                k, bad = map(int, np.argwhere(~np.isfinite(rows))[0])
+                raise DivergenceError(
+                    first + k + 1,
+                    f"non-finite iterate at step {first + k + 1} in replication {bad} "
+                    f"(seed {seeds[bad]})",
+                )
+            fold(rows, first + 1)
 
     for array in (mean, stderr, inside, x):
         array.flags.writeable = False

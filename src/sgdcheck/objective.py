@@ -438,7 +438,9 @@ def sample_in_ball(center: np.ndarray, radius: float, count: int, rng) -> np.nda
     norms = np.sqrt(sq_norm(directions))
     norms = np.where(norms == 0.0, 1.0, norms)
     radii = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / dim)
-    return center + directions * (radii / norms)[:, None]
+    # center + directions * scale, computed in the buffer of the directions.
+    np.multiply(directions, (radii / norms)[:, None], out=directions)
+    return np.add(center, directions, out=directions)
 
 
 def audit_certificate(

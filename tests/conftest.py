@@ -1,9 +1,12 @@
-"""Shared pytest wiring for the acceptance scoreboard.
+"""Shared pytest wiring: the acceptance scoreboard and a memory probe.
 
 Acceptance tests record one line per guarantee through the ``scoreboard``
 fixture; the lines are printed in their own terminal section after the run,
-outside pytest's output capture.
+outside pytest's output capture.  Memory tests measure with the
+``peak_traced_bytes`` fixture.
 """
+import tracemalloc
+
 import pytest
 
 _lines: list[str] = []
@@ -15,6 +18,23 @@ def scoreboard():
         _lines.append(f"[{'PASS' if ok else 'FAIL'}] {name}")
 
     return record
+
+
+@pytest.fixture
+def peak_traced_bytes():
+    """``peak_traced_bytes(fn)`` calls fn and returns the peak of the bytes
+    Python allocated meanwhile, as traced by tracemalloc."""
+
+    def measure(fn) -> int:
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            fn()
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    return measure
 
 
 def pytest_terminal_summary(terminalreporter):

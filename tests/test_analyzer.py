@@ -1,5 +1,6 @@
 """Tests for d_n estimation, the envelope, and the verdict checks."""
 import dataclasses
+import warnings
 from fractions import Fraction
 
 import numpy as np
@@ -143,6 +144,36 @@ class TestStepStats:
         pieces = [step_stats(block[lo:lo + 13]) for lo in range(0, 101, 13)]
         assert np.array_equal(np.concatenate([p[0] for p in pieces]), mean)
         assert np.array_equal(np.concatenate([p[1] for p in pieces]), stderr)
+
+
+    def test_huge_deviations_do_not_overflow(self):
+        # The squared deviations, 2.5e399, overflow; the row is summed scaled
+        # by a power of two, which the square root undoes exactly.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr = step_stats(np.array([[0.0, 1e200]]))
+        assert mean[0] == 5e199
+        assert stderr[0] == 5e199
+
+    def test_huge_sum_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr = step_stats(np.array([[1e308, 1.7e308]]))
+        # Halving is exact, so the scaled sum gives the bits of (a + b) / 2.
+        assert mean[0] == 1e308 / 2 + 1.7e308 / 2
+        assert stderr[0] == pytest.approx(0.35e308, rel=1e-15)
+
+    def test_rescaled_rows_leave_the_others_alone(self):
+        rng = SeededGenerator(14)
+        block = rng.uniform(0.0, 5.0, size=(6, 9))
+        mean, stderr = step_stats(block)
+        mixed = block.copy()
+        mixed[2] *= 1e300
+        mixed_mean, mixed_stderr = step_stats(mixed)
+        keep = np.arange(6) != 2
+        assert np.array_equal(mixed_mean[keep], mean[keep])
+        assert np.array_equal(mixed_stderr[keep], stderr[keep])
+        assert np.isfinite(mixed_stderr[2])
 
 
 class TestBoundSequence:
@@ -381,6 +412,53 @@ class TestProductDecay:
             product_decay(sched, 1.0, -1, 1)
         with pytest.raises(UsageError):
             product_decay(sched, 1.0, 0, -1)
+
+
+def one_shot_decay(schedule, mu, n, k):
+    """The lemma sums as one np.sum over the whole range (the reference)."""
+    terms = schedule.rates(n, k + 1) * mu
+    return float(np.sum(np.log1p(-terms))), float(-np.sum(terms))
+
+
+LEMMA_SCHEDULES = {
+    "constant": (ConstantSchedule(rho=0.3), 1e-3),
+    "inverse_time": (InverseTimeSchedule(scale=1.0, offset=3.0), 0.7),
+    "sequence": (SequenceSchedule(lambda n: 0.01 + 0.5 * ((n * 2654435761) % 1000) / 1000.0), 1.0),
+}
+
+
+class TestProductDecayChunks:
+    """The range is summed in parts with the bits of one pairwise np.sum."""
+
+    # A sequence schedule evaluates its rates one by one in Python, so it
+    # stops short of the longest range.
+    @pytest.mark.parametrize(
+        "kind,length",
+        [
+            (kind, length)
+            for length in (1, 8, 128, 129, 1 << 16, (1 << 16) + 1, (1 << 17) + 7, 5_000_000)
+            for kind in sorted(LEMMA_SCHEDULES)
+            if kind != "sequence" or length < 5_000_000
+        ],
+    )
+    def test_bitwise_equal_to_one_shot_sum(self, kind, length):
+        schedule, mu = LEMMA_SCHEDULES[kind]
+        for n in (0, 5):
+            result = product_decay(schedule, mu, n, length - 1)
+            log_product, log_majorant = one_shot_decay(schedule, mu, n, length - 1)
+            assert result.log_product == log_product
+            assert result.log_majorant == log_majorant
+
+    def test_domain_error_names_the_first_bad_step_of_a_later_part(self):
+        schedule = SequenceSchedule(lambda n: 2.0 if n in (70_000, 140_000) else 0.1)
+        with pytest.raises(DomainError) as info:
+            product_decay(schedule, 1.0, 5, 1 << 18)
+        assert "rate(70000) * mu >= 1" in str(info.value)
+
+    def test_memory_does_not_grow_with_the_range(self, peak_traced_bytes):
+        schedule = InverseTimeSchedule(scale=1.0, offset=2.0)
+        peak = peak_traced_bytes(lambda: product_decay(schedule, 1.0, 1, 20_000_000))
+        assert peak < 4 * 2**20, peak
 
 
 class TestCheckDescentInequality:

@@ -4,13 +4,12 @@ The frozen seed-derivation values are the published SplitMix64 outputs for
 master seed 0, so a regression here means the keying scheme changed and every
 stored result becomes irreproducible.
 """
-import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from sgdcheck import engine
+from sgdcheck import analyzer, engine
 from sgdcheck import (
     ConstantSchedule,
     DivergenceError,
@@ -148,6 +147,37 @@ def assert_same_runs(a, b):
     assert np.array_equal(a.sq_dist_stderr, b.sq_dist_stderr)
     assert np.array_equal(a.in_region_count, b.in_region_count)
     assert np.array_equal(a.final_x, b.final_x)
+
+
+# One design row of norm 1e100 makes the first step that samples it
+# overflow, while the other rows contract, so the squared distances stay
+# small until they jump to inf.  Seeds 13 and 15 both first draw that row at
+# step 12 (seeds 9 and 10 later), so the error must name replication 1.
+OVERFLOW_ROW_SEEDS = [9, 13, 15, 10]
+
+
+def diverge_on_overflow_row():
+    """Run the seeds above for 300 steps; return the DivergenceError.
+
+    No RuntimeWarning may escape on the way.
+    """
+    rng = SeededGenerator(5)
+    design = np.vstack([rng.normal(size=(39, 2)), [[1e100, 0.0]]])
+    problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=40))
+    cert = HypothesisCertificate(
+        strong_convexity=1.0,
+        grad_sq_bound=1.0,
+        region_center=np.zeros(2),
+        region_radius=10.0,
+        guaranteed_containment=False,
+    )
+    sched = ConstantSchedule(rho=0.1)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(DivergenceError) as info:
+            run_seeds(problem, sched, [1.0, 0.5], 300, cert, OVERFLOW_ROW_SEEDS)
+    assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+    return info.value
 
 
 class TestRunReplication:
@@ -362,33 +392,11 @@ class TestBlocks:
 
     @pytest.mark.parametrize("where", ["first", "middle", "last"])
     def test_divergence_scan_matches_one_step_blocks(self, where, monkeypatch):
-        # One design row of norm 1e100 makes the first step that samples it
-        # overflow, while the other rows contract, so the squared distances
-        # stay small until they jump to inf.  Seeds 13 and 15 both first
-        # draw that row at step 12 (seeds 9 and 10 later), so the error must
-        # name replication 1.  Blocks are cut so that step 12 is a block's
-        # first, a middle or its last step; the block runs on past it into
-        # overflow and NaN.
-        rng = SeededGenerator(5)
-        design = np.vstack([rng.normal(size=(39, 2)), [[1e100, 0.0]]])
-        problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=40))
-        cert = HypothesisCertificate(
-            strong_convexity=1.0,
-            grad_sq_bound=1.0,
-            region_center=np.zeros(2),
-            region_radius=10.0,
-            guaranteed_containment=False,
-        )
-        seeds = [9, 13, 15, 10]
-
+        # Blocks are cut so that step 12 is a block's first, a middle or its
+        # last step; the block runs on past it into overflow and NaN.
         def diverge(block):
-            monkeypatch.setattr(engine, "BLOCK_BUDGET", block * len(seeds))
-            with warnings.catch_warnings(record=True) as caught:
-                warnings.simplefilter("always")
-                with pytest.raises(DivergenceError) as info:
-                    run_seeds(problem, ConstantSchedule(rho=0.1), [1.0, 0.5], 300, cert, seeds)
-            assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
-            return info.value
+            monkeypatch.setattr(engine, "BLOCK_BUDGET", block * len(OVERFLOW_ROW_SEEDS))
+            return diverge_on_overflow_row()
 
         reference = diverge(1)
         assert reference.step_index == 12
@@ -399,19 +407,77 @@ class TestBlocks:
         assert error.step_index == reference.step_index
         assert str(error) == str(reference)
 
-    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch):
+    def test_memory_does_not_grow_with_the_horizon(self, monkeypatch, peak_traced_bytes):
         # Blocks of 1024 steps at R = 256 and d = 2, so both horizons run in
         # full blocks.  Holding the paths would take R * H * 8 bytes for the
         # squared distances alone: 31 MiB at H = 16000.
         monkeypatch.setattr(engine, "BLOCK_BUDGET", 1 << 19)
         problem, sched, cert = quadratic_setup()
-        peaks = []
-        for steps in (2000, 16000):
-            tracemalloc.start()
-            try:
-                estimate_dn(run_replications(problem, sched, [2.0, 0.0], steps, cert, 3, 256))
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
+        peaks = [
+            peak_traced_bytes(
+                lambda: estimate_dn(
+                    run_replications(problem, sched, [2.0, 0.0], steps, cert, 3, 256)
+                )
+            )
+            for steps in (2000, 16000)
+        ]
         assert abs(peaks[1] - peaks[0]) < 2 * 2**20, peaks
-        assert peaks[1] < 16 * 2**20, peaks
+        assert peaks[1] < 8 * 2**20, peaks
+
+
+class TestFoldRuns:
+    """Squared distances are scanned and folded every 2^16 // R steps."""
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last"])
+    def test_divergence_scan_matches_one_step_runs(self, where, monkeypatch):
+        # The default budget runs the 300 steps in one block, cut into fold
+        # runs so that step 12 is row 0 of the second run, or row 11 of the
+        # first; the run goes on past it into overflow and NaN.
+        run = {"first": 11, "middle": 24, "last": 12}[where]
+        monkeypatch.setattr(analyzer, "_STATS_CHUNK", run * len(OVERFLOW_ROW_SEEDS))
+        folded = []
+        monkeypatch.setattr(
+            engine, "step_stats", lambda rows: folded.append(rows.shape[0]) or step_stats(rows)
+        )
+        error = diverge_on_overflow_row()
+        # Step 0 is folded alone; only runs before the one with step 12 fold.
+        assert folded == ([1, 11] if where == "first" else [1])
+        assert error.step_index == 12
+        assert "step 12 in replication 1 (seed 13)" in str(error)
+
+    def test_overflowing_fold_does_not_warn(self, monkeypatch):
+        # rho = 3 doubles the distance every step: the last finite squared
+        # distances reach about 1e308, where their squares overflow.  With
+        # one-step blocks every step is folded on its own before the scan
+        # meets the first non-finite one.
+        problem, sched, cert = quadratic_setup(rho=3.0, radius=3.0)
+        seeds = [8, 9, 10]
+        with pytest.raises(DivergenceError) as reference:
+            run_seeds(problem, sched, [2.0, 0.0], 3000, cert, seeds)
+        monkeypatch.setattr(engine, "BLOCK_BUDGET", 2 * len(seeds))
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(DivergenceError) as info:
+                run_seeds(problem, sched, [2.0, 0.0], 3000, cert, seeds)
+        assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
+        assert str(info.value) == str(reference.value)
+
+    def test_fold_buffer_does_not_grow_with_the_block(self, peak_traced_bytes):
+        # One value per step at R = 200: one block spans the whole horizon,
+        # so the noise buffer holds R * H values (3.1 MiB), while the squared
+        # distances take one fold run of 2^16 // R steps (512 KiB) and the
+        # fold twice that.  Squared distances for the whole block would add
+        # another 3.1 MiB.
+        rng = SeededGenerator(3)
+        design = rng.normal(size=(32, 8))
+        problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=32))
+        x0 = problem.minimizer() + 0.5
+        cert = problem.certify(3.0, x0)
+        sched = InverseTimeSchedule(scale=1.0, offset=10.0)
+        count, steps = 200, 2000
+        assert steps * count <= engine.BLOCK_BUDGET
+        noise_bytes = steps * count * problem.noise_block(SeededGenerator(0), 1).itemsize
+        peak = peak_traced_bytes(
+            lambda: run_replications(problem, sched, x0, steps, cert, 5, count)
+        )
+        assert peak < noise_bytes + 2 * 2**20, (peak, noise_bytes)
