@@ -56,7 +56,6 @@ from .schedule import (
     ConstantSchedule,
     InverseTimeSchedule,
     ScheduleReport,
-    SequenceSchedule,
     validate_schedule,
 )
 
@@ -78,7 +77,6 @@ __all__ = [
     "ReplicationSummary",
     "ScheduleReport",
     "SeededGenerator",
-    "SequenceSchedule",
     "SgdCheckError",
     "ShiftedQuadratic",
     "StochasticProblem",

@@ -20,7 +20,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .errors import DomainError, UsageError
+from .errors import DomainError, UsageError, require_int
 from .objective import HypothesisCertificate, StochasticProblem, row_dot, sq_norm
 from .schedule import ConstantSchedule, Schedule
 
@@ -180,9 +180,7 @@ def bound_sequence(
     d0 = float(d0)
     if not math.isfinite(d0) or d0 < 0.0:
         raise UsageError("d0 must be a finite real >= 0")
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise UsageError("steps must be an integer >= 1")
-    steps = int(steps)
+    steps = require_int(steps, "steps", 1)
     mu = cert.strong_convexity
     grad_bound = cert.grad_sq_bound
     values = np.empty(steps + 1)
@@ -245,9 +243,7 @@ def validate_neighborhood(
         raise UsageError("the neighborhood check applies to constant schedules only")
     if schedule.rho * cert.strong_convexity >= 1.0:
         raise UsageError("the neighborhood claim needs rho * mu < 1")
-    if isinstance(window, bool) or not isinstance(window, (int, np.integer)) or window < 1:
-        raise UsageError("window must be an integer >= 1")
-    window = int(window)
+    window = require_int(window, "window", 1)
     if window > horizon + 1:
         raise UsageError(f"window {window} exceeds the horizon of {horizon} steps")
     return window
@@ -256,9 +252,8 @@ def validate_neighborhood(
 def validate_lemma(schedule: Schedule, mu: float, n: int) -> None:
     """Refuse a lemma range whose factors leave the domain, before any run.
 
-    The config schedule kinds are non-increasing, so when rate(n) * mu < 1
-    every factor of the range from n on is positive; product_decay checks
-    the whole range again when it runs.
+    Both schedule kinds are non-increasing, in floating point too, so when
+    rate(n) * mu < 1 every factor of the range from n on is positive.
     """
     if schedule.rate(n) * mu >= 1.0:
         raise DomainError(f"rate({n}) * mu >= 1; every factor must stay positive")
@@ -303,36 +298,39 @@ def check_neighborhood(
     )
 
 
+def validate_checkpoints(points, horizon: int) -> list[tuple[int, float]]:
+    """Check (step, threshold) checkpoints against a horizon; returns them cleaned.
+
+    Steps must be integers in [0, horizon], strictly increasing, and
+    thresholds finite positive reals.
+    """
+    cleaned: list[tuple[int, float]] = []
+    try:
+        for n, threshold in points:
+            if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
+                    or not 0 <= n <= horizon):
+                raise UsageError(f"checkpoint step {n!r} is not an integer in [0, {horizon}]")
+            if cleaned and n <= cleaned[-1][0]:
+                raise UsageError("checkpoints must be strictly increasing in step")
+            if (isinstance(threshold, bool)
+                    or not isinstance(threshold, (int, float, np.integer, np.floating))
+                    or not math.isfinite(threshold) or threshold <= 0.0):
+                raise UsageError("checkpoints must have finite positive thresholds")
+            cleaned.append((int(n), float(threshold)))
+    except (TypeError, ValueError):
+        raise UsageError("checkpoints must be (step, threshold) pairs") from None
+    if not cleaned:
+        raise UsageError("at least one checkpoint is required")
+    return cleaned
+
+
 def check_convergence(dn: DnSeries, checkpoints) -> Verdict:
     """Check d_n estimates against (step, threshold) checkpoints.
 
-    Checkpoints must be sorted by step, lie inside the horizon, and carry
-    positive thresholds; each one passes when
-    mean_step <= threshold + 3 * stderr_step.
+    The checkpoints must pass validate_checkpoints over the horizon of
+    ``dn``; each one passes when mean_step <= threshold + 3 * stderr_step.
     """
-    points = list(checkpoints)
-    if not points:
-        raise UsageError("at least one checkpoint is required")
-    horizon = dn.steps
-    previous = -1
-    cleaned = []
-    for item in points:
-        try:
-            n, threshold = item
-        except (TypeError, ValueError):
-            raise UsageError("checkpoints must be (step, threshold) pairs") from None
-        if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-            raise UsageError("checkpoint steps must be integers >= 0")
-        n = int(n)
-        if n > horizon:
-            raise UsageError(f"checkpoint step {n} is beyond the horizon of {horizon} steps")
-        if n <= previous:
-            raise UsageError("checkpoints must be strictly increasing in step")
-        previous = n
-        threshold = float(threshold)
-        if not math.isfinite(threshold) or threshold <= 0.0:
-            raise UsageError("checkpoint thresholds must be finite positive reals")
-        cleaned.append((n, threshold))
+    cleaned = validate_checkpoints(checkpoints, dn.steps)
     worst = math.inf
     first = None
     failures = 0
@@ -365,8 +363,6 @@ def _range_sums(schedule: Schedule, mu: float, first: int, count: int) -> tuple[
     half its length rounded down to a multiple of 8, until a part holds at
     most _LEMMA_CHUNK terms, and sums each part with np.sum: the result has
     the bits of np.sum over the whole range, in O(_LEMMA_CHUNK) memory.
-    Parts are evaluated left to right, so a DomainError names the first
-    factor that leaves the domain.
     """
     if count > _LEMMA_CHUNK:
         half = count // 2
@@ -375,9 +371,6 @@ def _range_sums(schedule: Schedule, mu: float, first: int, count: int) -> tuple[
         log_right, lin_right = _range_sums(schedule, mu, first + half, count - half)
         return log_left + log_right, lin_left + lin_right
     terms = schedule.rates(first, count) * mu
-    if np.any(terms >= 1.0):
-        bad = first + int(np.flatnonzero(terms >= 1.0)[0])
-        raise DomainError(f"rate({bad}) * mu >= 1; every factor must stay positive")
     return np.sum(np.log1p(-terms)), np.sum(terms)
 
 
@@ -387,18 +380,17 @@ def product_decay(schedule: Schedule, mu: float, n: int, k: int) -> ProductDecay
     The product is evaluated in the log domain, exp of the sum of
     log1p(-rate_l * mu), and paired with the analytic majorant
     exp(-sum of rate_l * mu), which dominates it because log(1 - t) <= -t.
-    Any factor with rate_l * mu >= 1 leaves the domain of the lemma.  The
-    range is summed in parts of bounded length, so memory does not grow
-    with k.
+    A range whose first factor has rate_n * mu >= 1 leaves the domain of the
+    lemma; validate_lemma refuses it.  The range is summed in parts of
+    bounded length, so memory does not grow with k.
     """
     mu = float(mu)
     if not math.isfinite(mu) or mu <= 0.0:
         raise UsageError("mu must be a finite positive real")
-    if isinstance(n, bool) or not isinstance(n, (int, np.integer)) or n < 0:
-        raise UsageError("n must be an integer >= 0")
-    if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
-        raise UsageError("k must be an integer >= 0")
-    log_sum, rate_sum = _range_sums(schedule, mu, int(n), int(k) + 1)
+    n = require_int(n, "n", 0)
+    k = require_int(k, "k", 0)
+    validate_lemma(schedule, mu, n)
+    log_sum, rate_sum = _range_sums(schedule, mu, n, k + 1)
     log_product = float(log_sum)
     log_majorant = float(-rate_sum)
     return ProductDecay(
@@ -434,9 +426,7 @@ def check_descent_inequality(
     estimate must also agree with the closed form
     <x - x*, mean_gradient(x)> within five standard errors.
     """
-    if isinstance(samples, bool) or not isinstance(samples, (int, np.integer)) or samples < 100:
-        raise UsageError("the descent check needs at least 100 samples")
-    samples = int(samples)
+    samples = require_int(samples, "samples", 100)
     x = np.asarray(x, dtype=float)
     gap = x - cert.region_center
     gap_sq = float(sq_norm(gap))

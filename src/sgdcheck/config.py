@@ -13,7 +13,8 @@ import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigurationError
+from .analyzer import validate_checkpoints
+from .errors import ConfigurationError, UsageError
 from .objective import FiniteSumLeastSquares, ShiftedQuadratic, StochasticProblem
 from .schedule import ConstantSchedule, InverseTimeSchedule, Schedule
 
@@ -132,30 +133,11 @@ def _parse_schedule(spec) -> dict:
 
 
 def _parse_checkpoints(value, where: str, horizon: int) -> list[list]:
-    if not isinstance(value, list) or not value:
-        raise ConfigurationError(f"'checkpoints' in {where} must be a non-empty list of pairs")
-    cleaned = []
-    previous = -1
-    for item in value:
-        if not isinstance(item, list) or len(item) != 2:
-            raise ConfigurationError(
-                f"'checkpoints' in {where} must contain [step, threshold] pairs"
-            )
-        n, threshold = item
-        if isinstance(n, bool) or not isinstance(n, int) or n < 0 or n > horizon:
-            raise ConfigurationError(
-                f"'checkpoints' in {where} must use integer steps in [0, {horizon}]"
-            )
-        if n <= previous:
-            raise ConfigurationError(f"'checkpoints' in {where} must be strictly increasing")
-        previous = n
-        if isinstance(threshold, bool) or not isinstance(threshold, (int, float)):
-            raise ConfigurationError(f"'checkpoints' in {where} must use real thresholds")
-        threshold = float(threshold)
-        if not math.isfinite(threshold) or threshold <= 0.0:
-            raise ConfigurationError(f"'checkpoints' in {where} must use positive thresholds")
-        cleaned.append([n, threshold])
-    return cleaned
+    try:
+        points = validate_checkpoints(value, horizon)
+    except UsageError as err:
+        raise ConfigurationError(f"'checkpoints' in {where}: {err}") from None
+    return [[n, threshold] for n, threshold in points]
 
 
 def _parse_check(spec, index: int, horizon: int) -> dict:

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .analyzer import stats_chunk_steps, step_stats
-from .errors import DivergenceError, UsageError
+from .errors import DivergenceError, UsageError, require_int
 from .objective import HypothesisCertificate, StochasticProblem, as_float_vector, sq_norm
 from .schedule import Schedule
 
@@ -27,10 +27,8 @@ _MIX2 = 0x94D049BB133111EB
 
 
 def _check_seed(value, name: str) -> int:
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
-        raise UsageError(f"{name} must be an integer")
-    value = int(value)
-    if not 0 <= value <= _MASK64:
+    value = require_int(value, name, 0)
+    if value > _MASK64:
         raise UsageError(f"{name} must lie in [0, 2^64)")
     return value
 
@@ -76,6 +74,20 @@ class SeededGenerator:
         return self._gen.normal(size=size)
 
 
+# Replication seeds use indices below 2^32; auxiliary streams use indices
+# above it so they can never collide with a replication stream.
+_AUX_BASE = 1 << 32
+
+
+def aux_generator(master_seed: int, stream: int) -> SeededGenerator:
+    """Generator of auxiliary stream ``stream`` of a master seed.
+
+    Streams 0 and 1 draw the descent check's points and samples, 2 the
+    certificate audit and 3 the gradient check.
+    """
+    return SeededGenerator(derive_seed(master_seed, _AUX_BASE + stream))
+
+
 # Noise values held at once across all replications.  The horizon is cut into
 # blocks of max(1, BLOCK_BUDGET // (replications * values per step)) steps, so
 # the engine's working memory does not grow with the horizon.
@@ -107,12 +119,6 @@ class ReplicationSummary:
         return len(self.seeds)
 
 
-def _check_steps(steps) -> int:
-    if isinstance(steps, bool) or not isinstance(steps, (int, np.integer)) or steps < 1:
-        raise UsageError("steps must be an integer >= 1")
-    return int(steps)
-
-
 def run_seeds(
     problem: StochasticProblem,
     schedule: Schedule,
@@ -141,7 +147,7 @@ def run_seeds(
     DivergenceError at the first step where any squared distance is no
     longer finite, naming the replication and its seed.
     """
-    steps = _check_steps(steps)
+    steps = require_int(steps, "steps", 1)
     generators = [SeededGenerator(seed) for seed in seeds]
     if not generators:
         raise UsageError("at least one seed is required")
@@ -227,7 +233,6 @@ def run_replications(
 
     Replication i uses derive_seed(master_seed, i); see run_seeds.
     """
-    if isinstance(count, bool) or not isinstance(count, (int, np.integer)) or count < 1:
-        raise UsageError("count must be an integer >= 1")
-    seeds = [derive_seed(master_seed, i) for i in range(int(count))]
+    count = require_int(count, "count", 1)
+    seeds = [derive_seed(master_seed, i) for i in range(count)]
     return run_seeds(problem, schedule, x0, steps, cert, seeds)

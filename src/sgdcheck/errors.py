@@ -1,6 +1,8 @@
 """Exception types shared across the package."""
 from __future__ import annotations
 
+import numpy as np
+
 
 class SgdCheckError(Exception):
     """Base class for every error raised by this package."""
@@ -28,3 +30,13 @@ class DivergenceError(SgdCheckError):
     def __init__(self, step_index: int, message: str | None = None):
         self.step_index = step_index
         super().__init__(message or f"non-finite iterate at step {step_index}")
+
+
+def require_int(value, name: str, minimum: int) -> int:
+    """``value`` as a Python int; UsageError unless an integer >= ``minimum``.
+
+    numpy integers are accepted; bools and floats, even integral ones, are not.
+    """
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
+        raise UsageError(f"{name} must be an integer >= {minimum}")
+    return int(value)

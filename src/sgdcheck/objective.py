@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ConfigurationError, UsageError
+from .errors import CertificationError, ConfigurationError, require_int
 
 # Certificates are audited and checked against sampled data at this
 # relative tolerance; it absorbs float roundoff without hiding real slack.
@@ -457,9 +457,7 @@ def audit_certificate(
     observed ratios and passes only when nothing violates the certificate
     beyond AUDIT_RTOL relative.
     """
-    samples = int(samples)
-    if samples < 1:
-        raise UsageError("audit needs at least one sample")
+    samples = require_int(samples, "samples", 1)
     xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
     ys = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
     noise = problem.noise_block(rng, samples)
@@ -512,9 +510,7 @@ def check_gradients(
     Uses step h = 1e-6 * (1 + ||x||) per sample and measures the error of
     each coordinate relative to max(1, |gradient coordinate|).
     """
-    samples = int(samples)
-    if samples < 1:
-        raise UsageError("gradient check needs at least one sample")
+    samples = require_int(samples, "samples", 1)
     xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
     noise = problem.noise_block(rng, samples)
     grads = np.asarray(problem.pointwise_gradient(noise, xs))

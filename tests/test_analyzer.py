@@ -15,7 +15,6 @@ from sgdcheck import (
     HypothesisCertificate,
     InverseTimeSchedule,
     SeededGenerator,
-    SequenceSchedule,
     ReplicationSummary,
     ShiftedQuadratic,
     UsageError,
@@ -390,12 +389,16 @@ class TestProductDecay:
 
     def test_majorant_dominates_on_random_schedules(self):
         rng = SeededGenerator(55)
-        for trial in range(20):
-            values = rng.uniform(1e-6, 0.999, size=50)
-            sched = SequenceSchedule(lambda n, v=values: float(v[n]), label=f"t{trial}")
-            result = product_decay(sched, 1.0, 0, 49)
-            assert result.product <= result.majorant
-            assert result.log_product <= result.log_majorant
+        for _ in range(20):
+            scale = rng.uniform(1e-3, 5.0)
+            schedules = (
+                ConstantSchedule(rho=rng.uniform(1e-6, 0.999)),
+                InverseTimeSchedule(scale=scale, offset=scale * rng.uniform(1.001, 10.0)),
+            )
+            for sched in schedules:
+                result = product_decay(sched, 1.0, 0, 49)
+                assert result.product <= result.majorant
+                assert result.log_product <= result.log_majorant
 
     def test_domain_error_names_first_bad_step(self):
         with pytest.raises(DomainError) as info:
@@ -403,6 +406,11 @@ class TestProductDecay:
         assert "rate(0)" in str(info.value)
         with pytest.raises(DomainError):
             product_decay(ConstantSchedule(rho=1.0), 1.0, 0, 0)
+
+    def test_domain_error_names_the_first_step_of_a_later_range(self):
+        with pytest.raises(DomainError) as info:
+            product_decay(ConstantSchedule(rho=2.0), 1.0, 3, 5)
+        assert "rate(3) * mu >= 1" in str(info.value)
 
     def test_parameter_validation(self):
         sched = ConstantSchedule(rho=0.1)
@@ -423,22 +431,18 @@ def one_shot_decay(schedule, mu, n, k):
 LEMMA_SCHEDULES = {
     "constant": (ConstantSchedule(rho=0.3), 1e-3),
     "inverse_time": (InverseTimeSchedule(scale=1.0, offset=3.0), 0.7),
-    "sequence": (SequenceSchedule(lambda n: 0.01 + 0.5 * ((n * 2654435761) % 1000) / 1000.0), 1.0),
 }
 
 
 class TestProductDecayChunks:
     """The range is summed in parts with the bits of one pairwise np.sum."""
 
-    # A sequence schedule evaluates its rates one by one in Python, so it
-    # stops short of the longest range.
     @pytest.mark.parametrize(
         "kind,length",
         [
             (kind, length)
             for length in (1, 8, 128, 129, 1 << 16, (1 << 16) + 1, (1 << 17) + 7, 5_000_000)
             for kind in sorted(LEMMA_SCHEDULES)
-            if kind != "sequence" or length < 5_000_000
         ],
     )
     def test_bitwise_equal_to_one_shot_sum(self, kind, length):
@@ -448,12 +452,6 @@ class TestProductDecayChunks:
             log_product, log_majorant = one_shot_decay(schedule, mu, n, length - 1)
             assert result.log_product == log_product
             assert result.log_majorant == log_majorant
-
-    def test_domain_error_names_the_first_bad_step_of_a_later_part(self):
-        schedule = SequenceSchedule(lambda n: 2.0 if n in (70_000, 140_000) else 0.1)
-        with pytest.raises(DomainError) as info:
-            product_decay(schedule, 1.0, 5, 1 << 18)
-        assert "rate(70000) * mu >= 1" in str(info.value)
 
     def test_memory_does_not_grow_with_the_range(self, peak_traced_bytes):
         schedule = InverseTimeSchedule(scale=1.0, offset=2.0)

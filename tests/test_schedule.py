@@ -6,7 +6,6 @@ from sgdcheck import (
     ConfigurationError,
     ConstantSchedule,
     InverseTimeSchedule,
-    SequenceSchedule,
     UsageError,
     validate_schedule,
 )
@@ -68,18 +67,6 @@ class TestInverseTimeSchedule:
             InverseTimeSchedule(scale=1.0, offset=0.0)
 
 
-class TestSequenceSchedule:
-    def test_wraps_callable(self):
-        sched = SequenceSchedule(lambda n: 1.0 / (n + 2) ** 0.75, label="power")
-        assert sched.rate(0) == pytest.approx(2.0**-0.75)
-        assert sched.rates(0, 3).shape == (3,)
-
-    def test_rejects_nonpositive_output(self):
-        sched = SequenceSchedule(lambda n: 1.0 - n, label="bad")
-        with pytest.raises(ConfigurationError):
-            sched.rate(1)
-
-
 class TestValidateSchedule:
     def test_constant_flags(self):
         report = validate_schedule(ConstantSchedule(rho=0.1), mu=1.0)
@@ -103,30 +90,6 @@ class TestValidateSchedule:
         assert report.max_rate_mu == pytest.approx(4.0)
         assert not report.stability_ok
         assert report.robbins_monro is True
-
-    def test_sequence_flags_are_unknown(self):
-        sched = SequenceSchedule(lambda n: 0.25, label="opaque")
-        report = validate_schedule(sched, mu=1.0)
-        assert report.tends_to_zero is None
-        assert report.sum_diverges is None
-        assert report.robbins_monro is None
-        assert report.max_rate_mu == pytest.approx(0.25)
-        assert report.stability_ok
-
-    def test_horizon_covers_every_rate_of_the_run(self):
-        # A spike at n = 3 falls between the probed indices 2 and 4.
-        sched = SequenceSchedule(lambda n: 5.0 if n == 3 else 0.1, label="spike")
-        assert validate_schedule(sched, mu=1.0).stability_ok
-        report = validate_schedule(sched, mu=1.0, horizon=10)
-        assert report.max_rate_mu == 5.0
-        assert report.stability_ok is False
-        assert validate_schedule(sched, mu=1.0, horizon=3).max_rate_mu == 0.1
-
-    def test_horizon_keeps_analytic_kinds(self):
-        for sched in (ConstantSchedule(rho=0.1), InverseTimeSchedule(scale=2.0, offset=3.0)):
-            assert validate_schedule(sched, 0.7, horizon=50) == validate_schedule(sched, 0.7)
-        with pytest.raises(UsageError):
-            validate_schedule(ConstantSchedule(rho=0.1), 1.0, horizon=0)
 
     def test_rejects_bad_mu(self):
         with pytest.raises(UsageError):
