@@ -317,6 +317,9 @@ def validate_checkpoints(points, horizon: int) -> list[tuple[int, float]]:
                     or not math.isfinite(threshold) or threshold <= 0.0):
                 raise UsageError("checkpoints must have finite positive thresholds")
             cleaned.append((int(n), float(threshold)))
+    except OverflowError:
+        # An integer threshold too large for a float.
+        raise UsageError("checkpoints must have finite positive thresholds") from None
     except (TypeError, ValueError):
         raise UsageError("checkpoints must be (step, threshold) pairs") from None
     if not cleaned:
@@ -433,8 +436,7 @@ def check_descent_inequality(
     if gap_sq > cert.region_radius * cert.region_radius:
         raise UsageError("x lies outside the certified region")
     noise = problem.noise_block(rng, samples)
-    grads = problem.pointwise_gradient(noise, x)
-    values = np.asarray(row_dot(gap, grads))
+    values = np.asarray(problem.gradient_alignment(noise, x, gap))
     estimate, stderr = _mean_and_stderr(values)
     required = 0.5 * cert.strong_convexity * gap_sq
     closed_form = float(row_dot(gap, problem.mean_gradient(x)))

@@ -63,12 +63,20 @@ def _integer(obj: dict, key: str, where: str, minimum: int, maximum: int | None 
     return value
 
 
+def _to_float(value) -> float:
+    """float(value), or inf for an integer too large for a double."""
+    try:
+        return float(value)
+    except OverflowError:
+        return math.inf
+
+
 def _real(obj: dict, key: str, where: str, minimum: float | None = None,
           strict: bool = False) -> float:
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"'{key}' in {where} must be a real number")
-    value = float(value)
+    value = _to_float(value)
     if not math.isfinite(value):
         raise ConfigurationError(f"'{key}' in {where} must be finite")
     if minimum is not None and (value < minimum or (strict and value <= minimum)):
@@ -82,7 +90,8 @@ def _real_list(value, key: str, where: str) -> list[float]:
         raise ConfigurationError(f"'{key}' in {where} must be a non-empty list of reals")
     cleaned = []
     for item in value:
-        if isinstance(item, bool) or not isinstance(item, (int, float)) or not math.isfinite(item):
+        if (isinstance(item, bool) or not isinstance(item, (int, float))
+                or not math.isfinite(_to_float(item))):
             raise ConfigurationError(f"'{key}' in {where} must contain only finite reals")
         cleaned.append(float(item))
     return cleaned

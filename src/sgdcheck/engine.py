@@ -138,9 +138,11 @@ def run_seeds(
     same values as one draw for the whole horizon.  Within a block the steps
     run in runs of f = max(1, 2^16 // R) steps, the ones analyzer.step_stats
     sorts at once; after each run the squared distances are scanned for
-    divergence, folded into the per-step statistics and dropped.  Memory is
-    O(R * b * d + 2^16 + H) for R seeds, blocks of b steps, d noise values
-    per step and H steps.
+    divergence, folded into the per-step statistics and dropped.  Row
+    indices are kept in the noise buffer as the family draws them, in its
+    compact unsigned type, and widened to np.intp one run at a time.  Memory
+    is O(R * b * d + 2^16 + H) for R seeds, blocks of b steps, d noise
+    values per step and H steps.
 
     Each step updates the iterates in place, with the same floating-point
     operations in the same order as x - rate * gradient.  Raises
@@ -187,12 +189,17 @@ def run_seeds(
         for lo in range(0, length, run):
             width = min(run, length - lo)
             first = start + lo
+            steps_noise = noise[lo:lo + width]
+            if steps_noise.dtype.kind == "u":
+                # Compact row indices are widened once per run; take would
+                # convert them again at every step.
+                steps_noise = steps_noise.astype(np.intp)
             # A run of steps goes on past its first non-finite value; the
             # scan below reports that value, so overflow and NaN are not
             # warned about here.
             with np.errstate(over="ignore", invalid="ignore"):
                 for k in range(width):
-                    g = problem.pointwise_gradient(noise[lo + k], x, out=grad)
+                    g = problem.pointwise_gradient(steps_noise[k], x, out=grad)
                     np.multiply(g, rates[first + k], out=g)
                     np.subtract(x, g, out=x)
                     np.subtract(x, center, out=diff)

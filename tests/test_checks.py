@@ -1,11 +1,14 @@
 """Tests for the check pipeline of an experiment (sgdcheck.checks)."""
 import json
 
+import numpy as np
 import pytest
 
 from sgdcheck import (
     ConstantSchedule,
+    FiniteSumLeastSquares,
     InverseTimeSchedule,
+    StochasticProblem,
     Verdict,
     bound_sequence,
     build_problem,
@@ -18,6 +21,7 @@ from sgdcheck import (
 from sgdcheck.checks import (
     ORACLE_RTOL,
     closed_form_product,
+    descent_verdict,
     lemma_verdict,
     preflight_checks,
     run_checks,
@@ -85,3 +89,35 @@ def test_run_checks_gives_one_verdict_per_check_in_config_order():
     verdicts = run_checks(cfg, problem, schedule, cert, dn, bounds)
     assert [name for name, _ in verdicts] == [spec["type"] for spec in checks]
     assert all(isinstance(verdict, Verdict) for _, verdict in verdicts)
+
+
+class TestDescentTable:
+    """The descent check on least squares gathers one value per design row."""
+
+    @staticmethod
+    def problem():
+        rng = np.random.default_rng(128)
+        problem = FiniteSumLeastSquares(design=rng.normal(size=(128, 16)),
+                                        targets=rng.normal(size=128))
+        return problem, problem.certify(2.0, problem.minimizer())
+
+    def test_verdict_is_identical_to_the_direct_path(self, monkeypatch):
+        problem, cert = self.problem()
+        table = descent_verdict(problem, cert, 31, 6, 20_000)
+        monkeypatch.setattr(FiniteSumLeastSquares, "gradient_alignment",
+                            StochasticProblem.gradient_alignment)
+        assert descent_verdict(problem, cert, 31, 6, 20_000) == table
+
+    def test_at_most_one_gradient_row_per_design_row_per_point(self, monkeypatch):
+        problem, cert = self.problem()
+        rows_seen = []
+        original = FiniteSumLeastSquares.pointwise_gradient
+
+        def counting(self, noise, x, out=None):
+            rows_seen.append(np.size(noise))
+            return original(self, noise, x, out=out)
+
+        monkeypatch.setattr(FiniteSumLeastSquares, "pointwise_gradient", counting)
+        points = 5
+        descent_verdict(problem, cert, 31, points, 20_000)
+        assert sum(rows_seen) <= points * problem.rows

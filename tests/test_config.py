@@ -15,6 +15,7 @@ from sgdcheck import (
     parse_config,
     serialize_config,
 )
+from sgdcheck.cli import main
 
 
 def base_document(**overrides):
@@ -167,6 +168,33 @@ class TestChecks:
     def test_descent_sample_floor(self):
         with pytest.raises(ConfigurationError, match=r"'samples' in checks\[0\]"):
             parse(base_document(checks=[{"type": "descent", "samples": 50}]))
+
+
+# A JSON integer too large for a double.
+HUGE = 10**400
+
+
+class TestIntegersTooLargeForAFloat:
+    """Such an integer is refused by key name, not with a traceback."""
+
+    @pytest.mark.parametrize("overrides, key", [
+        ({"schedule": {"kind": "constant", "rho": HUGE}}, "'rho' in schedule"),
+        ({"problem": {"family": "shifted_quadratic", "curvature": 1.0, "center": [0.0, HUGE],
+                      "noise_halfwidth": 0.5}}, "'center' in problem"),
+        ({"problem": {"family": "finite_sum_least_squares",
+                      "design_rows": [[1.0, 0.0], [0.0, HUGE]], "targets": [0.0, 1.0]}},
+         "'design_rows' in problem"),
+    ], ids=["rho", "center", "design_rows"])
+    def test_is_named(self, overrides, key):
+        with pytest.raises(ConfigurationError, match=f"{key} must .*finite"):
+            parse(base_document(**overrides))
+
+    def test_run_exits_two(self, tmp_path, capsys):
+        path = tmp_path / "huge.json"
+        path.write_text(json.dumps(base_document(schedule={"kind": "constant", "rho": HUGE})),
+                        encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert "'rho' in schedule must be finite" in capsys.readouterr().err
 
 
 class TestRoundTrip:

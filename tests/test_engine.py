@@ -24,7 +24,7 @@ from sgdcheck import (
     run_replications,
     run_seeds,
 )
-from sgdcheck.analyzer import step_stats
+from sgdcheck.analyzer import stats_chunk_steps, step_stats
 from sgdcheck.objective import sq_norm
 
 # SplitMix64 stream for master seed 0 (indices 0..3).
@@ -464,10 +464,11 @@ class TestFoldRuns:
 
     def test_fold_buffer_does_not_grow_with_the_block(self, peak_traced_bytes):
         # One value per step at R = 200: one block spans the whole horizon,
-        # so the noise buffer holds R * H values (3.1 MiB), while the squared
-        # distances take one fold run of 2^16 // R steps (512 KiB) and the
-        # fold twice that.  Squared distances for the whole block would add
-        # another 3.1 MiB.
+        # so the noise buffer holds R * H compact row indices (one byte each
+        # for 32 rows), while the squared distances take one fold run of
+        # 2^16 // R steps (512 KiB), the fold twice that, and the run's row
+        # indices, widened to np.intp, another 512 KiB.  Squared distances
+        # for the whole block would add another 3.1 MiB.
         rng = SeededGenerator(3)
         design = rng.normal(size=(32, 8))
         problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=32))
@@ -477,7 +478,8 @@ class TestFoldRuns:
         count, steps = 200, 2000
         assert steps * count <= engine.BLOCK_BUDGET
         noise_bytes = steps * count * problem.noise_block(SeededGenerator(0), 1).itemsize
+        run_indices_bytes = stats_chunk_steps(count) * count * np.dtype(np.intp).itemsize
         peak = peak_traced_bytes(
             lambda: run_replications(problem, sched, x0, steps, cert, 5, count)
         )
-        assert peak < noise_bytes + 2 * 2**20, (peak, noise_bytes)
+        assert peak < noise_bytes + run_indices_bytes + 2 * 2**20, (peak, noise_bytes)

@@ -1,0 +1,57 @@
+"""Golden outputs: the committed configs must keep producing the same bytes.
+
+Each config under ``tests/golden`` is run through ``cli.main`` and the SHA-256
+of ``series.csv``, ``report.txt`` and the ``verify`` stdout are compared
+against digests recorded when the outputs were last accepted.  A change that
+alters any of these bytes on purpose records new digests and says why.
+"""
+import hashlib
+from pathlib import Path
+
+import pytest
+
+from sgdcheck.cli import ENV_OUTPUT_DIR, main
+
+GOLDEN_DIR = Path(__file__).parent / "golden"
+
+# name -> (series.csv, report.txt, verify stdout) SHA-256 digests.
+DIGESTS = {
+    "quadratic_descent": (
+        "0458677b21810391dcafdac24e6910e8b40e1ae8acae5e2c7d7773bfe5744241",
+        "5cb5730375469fe84fe7f6f8b17c75a5c025532a93e1df6696fb2a34f9798dff",
+        "3d1af60f21e5a47f928b58b23317ba5ef02e27dcef06c2f4d78708b1b2b32dbe",
+    ),
+    "ls_descent_convergence": (
+        "20c032bbb7080fed35fd158c412ab1409f2454755f5353d4320a6d58c5ba1ca0",
+        "8ade97cb00305f194e71543cba4b33d0527bccfd95658fcd7e6657d77eefe50c",
+        "aa0650326f655ff935b7a80497c5f4fd9ffc891725cc71786d5382b0b8fa05f2",
+    ),
+    "ls_lemma": (
+        "219abfce2ab3c97030c2366f18a9d99977efac9a1b280eb9dd5067380410e79f",
+        "e5ddf7aa784dd054fead6fb0f4f072c05049598ef020b1fe3e040e7e4806d9cb",
+        "c42e27a327224df1264df57ddcb851297cb28018654fb27969863c7f3f307c72",
+    ),
+}
+
+
+def sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def golden_digests(name: str, out_dir: Path, capsys) -> tuple[str, str, str]:
+    config = str(GOLDEN_DIR / f"{name}.json")
+    assert main(["run", config]) == 0
+    capsys.readouterr()
+    assert main(["verify", config]) == 0
+    verify_out = capsys.readouterr().out
+    return (
+        sha256((out_dir / "series.csv").read_bytes()),
+        sha256((out_dir / "report.txt").read_bytes()),
+        sha256(verify_out.encode("utf-8")),
+    )
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch, capsys):
+    monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path))
+    assert golden_digests(name, tmp_path, capsys) == DIGESTS[name]

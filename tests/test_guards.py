@@ -86,6 +86,7 @@ BAD_CHECKPOINTS = [
     [[5, True]],
     [[5, 0.0]],
     [[5, -1.0]],
+    pytest.param([[5, 10**400]], id="[[5, 10**400]]"),
 ]
 
 

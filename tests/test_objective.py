@@ -17,6 +17,7 @@ from sgdcheck import objective
 from sgdcheck.objective import row_dot, sq_norm
 
 import dataclasses
+import warnings
 
 
 def make_quadratic(dim=2, curvature=1.0, halfwidth=0.5):
@@ -383,3 +384,109 @@ class TestSampleInBall:
         assert np.all(sq_norm(points - center) <= 1.5**2 + 1e-12)
         # The draws should actually fill the ball, not hug the center.
         assert np.sqrt(sq_norm(points - center)).max() > 1.4
+
+
+def least_squares(rows, dim, seed=0):
+    rng = np.random.default_rng(seed)
+    return FiniteSumLeastSquares(design=rng.normal(size=(rows, dim)), targets=rng.normal(size=rows))
+
+
+ALIGNMENT_GRID = [
+    (dim, rows)
+    for dim in [*range(1, 17), 31, 32, 33, 63, 64]
+    for rows in sorted({dim, 100, 128, 1000})
+    if rows >= dim
+]
+
+
+class TestGradientAlignment:
+    """The least-squares row table has the bits of the per-draw path."""
+
+    @pytest.mark.parametrize("dim, rows", ALIGNMENT_GRID)
+    def test_bitwise_equal_to_the_direct_path(self, dim, rows):
+        problem = least_squares(rows, dim, seed=dim * 1000 + rows)
+        rng = np.random.default_rng(rows)
+        x = problem.minimizer() + rng.normal(size=dim)
+        direction = 3.0 * rng.normal(size=dim)
+        gen = SeededGenerator(dim + rows)
+        for samples in (max(1, rows // 2), rows - 1, rows, 20_000):
+            if samples < 1:
+                continue
+            noise = problem.noise_block(gen, samples)
+            got = problem.gradient_alignment(noise, x, direction)
+            direct = objective.StochasticProblem.gradient_alignment(problem, noise, x, direction)
+            assert got.dtype == direct.dtype
+            assert_same_bits(got, direct)
+
+    def test_quadratic_keeps_the_direct_path(self):
+        problem = make_quadratic(dim=3)
+        rng = SeededGenerator(5)
+        noise = problem.noise_block(rng, 500)
+        x, direction = rng.normal(size=3), rng.normal(size=3)
+        assert_same_bits(problem.gradient_alignment(noise, x, direction),
+                         row_dot(direction, problem.pointwise_gradient(noise, x)))
+
+    def test_evaluates_each_row_once(self, monkeypatch):
+        problem = least_squares(128, 16)
+        rows_seen = []
+        original = FiniteSumLeastSquares.pointwise_gradient
+
+        def counting(self, noise, x, out=None):
+            rows_seen.append(np.size(noise))
+            return original(self, noise, x, out=out)
+
+        monkeypatch.setattr(FiniteSumLeastSquares, "pointwise_gradient", counting)
+        noise = problem.noise_block(SeededGenerator(1), 20_000)
+        problem.gradient_alignment(noise, np.zeros(16), np.ones(16))
+        # Below one draw per row the draws are evaluated directly.
+        problem.gradient_alignment(noise[:127], np.zeros(16), np.ones(16))
+        assert rows_seen == [128, 127]
+
+    def test_a_row_never_drawn_does_not_warn(self):
+        # Row 1 overflows at x; only row 0 is drawn, so no warning may escape
+        # and the values are those of the direct path.
+        problem = FiniteSumLeastSquares(design=[[1.0, 0.0], [1e200, 1e200]], targets=[0.5, 0.0])
+        x, direction = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+        noise = np.zeros(10, dtype=np.uint8)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = problem.gradient_alignment(noise, x, direction)
+        assert_same_bits(got, np.full(10, 0.5))
+
+    def test_a_drawn_overflowing_row_warns_as_before(self):
+        problem = FiniteSumLeastSquares(design=[[1.0, 0.0], [1e200, 1e200]], targets=[0.5, 0.0])
+        x, direction = np.array([1.0, 1.0]), np.array([1.0, -1.0])
+        noise = np.array([0, 1, 0, 1], dtype=np.uint8)
+        with pytest.warns(RuntimeWarning):
+            got = problem.gradient_alignment(noise, x, direction)
+        with pytest.warns(RuntimeWarning):
+            direct = objective.StochasticProblem.gradient_alignment(problem, noise, x, direction)
+        assert_same_bits(got, direct)
+
+
+class TestMeanLossAndGradient:
+    @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])
+    @pytest.mark.parametrize("shape", [(3,), (7, 3)])
+    def test_bitwise_equal_to_the_separate_calls(self, family, shape):
+        if family == "quadratic":
+            problem = ShiftedQuadratic(curvature=1.7, center=[0.4, -0.1, 0.3], noise_halfwidth=0.6)
+        else:
+            problem = least_squares(9, 3)
+        x = np.random.default_rng(3).normal(size=shape)
+        loss, grad = problem.mean_loss_and_gradient(x)
+        assert_same_bits(np.asarray(loss), problem.mean_loss(x))
+        assert_same_bits(np.asarray(grad), problem.mean_gradient(x))
+
+
+class TestCompactNoise:
+    @pytest.mark.parametrize("rows, dtype", [
+        (1, np.uint8), (255, np.uint8), (256, np.uint8), (257, np.uint16),
+        (65_536, np.uint16), (65_537, np.uint32),
+    ])
+    def test_smallest_unsigned_type_with_the_int64_draws(self, rows, dtype):
+        problem = FiniteSumLeastSquares(design=np.ones((rows, 1)), targets=np.zeros(rows))
+        block = problem.noise_block(SeededGenerator(9), 5000)
+        assert block.dtype == dtype
+        wide = SeededGenerator(9).integers(rows, size=5000)
+        assert wide.dtype == np.int64
+        assert np.array_equal(block, wide)
