@@ -126,6 +126,13 @@ def cmd_run(args) -> int:
     return 0 if all(verdict.passed for _, verdict in verdicts) else 1
 
 
+def _witness_text(value) -> str:
+    """A row index as an integer, a vector as a list of g17 values."""
+    if np.ndim(value) == 0:
+        return str(int(value))
+    return "[" + ", ".join(g17(v) for v in value) + "]"
+
+
 def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg.problem)
@@ -142,6 +149,12 @@ def cmd_verify(args) -> int:
         f"min_convexity_slack={audit.min_convexity_slack:.3g}, "
         f"violations={audit.grad_violations + audit.convexity_violations}"
     )
+    if audit.grad_witness is not None:
+        noise, x = audit.grad_witness
+        print(f"  grad_witness: noise={_witness_text(noise)}, x={_witness_text(x)}")
+    if audit.convexity_witness is not None:
+        x, y = audit.convexity_witness
+        print(f"  convexity_witness: x={_witness_text(x)}, y={_witness_text(y)}")
     print(
         f"[{'PASS' if grad.passed else 'FAIL'}] gradient_check: "
         f"samples={grad.samples}, max_rel_error={grad.max_rel_error:.3g}, "

@@ -36,9 +36,18 @@ RANK_TOL = 1e-10
 
 MAX_DIMENSION = 64
 
-# Samples that audit_certificate evaluates at once after drawing them all;
-# bounds its temporaries without changing any draw or any per-sample value.
+# audit_certificate and check_gradients draw all their samples, then
+# evaluate them in chunks (see _verify_chunks).  A chunk holds at most
+# _AUDIT_CHUNK samples, and the chunks never straddle a multiple of it.
 _AUDIT_CHUNK = 1 << 15
+
+# Bytes the widest per-sample temporary of one chunk may take.
+_VERIFY_CHUNK_BYTES = 1 << 20
+
+# Matrix products of at most this many multiply-adds may go to a BLAS
+# small-matrix kernel (OpenBLAS uses one up to 100^3), which can round
+# differently from the kernel of a larger product.
+_SMALL_PRODUCT = 100**3
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
@@ -137,6 +146,12 @@ class StochasticProblem(abc.ABC):
     @abc.abstractmethod
     def noise_shape(self) -> tuple[int, ...]:
         """Shape of one noise value, the draw of a single step."""
+
+    @property
+    def batch_width(self) -> int:
+        """Doubles per point in the widest temporary of the batched mean
+        quantities: ``dimension``, or one residual per design row."""
+        return self.dimension
 
     @abc.abstractmethod
     def sample_noise(self, rng):
@@ -274,7 +289,7 @@ class ShiftedQuadratic(StochasticProblem):
     def certify(self, region_radius: float, x0) -> HypothesisCertificate:
         region_radius = _certify_radius(self, region_radius, x0)
         reach = self.noise_halfwidth * math.sqrt(self.dimension)
-        bound = (self.curvature * (region_radius + reach)) ** 2
+        bound = _squared_bound(self.curvature * (region_radius + reach))
         contained = reach <= region_radius
         notes = (
             "strong_convexity equals the curvature; the mean loss is an exact quadratic",
@@ -340,6 +355,10 @@ class FiniteSumLeastSquares(StochasticProblem):
     @property
     def noise_shape(self) -> tuple[int, ...]:
         return ()
+
+    @property
+    def batch_width(self) -> int:
+        return self.rows
 
     def sample_noise(self, rng) -> int:
         return int(rng.integers(self.rows))
@@ -435,7 +454,7 @@ class FiniteSumLeastSquares(StochasticProblem):
         row_norms = np.sqrt(sq_norm(self.design))
         residual_star = np.abs(np.inner(x_star, self.design) - self.targets)
         per_row = row_norms * (row_norms * region_radius + residual_star)
-        bound = float(np.max(per_row)) ** 2
+        bound = _squared_bound(float(np.max(per_row)))
         notes = (
             "strong_convexity is the smallest eigenvalue of design^T design / rows",
             "grad_sq_bound = max over rows of (||row|| * (||row|| * region_radius "
@@ -450,6 +469,20 @@ class FiniteSumLeastSquares(StochasticProblem):
             guaranteed_containment=False,
             notes=notes,
         )
+
+
+def _squared_bound(root: float) -> float:
+    """``root ** 2`` as a grad_sq_bound; CertificationError unless finite."""
+    try:
+        bound = root**2
+    except OverflowError:
+        bound = math.inf
+    if not math.isfinite(bound):
+        raise CertificationError(
+            f"grad_sq_bound = {root:.6g}^2 is not a finite double; "
+            "shrink region_radius or rescale the problem"
+        )
+    return bound
 
 
 def _certify_radius(problem, region_radius, x0, x_star=None) -> float:
@@ -481,6 +514,75 @@ def sample_in_ball(center: np.ndarray, radius: float, count: int, rng) -> np.nda
     return np.add(center, directions, out=directions)
 
 
+def _verify_chunk_size(width: int, dimension: int) -> int:
+    """Samples per chunk of a verify stage, at most _AUDIT_CHUNK.
+
+    The largest power of two, at least 8, whose widest per-sample
+    temporary (``width`` doubles) fits in _VERIFY_CHUNK_BYTES; doubled
+    while the matrix products of one chunk (chunk x width x dimension
+    multiply-adds) stay within _SMALL_PRODUCT, so that they take the
+    kernel of a full block.
+    """
+    fit = _VERIFY_CHUNK_BYTES // (8 * width)
+    size = 1 << max(3, fit.bit_length() - 1)
+    while size * width * dimension <= _SMALL_PRODUCT:
+        size *= 2
+    return min(size, _AUDIT_CHUNK)
+
+
+def _verify_chunks(samples: int, width: int, dimension: int):
+    """Slices that cover ``range(samples)`` with the per-sample bits of one
+    evaluation per block of _AUDIT_CHUNK samples.
+
+    Each block is cut into chunks of _verify_chunk_size, and the last chunk
+    of a block takes its remainder; a block shorter than a chunk stays
+    whole.  BLAS may compute a short product with another kernel (a
+    matrix-vector routine for one sample, a small-matrix kernel for a few),
+    so a short trailing chunk could round differently from the same samples
+    inside a larger product.
+    """
+    size = _verify_chunk_size(width, dimension)
+    for block in range(0, samples, _AUDIT_CHUNK):
+        end = min(block + _AUDIT_CHUNK, samples)
+        lo = block
+        while lo < end:
+            hi = lo + size if end - lo >= 2 * size else end
+            yield slice(lo, hi)
+            lo = hi
+
+
+def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:
+    """Per-sample squared-gradient ratios and relative convexity slacks."""
+    # Each gradient is dropped as soon as it is used: one held through the
+    # next mean-loss call raises the peak RSS of the audit.
+    grads = problem.pointwise_gradient(noise, x)
+    ratios = np.asarray(sq_norm(grads)) / cert.grad_sq_bound
+    del grads
+    loss_x, grad_x = problem.mean_loss_and_gradient(x)
+    loss_x = np.asarray(loss_x)
+    gap = y - x
+    alignment = np.asarray(row_dot(grad_x, gap))
+    del grad_x
+    loss_y = np.asarray(problem.mean_loss(y))
+    quad = 0.5 * cert.strong_convexity * np.asarray(sq_norm(gap))
+    slack = loss_y - loss_x - alignment - quad
+    scale = np.maximum.reduce([np.ones(quad.shape[0]), np.abs(loss_x), np.abs(loss_y), quad])
+    return ratios, slack / scale
+
+
+def _audit_arrays(problem, cert, noise, xs, ys) -> tuple[np.ndarray, np.ndarray]:
+    """_audit_values of every sample, evaluated chunk by chunk."""
+    samples = xs.shape[0]
+    ratios = np.empty(samples)
+    rel_slack = np.empty(samples)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for part in _verify_chunks(samples, problem.batch_width, problem.dimension):
+            ratios[part], rel_slack[part] = _audit_values(
+                problem, cert, noise[part], xs[part], ys[part]
+            )
+    return ratios, rel_slack
+
+
 def audit_certificate(
     problem: StochasticProblem,
     cert: HypothesisCertificate,
@@ -493,37 +595,18 @@ def audit_certificate(
     certified ball, then checks the squared gradient bound at (noise, x) and
     the strong convexity inequality between x and y.  Reports the worst
     observed ratios and passes only when nothing violates the certificate
-    beyond AUDIT_RTOL relative.
+    beyond AUDIT_RTOL relative.  A ratio or slack that is not finite is a
+    violation, and a NaN is the worst value.
     """
     samples = require_int(samples, "samples", 1)
     xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
     ys = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
     noise = problem.noise_block(rng, samples)
 
-    mu = cert.strong_convexity
-    ratios = np.empty(samples)
-    rel_slack = np.empty(samples)
-    for lo in range(0, samples, _AUDIT_CHUNK):
-        part = slice(lo, lo + _AUDIT_CHUNK)
-        x, y = xs[part], ys[part]
-        # Each gradient is dropped as soon as it is used: one held through
-        # the next mean-loss call raises the peak RSS of the audit.
-        grads = problem.pointwise_gradient(noise[part], x)
-        ratios[part] = np.asarray(sq_norm(grads)) / cert.grad_sq_bound
-        del grads
-        loss_x, grad_x = problem.mean_loss_and_gradient(x)
-        loss_x = np.asarray(loss_x)
-        gap = y - x
-        alignment = np.asarray(row_dot(grad_x, gap))
-        del grad_x
-        loss_y = np.asarray(problem.mean_loss(y))
-        quad = 0.5 * mu * np.asarray(sq_norm(gap))
-        slack = loss_y - loss_x - alignment - quad
-        scale = np.maximum.reduce([np.ones(quad.shape[0]), np.abs(loss_x), np.abs(loss_y), quad])
-        rel_slack[part] = slack / scale
-    grad_bad = ratios > 1.0 + AUDIT_RTOL
+    ratios, rel_slack = _audit_arrays(problem, cert, noise, xs, ys)
+    grad_bad = ~np.isfinite(ratios) | (ratios > 1.0 + AUDIT_RTOL)
     worst_grad = int(np.argmax(ratios))
-    convexity_bad = rel_slack < -AUDIT_RTOL
+    convexity_bad = ~np.isfinite(rel_slack) | (rel_slack < -AUDIT_RTOL)
     worst_convexity = int(np.argmin(rel_slack))
 
     grad_violations = int(np.count_nonzero(grad_bad))
@@ -542,6 +625,28 @@ def audit_certificate(
     )
 
 
+def _max_gradient_error(problem, noise, x) -> float:
+    """Largest relative error of the analytic gradients at the points ``x``.
+
+    Shifts one coordinate of a working copy of ``x`` at a time and restores
+    it before the next; a NaN error is carried to the result.
+    """
+    grads = np.asarray(problem.pointwise_gradient(noise, x))
+    h = 1e-6 * (1.0 + np.sqrt(np.asarray(sq_norm(x))))
+    shifted = x.copy()
+    worst = 0.0
+    for j in range(problem.dimension):
+        shifted[:, j] = x[:, j] + h
+        plus = np.asarray(problem.pointwise_loss(noise, shifted))
+        shifted[:, j] = x[:, j] - h
+        minus = np.asarray(problem.pointwise_loss(noise, shifted))
+        shifted[:, j] = x[:, j]
+        approx = (plus - minus) / (2.0 * h)
+        rel = np.abs(approx - grads[:, j]) / np.maximum(1.0, np.abs(grads[:, j]))
+        worst = np.maximum(worst, np.max(rel))
+    return float(worst)
+
+
 def check_gradients(
     problem: StochasticProblem,
     cert: HypothesisCertificate,
@@ -552,23 +657,18 @@ def check_gradients(
     """Compare analytic gradients against central finite differences.
 
     Uses step h = 1e-6 * (1 + ||x||) per sample and measures the error of
-    each coordinate relative to max(1, |gradient coordinate|).
+    each coordinate relative to max(1, |gradient coordinate|).  A NaN error
+    is the worst error and fails the check.
     """
     samples = require_int(samples, "samples", 1)
     xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
     noise = problem.noise_block(rng, samples)
-    grads = np.asarray(problem.pointwise_gradient(noise, xs))
-    h = 1e-6 * (1.0 + np.sqrt(np.asarray(sq_norm(xs))))
     max_rel = 0.0
-    for j in range(problem.dimension):
-        shifted = xs.copy()
-        shifted[:, j] = xs[:, j] + h
-        plus = np.asarray(problem.pointwise_loss(noise, shifted))
-        shifted[:, j] = xs[:, j] - h
-        minus = np.asarray(problem.pointwise_loss(noise, shifted))
-        approx = (plus - minus) / (2.0 * h)
-        rel = np.abs(approx - grads[:, j]) / np.maximum(1.0, np.abs(grads[:, j]))
-        max_rel = max(max_rel, float(np.max(rel)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The widest per-sample temporaries here are points and gradients.
+        for part in _verify_chunks(samples, problem.dimension, problem.dimension):
+            error = _max_gradient_error(problem, noise[part], xs[part])
+            max_rel = float(np.maximum(max_rel, error))
     return GradientCheckReport(
         samples=samples,
         max_rel_error=max_rel,

@@ -1,4 +1,5 @@
 """End-to-end tests for the command line interface and its file outputs."""
+import dataclasses
 import json
 import time
 
@@ -14,8 +15,15 @@ from sgdcheck import (
     estimate_dn,
     run_replications,
 )
+from sgdcheck import (
+    FiniteSumLeastSquares,
+    ShiftedQuadratic,
+    audit_certificate,
+    load_config,
+)
 from sgdcheck import cli
 from sgdcheck.cli import CSV_HEADER, ENV_OUTPUT_DIR, main
+from sgdcheck.engine import aux_generator
 
 
 def write_config(path, **overrides):
@@ -340,6 +348,96 @@ class TestVerifyCommand:
         )
         assert main(["verify", str(config)]) == 0
         assert "[PASS] certificate_audit" in capsys.readouterr().out
+
+
+LEAST_SQUARES = {
+    "family": "finite_sum_least_squares",
+    "design_rows": [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]],
+    "targets": [1.0, 0.0, 1.0],
+}
+
+
+def g17_text(value) -> str:
+    """A witness part as verify prints it: an index, or a vector of %.17g."""
+    if np.ndim(value) == 0:
+        return str(int(value))
+    return "[" + ", ".join(format(float(v), ".17g") for v in value) + "]"
+
+
+class TestVerifyFailures:
+    def test_nan_is_never_a_pass(self, tmp_path, capsys):
+        # The losses overflow, so every slack and finite difference is NaN.
+        config = tmp_path / "experiment.json"
+        write_config(
+            config,
+            problem={
+                "family": "shifted_quadratic",
+                "curvature": 1e-160,
+                "center": [0.0, 0.0],
+                "noise_halfwidth": 0.5,
+            },
+            x0=[0.0, 0.0],
+            region_radius=1e155,
+            verify={"audit_samples": 1000, "gradient_checks": 1000},
+        )
+        assert main(["verify", str(config)]) == 1
+        captured = capsys.readouterr()
+        lines = captured.out.splitlines()
+        assert len(lines) == 3
+        assert lines[0].startswith("[FAIL] certificate_audit: samples=1000, ")
+        assert lines[0].endswith("min_convexity_slack=nan, violations=1000")
+        assert lines[1].startswith("  convexity_witness: x=[")
+        assert lines[2] == "[FAIL] gradient_check: samples=1000, max_rel_error=nan, tolerance=1e-06"
+        assert captured.err == ""
+
+    @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])
+    def test_failed_audit_prints_its_witness(self, family, tmp_path, capsys, monkeypatch):
+        config = tmp_path / "experiment.json"
+        overrides = {} if family == "quadratic" else {
+            "problem": LEAST_SQUARES, "x0": [0.0, 0.0], "region_radius": 1.5,
+        }
+        write_config(config, verify={"audit_samples": 2000, "gradient_checks": 200}, **overrides)
+        kind = ShiftedQuadratic if family == "quadratic" else FiniteSumLeastSquares
+        certify = kind.certify
+
+        def halved_bound(self, region_radius, x0):
+            cert = certify(self, region_radius, x0)
+            return dataclasses.replace(cert, grad_sq_bound=cert.grad_sq_bound * 0.5)
+
+        monkeypatch.setattr(kind, "certify", halved_bound)
+        assert main(["verify", str(config)]) == 1
+        lines = capsys.readouterr().out.splitlines()
+
+        cfg = load_config(config)
+        problem = build_problem(cfg.problem)
+        cert = problem.certify(cfg.region_radius, cfg.x0)
+        audit = audit_certificate(problem, cert, 2000, aux_generator(cfg.master_seed, 2))
+        assert audit.grad_violations > 0 and audit.convexity_witness is None
+        noise, x = audit.grad_witness
+        assert len(lines) == 3
+        assert lines[0].startswith("[FAIL] certificate_audit: samples=2000, ")
+        assert lines[1] == f"  grad_witness: noise={g17_text(noise)}, x={g17_text(x)}"
+        assert lines[2].startswith("[PASS] gradient_check")
+        printed_x = [float(v) for v in lines[1].split("x=[")[1].rstrip("]").split(", ")]
+        assert printed_x == x.tolist()
+
+
+class TestCertifyOverflow:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    @pytest.mark.parametrize("problem", [
+        {"family": "shifted_quadratic", "curvature": 1e200, "center": [0.0, 0.0],
+         "noise_halfwidth": 0.5},
+        {"family": "finite_sum_least_squares",
+         "design_rows": [[1e100, 0.0], [0.0, 1e100], [1e100, 1e100]], "targets": [1.0, 0.0, 1.0]},
+    ])
+    def test_exits_two_naming_the_bound(self, command, problem, tmp_path, out_dir, capsys):
+        config = tmp_path / "experiment.json"
+        write_config(config, problem=problem, x0=[0.0, 0.0], region_radius=1.0)
+        assert main([command, str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: grad_sq_bound = ")
+        assert "is not a finite double" in err
+        assert not out_dir.exists()
 
 
 class TestLemmaCommand:

@@ -31,6 +31,13 @@ DIGESTS = {
         "e5ddf7aa784dd054fead6fb0f4f072c05049598ef020b1fe3e040e7e4806d9cb",
         "c42e27a327224df1264df57ddcb851297cb28018654fb27969863c7f3f307c72",
     ),
+    # A 200x8 design with odd sample counts (33 001 audited, 1 001 gradient
+    # checks): the audit runs past the 2^15 block boundary into a short tail.
+    "ls_chunk_tails": (
+        "c25e0243a37c4e3e27570fe76adef43fd2be3ca5db0932063a8da328140be8a1",
+        "6a482291e0d16576b89781af7c5935b0ddf72244f0f3fd3da1ded4cf18f3be06",
+        "7856b910bb19e29892f0ed503068a8a21cc8264a903a9df75b21eef91c803cf8",
+    ),
 }
 
 

@@ -490,3 +490,222 @@ class TestCompactNoise:
         wide = SeededGenerator(9).integers(rows, size=5000)
         assert wide.dtype == np.int64
         assert np.array_equal(block, wide)
+
+
+def audit_draws(problem, cert, samples, seed):
+    """The (noise, x, y) draws of ``audit_certificate`` for ``seed``."""
+    rng = SeededGenerator(seed)
+    xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
+    ys = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
+    return problem.noise_block(rng, samples), xs, ys
+
+
+def chunk_problem(name):
+    """A problem and its certificate; ``ls-RxD`` is least squares R x D."""
+    if name.startswith("quadratic-"):
+        dim = int(name.split("-")[1])
+        problem = ShiftedQuadratic(
+            curvature=1.3, center=np.linspace(-1, 1, dim), noise_halfwidth=0.4
+        )
+        return problem, problem.certify(2.0, problem.minimizer())
+    rows, dim = map(int, name[3:].split("x"))
+    problem = least_squares(rows, dim, seed=rows + dim)
+    return problem, problem.certify(1.0, problem.minimizer())
+
+
+# Least squares at 2048 rows stops at 1025 samples: one block of 2^15
+# samples would hold 2 x 512 MiB of residuals.
+CHUNK_GRID = [
+    (name, samples)
+    for name in ["quadratic-2", "quadratic-16", "ls-12x3", "ls-128x16", "ls-128x2", "ls-2048x16"]
+    for samples in [1, 7, 1025, 32_769, 40_001]
+    if name != "ls-2048x16" or samples <= 1025
+]
+
+
+class TestVerifyChunks:
+    """Both verify stages evaluate cache-sized chunks with the bits of one batch."""
+
+    @pytest.mark.parametrize("width, dimension, size", [
+        (2, 2, 1 << 15),   # a d=2 quadratic: the cap
+        (128, 16, 1024),   # 128 rows x 128 KiB of residuals
+        (32, 8, 4096),
+        (2048, 16, 64),
+        (200, 8, 1024),    # 512 samples would make a product of 819 200 multiply-adds
+        (128, 2, 4096),
+        (1 << 18, 1, 8),   # never fewer than 8 samples
+    ])
+    def test_chunk_size(self, width, dimension, size):
+        assert objective._verify_chunk_size(width, dimension) == size
+
+    def test_problems_report_their_widest_temporary(self):
+        assert make_quadratic(dim=5).batch_width == 5
+        assert least_squares(40, 3).batch_width == 40
+
+    @pytest.mark.parametrize("samples", [
+        1, 7, 1023, 1024, 2047, 2048, 3000, 32_767, 32_768, 32_769, 33_792, 34_817, 40_001, 100_000,
+    ])
+    def test_chunks_tile_every_block(self, samples):
+        size, cap = 1024, objective._AUDIT_CHUNK
+        parts = list(objective._verify_chunks(samples, 128, 16))
+        assert parts[0].start == 0 and parts[-1].stop == samples
+        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+        for part in parts:
+            block = part.start // cap
+            assert (part.stop - 1) // cap == block
+            assert part.start % size == 0
+            length = part.stop - part.start
+            block_length = min(cap, samples - block * cap)
+            assert size <= length < 2 * size or length == block_length < size
+
+    @pytest.mark.parametrize("name, samples", CHUNK_GRID)
+    def test_audit_values_equal_whole_blocks(self, name, samples):
+        # The reference evaluates each block of _AUDIT_CHUNK samples in one
+        # batch, as the audit did before chunks were sized by memory; up to
+        # 2^15 samples that is one whole-batch evaluation.
+        problem, cert = chunk_problem(name)
+        noise, xs, ys = audit_draws(problem, cert, samples, seed=samples)
+        ratios, rel_slack = objective._audit_arrays(problem, cert, noise, xs, ys)
+        cap = objective._AUDIT_CHUNK
+        blocks = [
+            objective._audit_values(problem, cert, noise[part], xs[part], ys[part])
+            for part in (slice(lo, lo + cap) for lo in range(0, samples, cap))
+        ]
+        assert_same_bits(ratios, np.concatenate([block[0] for block in blocks]))
+        assert_same_bits(rel_slack, np.concatenate([block[1] for block in blocks]))
+
+    @pytest.mark.parametrize("name", ["quadratic-16", "ls-128x16", "ls-2048x16"])
+    def test_gradient_check_is_bitwise_equal_at_the_cap_and_at_the_old_block(
+        self, name, monkeypatch
+    ):
+        problem, cert = chunk_problem(name)
+        report = check_gradients(problem, cert, 40_001, SeededGenerator(9))
+        monkeypatch.setattr(objective, "_VERIFY_CHUNK_BYTES", 1 << 40)
+        assert objective._verify_chunk_size(problem.dimension, problem.dimension) == 1 << 15
+        assert check_gradients(problem, cert, 40_001, SeededGenerator(9)) == report
+
+    @pytest.mark.parametrize("name", ["quadratic-2", "ls-12x3", "ls-128x16"])
+    def test_gradient_check_matches_a_copy_per_coordinate(self, name):
+        # Reference: every coordinate shifted in a fresh copy of all points.
+        problem, cert = chunk_problem(name)
+        samples = 3001
+        rng = SeededGenerator(11)
+        xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
+        noise = problem.noise_block(rng, samples)
+        grads = problem.pointwise_gradient(noise, xs)
+        h = 1e-6 * (1.0 + np.sqrt(sq_norm(xs)))
+        errors = []
+        for j in range(problem.dimension):
+            plus, minus = xs.copy(), xs.copy()
+            plus[:, j] = xs[:, j] + h
+            minus[:, j] = xs[:, j] - h
+            difference = problem.pointwise_loss(noise, plus) - problem.pointwise_loss(noise, minus)
+            approx = difference / (2.0 * h)
+            errors.append(np.abs(approx - grads[:, j]) / np.maximum(1.0, np.abs(grads[:, j])))
+        report = check_gradients(problem, cert, samples, SeededGenerator(11))
+        assert report.max_rel_error == float(np.max(errors))
+
+    def test_audit_memory_stays_near_the_draws(self, peak_traced_bytes):
+        problem, cert = chunk_problem("ls-2048x16")
+        samples = 40_000
+        # x and y, the int64 row draws before they are stored compact, and
+        # one ratio and one slack per sample.
+        draws = 2 * samples * 16 * 8 + samples * 8 + 2 * samples * 8
+        peak = peak_traced_bytes(
+            lambda: audit_certificate(problem, cert, samples, SeededGenerator(5))
+        )
+        assert peak < draws + 4 * 2**20
+
+    def test_gradient_check_memory_stays_near_the_draws(self, peak_traced_bytes):
+        problem, cert = chunk_problem("ls-2048x16")
+        samples = 40_000
+        draws = samples * 16 * 8 + samples * 8
+        peak = peak_traced_bytes(
+            lambda: check_gradients(problem, cert, samples, SeededGenerator(5))
+        )
+        assert peak < draws + 4 * 2**20
+
+
+def overflowing_quadratic():
+    """A certificate whose mean losses overflow at every audited point."""
+    problem = ShiftedQuadratic(curvature=1e-160, center=np.zeros(2), noise_halfwidth=0.5)
+    return problem, problem.certify(1e155, [0.0, 0.0])
+
+
+class TestNonFiniteValues:
+    """A NaN or infinite value is a violation, never a pass."""
+
+    def test_nan_slacks_fail_the_audit(self):
+        problem, cert = overflowing_quadratic()
+        report = audit_certificate(problem, cert, 1000, SeededGenerator(1))
+        assert not report.passed
+        assert report.grad_violations == 0
+        assert report.convexity_violations == 1000
+        assert np.isnan(report.min_convexity_slack)
+        assert report.convexity_witness is not None
+
+    def test_nan_errors_fail_the_gradient_check(self):
+        problem, cert = overflowing_quadratic()
+        report = check_gradients(problem, cert, 1000, SeededGenerator(1))
+        assert not report.passed
+        assert np.isnan(report.max_rel_error)
+
+    def test_a_nan_in_a_later_chunk_is_carried(self, monkeypatch):
+        problem = make_quadratic(halfwidth=0.5)
+        cert = problem.certify(2.0, [2.0, 0.0])
+        samples = 40_001
+        rng = SeededGenerator(5)
+        sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
+        last_noise = problem.noise_block(rng, samples)[-1]
+        loss = ShiftedQuadratic.pointwise_loss
+
+        def nan_at_the_last_draw(self, noise, x):
+            return np.where((noise == last_noise).all(axis=-1), np.nan, loss(self, noise, x))
+
+        assert check_gradients(problem, cert, samples, SeededGenerator(5)).passed
+        monkeypatch.setattr(ShiftedQuadratic, "pointwise_loss", nan_at_the_last_draw)
+        report = check_gradients(problem, cert, samples, SeededGenerator(5))
+        assert not report.passed
+        assert np.isnan(report.max_rel_error)
+
+    def test_a_nan_ratio_fails_the_audit(self, monkeypatch):
+        problem = make_quadratic(halfwidth=0.5)
+        cert = problem.certify(2.0, [2.0, 0.0])
+        samples = 40_001
+        last_noise = audit_draws(problem, cert, samples, seed=7)[0][-1]
+        gradient = ShiftedQuadratic.pointwise_gradient
+
+        def nan_at_the_last_draw(self, noise, x, out=None):
+            value = gradient(self, noise, x, out)
+            return np.where((noise == last_noise).all(axis=-1, keepdims=True), np.nan, value)
+
+        monkeypatch.setattr(ShiftedQuadratic, "pointwise_gradient", nan_at_the_last_draw)
+        report = audit_certificate(problem, cert, samples, SeededGenerator(7))
+        assert not report.passed
+        assert report.grad_violations == 1
+        assert np.isnan(report.max_grad_ratio)
+        assert np.array_equal(report.grad_witness[0], last_noise)
+
+    def test_infinite_ratios_are_violations(self):
+        problem = make_quadratic(halfwidth=0.5)
+        cert = problem.certify(2.0, [2.0, 0.0])
+        tiny = dataclasses.replace(cert, grad_sq_bound=5e-324)
+        report = audit_certificate(problem, tiny, 100, SeededGenerator(6))
+        assert report.max_grad_ratio == np.inf
+        assert report.grad_violations == 100
+
+
+class TestCertifyOverflow:
+    """A grad_sq_bound that overflows a double cannot be certified."""
+
+    def test_quadratic(self):
+        problem = ShiftedQuadratic(curvature=1e200, center=np.zeros(2), noise_halfwidth=0.5)
+        with pytest.raises(CertificationError, match="grad_sq_bound"):
+            problem.certify(1.0, [0.0, 0.0])
+
+    def test_least_squares(self):
+        problem = FiniteSumLeastSquares(
+            design=[[1e100, 0.0], [0.0, 1e100], [1e100, 1e100]], targets=[1.0, 0.0, 1.0]
+        )
+        with pytest.raises(CertificationError, match="grad_sq_bound"):
+            problem.certify(1.5, [0.0, 0.0])
