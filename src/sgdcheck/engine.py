@@ -67,6 +67,11 @@ class SeededGenerator:
     def uniform(self, low: float, high: float, size=None):
         return self._gen.uniform(low, high, size=size)
 
+    def random(self, out=None):
+        """Uniform draws on [0, 1), one stream value each, written into
+        ``out`` when given."""
+        return self._gen.random(out=out)
+
     def integers(self, upper: int, size=None):
         return self._gen.integers(0, upper, size=size)
 
@@ -132,20 +137,22 @@ def run_seeds(
     The replications advance together on stacked arrays.  Every
     floating-point operation on an iterate is elementwise, so replication i
     follows the same path whatever the other seeds are, and identical inputs
-    give bit-identical results.  The horizon is cut into blocks: each
-    generator draws the noise of the next block into one step-major buffer.
-    Philox streams are counter based, so drawing block by block yields the
-    same values as one draw for the whole horizon.  Within a block the steps
-    run in runs of f = max(1, 2^16 // R) steps, the ones analyzer.step_stats
-    sorts at once; after each run the squared distances are scanned for
-    divergence, folded into the per-step statistics and dropped.  Row
-    indices are kept in the noise buffer as the family draws them, in its
-    compact unsigned type, and widened to np.intp one run at a time.  Memory
-    is O(R * b * d + 2^16 + H) for R seeds, blocks of b steps, d noise
-    values per step and H steps.
+    give bit-identical results.  The horizon is cut into blocks: the
+    problem's fill_noise_block draws the next block of every generator into
+    one step-major buffer.  Philox streams are counter based, so drawing
+    block by block yields the same values as one draw for the whole
+    horizon.  Within a block the steps run in runs of f = max(1, 2^16 // R)
+    steps, the ones analyzer.step_stats sorts at once; after each run the
+    squared distances are scanned for divergence, folded into the per-step
+    statistics and dropped.  Row indices are kept in the noise buffer as the
+    family draws them, in its compact unsigned type, and widened to np.intp
+    one run at a time.  Memory is O(R * b * d + 2^16 + H) for R seeds,
+    blocks of b steps, d noise values per step and H steps.
 
     Each step updates the iterates in place, with the same floating-point
-    operations in the same order as x - rate * gradient.  Raises
+    operations in the same order as x - rate * gradient.  The center is
+    subtracted as R rows built once, so no step broadcasts it over the
+    short trailing axis of the iterates.  Raises
     DivergenceError at the first step where any squared distance is no
     longer finite, naming the replication and its seed.
     """
@@ -173,19 +180,16 @@ def run_seeds(
 
     # The run owns x, a fresh copy of x0, and updates it in place.
     x = np.repeat(x0[None, :], count, axis=0)
-    fold(sq_norm(x - center)[None, :], 0)
-    noise = None
+    centers = np.repeat(center[None, :], count, axis=0)
+    fold(sq_norm(x - centers)[None, :], 0)
+    noise = np.empty((block, count) + problem.noise_shape, dtype=problem.noise_dtype)
     run = min(block, stats_chunk_steps(count))
     sq_dist = np.empty((run, count))
     grad = np.empty_like(x)
     diff = np.empty_like(x)
     for start in range(0, steps, block):
         length = min(block, steps - start)
-        for i, gen in enumerate(generators):
-            draws = problem.noise_block(gen, length)
-            if noise is None:
-                noise = np.empty((block, count) + draws.shape[1:], dtype=draws.dtype)
-            noise[:length, i] = draws
+        problem.fill_noise_block(generators, noise[:length])
         for lo in range(0, length, run):
             width = min(run, length - lo)
             first = start + lo
@@ -202,7 +206,7 @@ def run_seeds(
                     g = problem.pointwise_gradient(steps_noise[k], x, out=grad)
                     np.multiply(g, rates[first + k], out=g)
                     np.subtract(x, g, out=x)
-                    np.subtract(x, center, out=diff)
+                    np.subtract(x, centers, out=diff)
                     sq_norm(diff, out=sq_dist[k])
             rows = sq_dist[:width]
             # max propagates NaN and inf, so one reduction screens the run.

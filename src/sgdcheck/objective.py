@@ -44,6 +44,10 @@ _AUDIT_CHUNK = 1 << 15
 # Bytes the widest per-sample temporary of one chunk may take.
 _VERIFY_CHUNK_BYTES = 1 << 20
 
+# Bytes of the replication-major tile into which
+# ShiftedQuadratic.fill_noise_block draws the unit values of a block.
+_TILE_BYTES = 1 << 18
+
 # Matrix products of at most this many multiply-adds may go to a BLAS
 # small-matrix kernel (OpenBLAS uses one up to 100^3), which can round
 # differently from the kernel of a larger product.
@@ -58,6 +62,20 @@ def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
 def sq_norm(d: np.ndarray, out: np.ndarray | None = None) -> np.ndarray | float:
     """Squared Euclidean norm over the last axis, written into ``out`` if given."""
     return np.einsum("...i,...i->...", d, d, out=out)
+
+
+def _rows_like(vector: np.ndarray, batch: np.ndarray) -> np.ndarray:
+    """``vector`` repeated over the leading axes of ``batch``, contiguous.
+
+    numpy applies a ufunc to a batch and a broadcast (d,) operand in an
+    inner loop of length d per point, several times slower than one flat
+    loop over same-shape operands; the bits are the same either way.
+    ``np.repeat`` builds the rows with one copy of d values per point.
+    """
+    if batch.ndim < 2:
+        return vector
+    points = math.prod(batch.shape[:-1])
+    return np.repeat(vector[None, :], points, axis=0).reshape(batch.shape)
 
 
 def as_float_vector(value, dim: int | None, name: str) -> np.ndarray:
@@ -148,6 +166,11 @@ class StochasticProblem(abc.ABC):
         """Shape of one noise value, the draw of a single step."""
 
     @property
+    def noise_dtype(self) -> np.dtype:
+        """dtype of the values :meth:`noise_block` returns."""
+        return np.dtype(float)
+
+    @property
     def batch_width(self) -> int:
         """Doubles per point in the widest temporary of the batched mean
         quantities: ``dimension``, or one residual per design row."""
@@ -164,6 +187,19 @@ class StochasticProblem(abc.ABC):
         The block consumes the generator exactly like ``count`` successive
         calls to :meth:`sample_noise`, so recorded runs can be replayed.
         """
+
+    def fill_noise_block(self, generators, out: np.ndarray) -> None:
+        """Draw the next ``count = out.shape[0] >= 1`` noise values of every
+        generator.
+
+        ``out`` is a C-contiguous step-major block of shape
+        ``(count, len(generators)) + noise_shape`` and ``noise_dtype``.
+        Column i receives the bits of ``noise_block(generators[i], count)``,
+        and every generator advances exactly as that call advances it.
+        """
+        count = out.shape[0]
+        for i, gen in enumerate(generators):
+            out[:, i] = self.noise_block(gen, count)
 
     @abc.abstractmethod
     def pointwise_loss(self, noise, x): ...
@@ -242,6 +278,12 @@ class ShiftedQuadratic(StochasticProblem):
         hw = float(self.noise_halfwidth)
         if not math.isfinite(hw) or hw < 0.0:
             raise ConfigurationError("'noise_halfwidth' must be a finite real >= 0")
+        if not math.isfinite(2.0 * hw):
+            # The noise law is uniform on [-hw, hw]; its width must be a double.
+            raise ConfigurationError(
+                f"'noise_halfwidth' {hw:.6g} is too large: the width 2 * halfwidth "
+                "of the noise law is not a finite double"
+            )
         object.__setattr__(self, "noise_halfwidth", hw)
 
     @property
@@ -260,6 +302,32 @@ class ShiftedQuadratic(StochasticProblem):
             -self.noise_halfwidth, self.noise_halfwidth, size=(count, self.dimension)
         )
 
+    def fill_noise_block(self, generators, out: np.ndarray) -> None:
+        """Draw the block in replication tiles of unit values.
+
+        numpy's ``uniform(low, high)`` is ``low + (high - low) * random()``,
+        one stream value per draw.  So each generator fills its rows of a
+        contiguous replication-major tile of about _TILE_BYTES with
+        ``random``, two ufuncs over the tile apply the same product and sum
+        in an order that gives the same bits, and the tile goes into the
+        step-major block with each (step, replication) noise value copied as
+        one ``8 * d``-byte item.
+        """
+        count, dim = out.shape[0], self.dimension
+        item = np.dtype((np.void, 8 * dim))
+        block = out.view(item)[..., 0]
+        per_tile = max(1, min(len(generators), _TILE_BYTES // (8 * dim * count)))
+        tile = np.empty((per_tile, count, dim))
+        low, high = -self.noise_halfwidth, self.noise_halfwidth
+        for lo in range(0, len(generators), per_tile):
+            part = generators[lo:lo + per_tile]
+            values = tile[:len(part)]
+            for j, gen in enumerate(part):
+                gen.random(out=values[j])
+            np.multiply(values, high - low, out=values)
+            np.add(values, low, out=values)
+            block[:, lo:lo + len(part)] = values.view(item)[..., 0].T
+
     def pointwise_loss(self, noise, x):
         x = self._check_x(x)
         diff = x - self.center - noise
@@ -269,7 +337,7 @@ class ShiftedQuadratic(StochasticProblem):
         x = self._check_x(x)
         # Without out each operation allocates its result, as the plain
         # expression does; with out every operation writes into it.
-        diff = np.subtract(x, self.center, out=out)
+        diff = np.subtract(x, _rows_like(self.center, x), out=out)
         diff = np.subtract(diff, noise, out=out)
         return np.multiply(diff, self.curvature, out=out)
 
@@ -357,6 +425,11 @@ class FiniteSumLeastSquares(StochasticProblem):
         return ()
 
     @property
+    def noise_dtype(self) -> np.dtype:
+        """The smallest unsigned type that holds every row index."""
+        return np.min_scalar_type(self.rows - 1)
+
+    @property
     def batch_width(self) -> int:
         return self.rows
 
@@ -364,9 +437,8 @@ class FiniteSumLeastSquares(StochasticProblem):
         return int(rng.integers(self.rows))
 
     def noise_block(self, rng, count: int) -> np.ndarray:
-        # The int64 draws, stored in the smallest unsigned type that holds
-        # every row index.
-        return rng.integers(self.rows, size=count).astype(np.min_scalar_type(self.rows - 1))
+        # The int64 draws, stored in noise_dtype.
+        return rng.integers(self.rows, size=count).astype(self.noise_dtype)
 
     def pointwise_loss(self, noise, x):
         x = self._check_x(x)

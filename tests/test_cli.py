@@ -440,6 +440,21 @@ class TestCertifyOverflow:
         assert not out_dir.exists()
 
 
+class TestNoiseWidthOverflow:
+    @pytest.mark.parametrize("command", ["run", "verify"])
+    def test_exits_two_naming_the_halfwidth(self, command, tmp_path, out_dir, capsys):
+        # uniform(-hw, hw) needs the width 2 * hw as a finite double.
+        config = tmp_path / "experiment.json"
+        problem = {"family": "shifted_quadratic", "curvature": 1e-300, "center": [0.0, 0.0],
+                   "noise_halfwidth": 1e308}
+        write_config(config, problem=problem, x0=[0.5, 0.0], region_radius=1.0,
+                     replications=4, horizon=10, master_seed=5)
+        assert main([command, str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: 'noise_halfwidth' 1e+308 is too large")
+        assert not out_dir.exists()
+
+
 class TestLemmaCommand:
     def test_inverse_time_telescopes(self, capsys):
         code = main(

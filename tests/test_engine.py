@@ -9,7 +9,7 @@ import warnings
 import numpy as np
 import pytest
 
-from sgdcheck import analyzer, engine
+from sgdcheck import analyzer, engine, objective
 from sgdcheck import (
     ConstantSchedule,
     DivergenceError,
@@ -366,18 +366,35 @@ class TestBlocks:
             assert_same_runs(results[0], other)
 
     def test_noise_is_drawn_in_blocks(self, monkeypatch):
+        # The quadratic draws each block as one unit-value call per generator.
         problem, sched, cert = quadratic_setup()
         lengths = []
-        original = type(problem).noise_block
+        original = SeededGenerator.random
 
-        def recording(self, rng, count):
-            lengths.append(count)
-            return original(self, rng, count)
+        def recording(self, out=None):
+            lengths.append(out.shape[0])
+            return original(self, out=out)
 
-        monkeypatch.setattr(type(problem), "noise_block", recording)
+        monkeypatch.setattr(SeededGenerator, "random", recording)
         monkeypatch.setattr(engine, "BLOCK_BUDGET", 7 * 3 * 2)
         run_replications(problem, sched, [2.0, 0.0], 50, cert, 7, 3)
         assert lengths == [7] * 21 + [1] * 3
+
+    def test_tiles_of_one_replication_give_the_same_bytes(self, monkeypatch):
+        # d = 3 at R = 37 for 2000 steps, one block: the default tile holds
+        # 5 replications, so the last one holds 2; a one-byte tile holds one.
+        problem = ShiftedQuadratic(curvature=0.8, center=[-0.75, 0.125, 2.0], noise_halfwidth=0.37)
+        cert = problem.certify(4.0, [0.5, -1.0, 1.25])
+        sched = ConstantSchedule(rho=0.1)
+
+        def summary_bytes():
+            runs = run_replications(problem, sched, [0.5, -1.0, 1.25], 2000, cert, 29, 37)
+            arrays = (runs.sq_dist_mean, runs.sq_dist_stderr, runs.in_region_count, runs.final_x)
+            return runs.seeds, [array.tobytes() for array in arrays]
+
+        default = summary_bytes()
+        monkeypatch.setattr(objective, "_TILE_BYTES", 1)
+        assert summary_bytes() == default
 
     def test_divergence_step_does_not_depend_on_blocks(self, monkeypatch):
         problem = ShiftedQuadratic(curvature=1.0, center=[0.0], noise_halfwidth=0.0)

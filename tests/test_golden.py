@@ -38,6 +38,13 @@ DIGESTS = {
         "6a482291e0d16576b89781af7c5935b0ddf72244f0f3fd3da1ded4cf18f3be06",
         "7856b910bb19e29892f0ed503068a8a21cc8264a903a9df75b21eef91c803cf8",
     ),
+    # A d=3 quadratic at R=37, H=2000: the noise is drawn in one block of
+    # replication tiles of 5, so the last tile holds 2.
+    "quadratic_tile_tails": (
+        "3d23d325be58c6cb5ba9f6e1575fa1a7a0091b8b0304589836530f78086ee0fc",
+        "199732f26967d8aeebcf957c6da7315796818fc6efae5910729bed53ab2aaa07",
+        "962f0febefbd3154b1a3b60cb0ce6aab48a1bbce15cb7e6dc91242f22a289d4d",
+    ),
 }
 
 

@@ -37,6 +37,18 @@ class TestShiftedQuadratic:
         with pytest.raises(ConfigurationError):
             ShiftedQuadratic(curvature=1.0, center=np.zeros(65), noise_halfwidth=0.1)
 
+    def test_rejects_a_halfwidth_whose_width_overflows(self):
+        # The law is uniform on [-hw, hw]; its width 2 * hw must be finite.
+        largest = np.finfo(float).max / 2.0
+        problem = ShiftedQuadratic(curvature=1.0, center=[0.0], noise_halfwidth=largest)
+        assert problem.noise_halfwidth == largest
+        with pytest.raises(ConfigurationError, match="noise_halfwidth"):
+            ShiftedQuadratic(
+                curvature=1.0, center=[0.0], noise_halfwidth=np.nextafter(largest, np.inf)
+            )
+        with pytest.raises(ConfigurationError, match="noise_halfwidth"):
+            ShiftedQuadratic(curvature=1e-300, center=[0.0, 0.0], noise_halfwidth=1e308)
+
     def test_degenerate_noise_is_exactly_zero(self):
         problem = make_quadratic(halfwidth=0.0)
         draw = problem.sample_noise(SeededGenerator(5))
@@ -490,6 +502,59 @@ class TestCompactNoise:
         wide = SeededGenerator(9).integers(rows, size=5000)
         assert wide.dtype == np.int64
         assert np.array_equal(block, wide)
+
+
+def quadratic_tile(count, dim):
+    """Replications per tile of ShiftedQuadratic.fill_noise_block."""
+    return max(1, objective._TILE_BYTES // (8 * dim * count))
+
+
+def assert_fill_matches_noise_block(problem, replications, count):
+    """fill_noise_block equals one noise_block per generator, bit for bit,
+    and leaves every generator where that call leaves it."""
+    seeds = [1000 + i for i in range(replications)]
+    generators = [SeededGenerator(seed) for seed in seeds]
+    out = np.empty((count, replications) + problem.noise_shape, dtype=problem.noise_dtype)
+    problem.fill_noise_block(generators, out)
+    references = [SeededGenerator(seed) for seed in seeds]
+    expected = np.stack([problem.noise_block(gen, count) for gen in references], axis=1)
+    assert (out.dtype, out.shape) == (expected.dtype, expected.shape)
+    assert out.tobytes() == expected.tobytes()
+    after = [problem.noise_block(gen, 3).tobytes() for gen in generators]
+    assert after == [problem.noise_block(gen, 3).tobytes() for gen in references]
+
+
+class TestFillNoiseBlock:
+    """A block drawn for all replications at once has the per-generator bits."""
+
+    @pytest.mark.parametrize("halfwidth", [0.0, 5e-324, 0.37])
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    @pytest.mark.parametrize("count", [1, 263])
+    @pytest.mark.parametrize("replications", [1, 7])
+    def test_quadratic(self, replications, count, dim, halfwidth):
+        problem = ShiftedQuadratic(
+            curvature=1.0, center=np.zeros(dim), noise_halfwidth=halfwidth
+        )
+        assert_fill_matches_noise_block(problem, replications, count)
+
+    @pytest.mark.parametrize("dim", [1, 3, 64])
+    @pytest.mark.parametrize("count", [1, 263])
+    def test_quadratic_one_more_than_a_tile(self, count, dim):
+        # The last tile holds a single replication: 32 769 at count = dim = 1.
+        problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(dim), noise_halfwidth=0.37)
+        assert_fill_matches_noise_block(problem, quadratic_tile(count, dim) + 1, count)
+
+    @pytest.mark.parametrize("rows", [3, 300])
+    @pytest.mark.parametrize("count", [1, 263])
+    @pytest.mark.parametrize("replications", [1, 7, 9])
+    def test_least_squares(self, replications, count, rows):
+        problem = FiniteSumLeastSquares(design=np.ones((rows, 1)), targets=np.zeros(rows))
+        assert_fill_matches_noise_block(problem, replications, count)
+
+    def test_tiles_of_one_replication(self, monkeypatch):
+        monkeypatch.setattr(objective, "_TILE_BYTES", 1)
+        assert quadratic_tile(263, 3) == 1
+        assert_fill_matches_noise_block(make_quadratic(dim=3, halfwidth=0.37), 5, 263)
 
 
 def audit_draws(problem, cert, samples, seed):
