@@ -1,10 +1,12 @@
-"""Shared pytest wiring: the acceptance scoreboard and a memory probe.
+"""Shared pytest wiring: the acceptance scoreboard, a memory probe and a
+check that no test leaves a child process behind.
 
 Acceptance tests record one line per guarantee through the ``scoreboard``
 fixture; the lines are printed in their own terminal section after the run,
 outside pytest's output capture.  Memory tests measure with the
 ``peak_traced_bytes`` fixture.
 """
+import os
 import tracemalloc
 
 import pytest
@@ -35,6 +37,16 @@ def peak_traced_bytes():
             tracemalloc.stop()
 
     return measure
+
+
+@pytest.fixture(autouse=True)
+def no_child_process_left():
+    """After each test, no child process may be running or unreaped: run_seeds
+    reaps the workers it forks on every way out."""
+    yield
+    if hasattr(os, "waitpid") and hasattr(os, "WNOHANG"):
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -4,6 +4,9 @@ The frozen seed-derivation values are the published SplitMix64 outputs for
 master seed 0, so a regression here means the keying scheme changed and every
 stored result becomes irreproducible.
 """
+import os
+import signal
+import threading
 import warnings
 
 import numpy as np
@@ -97,6 +100,23 @@ class TestSeededGenerator:
             SeededGenerator(-1)
         with pytest.raises(UsageError):
             SeededGenerator(2**64)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
+    def test_stream_is_that_of_the_philox_key(self, seed):
+        # The generator skips the OS entropy of Philox(key=seed), not its
+        # key, counter or stream.
+        keyed = np.random.Philox(key=seed)
+        ours = SeededGenerator(seed)._gen.bit_generator
+        expected, state = keyed.state, ours.state
+        assert state["bit_generator"] == expected["bit_generator"] == "Philox"
+        for name in ("counter", "key"):
+            assert np.array_equal(state["state"][name], expected["state"][name])
+        for name in ("buffer", "buffer_pos", "has_uint32", "uinteger"):
+            assert np.array_equal(state[name], expected[name])
+        assert np.array_equal(ours.random_raw(1000), keyed.random_raw(1000))
+        assert np.array_equal(
+            np.random.Generator(ours).random(1000), np.random.Generator(keyed).random(1000)
+        )
 
 
 class TestStep:
@@ -500,3 +520,214 @@ class TestFoldRuns:
             lambda: run_replications(problem, sched, x0, steps, cert, 5, count)
         )
         assert peak < noise_bytes + run_indices_bytes + 2 * 2**20, (peak, noise_bytes)
+
+
+def summary_bytes(runs):
+    arrays = (runs.sq_dist_mean, runs.sq_dist_stderr, runs.in_region_count, runs.final_x)
+    return runs.seeds, runs.steps, [array.tobytes() for array in arrays]
+
+
+def assert_no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
+class TestProcesses:
+    """Chunks of the replications are stepped in forked worker processes."""
+
+    @pytest.fixture(autouse=True)
+    def time_limit(self):
+        """A stuck pipe fails the test after 60 s instead of hanging the run."""
+
+        def expire(signum, frame):
+            raise TimeoutError("the test did not finish within 60 s")
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(60)
+        yield
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        """``cores(k)`` lets run_seeds fork a worker for each of k cores, or
+        for each replication if fewer, and counts the workers it forks."""
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        def use(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+            monkeypatch.setattr(engine, "_PROCESS_VALUES", 1)
+            monkeypatch.setattr(os, "fork", counted_fork)
+            return forks
+
+        return use
+
+    def test_size_rule(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+        # ls-long and ls-audit stay in one process; quad-wide gets 3 workers on 8 cores.
+        assert engine._process_count(200, 8) == 1
+        assert engine._process_count(400, 16) == 1
+        assert engine._process_count(8000, 2) == 3
+        assert engine._process_count(10**6, 2) == 8
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert engine._process_count(8000, 2) == 2
+        monkeypatch.setattr(engine, "_PROCESS_VALUES", 1)
+        assert engine._process_count(3, 4) == 2
+        assert engine._process_count(1, 64) == 1
+
+    def test_one_process_while_other_threads_run(self, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        assert engine._process_count(8000, 2) == 2
+        stop = threading.Event()
+        thread = threading.Thread(target=stop.wait)
+        thread.start()
+        try:
+            assert engine._process_count(8000, 2) == 1
+        finally:
+            stop.set()
+            thread.join(timeout=10)
+        assert not thread.is_alive()
+
+    def test_one_process_without_fork(self, monkeypatch):
+        problem, sched, cert = quadratic_setup()
+
+        def summary():
+            return summary_bytes(run_replications(problem, sched, [2.0, 0.0], 50, cert, 3, 40))
+
+        alone = summary()
+        monkeypatch.setattr(engine, "_PROCESS_VALUES", 1)
+        monkeypatch.delattr(os, "fork")
+        assert engine._process_count(8000, 2) == 1
+        assert summary() == alone
+
+    @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])
+    @pytest.mark.parametrize(
+        "count, steps, block, processes",
+        [
+            (37, 300, None, 3),  # R not divisible by the process count
+            (3, 40, None, 5),  # R smaller than the process count
+            (10, 1, None, 2),  # a horizon of one step
+            (11, 120, 7, 2),  # several blocks of 7 steps
+        ],
+    )
+    def test_same_bytes_as_one_process(
+        self, family, count, steps, block, processes, cores, monkeypatch
+    ):
+        if family == "quadratic":
+            problem, sched, cert = quadratic_setup()
+            x0, per_step = [2.0, 0.0], 2
+        else:
+            problem, sched, cert, x0 = finite_sum_setup()
+            per_step = 1
+        if block is not None:
+            monkeypatch.setattr(engine, "BLOCK_BUDGET", block * count * per_step)
+
+        def summary():
+            return summary_bytes(run_replications(problem, sched, x0, steps, cert, 7, count))
+
+        forks = cores(1)
+        alone = summary()
+        assert forks == []
+        cores(processes)
+        assert summary() == alone
+        assert len(forks) == min(processes, count)
+        assert_no_child_left()
+
+    def test_fold_runs_and_path_buffer_of_several_steps(self, cores, monkeypatch):
+        # R = 300 folds runs of 218 steps.  A 4 KiB path buffer holds one
+        # step of all 300 replications of d = 2 and two steps of a worker's
+        # 100, so every run is cut into many held spans in every process;
+        # the default buffer holds 54 steps of all 300.
+        problem, sched, cert = quadratic_setup()
+        monkeypatch.setattr(engine, "_PATH_BYTES", 4096)
+
+        def summary():
+            return summary_bytes(run_replications(problem, sched, [2.0, 0.0], 500, cert, 3, 300))
+
+        cores(1)
+        alone = summary()
+        monkeypatch.setattr(engine, "_PATH_BYTES", 1 << 18)
+        assert summary() == alone
+        monkeypatch.setattr(engine, "_PATH_BYTES", 4096)
+        forks = cores(3)
+        assert summary() == alone
+        assert len(forks) == 3
+
+    def test_two_run_buffers_and_more_workers_than_cores(self, cores, monkeypatch):
+        # Four workers share two run buffers over 31 fold runs of 65 steps,
+        # so a buffer reused before its fold would change the bytes.
+        problem, sched, cert = quadratic_setup()
+
+        def summary():
+            return summary_bytes(run_replications(problem, sched, [2.0, 0.0], 2000, cert, 3, 1000))
+
+        cores(1)
+        alone = summary()
+        monkeypatch.setattr(engine, "_RUN_BUFFERS", 2)
+        forks = cores(4)
+        assert summary() == alone
+        assert len(forks) == 4
+
+    def test_divergence_in_a_worker_chunk(self, cores):
+        # One replication per worker: replication 1 (seed 13), the first to
+        # overflow, is stepped by the second worker.
+        reference = diverge_on_overflow_row()
+        forks = cores(4)
+        error = diverge_on_overflow_row()
+        assert len(forks) == 4
+        assert error.step_index == reference.step_index == 12
+        assert str(error) == str(reference)
+        assert_no_child_left()
+
+    def test_interrupt_reaps_the_workers(self, cores, monkeypatch):
+        problem, sched, cert = quadratic_setup()
+        folds = []
+
+        def interrupted(rows):
+            folds.append(rows.shape[0])
+            if len(folds) == 3:
+                raise KeyboardInterrupt
+            return step_stats(rows)
+
+        monkeypatch.setattr(engine, "step_stats", interrupted)
+        forks = cores(2)
+        with pytest.raises(KeyboardInterrupt):
+            run_replications(problem, sched, [2.0, 0.0], 2000, cert, 3, 100)
+        assert len(forks) == 2
+        assert_no_child_left()
+
+    def test_a_failing_worker_is_reported(self, cores, monkeypatch, capfd):
+        problem, sched, cert = quadratic_setup()
+        parent = os.getpid()
+        gradient = ShiftedQuadratic.pointwise_gradient
+
+        def failing(self, noise, x, out=None):
+            # The second of two workers steps replications 5..10.
+            if os.getpid() != parent and x.shape[0] == 6:
+                raise MemoryError("worker out of memory")
+            return gradient(self, noise, x, out=out)
+
+        monkeypatch.setattr(ShiftedQuadratic, "pointwise_gradient", failing)
+        cores(2)
+        with pytest.raises(RuntimeError, match=r"replications 5\.\.10 exited with code 1"):
+            run_replications(problem, sched, [2.0, 0.0], 50, cert, 3, 11)
+        assert "MemoryError: worker out of memory" in capfd.readouterr().err
+        assert_no_child_left()
+
+    def test_worker_stops_when_the_parent_goes_away(self):
+        def endless():
+            while True:
+                yield
+
+        worker = engine._fork_worker(endless, 1, 0, 0, [])
+        # Two runs: the second waits for a byte that never comes.
+        worker.wait()
+        worker.wait()
+        assert worker.stop(kill=False) == 0
+        assert_no_child_left()
