@@ -145,6 +145,33 @@ def step_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return mean, stderr
 
 
+def merge_parts(means: np.ndarray, stderrs: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each step over parts of the replications.
+
+    Row j of ``means`` and ``stderrs`` is the step_stats of part j, of
+    ``sizes[j]`` replications.  The parts are merged in order with the
+    pairwise update of Chan, Golub & LeVeque (1979), written on standard
+    errors: each one's share of the merged root sum of squared deviations
+    is a factor of at most one, and np.hypot adds the shares without
+    squaring them, so for values of one sign nothing overflows where the
+    merged statistics are finite.  A single part is returned unchanged, and
+    steps on which every part has the same mean and a zero standard error
+    keep that mean exactly, with a standard error of exactly zero.
+    """
+    mean, stderr, n = means[0], stderrs[0], sizes[0]
+    for part_mean, part_stderr, k in zip(means[1:], stderrs[1:], sizes[1:]):
+        total = n + k
+        scale = total * (total - 1)
+        delta = part_mean - mean
+        spread = np.hypot(
+            stderr * math.sqrt(n * (n - 1) / scale), part_stderr * math.sqrt(k * (k - 1) / scale)
+        )
+        stderr = np.hypot(spread, delta * (math.sqrt(n * k / (total - 1)) / total))
+        mean = mean + delta * (k / total)
+        n = total
+    return mean, stderr
+
+
 def estimate_dn(runs: ReplicationSummary) -> DnSeries:
     """The d_n estimate with standard errors of a set of replications.
 

@@ -5,8 +5,8 @@ gradient, with no projection, averaging, or momentum.  Each replication owns
 a counter-based generator keyed by a 64-bit seed, so trajectories are
 bit-reproducible across runs and platforms and replications are independent
 by construction.  Runs keep per-step statistics of the squared distance to
-the optimum, not the paths themselves.  Large runs step contiguous chunks of
-their replications in forked worker processes, with the same bits.
+the optimum, not the paths themselves, merged over parts of the replications
+that large runs step in forked worker processes.
 """
 from __future__ import annotations
 
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import stats_chunk_steps, step_stats
+from .analyzer import merge_parts, stats_chunk_steps, step_stats
 from .errors import DivergenceError, UsageError, require_int
 from .objective import HypothesisCertificate, StochasticProblem, as_float_vector, sq_norm
 from .schedule import Schedule
@@ -127,15 +127,15 @@ def aux_generator(master_seed: int, stream: int) -> SeededGenerator:
 # the engine's working memory does not grow with the horizon.
 BLOCK_BUDGET = 1 << 22
 
-# Iterate values (replications * dimension) that warrant a worker process of
-# their own: run_seeds forks at most R * d // _PROCESS_VALUES workers.
+# Iterate values (replications * dimension) that warrant a process of their
+# own: run_seeds steps in at most R * d // _PROCESS_VALUES processes.
 _PROCESS_VALUES = 1 << 12
 
-# Fold-run buffers of squared distances that workers share with the calling
-# process, 8 MiB for R <= 2^16.  A worker steps up to _RUN_BUFFERS - 1 runs
-# ahead of the fold, which absorbs a noise-block fill or a short stall of
-# one core.
-_RUN_BUFFERS = 16
+# Replications per part: the seeds, sorted ascending, are cut into parts of
+# _PART and a last part with the remainder.  Each part's statistics are
+# folded on their own and merged in part order, so the parts, and every
+# output bit, depend only on the seed values.
+_PART = 1 << 10
 
 # Bytes of the buffer in which each process keeps the iterates of its last
 # few steps, whose squared distances are then computed in one pass.
@@ -185,153 +185,122 @@ def _process_count(replications: int, dimension: int) -> int:
     return max(1, min(cores, replications, replications * dimension // _PROCESS_VALUES))
 
 
-def _fold_runs(steps: int, block: int, run: int):
-    """(first step, steps) of each fold run: the horizon is cut into noise
-    blocks of ``block`` steps and each block into runs of ``run`` steps."""
-    for start in range(0, steps, block):
-        length = min(block, steps - start)
-        for lo in range(0, length, run):
-            yield start + lo, min(run, length - lo)
+def _step_parts(problem, seeds, index, x0, cert, rates, block, stats, final_x, slot, parent):
+    """Step the replications of ``seeds``, whole parts of them, over ``rates``.
 
+    Part j gets in ``stats[:, j]`` the step_stats of its squared distances
+    and the count of them inside the certified ball, and the last iterates
+    go into ``final_x``.  The noise comes in blocks of ``block`` steps, cut
+    into runs of stats_chunk_steps(len(seeds)) steps that are scanned for
+    divergence and folded.  At the first non-finite squared distance the
+    step and the lowest ``index`` of a replication non-finite there go into
+    ``slot``, and stepping stops.  With a ``parent`` pid, stepping also
+    stops at a noise block where the process has another parent.
 
-def _step_chunk(problem, seeds, x0, center, rates, block, run, buffers, final_x):
-    """Step the replications of ``seeds`` over the horizon of ``rates``.
-
-    A generator: it yields (first step, steps) for each of the fold runs of
-    _fold_runs, after that run's squared distances are in
-    ``buffers[r % len(buffers)]`` for run r, and it writes the last iterates
-    into ``final_x`` before its last yield.  The noise comes in blocks of
-    ``block`` steps and the runs are ``run`` steps long, both set from all R
-    replications, so that every process cuts the horizon the same way.
-
-    Each step writes its iterates into a path buffer of at most _PATH_BYTES,
-    with the same floating-point operations as x - rate * gradient.  When
-    the buffer is full, or the run ends, the held steps get their squared
-    distances from one subtraction of the centers (one row per replication,
-    built once, so the subtraction never broadcasts over the short trailing
-    axis) and one sq_norm.
+    Steps write their iterates into a path buffer of at most _PATH_BYTES
+    (the operations of x - rate * gradient); the held steps then get their
+    squared distances from one subtraction of a row of the center per
+    replication, which never broadcasts over the short last axis.
     """
     generators = [SeededGenerator(seed) for seed in seeds]
     count = len(generators)
+    radius_sq = cert.region_radius * cert.region_radius
+
+    def fold(rows: np.ndarray, first: int) -> None:
+        span = slice(first, first + rows.shape[0])
+        for j, lo in enumerate(range(0, count, _PART)):
+            part = rows[:, lo:lo + _PART]
+            stats[0, j, span], stats[1, j, span] = step_stats(part)
+            stats[2, j, span] = np.count_nonzero(part <= radius_sq, axis=1)
+
     x = np.repeat(x0[None, :], count, axis=0)
-    centers = np.repeat(center[None, :], count, axis=0)
+    centers = np.repeat(cert.region_center[None, :], count, axis=0)
+    fold(sq_norm(x - centers)[None, :], 0)
+    steps = rates.shape[0]
+    run = min(block, stats_chunk_steps(count))
     grad = np.empty_like(x)
     hold = max(1, min(run, _PATH_BYTES // x.nbytes))
     path = np.empty((hold,) + x.shape)
+    sq_dist = np.empty((run, count))
     noise = np.empty((block, count) + problem.noise_shape, dtype=problem.noise_dtype)
-    steps = rates.shape[0]
-    for r, (first, width) in enumerate(_fold_runs(steps, block, run)):
-        lo = first % block
-        if lo == 0:
-            problem.fill_noise_block(generators, noise[:min(block, steps - first)])
-        steps_noise = noise[lo:lo + width]
-        if steps_noise.dtype.kind == "u":
-            # Compact row indices are widened once per run; take would
-            # convert them again at every step.
-            steps_noise = steps_noise.astype(np.intp)
-        sq_dist = buffers[r % len(buffers)]
-        # A run of steps goes on past its first non-finite value; the scan
-        # in run_seeds reports that value, so overflow and NaN are not
-        # warned about here.
-        with np.errstate(over="ignore", invalid="ignore"):
-            for held in range(0, width, hold):
-                span = min(hold, width - held)
-                point = x
-                for k in range(span):
-                    g = problem.pointwise_gradient(steps_noise[held + k], point, out=grad)
-                    np.multiply(g, rates[first + held + k], out=g)
-                    point = np.subtract(point, g, out=path[k])
-                np.copyto(x, point)
-                diff = np.subtract(path[:span], centers, out=path[:span])
-                sq_norm(diff, out=sq_dist[held:held + span])
-        # The widened indices go before the run is folded.
-        del steps_noise
-        if first + width == steps:
-            np.copyto(final_x, x)
-        yield first, width
+    for start in range(0, steps, block):
+        if parent is not None and os.getppid() != parent:
+            return
+        length = min(block, steps - start)
+        problem.fill_noise_block(generators, noise[:length])
+        for lo in range(0, length, run):
+            first, width = start + lo, min(run, length - lo)
+            steps_noise = noise[lo:lo + width]
+            if steps_noise.dtype.kind == "u":
+                # Compact row indices are widened once per run; take would
+                # convert them again at every step.
+                steps_noise = steps_noise.astype(np.intp)
+            # A run goes on past its first non-finite value, which the scan
+            # below reports, so overflow and NaN are not warned about here.
+            with np.errstate(over="ignore", invalid="ignore"):
+                for held in range(0, width, hold):
+                    span = min(hold, width - held)
+                    point = x
+                    for k in range(span):
+                        g = problem.pointwise_gradient(steps_noise[held + k], point, out=grad)
+                        np.multiply(g, rates[first + held + k], out=g)
+                        point = np.subtract(point, g, out=path[k])
+                    np.copyto(x, point)
+                    diff = np.subtract(path[:span], centers, out=path[:span])
+                    sq_norm(diff, out=sq_dist[held:held + span])
+            # The widened indices go before the run is folded.
+            del steps_noise
+            rows = sq_dist[:width]
+            # max propagates NaN and inf, so one reduction screens the run.
+            if not np.isfinite(rows.max()):
+                k = int(np.argmin(np.isfinite(rows).all(axis=1)))
+                slot[:] = first + k + 1, index[~np.isfinite(rows[k])].min()
+                return
+            fold(rows, first + 1)
+    np.copyto(final_x, x)
 
 
-class _Worker:
-    """A forked process that steps one chunk of replications.
+def _fork_workers(jobs: dict) -> None:
+    """Call each job of ``jobs`` (replications -> callable) in a forked worker.
 
-    After each fold run the worker writes one byte to ``done``, then reads
-    one byte from ``go``.  The parent writes ``ahead`` bytes at the start
-    and one after each fold, so with ``ahead + 1`` run buffers the worker
-    steps at most ``ahead`` runs ahead of the fold and never writes into a
-    buffer the parent still folds.  EOF on ``go``, because the parent went
-    away, stops the worker.
-    """
-
-    def __init__(self, pid: int, done: int, go: int, first: int, last: int):
-        self.pid, self.done, self.go = pid, done, go
-        self.replications = f"{first}..{last}"
-        self.exit_code = None
-
-    def wait(self) -> None:
-        if not os.read(self.done, 1):
-            self.stop(kill=False)
-            self.fail()
-
-    def fail(self):
-        raise RuntimeError(
-            f"the process stepping replications {self.replications} "
-            f"exited with code {self.exit_code}"
-        )
-
-    def release(self) -> None:
-        os.write(self.go, b"\0")
-
-    def stop(self, kill: bool) -> int:
-        """Close the pipes, kill the worker if asked, and reap it."""
-        if self.exit_code is None:
-            import signal
-
-            os.close(self.done)
-            os.close(self.go)
-            if kill:
-                os.kill(self.pid, signal.SIGKILL)
-            self.exit_code = os.waitstatus_to_exitcode(os.waitpid(self.pid, 0)[1])
-        return self.exit_code
-
-
-def _fork_worker(work, ahead: int, first: int, last: int, siblings) -> _Worker:
-    """Iterate the generator ``work()`` in a forked child process.
-
-    The child ignores SIGINT, which the parent handles for it, and closes
-    the pipe ends of ``siblings``.  Once its chunk is done it waits for EOF,
-    so the parent can release every run it folds.  It leaves through
-    os._exit: code 0 once its chunk is done or the parent went away, 1 on
-    any error.
+    A job gets the caller's pid as ``parent``.  The worker ignores SIGINT,
+    which the caller handles for it, and leaves through os._exit: code 0
+    once its job returns, 1 on any error, which it prints.  The caller reaps
+    every worker and raises RuntimeError naming the replications of one that
+    failed; any exception in the caller kills and reaps the workers left.
     """
     import signal
 
-    done_read, done_write = os.pipe()
-    go_read, go_write = os.pipe()
-    os.write(go_write, b"\0" * ahead)
-    pid = os.fork()
-    if pid == 0:
-        code = 1
-        try:
-            signal.signal(signal.SIGINT, signal.SIG_IGN)
-            for fd in [done_read, go_write] + [fd for w in siblings for fd in (w.done, w.go)]:
-                os.close(fd)
-            for _ in work():
-                os.write(done_write, b"\0")
-                if not os.read(go_read, 1):
-                    break
-            else:
-                while os.read(go_read, 1):
-                    pass
-            code = 0
-        except BaseException:
-            import traceback
+    parent = os.getpid()
+    workers = {}
+    try:
+        for replications, job in jobs.items():
+            pid = os.fork()
+            if pid == 0:
+                code = 1
+                try:
+                    signal.signal(signal.SIGINT, signal.SIG_IGN)
+                    job(parent=parent)
+                    code = 0
+                except BaseException:
+                    import traceback
 
-            os.write(2, traceback.format_exc().encode())
-        finally:
-            os._exit(code)
-    os.close(done_write)
-    os.close(go_read)
-    return _Worker(pid, done_read, go_write, first, last)
+                    os.write(2, traceback.format_exc().encode())
+                finally:
+                    os._exit(code)
+            workers[pid] = replications
+        for pid in list(workers):
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            replications = workers.pop(pid)
+            if code:
+                raise RuntimeError(
+                    f"the process stepping replications {replications} exited with code "
+                    f"{code} (replications numbered in ascending seed order)"
+                )
+    finally:
+        for pid in workers:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def run_seeds(
@@ -348,27 +317,19 @@ def run_seeds(
     floating-point operation on an iterate is elementwise or reduces one
     replication's own row, so replication i follows the same path whatever
     the other seeds are, and identical inputs give bit-identical results.
-    The horizon is cut into blocks: the problem's fill_noise_block draws the
-    next block of every generator into one step-major buffer.  Philox
-    streams are counter based, so drawing block by block yields the same
-    values as one draw for the whole horizon.  Within a block the steps run
-    in runs of f = max(1, 2^16 // R) steps, the ones analyzer.step_stats
-    sorts at once; after each run the squared distances are scanned for
-    divergence, folded into the per-step statistics and dropped.  Row
-    indices are kept in the noise buffer as the family draws them, in its
-    compact unsigned type, and widened to np.intp one run at a time.
-    Memory is O(R * b * d + 2^16 + H) for R seeds, blocks of b steps, d
-    noise values per step and H steps.
+    The noise is drawn in blocks (fill_noise_block) of counter-based Philox
+    streams, so any block length draws the same values.
 
-    With more than one worker (_process_count), the seeds are cut into
-    contiguous, near-equal chunks and a forked worker steps each one: it
-    draws the noise of its own replications and writes their columns of
-    every run's squared distances into one of _RUN_BUFFERS buffers shared
-    with the calling process.  The caller keeps the divergence scan and the
-    fold, over all R columns, so the result has the bits of one process.
-    Any exception in the caller kills and reaps the workers.  Raises
-    DivergenceError at the first step where any squared distance is no
-    longer finite, naming the replication and its seed.
+    The seeds, sorted ascending, are cut into parts of _PART.  Each part's
+    per-step statistics are folded on their own (step_stats) and merged in
+    part order (merge_parts), so no bit depends on the seed order or the
+    process count, and R <= _PART gives the bits of one step_stats.  With
+    more than one process (_process_count) the caller forks a worker for
+    each contiguous group of parts and steps none itself.  Memory is
+    O(R * b * d + 2^16 + parts * H) for blocks of b steps, d noise values
+    per step and H steps.  Raises DivergenceError at the first step where a
+    squared distance is not finite, naming the lowest such replication and
+    its seed.
     """
     steps = require_int(steps, "steps", 1)
     seeds = tuple(_check_seed(seed, "seed") for seed in seeds)
@@ -377,68 +338,48 @@ def run_seeds(
     count = len(seeds)
     dimension = problem.dimension
     x0 = as_float_vector(x0, dimension, "x0")
+    order = np.argsort(np.array(seeds, dtype=np.uint64), kind="stable")
+    ordered = [seeds[i] for i in order]
+    sizes = [min(_PART, count - lo) for lo in range(0, count, _PART)]
+    parts = len(sizes)
+    processes = min(parts, _process_count(count, dimension))
+    block = min(steps, max(1, BLOCK_BUDGET // (count * math.prod(problem.noise_shape))))
     rates = schedule.rates(0, steps)
-    center = cert.region_center
-    radius_sq = cert.region_radius * cert.region_radius
-    per_step = math.prod(problem.noise_shape)
-    block = min(steps, max(1, BLOCK_BUDGET // (count * per_step)))
-    run = min(block, stats_chunk_steps(count))
 
-    mean = np.empty(steps + 1)
-    stderr = np.empty(steps + 1)
-    inside = np.empty(steps + 1, dtype=np.int64)
+    # Per-part statistics, the last iterates in seed order and one
+    # (step, replication) divergence slot per process.
+    size = 3 * parts * (steps + 1) + count * dimension + 2 * processes
+    if processes == 1:
+        shared = np.empty(size)
+    else:
+        import mmap
 
-    def fold(rows: np.ndarray, first: int) -> None:
-        span = slice(first, first + rows.shape[0])
-        mean[span], stderr[span] = step_stats(rows)
-        inside[span] = np.count_nonzero(rows <= radius_sq, axis=1)
+        shared = np.frombuffer(mmap.mmap(-1, 8 * size))
+    stats = shared[:3 * parts * (steps + 1)].reshape(3, parts, steps + 1)
+    final_x = shared[stats.size:size - 2 * processes].reshape(count, dimension)
+    slots = shared[size - 2 * processes:].reshape(processes, 2)
+    slots.fill(np.inf)
+    groups = [parts * p // processes for p in range(processes + 1)]
+    jobs = {}
+    for p, (a, b) in enumerate(zip(groups, groups[1:])):
+        lo, hi = a * _PART, min(b * _PART, count)
+        jobs[f"{lo}..{hi - 1}"] = functools.partial(
+            _step_parts, problem, ordered[lo:hi], order[lo:hi], x0, cert, rates, block,
+            stats[:, a:b], final_x[lo:hi], slots[p],
+        )
+    if processes == 1:
+        jobs.popitem()[1](parent=None)
+    else:
+        _fork_workers(jobs)
+    first, bad = min(map(tuple, slots.tolist()))
+    if first < math.inf:
+        first, bad = int(first), int(bad)
+        message = f"non-finite iterate at step {first} in replication {bad} (seed {seeds[bad]})"
+        raise DivergenceError(first, message)
 
-    fold(sq_norm(np.repeat((x0 - center)[None, :], count, axis=0))[None, :], 0)
-
-    processes = _process_count(count, dimension)
-    workers: list[_Worker] = []
-    try:
-        if processes == 1:
-            buffers, final_x = [np.empty((run, count))], np.empty((count, dimension))
-            runs = _step_chunk(problem, seeds, x0, center, rates, block, run, buffers, final_x)
-        else:
-            import mmap
-
-            cells, ring = run * count, _RUN_BUFFERS
-            shared = np.frombuffer(mmap.mmap(-1, 8 * (ring * cells + count * dimension)))
-            buffers = [shared[i * cells:(i + 1) * cells].reshape(run, count) for i in range(ring)]
-            final_x = shared[ring * cells:].reshape(count, dimension)
-            bounds = [count * i // processes for i in range(processes + 1)]
-            for lo, hi in zip(bounds, bounds[1:]):
-                chunk = functools.partial(
-                    _step_chunk, problem, seeds[lo:hi], x0, center, rates, block, run,
-                    [buffer[:, lo:hi] for buffer in buffers], final_x[lo:hi],
-                )
-                workers.append(_fork_worker(chunk, ring - 1, lo, hi - 1, workers))
-            runs = _fold_runs(steps, block, run)
-        for r, (first, width) in enumerate(runs):
-            for worker in workers:
-                worker.wait()
-            rows = buffers[r % len(buffers)][:width]
-            # max propagates NaN and inf, so one reduction screens the run.
-            if not np.isfinite(rows.max()):
-                k, bad = map(int, np.argwhere(~np.isfinite(rows))[0])
-                raise DivergenceError(
-                    first + k + 1,
-                    f"non-finite iterate at step {first + k + 1} in replication {bad} "
-                    f"(seed {seeds[bad]})",
-                )
-            fold(rows, first + 1)
-            for worker in workers:
-                worker.release()
-        for worker in workers:
-            if worker.stop(kill=False):
-                worker.fail()
-    finally:
-        for worker in workers:
-            worker.stop(kill=True)
-
-    final_x = final_x.copy()
+    mean, stderr = merge_parts(stats[0], stats[1], sizes)
+    inside = stats[2].sum(axis=0).astype(np.int64)
+    final_x = final_x[np.argsort(order)]
     for array in (mean, stderr, inside, final_x):
         array.flags.writeable = False
     return ReplicationSummary(

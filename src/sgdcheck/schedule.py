@@ -82,8 +82,6 @@ class ScheduleReport:
     envelope positive.
     """
 
-    tends_to_zero: bool
-    sum_diverges: bool
     robbins_monro: bool
     max_rate_mu: float
     stability_ok: bool
@@ -95,12 +93,9 @@ def validate_schedule(schedule: Schedule, mu: float) -> ScheduleReport:
     if not math.isfinite(mu) or mu <= 0.0:
         raise UsageError("mu must be a finite positive real")
     # Constant rates do not decay; inverse-time rates do.  Both sum to infinity.
-    tends_to_zero = isinstance(schedule, InverseTimeSchedule)
     max_rate_mu = schedule.rate(0) * mu
     return ScheduleReport(
-        tends_to_zero=tends_to_zero,
-        sum_diverges=True,
-        robbins_monro=tends_to_zero,
+        robbins_monro=isinstance(schedule, InverseTimeSchedule),
         max_rate_mu=max_rate_mu,
         stability_ok=max_rate_mu < 1.0,
     )

@@ -27,7 +27,7 @@ from sgdcheck import (
     product_decay,
 )
 from sgdcheck import analyzer
-from sgdcheck.analyzer import step_stats
+from sgdcheck.analyzer import merge_parts, step_stats
 
 
 def make_runs(rows, in_region=None):
@@ -173,6 +173,67 @@ class TestStepStats:
         assert np.array_equal(mixed_mean[keep], mean[keep])
         assert np.array_equal(mixed_stderr[keep], stderr[keep])
         assert np.isfinite(mixed_stderr[2])
+
+
+def merged(block, cuts):
+    """merge_parts over the step_stats of the column slices of ``block``
+    between consecutive ``cuts``."""
+    pieces = [step_stats(block[:, lo:hi]) for lo, hi in zip(cuts, cuts[1:])]
+    means, stderrs = (np.array([piece[i] for piece in pieces]) for i in (0, 1))
+    return merge_parts(means, stderrs, np.diff(cuts).tolist())
+
+
+class TestMergeParts:
+    def test_one_part_is_returned_unchanged(self):
+        block = SeededGenerator(15).uniform(0.0, 5.0, size=(20, 9))
+        mean, stderr = step_stats(block)
+        got = merged(block, [0, 9])
+        assert got[0].tobytes() == mean.tobytes()
+        assert got[1].tobytes() == stderr.tobytes()
+
+    @pytest.mark.parametrize(
+        "cuts",
+        [[0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 37], [0, 1, 37], [0, 36, 37], list(range(38))],
+    )
+    def test_matches_the_statistics_of_all_values(self, cuts):
+        block = SeededGenerator(16).uniform(0.0, 5.0, size=(50, 37)) ** 3
+        mean, stderr = step_stats(block)
+        got_mean, got_stderr = merged(block, cuts)
+        np.testing.assert_allclose(got_mean, mean, rtol=1e-14)
+        np.testing.assert_allclose(got_stderr, stderr, rtol=1e-13)
+
+    def test_constant_rows_are_exact(self):
+        block = np.full((3, 11), 0.1)
+        block[1] = 7.3
+        block[2] = 1e308
+        mean, stderr = merged(block, [0, 4, 8, 11])
+        assert mean.tolist() == [0.1, 7.3, 1e308]
+        assert stderr.tolist() == [0.0, 0.0, 0.0]
+
+    def test_huge_deviations_do_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr = merged(np.array([[0.0, 1e200]]), [0, 1, 2])
+        assert mean[0] == 5e199
+        assert stderr[0] == 5e199
+
+    def test_huge_sum_does_not_overflow(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr = merged(np.array([[1e308, 1.7e308]]), [0, 1, 2])
+        assert mean[0] == pytest.approx(1.35e308, rel=1e-15)
+        assert stderr[0] == pytest.approx(0.35e308, rel=1e-15)
+
+    def test_rescaled_rows_stay_finite(self):
+        block = SeededGenerator(14).uniform(0.0, 5.0, size=(6, 9))
+        block[2] *= 1e300
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            mean, stderr = merged(block, [0, 4, 8, 9])
+        whole_mean, whole_stderr = step_stats(block)
+        assert np.isfinite(stderr[2])
+        np.testing.assert_allclose(mean, whole_mean, rtol=1e-14)
+        np.testing.assert_allclose(stderr, whole_stderr, rtol=1e-13)
 
 
 class TestBoundSequence:

@@ -495,3 +495,34 @@ class TestLemmaCommand:
         code = main(["lemma", "--kind", "constant", "--mu", "1.0", "--n", "0", "--k", "0"])
         assert code == 2
         assert "--rho" in capsys.readouterr().err
+
+
+@pytest.mark.xfail(
+    strict=True,
+    reason="ROADMAP item 1: a recurrence check that judged only step 0 passes",
+)
+def test_unstable_run_that_checks_one_step_does_not_pass(tmp_path, out_dir, capsys):
+    # rho * max_i ||a_i||^2 is about 6.6: the mean squared distance grows to
+    # about 5e154 and some replication is outside the ball at every step
+    # after step 0.  The recurrence check judges step 0 alone, prints
+    # [PASS], and the run exits 0.
+    rng = np.random.default_rng(0)
+    design = rng.standard_normal((32, 8))
+    targets = rng.standard_normal(32)
+    config = tmp_path / "unstable.json"
+    write_config(
+        config,
+        problem={
+            "family": "finite_sum_least_squares",
+            "design_rows": design.tolist(),
+            "targets": targets.tolist(),
+        },
+        schedule={"kind": "constant", "rho": 0.3},
+        x0=[0.0] * 8,
+        region_radius=0.5,
+        horizon=2000,
+        replications=200,
+        master_seed=7,
+        checks=[{"type": "recurrence"}],
+    )
+    assert main(["run", str(config)]) != 0

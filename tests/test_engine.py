@@ -7,6 +7,7 @@ stored result becomes irreproducible.
 import os
 import signal
 import threading
+import time
 import warnings
 
 import numpy as np
@@ -158,6 +159,14 @@ def finite_sum_setup():
     x0 = problem.minimizer() + np.array([1.0, 0.0])
     cert = problem.certify(3.0, x0)
     return problem, InverseTimeSchedule(scale=1.0, offset=10.0), cert, x0
+
+
+def family_setup(family):
+    """problem, schedule, certificate, x0 and noise values per step of a
+    family's small test problem."""
+    if family == "quadratic":
+        return (*quadratic_setup(), [2.0, 0.0], 2)
+    return (*finite_sum_setup(), 1)
 
 
 def assert_same_runs(a, b):
@@ -534,11 +543,11 @@ def assert_no_child_left():
 
 @pytest.mark.skipif(not hasattr(os, "fork"), reason="workers are forked")
 class TestProcesses:
-    """Chunks of the replications are stepped in forked worker processes."""
+    """Groups of parts of the replications are stepped in forked workers."""
 
     @pytest.fixture(autouse=True)
     def time_limit(self):
-        """A stuck pipe fails the test after 60 s instead of hanging the run."""
+        """A stuck worker fails the test after 60 s instead of hanging the run."""
 
         def expire(signum, frame):
             raise TimeoutError("the test did not finish within 60 s")
@@ -551,8 +560,9 @@ class TestProcesses:
 
     @pytest.fixture
     def cores(self, monkeypatch):
-        """``cores(k)`` lets run_seeds fork a worker for each of k cores, or
-        for each replication if fewer, and counts the workers it forks."""
+        """``cores(k, part)`` cuts the replications into parts of ``part``,
+        lets run_seeds fork a worker for each of k cores, or for each part if
+        fewer, and counts the workers it forks."""
         forks = []
         fork = os.fork
 
@@ -560,9 +570,10 @@ class TestProcesses:
             forks.append(1)
             return fork()
 
-        def use(count):
+        def use(count, part=1):
             monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
             monkeypatch.setattr(engine, "_PROCESS_VALUES", 1)
+            monkeypatch.setattr(engine, "_PART", part)
             monkeypatch.setattr(os, "fork", counted_fork)
             return forks
 
@@ -619,66 +630,96 @@ class TestProcesses:
     def test_same_bytes_as_one_process(
         self, family, count, steps, block, processes, cores, monkeypatch
     ):
-        if family == "quadratic":
-            problem, sched, cert = quadratic_setup()
-            x0, per_step = [2.0, 0.0], 2
-        else:
-            problem, sched, cert, x0 = finite_sum_setup()
-            per_step = 1
+        problem, sched, cert, x0, per_step = family_setup(family)
         if block is not None:
             monkeypatch.setattr(engine, "BLOCK_BUDGET", block * count * per_step)
 
         def summary():
             return summary_bytes(run_replications(problem, sched, x0, steps, cert, 7, count))
 
-        forks = cores(1)
-        alone = summary()
-        assert forks == []
-        cores(processes)
-        assert summary() == alone
-        assert len(forks) == min(processes, count)
-        assert_no_child_left()
+        # Parts of one replication, and of four with a shorter last one.
+        for part in (1, 4):
+            forks = cores(1, part)
+            alone = summary()
+            assert forks == []
+            cores(processes, part)
+            assert summary() == alone
+            workers = min(processes, -(-count // part))
+            assert len(forks) == (workers if workers > 1 else 0)
+            forks.clear()
+            assert_no_child_left()
+
+    @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])
+    def test_bytes_do_not_depend_on_the_process_count(self, family, cores, monkeypatch):
+        # R = 23 in parts of 4 (the last one of 3) over blocks of 7 steps,
+        # stepped by one to five processes.
+        problem, sched, cert, x0, per_step = family_setup(family)
+        monkeypatch.setattr(engine, "BLOCK_BUDGET", 7 * 23 * per_step)
+        results = []
+        for processes in range(1, 6):
+            forks = cores(processes, 4)
+            results.append(summary_bytes(run_replications(problem, sched, x0, 120, cert, 7, 23)))
+            assert len(forks) == (processes if processes > 1 else 0)
+            forks.clear()
+        assert results[1:] == results[:1] * 4
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_seed_order_is_invisible(self, processes, cores):
+        # The parts are cut from the sorted seeds, so reordered seeds give
+        # the same statistics, and their last iterates in the new order.
+        problem, sched, cert = quadratic_setup()
+        seeds = [derive_seed(5, i) for i in range(23)]
+        cores(processes, 4)
+        reference = run_seeds(problem, sched, [2.0, 0.0], 200, cert, seeds)
+        for order in (np.arange(23)[::-1], np.argsort(SeededGenerator(8).random(np.empty(23)))):
+            runs = run_seeds(problem, sched, [2.0, 0.0], 200, cert, [seeds[i] for i in order])
+            for field in ("sq_dist_mean", "sq_dist_stderr", "in_region_count"):
+                assert getattr(runs, field).tobytes() == getattr(reference, field).tobytes()
+            assert runs.final_x.tobytes() == reference.final_x[order].tobytes()
+
+    def test_parts_merge_to_the_statistics_of_all_replications(self, cores):
+        problem, sched, cert = quadratic_setup()
+        whole = run_replications(problem, sched, [2.0, 0.0], 300, cert, 3, 37)
+        cores(2, 4)
+        parts = run_replications(problem, sched, [2.0, 0.0], 300, cert, 3, 37)
+        np.testing.assert_allclose(parts.sq_dist_mean, whole.sq_dist_mean, rtol=1e-13)
+        np.testing.assert_allclose(parts.sq_dist_stderr, whole.sq_dist_stderr, rtol=1e-12)
+        assert parts.sq_dist_mean[0] == whole.sq_dist_mean[0]
+        assert parts.sq_dist_stderr[0] == 0.0
+        assert np.array_equal(parts.in_region_count, whole.in_region_count)
+        assert np.array_equal(parts.final_x, whole.final_x)
 
     def test_fold_runs_and_path_buffer_of_several_steps(self, cores, monkeypatch):
-        # R = 300 folds runs of 218 steps.  A 4 KiB path buffer holds one
-        # step of all 300 replications of d = 2 and two steps of a worker's
-        # 100, so every run is cut into many held spans in every process;
-        # the default buffer holds 54 steps of all 300.
+        # R = 300 in parts of 100 folds runs of 218 steps in one process and
+        # of 500 in each of three workers.  A 4 KiB path buffer holds one step
+        # of all 300 replications of d = 2 and two steps of a worker's 100, so
+        # every run is cut into many held spans in every process; the
+        # default buffer holds 54 steps of all 300.
         problem, sched, cert = quadratic_setup()
         monkeypatch.setattr(engine, "_PATH_BYTES", 4096)
 
         def summary():
             return summary_bytes(run_replications(problem, sched, [2.0, 0.0], 500, cert, 3, 300))
 
-        cores(1)
+        cores(1, 100)
         alone = summary()
         monkeypatch.setattr(engine, "_PATH_BYTES", 1 << 18)
         assert summary() == alone
         monkeypatch.setattr(engine, "_PATH_BYTES", 4096)
-        forks = cores(3)
+        forks = cores(3, 100)
         assert summary() == alone
         assert len(forks) == 3
 
-    def test_two_run_buffers_and_more_workers_than_cores(self, cores, monkeypatch):
-        # Four workers share two run buffers over 31 fold runs of 65 steps,
-        # so a buffer reused before its fold would change the bytes.
-        problem, sched, cert = quadratic_setup()
-
-        def summary():
-            return summary_bytes(run_replications(problem, sched, [2.0, 0.0], 2000, cert, 3, 1000))
-
-        cores(1)
-        alone = summary()
-        monkeypatch.setattr(engine, "_RUN_BUFFERS", 2)
-        forks = cores(4)
-        assert summary() == alone
-        assert len(forks) == 4
-
     def test_divergence_in_a_worker_chunk(self, cores):
-        # One replication per worker: replication 1 (seed 13), the first to
-        # overflow, is stepped by the second worker.
+        # One replication per part: replication 1 (seed 13), the first to
+        # overflow, is in the third part of the sorted seeds [9, 10, 13, 15],
+        # stepped by the third of four workers, or with the others in one
+        # process.
         reference = diverge_on_overflow_row()
-        forks = cores(4)
+        forks = cores(1)
+        assert str(diverge_on_overflow_row()) == str(reference)
+        assert forks == []
+        cores(4)
         error = diverge_on_overflow_row()
         assert len(forks) == 4
         assert error.step_index == reference.step_index == 12
@@ -686,19 +727,24 @@ class TestProcesses:
         assert_no_child_left()
 
     def test_interrupt_reaps_the_workers(self, cores, monkeypatch):
+        # The worker of the last two parts, forked last, interrupts the caller
+        # at its 50th step, while both workers still have steps to go.
         problem, sched, cert = quadratic_setup()
-        folds = []
+        parent = os.getpid()
+        gradient = ShiftedQuadratic.pointwise_gradient
+        calls = []
 
-        def interrupted(rows):
-            folds.append(rows.shape[0])
-            if len(folds) == 3:
-                raise KeyboardInterrupt
-            return step_stats(rows)
+        def interrupting(self, noise, x, out=None):
+            if os.getpid() != parent and x.shape[0] == 60:
+                calls.append(1)
+                if len(calls) == 50:
+                    os.kill(parent, signal.SIGINT)
+            return gradient(self, noise, x, out=out)
 
-        monkeypatch.setattr(engine, "step_stats", interrupted)
-        forks = cores(2)
+        monkeypatch.setattr(ShiftedQuadratic, "pointwise_gradient", interrupting)
+        forks = cores(2, 30)
         with pytest.raises(KeyboardInterrupt):
-            run_replications(problem, sched, [2.0, 0.0], 2000, cert, 3, 100)
+            run_replications(problem, sched, [2.0, 0.0], 2000, cert, 3, 90)
         assert len(forks) == 2
         assert_no_child_left()
 
@@ -720,14 +766,35 @@ class TestProcesses:
         assert "MemoryError: worker out of memory" in capfd.readouterr().err
         assert_no_child_left()
 
-    def test_worker_stops_when_the_parent_goes_away(self):
-        def endless():
-            while True:
-                yield
+    def test_worker_stops_when_the_parent_goes_away(self, cores, monkeypatch):
+        # A forked caller leaves as soon as it would wait for its two workers,
+        # whose steps take 1 ms each over a horizon of 100 s.  Only the caller
+        # and its workers hold the write end of the pipe, so its read end
+        # sees EOF once the workers have found another parent at a noise
+        # block of 10 steps and left.
+        problem, sched, cert = quadratic_setup()
+        gradient = ShiftedQuadratic.pointwise_gradient
 
-        worker = engine._fork_worker(endless, 1, 0, 0, [])
-        # Two runs: the second waits for a byte that never comes.
-        worker.wait()
-        worker.wait()
-        assert worker.stop(kill=False) == 0
+        def slow(self, noise, x, out=None):
+            time.sleep(0.001)
+            return gradient(self, noise, x, out=out)
+
+        read, write = os.pipe()
+        caller = os.fork()
+        if caller == 0:
+            try:
+                os.close(read)
+                monkeypatch.setattr(ShiftedQuadratic, "pointwise_gradient", slow)
+                monkeypatch.setattr(engine, "BLOCK_BUDGET", 10 * 4 * 2)
+                monkeypatch.setattr(os, "waitpid", lambda pid, options: os._exit(0))
+                cores(2, 2)
+                run_replications(problem, sched, [2.0, 0.0], 10**5, cert, 3, 4)
+            finally:
+                os._exit(1)
+        os.close(write)
+        try:
+            assert os.waitstatus_to_exitcode(os.waitpid(caller, 0)[1]) == 0
+            assert os.read(read, 1) == b""
+        finally:
+            os.close(read)
         assert_no_child_left()

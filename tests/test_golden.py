@@ -3,9 +3,15 @@
 Each config under ``tests/golden`` is run through ``cli.main`` and the SHA-256
 of ``series.csv``, ``report.txt`` and the ``verify`` stdout are compared
 against digests recorded when the outputs were last accepted.  A change that
-alters any of these bytes on purpose records new digests and says why.
+alters any of these bytes on purpose records new digests and says why:
+``PYTHONPATH=src python tests/test_golden.py`` prints the current digests of
+every config in ``DIGESTS`` in the form of the table below.
 """
+import contextlib
 import hashlib
+import io
+import os
+import tempfile
 from pathlib import Path
 
 import pytest
@@ -45,6 +51,13 @@ DIGESTS = {
         "199732f26967d8aeebcf957c6da7315796818fc6efae5910729bed53ab2aaa07",
         "962f0febefbd3154b1a3b60cb0ce6aab48a1bbce15cb7e6dc91242f22a289d4d",
     ),
+    # A d=2 quadratic at R=2085, H=200: three parts of replications, the
+    # last of 37, so these bytes pin how the parts are merged.
+    "quadratic_parts": (
+        "ec9b76963857ca146fce71559f8551b95aa5a1a83327546fcc2a95d755939424",
+        "96511e0188ea48fffde7eaf9d8e5ccf1fd931b2e2c441238f6746e789d9e392f",
+        "3df3edcb8d5bd5483026786258fb2acf6eeb0ca33f647740cc5af1a994547206",
+    ),
 }
 
 
@@ -52,20 +65,33 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def golden_digests(name: str, out_dir: Path, capsys) -> tuple[str, str, str]:
+def golden_digests(name: str, out_dir: Path) -> tuple[str, str, str]:
+    """Digests of the outputs of config ``name``, written into ``out_dir``,
+    which ENV_OUTPUT_DIR must name."""
     config = str(GOLDEN_DIR / f"{name}.json")
-    assert main(["run", config]) == 0
-    capsys.readouterr()
-    assert main(["verify", config]) == 0
-    verify_out = capsys.readouterr().out
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["run", config]) == 0
+    with contextlib.redirect_stdout(io.StringIO()) as verify_out:
+        assert main(["verify", config]) == 0
     return (
         sha256((out_dir / "series.csv").read_bytes()),
         sha256((out_dir / "report.txt").read_bytes()),
-        sha256(verify_out.encode("utf-8")),
+        sha256(verify_out.getvalue().encode("utf-8")),
     )
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
-def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch, capsys):
+def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path))
-    assert golden_digests(name, tmp_path, capsys) == DIGESTS[name]
+    assert golden_digests(name, tmp_path) == DIGESTS[name]
+
+
+if __name__ == "__main__":
+    for name in DIGESTS:
+        with tempfile.TemporaryDirectory() as out_dir:
+            os.environ[ENV_OUTPUT_DIR] = out_dir
+            digests = golden_digests(name, Path(out_dir))
+        print(f'    "{name}": (')
+        for digest in digests:
+            print(f'        "{digest}",')
+        print("    ),")

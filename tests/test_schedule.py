@@ -70,16 +70,12 @@ class TestInverseTimeSchedule:
 class TestValidateSchedule:
     def test_constant_flags(self):
         report = validate_schedule(ConstantSchedule(rho=0.1), mu=1.0)
-        assert report.tends_to_zero is False
-        assert report.sum_diverges is True
         assert report.robbins_monro is False
         assert report.max_rate_mu == pytest.approx(0.1)
         assert report.stability_ok
 
     def test_inverse_time_flags(self):
         report = validate_schedule(InverseTimeSchedule(scale=1.0, offset=2.0), mu=1.0)
-        assert report.tends_to_zero is True
-        assert report.sum_diverges is True
         assert report.robbins_monro is True
         assert report.max_rate_mu == pytest.approx(0.5)
         assert report.stability_ok
