@@ -20,7 +20,13 @@ import numpy as np
 
 from .analyzer import merge_parts, stats_chunk_steps, step_stats
 from .errors import DivergenceError, UsageError, require_int
-from .objective import HypothesisCertificate, StochasticProblem, as_float_vector, sq_norm
+from .objective import (
+    HypothesisCertificate,
+    StochasticProblem,
+    as_float_vector,
+    sq_norm,
+    usable_cores,
+)
 from .schedule import Schedule
 
 _MASK64 = (1 << 64) - 1
@@ -107,6 +113,21 @@ class SeededGenerator:
     def normal(self, size=None):
         return self._gen.normal(size=size)
 
+    def jumped(self, jumps: int) -> SeededGenerator:
+        """A copy of this generator with its Philox counter ``jumps * 2^128``
+        ahead, as numpy's ``Philox.jumped(jumps)`` gives it; this generator
+        does not move.
+
+        numpy's own ``jumped`` builds the copy from OS entropy before it sets
+        the state; this one starts from the key.
+        """
+        jumps = require_int(jumps, "jumps", 1)
+        copy = SeededGenerator(self.seed)
+        bits = copy._gen.bit_generator
+        bits.state = self._gen.bit_generator.state
+        bits.advance(jumps << 128)
+        return copy
+
 
 # Replication seeds use indices below 2^32; auxiliary streams use indices
 # above it so they can never collide with a replication stream.
@@ -178,11 +199,7 @@ def _process_count(replications: int, dimension: int) -> int:
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    if hasattr(os, "sched_getaffinity"):
-        cores = len(os.sched_getaffinity(0))
-    else:
-        cores = os.cpu_count() or 1
-    return max(1, min(cores, replications, replications * dimension // _PROCESS_VALUES))
+    return max(1, min(usable_cores(), replications, replications * dimension // _PROCESS_VALUES))
 
 
 def _step_parts(problem, seeds, index, x0, cert, rates, block, stats, final_x, slot, parent):

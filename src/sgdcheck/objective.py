@@ -18,7 +18,10 @@ described by ``region_center`` and ``region_radius`` on the certificate.
 from __future__ import annotations
 
 import abc
+import functools
 import math
+import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,9 +39,11 @@ RANK_TOL = 1e-10
 
 MAX_DIMENSION = 64
 
-# audit_certificate and check_gradients draw all their samples, then
-# evaluate them in chunks (see _verify_chunks).  A chunk holds at most
-# _AUDIT_CHUNK samples, and the chunks never straddle a multiple of it.
+# audit_certificate and check_gradients draw and evaluate their samples in
+# blocks of _AUDIT_CHUNK, the last block taking the remainder.  Block 0
+# draws from the stage's generator and block b >= 1 from a copy of it whose
+# Philox counter is b * 2^128 ahead, so the blocks need nothing from each
+# other and run on a pool of threads (_map_blocks).
 _AUDIT_CHUNK = 1 << 15
 
 # Bytes the widest per-sample temporary of one chunk may take.
@@ -603,24 +608,75 @@ def _verify_chunk_size(width: int, dimension: int) -> int:
 
 
 def _verify_chunks(samples: int, width: int, dimension: int):
-    """Slices that cover ``range(samples)`` with the per-sample bits of one
-    evaluation per block of _AUDIT_CHUNK samples.
+    """Slices that cover the ``samples <= _AUDIT_CHUNK`` samples of one
+    block with the per-sample bits of one evaluation of the whole block.
 
-    Each block is cut into chunks of _verify_chunk_size, and the last chunk
-    of a block takes its remainder; a block shorter than a chunk stays
-    whole.  BLAS may compute a short product with another kernel (a
-    matrix-vector routine for one sample, a small-matrix kernel for a few),
-    so a short trailing chunk could round differently from the same samples
-    inside a larger product.
+    The block is cut into chunks of _verify_chunk_size, and the last chunk
+    takes the remainder; a block shorter than a chunk stays whole.  BLAS may
+    compute a short product with another kernel (a matrix-vector routine for
+    one sample, a small-matrix kernel for a few), so a short trailing chunk
+    could round differently from the same samples inside a larger product.
     """
     size = _verify_chunk_size(width, dimension)
-    for block in range(0, samples, _AUDIT_CHUNK):
-        end = min(block + _AUDIT_CHUNK, samples)
-        lo = block
-        while lo < end:
-            hi = lo + size if end - lo >= 2 * size else end
-            yield slice(lo, hi)
-            lo = hi
+    lo = 0
+    while lo < samples:
+        hi = lo + size if samples - lo >= 2 * size else samples
+        yield slice(lo, hi)
+        lo = hi
+
+
+def usable_cores() -> int:
+    """Cores this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _stage_blocks(rng, samples: int) -> list:
+    """``(generator, count)`` of each block of a verify stage of ``samples``.
+
+    Every copy is jumped from the state ``rng`` has before block 0 draws
+    from it, so a block's draws do not depend on when the others run.
+    """
+    counts = [min(_AUDIT_CHUNK, samples - lo) for lo in range(0, samples, _AUDIT_CHUNK)]
+    return [(rng if b == 0 else rng.jumped(b), count) for b, count in enumerate(counts)]
+
+
+def _map_blocks(fn, blocks: list) -> list:
+    """``[fn(block) for block in blocks]``, on a pool of one thread per usable
+    core when there is more than one block and more than one core.
+
+    numpy releases the GIL in the draws, ufuncs, ``einsum`` and BLAS, so the
+    blocks of a stage run in parallel; the pool hands them out in order as
+    threads free up.  If a block raises, or the caller is interrupted, no
+    block that has not started runs, and the pool is joined before the
+    exception propagates.
+    """
+    threads = min(usable_cores(), len(blocks))
+    if threads <= 1:
+        return [fn(block) for block in blocks]
+    # Loaded on first use, so importing the package does not pay for it.
+    from concurrent.futures import ThreadPoolExecutor
+
+    # pool.map queues every block at once: a thread that frees up after a
+    # block failed, before the caller reads the failure and cancels the
+    # queue, must not start the next one.
+    stop = threading.Event()
+
+    def run(block):
+        if stop.is_set():
+            return None
+        try:
+            return fn(block)
+        except BaseException:
+            stop.set()
+            raise
+
+    pool = ThreadPoolExecutor(threads)
+    try:
+        return list(pool.map(run, blocks))
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -643,7 +699,7 @@ def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _audit_arrays(problem, cert, noise, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """_audit_values of every sample, evaluated chunk by chunk."""
+    """_audit_values of every sample of one block, evaluated chunk by chunk."""
     samples = xs.shape[0]
     ratios = np.empty(samples)
     rel_slack = np.empty(samples)
@@ -653,6 +709,27 @@ def _audit_arrays(problem, cert, noise, xs, ys) -> tuple[np.ndarray, np.ndarray]
                 problem, cert, noise[part], xs[part], ys[part]
             )
     return ratios, rel_slack
+
+
+def _audit_block(problem, cert, block) -> tuple:
+    """Draw and audit one block: its worst ratio and slack (the first, a NaN
+    before any number, as np.argmax and np.argmin pick them), its violation
+    counts and copies of the draws of both worst samples."""
+    rng, count = block
+    xs = sample_in_ball(cert.region_center, cert.region_radius, count, rng)
+    ys = sample_in_ball(cert.region_center, cert.region_radius, count, rng)
+    noise = problem.noise_block(rng, count)
+    ratios, rel_slack = _audit_arrays(problem, cert, noise, xs, ys)
+    worst_grad = int(np.argmax(ratios))
+    worst_convexity = int(np.argmin(rel_slack))
+    return (
+        float(ratios[worst_grad]),
+        int(np.count_nonzero(~np.isfinite(ratios) | (ratios > 1.0 + AUDIT_RTOL))),
+        (noise[worst_grad].copy(), xs[worst_grad].copy()),
+        float(rel_slack[worst_convexity]),
+        int(np.count_nonzero(~np.isfinite(rel_slack) | (rel_slack < -AUDIT_RTOL))),
+        (xs[worst_convexity].copy(), ys[worst_convexity].copy()),
+    )
 
 
 def audit_certificate(
@@ -669,31 +746,30 @@ def audit_certificate(
     observed ratios and passes only when nothing violates the certificate
     beyond AUDIT_RTOL relative.  A ratio or slack that is not finite is a
     violation, and a NaN is the worst value.
+
+    The samples come in blocks of _AUDIT_CHUNK (see _stage_blocks), each
+    drawn x, then y, then noise; with more than one block ``rng`` must offer
+    ``jumped`` like SeededGenerator.  The blocks are merged in order, so the
+    report does not depend on how many threads ran them.
     """
     samples = require_int(samples, "samples", 1)
-    xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
-    ys = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
-    noise = problem.noise_block(rng, samples)
-
-    ratios, rel_slack = _audit_arrays(problem, cert, noise, xs, ys)
-    grad_bad = ~np.isfinite(ratios) | (ratios > 1.0 + AUDIT_RTOL)
+    blocks = _map_blocks(
+        functools.partial(_audit_block, problem, cert), _stage_blocks(rng, samples)
+    )
+    ratios, grad_bad, grad_witnesses, slacks, convexity_bad, convexity_witnesses = zip(*blocks)
     worst_grad = int(np.argmax(ratios))
-    convexity_bad = ~np.isfinite(rel_slack) | (rel_slack < -AUDIT_RTOL)
-    worst_convexity = int(np.argmin(rel_slack))
-
-    grad_violations = int(np.count_nonzero(grad_bad))
-    convexity_violations = int(np.count_nonzero(convexity_bad))
+    worst_convexity = int(np.argmin(slacks))
+    grad_violations = sum(grad_bad)
+    convexity_violations = sum(convexity_bad)
     return AuditReport(
         samples=samples,
-        max_grad_ratio=float(ratios[worst_grad]),
-        min_convexity_slack=float(rel_slack[worst_convexity]),
+        max_grad_ratio=ratios[worst_grad],
+        min_convexity_slack=slacks[worst_convexity],
         grad_violations=grad_violations,
         convexity_violations=convexity_violations,
         passed=grad_violations == 0 and convexity_violations == 0,
-        grad_witness=(noise[worst_grad], xs[worst_grad]) if grad_violations else None,
-        convexity_witness=(
-            (xs[worst_convexity], ys[worst_convexity]) if convexity_violations else None
-        ),
+        grad_witness=grad_witnesses[worst_grad] if grad_violations else None,
+        convexity_witness=convexity_witnesses[worst_convexity] if convexity_violations else None,
     )
 
 
@@ -719,6 +795,20 @@ def _max_gradient_error(problem, noise, x) -> float:
     return float(worst)
 
 
+def _gradient_block(problem, cert, block) -> float:
+    """Draw one block, x then noise, and return its largest gradient error."""
+    rng, count = block
+    xs = sample_in_ball(cert.region_center, cert.region_radius, count, rng)
+    noise = problem.noise_block(rng, count)
+    worst = 0.0
+    with np.errstate(over="ignore", invalid="ignore"):
+        # The widest per-sample temporaries here are points and gradients.
+        for part in _verify_chunks(count, problem.dimension, problem.dimension):
+            error = _max_gradient_error(problem, noise[part], xs[part])
+            worst = float(np.maximum(worst, error))
+    return worst
+
+
 def check_gradients(
     problem: StochasticProblem,
     cert: HypothesisCertificate,
@@ -730,17 +820,14 @@ def check_gradients(
 
     Uses step h = 1e-6 * (1 + ||x||) per sample and measures the error of
     each coordinate relative to max(1, |gradient coordinate|).  A NaN error
-    is the worst error and fails the check.
+    is the worst error and fails the check.  The samples are drawn and
+    checked in the blocks of audit_certificate.
     """
     samples = require_int(samples, "samples", 1)
-    xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
-    noise = problem.noise_block(rng, samples)
-    max_rel = 0.0
-    with np.errstate(over="ignore", invalid="ignore"):
-        # The widest per-sample temporaries here are points and gradients.
-        for part in _verify_chunks(samples, problem.dimension, problem.dimension):
-            error = _max_gradient_error(problem, noise[part], xs[part])
-            max_rel = float(np.maximum(max_rel, error))
+    errors = _map_blocks(
+        functools.partial(_gradient_block, problem, cert), _stage_blocks(rng, samples)
+    )
+    max_rel = float(np.max(errors))
     return GradientCheckReport(
         samples=samples,
         max_rel_error=max_rel,

@@ -119,6 +119,25 @@ class TestSeededGenerator:
             np.random.Generator(ours).random(1000), np.random.Generator(keyed).random(1000)
         )
 
+    @pytest.mark.parametrize("jumps", [1, 2, 31])
+    def test_jumped_is_the_philox_jump(self, jumps):
+        gen = SeededGenerator(2**64 - 1)
+        gen.normal(size=3)
+        before = gen._gen.bit_generator.state
+        expected = gen._gen.bit_generator.jumped(jumps)
+        copy = gen.jumped(jumps)
+        assert copy.seed == gen.seed
+        counter = copy._gen.bit_generator.state["state"]["counter"]
+        assert np.array_equal(counter, expected.state["state"]["counter"])
+        assert np.array_equal(copy._gen.bit_generator.random_raw(64), expected.random_raw(64))
+        after = gen._gen.bit_generator.state
+        assert np.array_equal(after["state"]["counter"], before["state"]["counter"])
+        assert after["buffer_pos"] == before["buffer_pos"]
+
+    def test_jumped_needs_a_positive_count(self):
+        with pytest.raises(UsageError):
+            SeededGenerator(1).jumped(0)
+
 
 class TestStep:
     """One SGD update, observed through a one-step, one-seed run."""

@@ -38,11 +38,12 @@ DIGESTS = {
         "c42e27a327224df1264df57ddcb851297cb28018654fb27969863c7f3f307c72",
     ),
     # A 200x8 design with odd sample counts (33 001 audited, 1 001 gradient
-    # checks): the audit runs past the 2^15 block boundary into a short tail.
+    # checks): the audit runs past the 2^15 block boundary into a second
+    # draw block of 233 samples, drawn from a generator jumped once.
     "ls_chunk_tails": (
         "c25e0243a37c4e3e27570fe76adef43fd2be3ca5db0932063a8da328140be8a1",
         "6a482291e0d16576b89781af7c5935b0ddf72244f0f3fd3da1ded4cf18f3be06",
-        "7856b910bb19e29892f0ed503068a8a21cc8264a903a9df75b21eef91c803cf8",
+        "20c421b710de410dbe53e2b5b9769215aa94e1f4f353a1cc3358dc4ed2371e7b",
     ),
     # A d=3 quadratic at R=37, H=2000: the noise is drawn in one block of
     # replication tiles of 5, so the last tile holds 2.

@@ -14,9 +14,16 @@ from sgdcheck import (
     sample_in_ball,
 )
 from sgdcheck import objective
+from sgdcheck.cli import main
+from sgdcheck.engine import aux_generator
 from sgdcheck.objective import row_dot, sq_norm
 
 import dataclasses
+import json
+import os
+import signal
+import threading
+import time
 import warnings
 
 
@@ -353,38 +360,82 @@ class TestAudit:
         with pytest.raises(UsageError):
             audit_certificate(problem, cert, 0, SeededGenerator(74))
 
-    @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])
-    def test_chunking_is_invisible(self, family, monkeypatch):
-        # Samples are drawn in full and then evaluated in chunks; no chunk
-        # size may change a ratio, a count or a witness.
-        if family == "quadratic":
-            problem = make_quadratic(halfwidth=0.5)
-            cert = problem.certify(2.0, [2.0, 0.0])
+    @pytest.mark.parametrize("case", ["quadratic", "finite_sum", "nan_ratio"])
+    def test_verify_output_does_not_depend_on_the_thread_count(
+        self, case, tmp_path, monkeypatch, capsys
+    ):
+        # Blocks of 97 samples: the audit runs 11 blocks, the gradient check
+        # 4.  The certificate is corrupted so both witnesses print; in
+        # nan_ratio the last sample of the last block has a NaN gradient,
+        # which must beat every larger finite ratio of the blocks before it.
+        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 97)
+        if case == "finite_sum":
+            problem, radius = least_squares(201, 16, seed=3), 1.0
+            design = {"family": "finite_sum_least_squares",
+                      "design_rows": problem.design.tolist(),
+                      "targets": problem.targets.tolist()}
         else:
-            rng = SeededGenerator(75)
-            problem = FiniteSumLeastSquares(
-                design=rng.normal(size=(12, 3)), targets=rng.normal(size=12)
+            problem, radius = make_quadratic(dim=3, halfwidth=0.5), 2.0
+            design = {"family": "shifted_quadratic", "curvature": 1.0,
+                      "center": [0.0, 0.0, 0.0], "noise_halfwidth": 0.5}
+        document = {
+            "problem": design, "schedule": {"kind": "constant", "rho": 0.05},
+            "x0": problem.minimizer().tolist(), "horizon": 5, "replications": 2,
+            "master_seed": 7, "region_radius": radius,
+            "verify": {"audit_samples": 1000, "gradient_checks": 301},
+        }
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps(document), encoding="utf-8")
+        kind = type(problem)
+        certify = kind.certify
+
+        def corrupted(self, region_radius, x0):
+            cert = certify(self, region_radius, x0)
+            return dataclasses.replace(
+                cert,
+                grad_sq_bound=cert.grad_sq_bound * 0.2,
+                strong_convexity=cert.strong_convexity * 2.0,
             )
-            cert = problem.certify(1.5, problem.minimizer())
-        corrupted = dataclasses.replace(
-            cert,
-            grad_sq_bound=cert.grad_sq_bound * 0.8,
-            strong_convexity=cert.strong_convexity * 1.1,
-        )
-        reports = []
-        for chunk in (7, 1000, 1 << 20):
-            monkeypatch.setattr(objective, "_AUDIT_CHUNK", chunk)
-            reports.append(audit_certificate(problem, corrupted, 5003, SeededGenerator(76)))
-        first = reports[0]
-        assert first.grad_violations > 0 and first.convexity_violations > 0
-        for other in reports[1:]:
-            assert other.max_grad_ratio == first.max_grad_ratio
-            assert other.min_convexity_slack == first.min_convexity_slack
-            assert other.grad_violations == first.grad_violations
-            assert other.convexity_violations == first.convexity_violations
-            for mine, theirs in zip(other.grad_witness + other.convexity_witness,
-                                    first.grad_witness + first.convexity_witness):
-                assert np.array_equal(mine, theirs)
+
+        monkeypatch.setattr(kind, "certify", corrupted)
+        cert = problem.certify(radius, problem.minimizer())
+        blocks = audit_blocks(problem, cert, 1000, aux_generator(7, 2))
+        if case == "nan_ratio":
+            last_noise = blocks[-1][0][-1]
+            gradient = kind.pointwise_gradient
+
+            def nan_at_the_last_draw(self, noise, x, out=None):
+                value = gradient(self, noise, x, out)
+                return np.where((noise == last_noise).all(axis=-1, keepdims=True), np.nan, value)
+
+            monkeypatch.setattr(kind, "pointwise_gradient", nan_at_the_last_draw)
+
+        # The reference: every block evaluated on its own, merged by one
+        # np.argmax and one np.argmin over all samples.
+        ratios, slacks = (np.concatenate(values) for values in zip(*(
+            objective._audit_arrays(problem, cert, *block) for block in blocks
+        )))
+        noise, xs, ys = (np.concatenate(draws) for draws in zip(*blocks))
+        worst_grad, worst_convexity = int(np.argmax(ratios)), int(np.argmin(slacks))
+        if case == "nan_ratio":
+            assert worst_grad == 999 and np.nanmax(ratios[:97]) > 1.0
+        outputs = set()
+        for cores in range(1, 6):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            report = audit_certificate(problem, cert, 1000, aux_generator(7, 2))
+            assert_same_bits(np.array(report.max_grad_ratio), ratios[worst_grad])
+            assert_same_bits(np.array(report.min_convexity_slack), slacks[worst_convexity])
+            assert report.grad_violations == np.count_nonzero(~(ratios <= 1.0 + 1e-9))
+            assert report.convexity_violations == np.count_nonzero(~(slacks >= -1e-9))
+            assert np.array_equal(report.grad_witness[0], noise[worst_grad])
+            assert np.array_equal(report.grad_witness[1], xs[worst_grad])
+            assert np.array_equal(report.convexity_witness[0], xs[worst_convexity])
+            assert np.array_equal(report.convexity_witness[1], ys[worst_convexity])
+            assert main(["verify", str(config)]) == 1
+            outputs.add(capsys.readouterr().out)
+        (stdout,) = outputs
+        assert "  grad_witness: " in stdout and "  convexity_witness: " in stdout
+        assert ("max_grad_ratio=nan" in stdout) == (case == "nan_ratio")
 
 
 class TestSampleInBall:
@@ -557,12 +608,38 @@ class TestFillNoiseBlock:
         assert_fill_matches_noise_block(make_quadratic(dim=3, halfwidth=0.37), 5, 263)
 
 
+def stage_generators(rng, samples):
+    """The generator and sample count of each block of a verify stage: block
+    0 draws from ``rng``, block b from a copy jumped b times before it."""
+    cap = objective._AUDIT_CHUNK
+    blocks = -(-samples // cap)
+    generators = [rng] + [rng.jumped(b) for b in range(1, blocks)]
+    return [(gen, min(cap, samples - b * cap)) for b, gen in enumerate(generators)]
+
+
+def audit_blocks(problem, cert, samples, rng):
+    """The (noise, x, y) draws of each block of ``audit_certificate``."""
+    blocks = []
+    for gen, count in stage_generators(rng, samples):
+        xs = sample_in_ball(cert.region_center, cert.region_radius, count, gen)
+        ys = sample_in_ball(cert.region_center, cert.region_radius, count, gen)
+        blocks.append((problem.noise_block(gen, count), xs, ys))
+    return blocks
+
+
 def audit_draws(problem, cert, samples, seed):
     """The (noise, x, y) draws of ``audit_certificate`` for ``seed``."""
-    rng = SeededGenerator(seed)
-    xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
-    ys = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
-    return problem.noise_block(rng, samples), xs, ys
+    blocks = audit_blocks(problem, cert, samples, SeededGenerator(seed))
+    return tuple(np.concatenate(draws) for draws in zip(*blocks))
+
+
+def gradient_draws(problem, cert, samples, seed):
+    """The (noise, x) draws of ``check_gradients`` for ``seed``."""
+    noise, xs = [], []
+    for gen, count in stage_generators(SeededGenerator(seed), samples):
+        xs.append(sample_in_ball(cert.region_center, cert.region_radius, count, gen))
+        noise.append(problem.noise_block(gen, count))
+    return np.concatenate(noise), np.concatenate(xs)
 
 
 def chunk_problem(name):
@@ -612,16 +689,16 @@ class TestVerifyChunks:
     ])
     def test_chunks_tile_every_block(self, samples):
         size, cap = 1024, objective._AUDIT_CHUNK
-        parts = list(objective._verify_chunks(samples, 128, 16))
-        assert parts[0].start == 0 and parts[-1].stop == samples
-        assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-        for part in parts:
-            block = part.start // cap
-            assert (part.stop - 1) // cap == block
-            assert part.start % size == 0
-            length = part.stop - part.start
-            block_length = min(cap, samples - block * cap)
-            assert size <= length < 2 * size or length == block_length < size
+        counts = [count for _, count in objective._stage_blocks(SeededGenerator(0), samples)]
+        assert counts == [min(cap, samples - lo) for lo in range(0, samples, cap)]
+        for block_length in counts:
+            parts = list(objective._verify_chunks(block_length, 128, 16))
+            assert parts[0].start == 0 and parts[-1].stop == block_length
+            assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
+            for part in parts:
+                assert part.start % size == 0
+                length = part.stop - part.start
+                assert size <= length < 2 * size or length == block_length < size
 
     @pytest.mark.parametrize("name, samples", CHUNK_GRID)
     def test_audit_values_equal_whole_blocks(self, name, samples):
@@ -629,15 +706,11 @@ class TestVerifyChunks:
         # batch, as the audit did before chunks were sized by memory; up to
         # 2^15 samples that is one whole-batch evaluation.
         problem, cert = chunk_problem(name)
-        noise, xs, ys = audit_draws(problem, cert, samples, seed=samples)
-        ratios, rel_slack = objective._audit_arrays(problem, cert, noise, xs, ys)
-        cap = objective._AUDIT_CHUNK
-        blocks = [
-            objective._audit_values(problem, cert, noise[part], xs[part], ys[part])
-            for part in (slice(lo, lo + cap) for lo in range(0, samples, cap))
-        ]
-        assert_same_bits(ratios, np.concatenate([block[0] for block in blocks]))
-        assert_same_bits(rel_slack, np.concatenate([block[1] for block in blocks]))
+        for block in audit_blocks(problem, cert, samples, SeededGenerator(samples)):
+            ratios, rel_slack = objective._audit_arrays(problem, cert, *block)
+            whole_ratios, whole_slack = objective._audit_values(problem, cert, *block)
+            assert_same_bits(ratios, whole_ratios)
+            assert_same_bits(rel_slack, whole_slack)
 
     @pytest.mark.parametrize("name", ["quadratic-16", "ls-128x16", "ls-2048x16"])
     def test_gradient_check_is_bitwise_equal_at_the_cap_and_at_the_old_block(
@@ -681,7 +754,9 @@ class TestVerifyChunks:
         )
         assert peak < draws + 4 * 2**20
 
-    def test_gradient_check_memory_stays_near_the_draws(self, peak_traced_bytes):
+    def test_gradient_check_memory_stays_near_the_draws(self, peak_traced_bytes, monkeypatch):
+        # One thread: each further thread holds a block and its chunk.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
         problem, cert = chunk_problem("ls-2048x16")
         samples = 40_000
         draws = samples * 16 * 8 + samples * 8
@@ -689,6 +764,118 @@ class TestVerifyChunks:
             lambda: check_gradients(problem, cert, samples, SeededGenerator(5))
         )
         assert peak < draws + 4 * 2**20
+
+
+class TestVerifyBlocks:
+    """Verify stages draw and evaluate independent blocks on a thread pool."""
+
+    @pytest.fixture
+    def cores(self, monkeypatch):
+        def use(count):
+            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+        return use
+
+    @pytest.mark.parametrize("stage", ["audit", "gradient_check"])
+    def test_memory_does_not_grow_with_the_samples(self, stage, cores, peak_traced_bytes,
+                                                   monkeypatch):
+        cores(1)
+        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 1 << 12)
+        problem, cert = chunk_problem("ls-128x16")
+        check = audit_certificate if stage == "audit" else check_gradients
+        peaks = [
+            peak_traced_bytes(lambda: check(problem, cert, samples, SeededGenerator(5)))
+            for samples in (2 << 12, 8 << 12)
+        ]
+        assert peaks[1] <= 1.25 * peaks[0]
+
+    def test_no_thread_is_left_behind(self, cores, tmp_path, monkeypatch, capsys):
+        # A thread left running would keep the next run_seeds in one process.
+        from sgdcheck import engine
+
+        cores(2)
+        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 64)
+        config = tmp_path / "experiment.json"
+        config.write_text(json.dumps({
+            "problem": {"family": "shifted_quadratic", "curvature": 1.0,
+                        "center": [0.0, 0.0], "noise_halfwidth": 0.5},
+            "schedule": {"kind": "constant", "rho": 0.05}, "x0": [0.5, 0.0],
+            "horizon": 5, "replications": 2, "master_seed": 3, "region_radius": 2.0,
+            "verify": {"audit_samples": 1000, "gradient_checks": 500},
+        }), encoding="utf-8")
+        before = threading.active_count()
+        assert main(["verify", str(config)]) == 0
+        assert "samples=1000" in capsys.readouterr().out
+        assert threading.active_count() == before
+        assert engine._process_count(8000, 2) == 2
+
+    @staticmethod
+    def block_of(blocks):
+        """The index of the block whose points start with ``x[0]``."""
+        firsts = [xs[0] for _, xs, _ in blocks]
+        return lambda x: next(b for b, first in enumerate(firsts) if np.array_equal(first, x[0]))
+
+    def test_a_failing_block_stops_the_blocks_after_it(self, cores, monkeypatch):
+        # Block 2 returns only after block 3 has raised, so the second
+        # thread is free for block 4 only once block 3 failed.
+        cores(2)
+        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
+        problem = make_quadratic(halfwidth=0.5)
+        cert = problem.certify(2.0, [2.0, 0.0])
+        block_of = self.block_of(audit_blocks(problem, cert, 300, SeededGenerator(8)))
+        values = objective._audit_values
+        ran, raised = [], threading.Event()
+
+        class BlockFailed(Exception):
+            pass
+
+        def failing_block_3(problem, cert, noise, x, y):
+            block = block_of(x)
+            ran.append(block)
+            if block == 3:
+                raised.set()
+                raise BlockFailed
+            if block == 2:
+                assert raised.wait(timeout=30)
+                time.sleep(0.2)
+            return values(problem, cert, noise, x, y)
+
+        monkeypatch.setattr(objective, "_audit_values", failing_block_3)
+        before = threading.active_count()
+        with pytest.raises(BlockFailed):
+            audit_certificate(problem, cert, 300, SeededGenerator(8))
+        assert sorted(ran) == [0, 1, 2, 3]
+        assert threading.active_count() == before
+
+    @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
+    def test_an_interrupt_stops_the_blocks_not_started(self, cores, monkeypatch):
+        # Block 1 interrupts the caller; both threads return only after
+        # that, so no block after them starts.
+        cores(2)
+        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
+        problem = make_quadratic(halfwidth=0.5)
+        cert = problem.certify(2.0, [2.0, 0.0])
+        block_of = self.block_of(audit_blocks(problem, cert, 300, SeededGenerator(8)))
+        values = objective._audit_values
+        ran, sent = [], threading.Event()
+
+        def interrupting_block_1(problem, cert, noise, x, y):
+            block = block_of(x)
+            ran.append(block)
+            if block == 1:
+                signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
+                sent.set()
+            if block < 2:
+                assert sent.wait(timeout=30)
+                time.sleep(0.2)
+            return values(problem, cert, noise, x, y)
+
+        monkeypatch.setattr(objective, "_audit_values", interrupting_block_1)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            audit_certificate(problem, cert, 300, SeededGenerator(8))
+        assert sorted(ran) == [0, 1]
+        assert threading.active_count() == before
 
 
 def overflowing_quadratic():
@@ -719,9 +906,7 @@ class TestNonFiniteValues:
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
         samples = 40_001
-        rng = SeededGenerator(5)
-        sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
-        last_noise = problem.noise_block(rng, samples)[-1]
+        last_noise = gradient_draws(problem, cert, samples, seed=5)[0][-1]
         loss = ShiftedQuadratic.pointwise_loss
 
         def nan_at_the_last_draw(self, noise, x):
