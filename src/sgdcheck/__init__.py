@@ -6,7 +6,6 @@ the optimum over replications, and checks it against the per-step envelope,
 the constant-rate neighborhood bound, and decaying-rate convergence claims.
 """
 from .analyzer import (
-    BoundSequence,
     DnSeries,
     ProductDecay,
     Verdict,
@@ -15,7 +14,6 @@ from .analyzer import (
     check_descent_inequality,
     check_neighborhood,
     check_recurrence,
-    estimate_dn,
     product_decay,
 )
 from .config import (
@@ -27,7 +25,6 @@ from .config import (
     serialize_config,
 )
 from .engine import (
-    ReplicationSummary,
     SeededGenerator,
     derive_seed,
     run_replications,
@@ -61,7 +58,6 @@ from .schedule import (
 
 __all__ = [
     "AuditReport",
-    "BoundSequence",
     "CertificationError",
     "ConfigurationError",
     "ConstantSchedule",
@@ -74,7 +70,6 @@ __all__ = [
     "HypothesisCertificate",
     "InverseTimeSchedule",
     "ProductDecay",
-    "ReplicationSummary",
     "ScheduleReport",
     "SeededGenerator",
     "SgdCheckError",
@@ -92,7 +87,6 @@ __all__ = [
     "check_neighborhood",
     "check_recurrence",
     "derive_seed",
-    "estimate_dn",
     "load_config",
     "parse_config",
     "product_decay",

@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -24,37 +23,33 @@ from .errors import DomainError, UsageError, require_int
 from .objective import HypothesisCertificate, StochasticProblem, row_dot, sq_norm
 from .schedule import ConstantSchedule, Schedule
 
-if TYPE_CHECKING:
-    from .engine import ReplicationSummary
-
 
 @dataclass(frozen=True, eq=False)
 class DnSeries:
-    """Monte Carlo estimate of d_n for n = 0..steps.
+    """Monte Carlo estimate of d_n for n = 0..steps: the result of a run.
 
-    ``stderr`` is the sample standard deviation over replications divided by
-    sqrt(replications); ``in_region_fraction`` is the share of replications
-    whose iterate was still inside the certified ball at each step.
+    ``mean[n]`` is the mean of ||x_n - x*||^2 over the replications and
+    ``stderr[n]`` its sample standard deviation divided by
+    sqrt(replications), zero for a single replication;
+    ``in_region_fraction[n]`` is the share of replications whose iterate was
+    still inside the certified ball.  The paths are not kept: replication i
+    can be replayed from ``seeds[i]``, and ``final_x[i]`` is its last
+    iterate.
     """
 
-    replications: int
+    seeds: tuple[int, ...]
     mean: np.ndarray
     stderr: np.ndarray
     in_region_fraction: np.ndarray
+    final_x: np.ndarray
+
+    @property
+    def replications(self) -> int:
+        return len(self.seeds)
 
     @property
     def steps(self) -> int:
         return self.mean.shape[0] - 1
-
-
-@dataclass(frozen=True, eq=False)
-class BoundSequence:
-    """Envelope values b_0..b_steps together with the constants that built them."""
-
-    values: np.ndarray
-    d0: float
-    strong_convexity: float
-    grad_sq_bound: float
 
 
 @dataclass(frozen=True)
@@ -172,32 +167,13 @@ def merge_parts(means: np.ndarray, stderrs: np.ndarray, sizes) -> tuple[np.ndarr
     return mean, stderr
 
 
-def estimate_dn(runs: ReplicationSummary) -> DnSeries:
-    """The d_n estimate with standard errors of a set of replications.
-
-    Needs at least two replications.  The statistics were folded step by
-    step while the replications ran, independently of their order.
-    """
-    count = runs.replications
-    if count < 2:
-        raise UsageError("estimating d_n needs at least two replications")
-    fraction = runs.in_region_count / count
-    fraction.flags.writeable = False
-    return DnSeries(
-        replications=count,
-        mean=runs.sq_dist_mean,
-        stderr=runs.sq_dist_stderr,
-        in_region_fraction=fraction,
-    )
-
-
 def bound_sequence(
     d0: float,
     schedule: Schedule,
     cert: HypothesisCertificate,
     steps: int,
-) -> BoundSequence:
-    """Evaluate the one-step envelope for ``steps`` updates.
+) -> np.ndarray:
+    """Evaluate the one-step envelope b_0..b_steps, as a read-only array.
 
     Each update is computed in deviation form around the per-step fixed point
     rate * B / mu, so a sequence started exactly at the constant-rate fixed
@@ -217,10 +193,10 @@ def bound_sequence(
         d = (1.0 - rate * mu) * (d - pivot) + pivot
         values[n] = d
     values.flags.writeable = False
-    return BoundSequence(values=values, d0=d0, strong_convexity=mu, grad_sq_bound=grad_bound)
+    return values
 
 
-def check_recurrence(dn: DnSeries, bounds: BoundSequence, z: float = 3.0) -> Verdict:
+def check_recurrence(dn: DnSeries, bounds: np.ndarray, z: float = 3.0) -> Verdict:
     """Check that the estimated d_n never exceeds the envelope significantly.
 
     A step violates when mean_n > b_n + z * stderr_n.  Steps where any
@@ -230,10 +206,10 @@ def check_recurrence(dn: DnSeries, bounds: BoundSequence, z: float = 3.0) -> Ver
     z = float(z)
     if not math.isfinite(z) or z <= 0.0:
         raise UsageError("z must be a finite positive real")
-    if bounds.values.shape != dn.mean.shape:
+    if bounds.shape != dn.mean.shape:
         raise UsageError("bound sequence and d_n series cover different horizons")
     checked = dn.in_region_fraction == 1.0
-    slack = bounds.values + z * dn.stderr - dn.mean
+    slack = bounds + z * dn.stderr - dn.mean
     excluded = int(np.count_nonzero(~checked))
     if not checked.any():
         return Verdict(

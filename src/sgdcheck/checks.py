@@ -7,8 +7,9 @@ an independent closed form where one exists.
 """
 from __future__ import annotations
 
+import numpy as np
+
 from .analyzer import (
-    BoundSequence,
     DnSeries,
     Verdict,
     check_convergence,
@@ -108,7 +109,7 @@ def preflight_checks(cfg: ExperimentConfig, schedule: Schedule,
 
 def run_checks(cfg: ExperimentConfig, problem: StochasticProblem, schedule: Schedule,
                cert: HypothesisCertificate, dn: DnSeries,
-               bounds: BoundSequence) -> list[tuple[str, Verdict]]:
+               bounds: np.ndarray) -> list[tuple[str, Verdict]]:
     """One (check type, verdict) pair per configured check, in config order."""
     verdicts: list[tuple[str, Verdict]] = []
     for spec in cfg.checks:

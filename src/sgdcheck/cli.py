@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyzer import BoundSequence, DnSeries, Verdict, bound_sequence, estimate_dn
+from .analyzer import DnSeries, Verdict, bound_sequence
 from .checks import g17, lemma_verdict, preflight_checks, run_checks
 from .config import ExperimentConfig, build_problem, build_schedule, load_config
 from .engine import aux_generator, run_replications
@@ -30,13 +30,21 @@ SERIES_CHUNK_ROWS = 4096
 _SERIES_ROW = "%d,%.17g,%.17g,%.17g,%.17g,%.17g\n"
 
 
-def _resolve_output_dir(cfg: ExperimentConfig) -> Path:
+def _make_output_dir(cfg: ExperimentConfig) -> Path:
+    """The run's output directory, created if missing."""
     override = os.environ.get(ENV_OUTPUT_DIR)
     if override:
-        return Path(override)
-    if cfg.output is not None:
-        return Path(cfg.output)
-    return Path(".")
+        out_dir = Path(override)
+    elif cfg.output is not None:
+        out_dir = Path(cfg.output)
+    else:
+        out_dir = Path(".")
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        message = f"cannot create output directory {out_dir}: {err.strerror}"
+        raise ConfigurationError(message) from None
+    return out_dir
 
 
 def _write_text(path: Path, text: str) -> None:
@@ -44,13 +52,13 @@ def _write_text(path: Path, text: str) -> None:
         handle.write(text)
 
 
-def _write_series_csv(path: Path, rates: np.ndarray, dn: DnSeries, bounds: BoundSequence) -> None:
+def _write_series_csv(path: Path, rates: np.ndarray, dn: DnSeries, bounds: np.ndarray) -> None:
     """Write ``series.csv``, formatting SERIES_CHUNK_ROWS rows at a time.
 
     ``"%.17g" % v`` renders a float exactly like ``checks.g17``, NaN and infinities
     included.
     """
-    columns = (rates, dn.mean, dn.stderr, bounds.values, dn.in_region_fraction)
+    columns = (rates, dn.mean, dn.stderr, bounds, dn.in_region_fraction)
     total = dn.mean.shape[0]
     with path.open("w", encoding="utf-8", newline="\n") as handle:
         handle.write(CSV_HEADER + "\n")
@@ -108,15 +116,13 @@ def cmd_run(args) -> int:
     cert = problem.certify(cfg.region_radius, cfg.x0)
     preflight_checks(cfg, schedule, cert)
     sched_report = validate_schedule(schedule, cert.strong_convexity)
-    runs = run_replications(
+    out_dir = _make_output_dir(cfg)
+    dn = run_replications(
         problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed, cfg.replications
     )
-    dn = estimate_dn(runs)
     bounds = bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon)
     verdicts = run_checks(cfg, problem, schedule, cert, dn, bounds)
 
-    out_dir = _resolve_output_dir(cfg)
-    out_dir.mkdir(parents=True, exist_ok=True)
     rates = schedule.rates(0, cfg.horizon + 1)
     _write_series_csv(out_dir / "series.csv", rates, dn, bounds)
     report = _report_lines(cfg, problem, schedule, cert, sched_report, dn, verdicts)

@@ -115,9 +115,12 @@ def _parse_problem(spec) -> dict:
         rows = spec["design_rows"]
         if not isinstance(rows, list) or not rows:
             raise ConfigurationError("'design_rows' in problem must be a non-empty list of rows")
+        design = [_real_list(row, "design_rows", where) for row in rows]
+        if any(len(row) != len(design[0]) for row in design):
+            raise ConfigurationError("'design_rows' in problem must be rows of equal length")
         return {
             "family": family,
-            "design_rows": [_real_list(row, "design_rows", where) for row in rows],
+            "design_rows": design,
             "targets": _real_list(spec["targets"], "targets", where),
         }
     raise ConfigurationError(f"unknown problem family '{family}'")
@@ -251,7 +254,7 @@ def parse_config(text: str) -> ExperimentConfig:
 def load_config(path) -> ExperimentConfig:
     try:
         text = Path(path).read_text(encoding="utf-8")
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ConfigurationError(f"cannot read config file: {err}") from None
     return parse_config(text)
 

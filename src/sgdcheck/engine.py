@@ -14,11 +14,10 @@ import functools
 import math
 import os
 import threading
-from dataclasses import dataclass
 
 import numpy as np
 
-from .analyzer import merge_parts, stats_chunk_steps, step_stats
+from .analyzer import DnSeries, merge_parts, stats_chunk_steps, step_stats
 from .errors import DivergenceError, UsageError, require_int
 from .objective import (
     HypothesisCertificate,
@@ -163,31 +162,6 @@ _PART = 1 << 10
 _PATH_BYTES = 1 << 18
 
 
-@dataclass(frozen=True, eq=False)
-class ReplicationSummary:
-    """Per-step statistics of replications run in lockstep.
-
-    For n = 0..steps, ``sq_dist_mean[n]`` and ``sq_dist_stderr[n]`` are the
-    mean of ||x_n - x*||^2 over the replications and its standard error, and
-    ``in_region_count[n]`` is the number of replications whose iterate was
-    inside the certified ball.  With a single seed the mean is that
-    replication's own squared distance and the standard error is zero.  The
-    paths are not kept: replication i can be replayed from ``seeds[i]``, and
-    ``final_x[i]`` is its last iterate.
-    """
-
-    seeds: tuple[int, ...]
-    steps: int
-    sq_dist_mean: np.ndarray
-    sq_dist_stderr: np.ndarray
-    in_region_count: np.ndarray
-    final_x: np.ndarray
-
-    @property
-    def replications(self) -> int:
-        return len(self.seeds)
-
-
 def _process_count(replications: int, dimension: int) -> int:
     """Processes that step ``replications`` iterates of ``dimension`` values.
 
@@ -327,7 +301,7 @@ def run_seeds(
     steps: int,
     cert: HypothesisCertificate,
     seeds,
-) -> ReplicationSummary:
+) -> DnSeries:
     """Run one replication per seed for ``steps`` updates, all in lockstep.
 
     The replications advance together on stacked arrays.  Every
@@ -395,17 +369,13 @@ def run_seeds(
         raise DivergenceError(first, message)
 
     mean, stderr = merge_parts(stats[0], stats[1], sizes)
-    inside = stats[2].sum(axis=0).astype(np.int64)
+    # Whole counts below 2^53: their sum in doubles is exact.
+    fraction = stats[2].sum(axis=0) / count
     final_x = final_x[np.argsort(order)]
-    for array in (mean, stderr, inside, final_x):
+    for array in (mean, stderr, fraction, final_x):
         array.flags.writeable = False
-    return ReplicationSummary(
-        seeds=seeds,
-        steps=steps,
-        sq_dist_mean=mean,
-        sq_dist_stderr=stderr,
-        in_region_count=inside,
-        final_x=final_x,
+    return DnSeries(
+        seeds=seeds, mean=mean, stderr=stderr, in_region_fraction=fraction, final_x=final_x
     )
 
 
@@ -417,11 +387,12 @@ def run_replications(
     cert: HypothesisCertificate,
     master_seed: int,
     count: int,
-) -> ReplicationSummary:
+) -> DnSeries:
     """Run ``count`` replications seeded from ``master_seed`` in lockstep.
 
-    Replication i uses derive_seed(master_seed, i); see run_seeds.
+    Replication i uses derive_seed(master_seed, i); see run_seeds.  A
+    standard error needs at least two replications.
     """
-    count = require_int(count, "count", 1)
+    count = require_int(count, "count", 2)
     seeds = [derive_seed(master_seed, i) for i in range(count)]
     return run_seeds(problem, schedule, x0, steps, cert, seeds)

@@ -649,8 +649,8 @@ def _map_blocks(fn, blocks: list) -> list:
     numpy releases the GIL in the draws, ufuncs, ``einsum`` and BLAS, so the
     blocks of a stage run in parallel; the pool hands them out in order as
     threads free up.  If a block raises, or the caller is interrupted, no
-    block that has not started runs, and the pool is joined before the
-    exception propagates.
+    block starts once the caller's ``finally`` runs, and the pool is joined
+    before the exception propagates.
     """
     threads = min(usable_cores(), len(blocks))
     if threads <= 1:
@@ -659,8 +659,8 @@ def _map_blocks(fn, blocks: list) -> list:
     from concurrent.futures import ThreadPoolExecutor
 
     # pool.map queues every block at once: a thread that frees up after a
-    # block failed, before the caller reads the failure and cancels the
-    # queue, must not start the next one.
+    # block failed, or after the caller stopped waiting, before the caller
+    # cancels the queue, must not start the next one.
     stop = threading.Event()
 
     def run(block):
@@ -676,6 +676,7 @@ def _map_blocks(fn, blocks: list) -> list:
     try:
         return list(pool.map(run, blocks))
     finally:
+        stop.set()
         pool.shutdown(cancel_futures=True)
 
 

@@ -23,7 +23,6 @@ from sgdcheck import (
     check_gradients,
     check_neighborhood,
     check_recurrence,
-    estimate_dn,
     product_decay,
     run_replications,
     run_seeds,
@@ -56,13 +55,11 @@ def test_criterion_1_recurrence_envelope_dominates(scoreboard):
     schedule = ConstantSchedule(rho=0.05)
     cert = problem.certify(RADIUS, X0)
     started = time.monotonic()
-    dn = estimate_dn(
-        run_replications(problem, schedule, X0, 500, cert, 20260818, 1000)
-    )
+    dn = run_replications(problem, schedule, X0, 500, cert, 20260818, 1000)
     bounds = bound_sequence(float(dn.mean[0]), schedule, cert, 500)
     elapsed = time.monotonic() - started
 
-    covered = np.mean(dn.mean <= bounds.values + 3.0 * dn.stderr)
+    covered = np.mean(dn.mean <= bounds + 3.0 * dn.stderr)
     verdict = check_recurrence(dn, bounds, z=5.0)
     ok = covered >= 0.99 and verdict.passed and elapsed < 10.0
     scoreboard("criterion 1: recurrence envelope dominates estimated distances", ok)
@@ -76,14 +73,12 @@ def test_criterion_2_constant_rate_neighborhood(scoreboard):
     problem = standard_quadratic()
     schedule = ConstantSchedule(rho=0.01)
     cert = problem.certify(RADIUS, X0)
-    dn = estimate_dn(
-        run_replications(problem, schedule, X0, 5000, cert, 20260819, 500)
-    )
+    dn = run_replications(problem, schedule, X0, 5000, cert, 20260819, 500)
     verdict = check_neighborhood(dn, cert, schedule, 500, 0.2)
 
     theta = 0.01 * cert.grad_sq_bound / cert.strong_convexity
     pinned = bound_sequence(theta, schedule, cert, 10_000)
-    drift = np.max(np.abs(pinned.values - theta))
+    drift = np.max(np.abs(pinned - theta))
     ok = verdict.passed and drift <= 1e-12 * theta
     scoreboard("criterion 2: constant-rate neighborhood of size rho*B/mu", ok)
     assert verdict.passed, verdict
@@ -96,15 +91,13 @@ def test_criterion_3_decaying_rate_convergence(scoreboard):
     schedule = InverseTimeSchedule(scale=1.0, offset=1.0)
     cert = problem.certify(RADIUS, X0)
     bounds = bound_sequence(4.0, schedule, cert, 10_000)
-    dn = estimate_dn(
-        run_replications(problem, schedule, X0, 10_000, cert, 20260820, 500)
-    )
+    dn = run_replications(problem, schedule, X0, 10_000, cert, 20260820, 500)
     verdict = check_convergence(dn, [(1000, 1.2), (10_000, 0.2)])
 
-    ok = bounds.values[1000] <= 1.2 and bounds.values[10_000] <= 0.2 and verdict.passed
+    ok = bounds[1000] <= 1.2 and bounds[10_000] <= 0.2 and verdict.passed
     scoreboard("criterion 3: decaying-rate convergence under the envelope", ok)
-    assert bounds.values[1000] <= 1.2, bounds.values[1000]
-    assert bounds.values[10_000] <= 0.2, bounds.values[10_000]
+    assert bounds[1000] <= 1.2, bounds[1000]
+    assert bounds[10_000] <= 0.2, bounds[10_000]
     assert verdict.passed, verdict
 
 
@@ -136,7 +129,7 @@ def test_criterion_5_noiseless_geometric_contraction(scoreboard):
     runs = run_seeds(problem, ConstantSchedule(rho=0.5), X0, 100, cert, [1])
 
     expected_sq = 4.0 * 0.25 ** np.arange(101)
-    sq_ok = np.allclose(runs.sq_dist_mean, expected_sq, rtol=1e-10, atol=0.0)
+    sq_ok = np.allclose(runs.mean, expected_sq, rtol=1e-10, atol=0.0)
     expected_final = np.array(X0) * 0.5**100
     final_ok = np.allclose(runs.final_x[0], expected_final, rtol=1e-10, atol=0.0)
     scoreboard("criterion 5: noiseless geometric contraction", sq_ok and final_ok)

@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from sgdcheck import (
-    BoundSequence,
     ConstantSchedule,
     DnSeries,
     DomainError,
@@ -15,7 +14,6 @@ from sgdcheck import (
     HypothesisCertificate,
     InverseTimeSchedule,
     SeededGenerator,
-    ReplicationSummary,
     ShiftedQuadratic,
     UsageError,
     bound_sequence,
@@ -23,26 +21,19 @@ from sgdcheck import (
     check_descent_inequality,
     check_neighborhood,
     check_recurrence,
-    estimate_dn,
     product_decay,
+    run_replications,
+    run_seeds,
 )
 from sgdcheck import analyzer
 from sgdcheck.analyzer import merge_parts, step_stats
 
 
-def make_runs(rows, in_region=None):
-    """A replication summary folded from explicit squared-distance rows."""
-    rows = np.asarray(rows, dtype=float)
-    flags = np.ones_like(rows, dtype=bool) if in_region is None else np.asarray(in_region)
-    mean, stderr = step_stats(rows.T)
-    return ReplicationSummary(
-        seeds=tuple(range(rows.shape[0])),
-        steps=rows.shape[1] - 1,
-        sq_dist_mean=mean,
-        sq_dist_stderr=stderr,
-        in_region_count=flags.sum(axis=0),
-        final_x=np.zeros((rows.shape[0], 1)),
-    )
+def quadratic_runs(seeds, radius=10.0):
+    """The d_n estimate of 30 steps of a noisy quadratic, one replication per seed."""
+    problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=2.0)
+    cert = problem.certify(radius, [0.5, 0.0])
+    return run_seeds(problem, ConstantSchedule(rho=0.5), [0.5, 0.0], 30, cert, seeds)
 
 
 def make_cert(mu=1.0, grad_sq_bound=1.0, radius=10.0, dim=1):
@@ -60,40 +51,55 @@ def make_series(mean, stderr=None, fraction=None, replications=4):
     stderr = np.zeros_like(mean) if stderr is None else np.asarray(stderr, dtype=float)
     fraction = np.ones_like(mean) if fraction is None else np.asarray(fraction, dtype=float)
     return DnSeries(
-        replications=replications, mean=mean, stderr=stderr, in_region_fraction=fraction
+        seeds=tuple(range(replications)),
+        mean=mean,
+        stderr=stderr,
+        in_region_fraction=fraction,
+        final_x=np.zeros((replications, 1)),
     )
 
 
 class TestEstimateDn:
+    """The d_n estimate that run_seeds returns."""
+
     def test_two_point_example(self):
-        # Columns {0, 2}: mean 1, sample std sqrt(2), standard error 1.
-        series = estimate_dn(make_runs([[0.0, 0.0], [2.0, 2.0]]))
-        np.testing.assert_array_equal(series.mean, [1.0, 1.0])
-        np.testing.assert_array_equal(series.stderr, [1.0, 1.0])
-        np.testing.assert_array_equal(series.in_region_fraction, [1.0, 1.0])
+        # Two replications: the mean is (a + b) / 2 and the standard error,
+        # sqrt(2) times their sample standard deviation over 2, is |a - b| / 2.
+        a, b = (quadratic_runs([seed]).mean for seed in (3, 4))
+        series = quadratic_runs([3, 4])
+        assert np.array_equal(series.mean, (a + b) / 2.0)
+        np.testing.assert_allclose(series.stderr, np.abs(a - b) / 2.0, rtol=1e-12)
+        np.testing.assert_array_equal(series.in_region_fraction, np.ones(31))
         assert series.replications == 2
-        assert series.steps == 1
+        assert series.steps == 30
 
     def test_constant_columns_are_exact(self):
-        series = estimate_dn(make_runs([[0.3, 0.1]] * 3))
-        np.testing.assert_array_equal(series.mean, [0.3, 0.1])
-        np.testing.assert_array_equal(series.stderr, [0.0, 0.0])
+        solo = quadratic_runs([7])
+        series = quadratic_runs([7, 7, 7])
+        assert np.array_equal(series.mean, solo.mean)
+        np.testing.assert_array_equal(series.stderr, np.zeros(31))
 
     def test_order_invariance_is_bitwise(self):
-        rng = SeededGenerator(10)
-        rows = rng.uniform(0.0, 1.0, size=(7, 30))
-        forward = estimate_dn(make_runs(rows))
-        backward = estimate_dn(make_runs(rows[::-1]))
+        seeds = [11, 5, 42, 8, 19, 3, 27]
+        forward = quadratic_runs(seeds)
+        backward = quadratic_runs(seeds[::-1])
         assert np.array_equal(forward.mean, backward.mean)
         assert np.array_equal(forward.stderr, backward.stderr)
+        assert np.array_equal(forward.in_region_fraction, backward.in_region_fraction)
+        assert np.array_equal(forward.final_x, backward.final_x[::-1])
 
     def test_region_fraction(self):
-        series = estimate_dn(make_runs([[0.0, 0.0], [0.0, 0.0]], [[True, True], [True, False]]))
-        np.testing.assert_array_equal(series.in_region_fraction, [1.0, 0.5])
+        seeds = [1, 2, 3, 4]
+        solos = [quadratic_runs([seed], radius=1.0).in_region_fraction for seed in seeds]
+        series = quadratic_runs(seeds, radius=1.0)
+        np.testing.assert_array_equal(series.in_region_fraction, sum(solos) / 4)
+        assert np.any((0.0 < series.in_region_fraction) & (series.in_region_fraction < 1.0))
 
     def test_needs_two_replications(self):
+        problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(1), noise_halfwidth=0.5)
+        cert = problem.certify(2.0, [1.0])
         with pytest.raises(UsageError):
-            estimate_dn(make_runs([[1.0, 1.0]]))
+            run_replications(problem, ConstantSchedule(rho=0.1), [1.0], 5, cert, 7, 1)
 
 
 class TestStepStats:
@@ -239,35 +245,35 @@ class TestMergeParts:
 class TestBoundSequence:
     def test_reference_values(self):
         bounds = bound_sequence(1.0, ConstantSchedule(rho=0.1), make_cert(), 2)
-        np.testing.assert_allclose(bounds.values, [1.0, 0.91, 0.829], rtol=1e-12)
-        assert bounds.d0 == 1.0
+        np.testing.assert_allclose(bounds, [1.0, 0.91, 0.829], rtol=1e-12)
+        assert not bounds.flags.writeable
 
     def test_zero_gradient_bound_contracts_exactly(self):
         # With B = 0 and rate * mu = 0.5 every step halves the value, and
         # halving is exact in binary floating point.
         cert = make_cert(mu=1.0, grad_sq_bound=0.0)
         bounds = bound_sequence(1.0, ConstantSchedule(rho=0.5), cert, 30)
-        np.testing.assert_array_equal(bounds.values, 0.5 ** np.arange(31))
+        np.testing.assert_array_equal(bounds, 0.5 ** np.arange(31))
 
     def test_fixed_point_is_exact(self):
         # Starting exactly at rho * B / mu must stay there to the last bit.
         cert = make_cert(mu=0.5, grad_sq_bound=2.0)
         theta = 0.1 * 2.0 / 0.5
         bounds = bound_sequence(theta, ConstantSchedule(rho=0.1), cert, 100)
-        np.testing.assert_array_equal(bounds.values, np.full(101, theta))
+        np.testing.assert_array_equal(bounds, np.full(101, theta))
 
     def test_deviation_contracts_at_exact_rate(self):
         # rho * mu = 1/4 gives the dyadic factor 3/4; with pivot 1 and d0 = 3
         # the deviation 2 * (3/4)^n is exactly representable for this range.
         cert = make_cert(mu=1.0, grad_sq_bound=4.0)
         bounds = bound_sequence(3.0, ConstantSchedule(rho=0.25), cert, 20)
-        np.testing.assert_array_equal(bounds.values - 1.0, 2.0 * 0.75 ** np.arange(21))
+        np.testing.assert_array_equal(bounds - 1.0, 2.0 * 0.75 ** np.arange(21))
 
     def test_decaying_rate_envelope_shrinks(self):
         cert = make_cert(mu=1.0, grad_sq_bound=1.0)
         bounds = bound_sequence(4.0, InverseTimeSchedule(scale=1.0, offset=1.0), cert, 10_000)
-        assert bounds.values[10_000] < 0.01
-        assert bounds.values[10_000] < bounds.values[1000] < bounds.values[0]
+        assert bounds[10_000] < 0.01
+        assert bounds[10_000] < bounds[1000] < bounds[0]
 
     @pytest.mark.parametrize(
         "schedule",
@@ -286,7 +292,7 @@ class TestBoundSequence:
             pivot = rate * cert.grad_sq_bound / cert.strong_convexity
             expected[n + 1] = (1.0 - rate * cert.strong_convexity) * (expected[n] - pivot) + pivot
         bounds = bound_sequence(1.7, schedule, cert, steps)
-        assert bounds.values.tobytes() == expected.tobytes()
+        assert bounds.tobytes() == expected.tobytes()
 
     def test_input_validation(self):
         cert = make_cert()
@@ -299,9 +305,7 @@ class TestBoundSequence:
 class TestCheckRecurrence:
     def test_pass_and_boundary(self):
         series = make_series([1.0, 1.0], stderr=[0.0, 0.1])
-        bounds = BoundSequence(
-            values=np.array([1.0, 0.7]), d0=1.0, strong_convexity=1.0, grad_sq_bound=1.0
-        )
+        bounds = np.array([1.0, 0.7])
         # At z = 3 the slack at step 1 is exactly zero, which still passes.
         verdict = check_recurrence(series, bounds, z=3.0)
         assert verdict.passed
@@ -310,9 +314,7 @@ class TestCheckRecurrence:
 
     def test_violation_is_located(self):
         series = make_series([1.0, 1.0, 1.0], stderr=[0.0, 0.1, 0.0])
-        bounds = BoundSequence(
-            values=np.array([1.0, 0.5, 0.9]), d0=1.0, strong_convexity=1.0, grad_sq_bound=1.0
-        )
+        bounds = np.array([1.0, 0.5, 0.9])
         verdict = check_recurrence(series, bounds, z=1.0)
         assert not verdict.passed
         assert verdict.first_violation_index == 1
@@ -320,32 +322,24 @@ class TestCheckRecurrence:
 
     def test_region_exits_are_excluded(self):
         series = make_series([1.0, 5.0], fraction=[1.0, 0.5])
-        bounds = BoundSequence(
-            values=np.array([1.0, 0.5]), d0=1.0, strong_convexity=1.0, grad_sq_bound=1.0
-        )
+        bounds = np.array([1.0, 0.5])
         verdict = check_recurrence(series, bounds)
         assert verdict.passed
         assert "1 excluded" in verdict.context
 
     def test_all_steps_excluded_is_vacuous(self):
         series = make_series([9.0, 9.0], fraction=[0.5, 0.5])
-        bounds = BoundSequence(
-            values=np.array([1.0, 1.0]), d0=1.0, strong_convexity=1.0, grad_sq_bound=1.0
-        )
+        bounds = np.array([1.0, 1.0])
         verdict = check_recurrence(series, bounds)
         assert verdict.passed
         assert np.isnan(verdict.worst_margin)
 
     def test_validation(self):
         series = make_series([1.0, 1.0])
-        bounds = BoundSequence(
-            values=np.array([1.0]), d0=1.0, strong_convexity=1.0, grad_sq_bound=1.0
-        )
+        bounds = np.array([1.0])
         with pytest.raises(UsageError):
             check_recurrence(series, bounds)
-        good = BoundSequence(
-            values=np.array([1.0, 1.0]), d0=1.0, strong_convexity=1.0, grad_sq_bound=1.0
-        )
+        good = np.array([1.0, 1.0])
         with pytest.raises(UsageError):
             check_recurrence(series, good, z=0.0)
 

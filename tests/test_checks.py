@@ -13,7 +13,6 @@ from sgdcheck import (
     bound_sequence,
     build_problem,
     build_schedule,
-    estimate_dn,
     parse_config,
     product_decay,
     run_replications,
@@ -82,9 +81,8 @@ def test_run_checks_gives_one_verdict_per_check_in_config_order():
     schedule = build_schedule(cfg.schedule)
     cert = problem.certify(cfg.region_radius, cfg.x0)
     preflight_checks(cfg, schedule, cert)
-    runs = run_replications(problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed,
-                            cfg.replications)
-    dn = estimate_dn(runs)
+    dn = run_replications(problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed,
+                          cfg.replications)
     bounds = bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon)
     verdicts = run_checks(cfg, problem, schedule, cert, dn, bounds)
     assert [name for name, _ in verdicts] == [spec["type"] for spec in checks]

@@ -7,12 +7,10 @@ import numpy as np
 import pytest
 
 from sgdcheck import (
-    BoundSequence,
     DnSeries,
     bound_sequence,
     build_problem,
     build_schedule,
-    estimate_dn,
     run_replications,
 )
 from sgdcheck import (
@@ -105,7 +103,7 @@ class TestRunCommand:
         )
         schedule = build_schedule(document["schedule"])
         cert = problem.certify(2.0, [2.0, 0.0])
-        dn = estimate_dn(run_replications(problem, schedule, [2.0, 0.0], 30, cert, 7, 5))
+        dn = run_replications(problem, schedule, [2.0, 0.0], 30, cert, 7, 5)
         bounds = bound_sequence(float(dn.mean[0]), schedule, cert, 30)
 
         rows = (out_dir / "series.csv").read_text(encoding="utf-8").splitlines()[1:]
@@ -116,7 +114,7 @@ class TestRunCommand:
             assert float(fields[1]) == schedule.rate(n)
             assert float(fields[2]) == dn.mean[n]
             assert float(fields[3]) == dn.stderr[n]
-            assert float(fields[4]) == bounds.values[n]
+            assert float(fields[4]) == bounds[n]
             assert float(fields[5]) == dn.in_region_fraction[n]
 
     def test_reruns_are_byte_identical(self, tmp_path, monkeypatch):
@@ -211,6 +209,20 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         assert capsys.readouterr().err.startswith("config error:")
 
+    def test_ragged_design_rows_exit_two(self, tmp_path, out_dir, capsys):
+        config = tmp_path / "experiment.json"
+        write_config(
+            config,
+            problem={
+                "family": "finite_sum_least_squares",
+                "design_rows": [[1, 0], [0, 1, 2], [1, 1]],
+                "targets": [1.0, 0.0, 1.0],
+            },
+        )
+        assert main(["run", str(config)]) == 2
+        assert "'design_rows' in problem" in capsys.readouterr().err
+        assert not out_dir.exists()
+
 
 def reference_series_csv(rates, dn, bounds) -> bytes:
     """series.csv as written one format(v, ".17g") call per field."""
@@ -222,7 +234,7 @@ def reference_series_csv(rates, dn, bounds) -> bytes:
     for n in range(dn.mean.shape[0]):
         lines.append(
             f"{n},{g17(rates[n])},{g17(dn.mean[n])},{g17(dn.stderr[n])},"
-            f"{g17(bounds.values[n])},{g17(dn.in_region_fraction[n])}"
+            f"{g17(bounds[n])},{g17(dn.in_region_fraction[n])}"
         )
     return ("\n".join(lines) + "\n").encode("utf-8")
 
@@ -244,10 +256,10 @@ class TestSeriesWriter:
             span = min(rows, len(self.SPECIAL))
             values[:span] = np.roll(self.SPECIAL, j)[:span]
             columns.append(values)
-        rates, mean, stderr, bound_values, fraction = columns
-        dn = DnSeries(replications=1, mean=mean, stderr=stderr, in_region_fraction=fraction)
-        bounds = BoundSequence(
-            values=bound_values, d0=0.0, strong_convexity=1.0, grad_sq_bound=1.0
+        rates, mean, stderr, bounds, fraction = columns
+        dn = DnSeries(
+            seeds=(1,), mean=mean, stderr=stderr, in_region_fraction=fraction,
+            final_x=np.zeros((1, 1)),
         )
         path = tmp_path / "series.csv"
         cli._write_series_csv(path, rates, dn, bounds)
@@ -316,6 +328,23 @@ class TestRunPreflight:
         assert err.startswith("config error:")
         assert "rate(0) * mu >= 1; every factor must stay positive" in err
         assert not out_dir.exists()
+
+    def test_unusable_output_directory_exits_two_before_running(
+        self, tmp_path, capsys, monkeypatch
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("replications started without an output directory")
+
+        monkeypatch.setattr(cli, "run_replications", refuse)
+        taken = tmp_path / "taken"
+        taken.write_text("not a directory", encoding="utf-8")
+        monkeypatch.setenv(ENV_OUTPUT_DIR, str(taken))
+        config = tmp_path / "experiment.json"
+        write_config(config)
+        assert main(["run", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot create output directory {taken}:")
+        assert taken.read_text(encoding="utf-8") == "not a directory"
 
     def test_window_of_the_whole_horizon_still_runs(self, tmp_path, out_dir):
         config = tmp_path / "experiment.json"

@@ -122,6 +122,17 @@ class TestParsing:
         assert isinstance(problem, FiniteSumLeastSquares)
         assert problem.dimension == 2
 
+    def test_ragged_design_rows_are_named(self):
+        document = base_document(
+            problem={
+                "family": "finite_sum_least_squares",
+                "design_rows": [[1.0, 0.0], [0.0, 1.0, 2.0], [1.0, 1.0]],
+                "targets": [1.0, 0.0, 1.0],
+            }
+        )
+        with pytest.raises(ConfigurationError, match="'design_rows' in problem .*equal length"):
+            parse(document)
+
 
 class TestChecks:
     def test_defaults_are_filled_in(self):
@@ -221,6 +232,10 @@ class TestRoundTrip:
         assert config.horizon == 100
         with pytest.raises(ConfigurationError, match="cannot read"):
             load_config(tmp_path / "missing.json")
+        # A UTF-16 byte order mark is not UTF-8.
+        path.write_bytes(b"\xff\xfe" + json.dumps(base_document()).encode("utf-16-le"))
+        with pytest.raises(ConfigurationError, match="cannot read config file: .*utf-8"):
+            load_config(path)
 
 
 class TestBuilders:

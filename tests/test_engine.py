@@ -24,7 +24,6 @@ from sgdcheck import (
     ShiftedQuadratic,
     UsageError,
     derive_seed,
-    estimate_dn,
     run_replications,
     run_seeds,
 )
@@ -191,9 +190,9 @@ def family_setup(family):
 def assert_same_runs(a, b):
     assert a.seeds == b.seeds
     assert a.steps == b.steps
-    assert np.array_equal(a.sq_dist_mean, b.sq_dist_mean)
-    assert np.array_equal(a.sq_dist_stderr, b.sq_dist_stderr)
-    assert np.array_equal(a.in_region_count, b.in_region_count)
+    assert np.array_equal(a.mean, b.mean)
+    assert np.array_equal(a.stderr, b.stderr)
+    assert np.array_equal(a.in_region_fraction, b.in_region_fraction)
     assert np.array_equal(a.final_x, b.final_x)
 
 
@@ -237,8 +236,8 @@ class TestRunReplication:
         problem = ShiftedQuadratic(curvature=1.0, center=[0.0], noise_halfwidth=0.0)
         cert = problem.certify(2.0, [1.0])
         runs = run_seeds(problem, ConstantSchedule(rho=0.5), [1.0], 3, cert, [42])
-        np.testing.assert_array_equal(runs.sq_dist_mean, [1.0, 0.25, 0.0625, 0.015625])
-        np.testing.assert_array_equal(runs.sq_dist_stderr, [0.0, 0.0, 0.0, 0.0])
+        np.testing.assert_array_equal(runs.mean, [1.0, 0.25, 0.0625, 0.015625])
+        np.testing.assert_array_equal(runs.stderr, [0.0, 0.0, 0.0, 0.0])
         np.testing.assert_array_equal(runs.final_x, [[0.125]])
 
     def test_reruns_are_bit_identical(self):
@@ -280,21 +279,21 @@ class TestRunReplication:
         inside = np.count_nonzero(path <= cert.region_radius**2, axis=1)
         for got, expected in [
             (runs.final_x, x),
-            (runs.sq_dist_mean, mean),
-            (runs.sq_dist_stderr, stderr),
-            (runs.in_region_count, inside),
+            (runs.mean, mean),
+            (runs.stderr, stderr),
+            (runs.in_region_fraction, inside / len(seeds)),
         ]:
             assert got.shape == expected.shape
             assert got.tobytes() == expected.tobytes()
         if len(seeds) == 1:
-            np.testing.assert_array_equal(runs.sq_dist_mean, path[:, 0])
-            assert runs.sq_dist_mean[150] == np.dot(x[0] - center, x[0] - center)
+            np.testing.assert_array_equal(runs.mean, path[:, 0])
+            assert runs.mean[150] == np.dot(x[0] - center, x[0] - center)
 
     def test_containment_when_guaranteed(self):
         problem, sched, cert = quadratic_setup(halfwidth=0.5, rho=0.05, radius=2.0)
         assert cert.guaranteed_containment
         runs = run_seeds(problem, sched, [2.0, 0.0], 2000, cert, [99])
-        assert np.all(runs.in_region_count == 1)
+        assert np.all(runs.in_region_fraction == 1.0)
 
     def test_trajectory_shapes_and_seed(self):
         problem, sched, cert = quadratic_setup()
@@ -302,11 +301,11 @@ class TestRunReplication:
         assert runs.steps == 50
         assert runs.seeds == (5,)
         assert runs.replications == 1
-        assert runs.sq_dist_mean.shape == (51,)
-        assert runs.sq_dist_stderr.shape == (51,)
-        assert runs.in_region_count.shape == (51,)
+        assert runs.mean.shape == (51,)
+        assert runs.stderr.shape == (51,)
+        assert runs.in_region_fraction.shape == (51,)
         assert runs.final_x.shape == (1, 2)
-        assert not runs.sq_dist_mean.flags.writeable
+        assert not runs.mean.flags.writeable
         assert not runs.final_x.flags.writeable
 
     def test_step_count_validation(self):
@@ -330,7 +329,7 @@ class TestRunReplication:
 
 def solo_rows(problem, sched, x0, steps, cert, seeds):
     solos = [run_seeds(problem, sched, x0, steps, cert, [seed]) for seed in seeds]
-    return solos, np.stack([solo.sq_dist_mean for solo in solos])
+    return solos, np.stack([solo.mean for solo in solos])
 
 
 class TestRunReplications:
@@ -342,10 +341,10 @@ class TestRunReplications:
         for i, solo in enumerate(solos):
             assert np.array_equal(batch.final_x[i], solo.final_x[0])
         mean, stderr = step_stats(rows.T)
-        assert np.array_equal(batch.sq_dist_mean, mean)
-        assert np.array_equal(batch.sq_dist_stderr, stderr)
+        assert np.array_equal(batch.mean, mean)
+        assert np.array_equal(batch.stderr, stderr)
         assert np.array_equal(
-            batch.in_region_count, sum(solo.in_region_count for solo in solos)
+            batch.in_region_fraction, sum(solo.in_region_fraction for solo in solos) / count
         )
 
     def test_rows_match_solo_runs_quadratic(self):
@@ -437,7 +436,7 @@ class TestBlocks:
 
         def summary_bytes():
             runs = run_replications(problem, sched, [0.5, -1.0, 1.25], 2000, cert, 29, 37)
-            arrays = (runs.sq_dist_mean, runs.sq_dist_stderr, runs.in_region_count, runs.final_x)
+            arrays = (runs.mean, runs.stderr, runs.in_region_fraction, runs.final_x)
             return runs.seeds, [array.tobytes() for array in arrays]
 
         default = summary_bytes()
@@ -451,7 +450,9 @@ class TestBlocks:
         for budget in (1, 13, 1 << 22):
             monkeypatch.setattr(engine, "BLOCK_BUDGET", budget)
             with pytest.raises(DivergenceError) as info:
-                run_replications(problem, ConstantSchedule(rho=3.0), [2.0], 2000, cert, 4, 1)
+                run_seeds(
+                    problem, ConstantSchedule(rho=3.0), [2.0], 2000, cert, [derive_seed(4, 0)]
+                )
             steps.append(info.value.step_index)
         assert steps[0] == steps[1] == steps[2]
 
@@ -480,9 +481,7 @@ class TestBlocks:
         problem, sched, cert = quadratic_setup()
         peaks = [
             peak_traced_bytes(
-                lambda: estimate_dn(
-                    run_replications(problem, sched, [2.0, 0.0], steps, cert, 3, 256)
-                )
+                lambda: run_replications(problem, sched, [2.0, 0.0], steps, cert, 3, 256)
             )
             for steps in (2000, 16000)
         ]
@@ -551,7 +550,7 @@ class TestFoldRuns:
 
 
 def summary_bytes(runs):
-    arrays = (runs.sq_dist_mean, runs.sq_dist_stderr, runs.in_region_count, runs.final_x)
+    arrays = (runs.mean, runs.stderr, runs.in_region_fraction, runs.final_x)
     return runs.seeds, runs.steps, [array.tobytes() for array in arrays]
 
 
@@ -692,7 +691,7 @@ class TestProcesses:
         reference = run_seeds(problem, sched, [2.0, 0.0], 200, cert, seeds)
         for order in (np.arange(23)[::-1], np.argsort(SeededGenerator(8).random(np.empty(23)))):
             runs = run_seeds(problem, sched, [2.0, 0.0], 200, cert, [seeds[i] for i in order])
-            for field in ("sq_dist_mean", "sq_dist_stderr", "in_region_count"):
+            for field in ("mean", "stderr", "in_region_fraction"):
                 assert getattr(runs, field).tobytes() == getattr(reference, field).tobytes()
             assert runs.final_x.tobytes() == reference.final_x[order].tobytes()
 
@@ -701,11 +700,11 @@ class TestProcesses:
         whole = run_replications(problem, sched, [2.0, 0.0], 300, cert, 3, 37)
         cores(2, 4)
         parts = run_replications(problem, sched, [2.0, 0.0], 300, cert, 3, 37)
-        np.testing.assert_allclose(parts.sq_dist_mean, whole.sq_dist_mean, rtol=1e-13)
-        np.testing.assert_allclose(parts.sq_dist_stderr, whole.sq_dist_stderr, rtol=1e-12)
-        assert parts.sq_dist_mean[0] == whole.sq_dist_mean[0]
-        assert parts.sq_dist_stderr[0] == 0.0
-        assert np.array_equal(parts.in_region_count, whole.in_region_count)
+        np.testing.assert_allclose(parts.mean, whole.mean, rtol=1e-13)
+        np.testing.assert_allclose(parts.stderr, whole.stderr, rtol=1e-12)
+        assert parts.mean[0] == whole.mean[0]
+        assert parts.stderr[0] == 0.0
+        assert np.array_equal(parts.in_region_fraction, whole.in_region_fraction)
         assert np.array_equal(parts.final_x, whole.final_x)
 
     def test_fold_runs_and_path_buffer_of_several_steps(self, cores, monkeypatch):

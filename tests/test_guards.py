@@ -36,7 +36,7 @@ CALL_SITES = [
     ("derive_seed master_seed", 0, lambda v: derive_seed(v, 0)),
     ("derive_seed index", 0, lambda v: derive_seed(7, v)),
     ("run_seeds steps", 1, lambda v: run_seeds(PROBLEM, CONSTANT, [1.0, 0.0], v, CERT, [3])),
-    ("run_replications count", 1,
+    ("run_replications count", 2,
      lambda v: run_replications(PROBLEM, CONSTANT, [1.0, 0.0], 2, CERT, 7, v)),
     ("bound_sequence steps", 1, lambda v: bound_sequence(1.0, CONSTANT, CERT, v)),
     ("validate_neighborhood window", 1, lambda v: validate_neighborhood(CERT, CONSTANT, v, 10)),
@@ -93,10 +93,11 @@ BAD_CHECKPOINTS = [
 @pytest.mark.parametrize("points", BAD_CHECKPOINTS, ids=json.dumps)
 def test_config_and_analyzer_refuse_checkpoints_alike(points):
     series = DnSeries(
-        replications=2,
+        seeds=(1, 2),
         mean=np.ones(HORIZON + 1),
         stderr=np.zeros(HORIZON + 1),
         in_region_fraction=np.ones(HORIZON + 1),
+        final_x=np.zeros((2, 1)),
     )
     with pytest.raises(UsageError) as usage:
         check_convergence(series, points)

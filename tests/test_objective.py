@@ -849,27 +849,40 @@ class TestVerifyBlocks:
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     def test_an_interrupt_stops_the_blocks_not_started(self, cores, monkeypatch):
-        # Block 1 interrupts the caller; both threads return only after
-        # that, so no block after them starts.
+        # Block 1 interrupts the caller once it waits for the first result,
+        # after it started both threads; both blocks return only once the
+        # caller shuts the pool down, so no block after them starts.
+        from concurrent.futures import Future, ThreadPoolExecutor
+
         cores(2)
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
         block_of = self.block_of(audit_blocks(problem, cert, 300, SeededGenerator(8)))
         values = objective._audit_values
-        ran, sent = [], threading.Event()
+        ran, waiting, shutting_down = [], threading.Event(), threading.Event()
+        result, shutdown = Future.result, ThreadPoolExecutor.shutdown
+
+        def signalling_result(future, *args, **kwargs):
+            waiting.set()
+            return result(future, *args, **kwargs)
+
+        def signalling_shutdown(pool, *args, **kwargs):
+            shutting_down.set()
+            return shutdown(pool, *args, **kwargs)
 
         def interrupting_block_1(problem, cert, noise, x, y):
             block = block_of(x)
             ran.append(block)
             if block == 1:
+                assert waiting.wait(timeout=30)
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
-                sent.set()
             if block < 2:
-                assert sent.wait(timeout=30)
-                time.sleep(0.2)
+                assert shutting_down.wait(timeout=30)
             return values(problem, cert, noise, x, y)
 
+        monkeypatch.setattr(Future, "result", signalling_result)
+        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", signalling_shutdown)
         monkeypatch.setattr(objective, "_audit_values", interrupting_block_1)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
