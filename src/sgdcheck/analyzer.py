@@ -196,6 +196,19 @@ def bound_sequence(
     return values
 
 
+def _compare(dn: DnSeries, steps: np.ndarray, upper, z: float) -> tuple[int, int | None, float]:
+    """Test mean_n <= upper_n + z * stderr_n on ``steps``, a non-empty
+    increasing array of steps, with ``upper`` a scalar or one bound per step.
+
+    Returns the number of violating steps, the first of them (None if there
+    is none) and the smallest slack upper_n + z * stderr_n - mean_n.
+    """
+    slack = upper + z * dn.stderr[steps] - dn.mean[steps]
+    bad = np.flatnonzero(slack < 0.0)
+    first = int(steps[bad[0]]) if bad.shape[0] else None
+    return bad.shape[0], first, float(np.min(slack))
+
+
 def check_recurrence(dn: DnSeries, bounds: np.ndarray, z: float = 3.0) -> Verdict:
     """Check that the estimated d_n never exceeds the envelope significantly.
 
@@ -208,30 +221,17 @@ def check_recurrence(dn: DnSeries, bounds: np.ndarray, z: float = 3.0) -> Verdic
         raise UsageError("z must be a finite positive real")
     if bounds.shape != dn.mean.shape:
         raise UsageError("bound sequence and d_n series cover different horizons")
-    checked = dn.in_region_fraction == 1.0
-    slack = bounds + z * dn.stderr - dn.mean
-    excluded = int(np.count_nonzero(~checked))
-    if not checked.any():
-        return Verdict(
-            passed=True,
-            first_violation_index=None,
-            worst_margin=float("nan"),
-            context=f"no step had all replications in region ({excluded} steps excluded)",
-        )
-    violations = checked & (slack < 0.0)
-    n_violations = int(np.count_nonzero(violations))
-    worst = float(np.min(slack[checked]))
-    first = int(np.flatnonzero(violations)[0]) if n_violations else None
+    checked = np.flatnonzero(dn.in_region_fraction == 1.0)
+    excluded = dn.mean.shape[0] - checked.shape[0]
+    if not checked.shape[0]:
+        context = f"no step had all replications in region ({excluded} steps excluded)"
+        return Verdict(True, None, float("nan"), context)
+    violations, first, worst = _compare(dn, checked, bounds[checked], z)
     context = (
-        f"checked {int(np.count_nonzero(checked))}/{slack.shape[0]} steps at z={z:g}, "
-        f"{excluded} excluded by region exits, {n_violations} violations"
+        f"checked {checked.shape[0]}/{dn.mean.shape[0]} steps at z={z:g}, "
+        f"{excluded} excluded by region exits, {violations} violations"
     )
-    return Verdict(
-        passed=n_violations == 0,
-        first_violation_index=first,
-        worst_margin=worst,
-        context=context,
-    )
+    return Verdict(violations == 0, first, worst, context)
 
 
 def validate_neighborhood(
@@ -277,28 +277,18 @@ def check_neighborhood(
     """
     horizon = dn.steps
     window = validate_neighborhood(cert, schedule, window, horizon)
-    rho = schedule.rho
-    mu = cert.strong_convexity
     tol_rel = float(tol_rel)
     if not math.isfinite(tol_rel) or tol_rel < 0.0:
         raise UsageError("tol_rel must be a finite real >= 0")
-    theta = rho * cert.grad_sq_bound / mu
+    theta = schedule.rho * cert.grad_sq_bound / cert.strong_convexity
     threshold = theta * (1.0 + tol_rel)
-    tail = slice(horizon + 1 - window, horizon + 1)
-    slack = threshold + 3.0 * dn.stderr[tail] - dn.mean[tail]
-    bad = slack < 0.0
-    n_bad = int(np.count_nonzero(bad))
-    first = int(horizon + 1 - window + np.flatnonzero(bad)[0]) if n_bad else None
+    tail = np.arange(horizon + 1 - window, horizon + 1)
+    violations, first, worst = _compare(dn, tail, threshold, 3.0)
     context = (
         f"theta={theta:.6g}, threshold={threshold:.6g}, window={window}, "
-        f"{n_bad} violations"
+        f"{violations} violations"
     )
-    return Verdict(
-        passed=n_bad == 0,
-        first_violation_index=first,
-        worst_margin=float(np.min(slack)),
-        context=context,
-    )
+    return Verdict(violations == 0, first, worst, context)
 
 
 def validate_checkpoints(points, horizon: int) -> list[tuple[int, float]]:
@@ -337,23 +327,10 @@ def check_convergence(dn: DnSeries, checkpoints) -> Verdict:
     ``dn``; each one passes when mean_step <= threshold + 3 * stderr_step.
     """
     cleaned = validate_checkpoints(checkpoints, dn.steps)
-    worst = math.inf
-    first = None
-    failures = 0
-    for n, threshold in cleaned:
-        slack = threshold + 3.0 * float(dn.stderr[n]) - float(dn.mean[n])
-        worst = min(worst, slack)
-        if slack < 0.0:
-            failures += 1
-            if first is None:
-                first = n
-    context = f"{len(cleaned)} checkpoints, {failures} violations"
-    return Verdict(
-        passed=failures == 0,
-        first_violation_index=first,
-        worst_margin=worst,
-        context=context,
-    )
+    steps, thresholds = (np.array(column) for column in zip(*cleaned))
+    violations, first, worst = _compare(dn, steps, thresholds, 3.0)
+    context = f"{len(cleaned)} checkpoints, {violations} violations"
+    return Verdict(violations == 0, first, worst, context)
 
 
 # Terms of the lemma range evaluated at once by product_decay.  A multiple of

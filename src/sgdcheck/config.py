@@ -53,7 +53,11 @@ def _check_keys(obj: dict, where: str, required: set[str], optional: set[str]) -
             raise ConfigurationError(f"missing key '{key}' in {where}")
 
 
-def _integer(obj: dict, key: str, where: str, minimum: int, maximum: int | None = None) -> int:
+def _integer(obj: dict, key: str, where: str, minimum: int, maximum: int | None = None,
+             default: int | None = None) -> int:
+    """obj[key] checked as an integer in range; ``default`` if the key is absent."""
+    if key not in obj:
+        return default
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, int):
         raise ConfigurationError(f"'{key}' in {where} must be an integer")
@@ -72,7 +76,10 @@ def _to_float(value) -> float:
 
 
 def _real(obj: dict, key: str, where: str, minimum: float | None = None,
-          strict: bool = False) -> float:
+          strict: bool = False, default: float | None = None) -> float:
+    """obj[key] checked as a finite real; ``default`` if the key is absent."""
+    if key not in obj:
+        return default
     value = obj[key]
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigurationError(f"'{key}' in {where} must be a real number")
@@ -159,31 +166,21 @@ def _parse_check(spec, index: int, horizon: int) -> dict:
     kind = spec["type"]
     if kind == "recurrence":
         _check_keys(spec, where, {"type"}, {"z"})
-        z = _real(spec, "z", where, minimum=0.0, strict=True) if "z" in spec else DEFAULT_RECURRENCE_Z
+        z = _real(spec, "z", where, minimum=0.0, strict=True, default=DEFAULT_RECURRENCE_Z)
         return {"type": kind, "z": z}
     if kind == "neighborhood":
         _check_keys(spec, where, {"type"}, {"window", "tol_rel"})
-        if "window" in spec:
-            window = _integer(spec, "window", where, minimum=1)
-        else:
-            window = min(max(100, horizon // 10), horizon + 1)
-        tol = (
-            _real(spec, "tol_rel", where, minimum=0.0)
-            if "tol_rel" in spec
-            else DEFAULT_NEIGHBORHOOD_TOL
-        )
+        window = _integer(spec, "window", where, minimum=1,
+                          default=min(max(100, horizon // 10), horizon + 1))
+        tol = _real(spec, "tol_rel", where, minimum=0.0, default=DEFAULT_NEIGHBORHOOD_TOL)
         return {"type": kind, "window": window, "tol_rel": tol}
     if kind == "convergence":
         _check_keys(spec, where, {"type", "checkpoints"}, set())
         return {"type": kind, "checkpoints": _parse_checkpoints(spec["checkpoints"], where, horizon)}
     if kind == "descent":
         _check_keys(spec, where, {"type"}, {"points", "samples"})
-        points = _integer(spec, "points", where, minimum=1) if "points" in spec else DEFAULT_DESCENT_POINTS
-        samples = (
-            _integer(spec, "samples", where, minimum=100)
-            if "samples" in spec
-            else DEFAULT_DESCENT_SAMPLES
-        )
+        points = _integer(spec, "points", where, minimum=1, default=DEFAULT_DESCENT_POINTS)
+        samples = _integer(spec, "samples", where, minimum=100, default=DEFAULT_DESCENT_SAMPLES)
         return {"type": kind, "points": points, "samples": samples}
     if kind == "lemma":
         _check_keys(spec, where, {"type", "n", "k"}, set())
@@ -199,23 +196,27 @@ def _parse_verify(spec) -> dict:
     where = "verify"
     _check_keys(spec, where, set(), {"audit_samples", "gradient_checks"})
     return {
-        "audit_samples": (
-            _integer(spec, "audit_samples", where, minimum=1)
-            if "audit_samples" in spec
-            else DEFAULT_AUDIT_SAMPLES
-        ),
-        "gradient_checks": (
-            _integer(spec, "gradient_checks", where, minimum=1)
-            if "gradient_checks" in spec
-            else DEFAULT_GRADIENT_CHECKS
-        ),
+        "audit_samples": _integer(spec, "audit_samples", where, minimum=1,
+                                  default=DEFAULT_AUDIT_SAMPLES),
+        "gradient_checks": _integer(spec, "gradient_checks", where, minimum=1,
+                                    default=DEFAULT_GRADIENT_CHECKS),
     }
+
+
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object as a dict; a key it repeats is refused, not overwritten."""
+    document = {}
+    for key, value in pairs:
+        if key in document:
+            raise ConfigurationError(f"duplicate key '{key}'")
+        document[key] = value
+    return document
 
 
 def parse_config(text: str) -> ExperimentConfig:
     """Parse and validate a JSON experiment description."""
     try:
-        raw = json.loads(text)
+        raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"invalid JSON: {err}") from None
     _check_keys(

@@ -22,6 +22,7 @@ import functools
 import math
 import os
 import threading
+import time
 from dataclasses import dataclass
 
 import numpy as np
@@ -643,41 +644,61 @@ def _stage_blocks(rng, samples: int) -> list:
 
 
 def _map_blocks(fn, blocks: list) -> list:
-    """``[fn(block) for block in blocks]``, on a pool of one thread per usable
-    core when there is more than one block and more than one core.
+    """``[fn(block) for block in blocks]``, on one thread per usable core when
+    there is more than one block and more than one core.
 
     numpy releases the GIL in the draws, ufuncs, ``einsum`` and BLAS, so the
-    blocks of a stage run in parallel; the pool hands them out in order as
-    threads free up.  If a block raises, or the caller is interrupted, no
-    block starts once the caller's ``finally`` runs, and the pool is joined
-    before the exception propagates.
+    blocks of a stage run in parallel; the threads take the blocks in order
+    as they free up.  If a block raises, or the caller is interrupted, no
+    block starts once the caller's ``finally`` runs, every thread that
+    started is joined, and the exception propagates (of the blocks that
+    raised, the first in block order).
     """
-    threads = min(usable_cores(), len(blocks))
-    if threads <= 1:
+    count = min(usable_cores(), len(blocks))
+    if count <= 1:
         return [fn(block) for block in blocks]
-    # Loaded on first use, so importing the package does not pay for it.
-    from concurrent.futures import ThreadPoolExecutor
+    results, failures = [None] * len(blocks), {}
+    # One iterator for all threads: next() on it is atomic under the GIL.
+    order = iter(range(len(blocks)))
+    stop, finished = threading.Event(), threading.Semaphore(0)
 
-    # pool.map queues every block at once: a thread that frees up after a
-    # block failed, or after the caller stopped waiting, before the caller
-    # cancels the queue, must not start the next one.
-    stop = threading.Event()
-
-    def run(block):
-        if stop.is_set():
-            return None
+    def work():
         try:
-            return fn(block)
-        except BaseException:
-            stop.set()
-            raise
+            for b in order:
+                if stop.is_set():
+                    return
+                try:
+                    results[b] = fn(blocks[b])
+                except BaseException as exc:
+                    failures[b] = exc
+                    stop.set()
+        finally:
+            finished.release()
 
-    pool = ThreadPoolExecutor(threads)
+    threads = []
     try:
-        return list(pool.map(run, blocks))
+        for _ in range(count):
+            threads.append(threading.Thread(target=work))
+            threads[-1].start()
+        # Not Thread.join: on Python 3.11 an interrupted join marks a running
+        # thread as stopped, and a later join returns at once.
+        for _ in threads:
+            finished.acquire()
     finally:
         stop.set()
-        pool.shutdown(cancel_futures=True)
+        for thread in threads:
+            # start() may raise after the thread set its ident but before it
+            # counts as started, when join() refuses it for a moment; a thread
+            # with no ident yet runs no block, as stop is set.
+            while thread.ident is not None:
+                try:
+                    thread.join()
+                    break
+                except RuntimeError:
+                    time.sleep(1e-4)
+    if failures:
+        raise failures[min(failures)]
+    return results
 
 
 def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:

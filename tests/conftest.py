@@ -1,5 +1,5 @@
-"""Shared pytest wiring: the acceptance scoreboard, a memory probe and a
-check that no test leaves a child process behind.
+"""Shared pytest wiring: the acceptance scoreboard, a memory probe and
+checks that no test leaves a child process or a thread behind.
 
 Acceptance tests record one line per guarantee through the ``scoreboard``
 fixture; the lines are printed in their own terminal section after the run,
@@ -7,6 +7,7 @@ outside pytest's output capture.  Memory tests measure with the
 ``peak_traced_bytes`` fixture.
 """
 import os
+import threading
 import tracemalloc
 
 import pytest
@@ -47,6 +48,15 @@ def no_child_process_left():
     if hasattr(os, "waitpid") and hasattr(os, "WNOHANG"):
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
+
+
+@pytest.fixture(autouse=True)
+def no_thread_left():
+    """After each test, as many threads run as before it: the verify stages
+    join every thread they start on every way out."""
+    before = threading.active_count()
+    yield
+    assert threading.active_count() == before
 
 
 def pytest_terminal_summary(terminalreporter):

@@ -1,5 +1,6 @@
 """Tests for d_n estimation, the envelope, and the verdict checks."""
 import dataclasses
+import math
 import warnings
 from fractions import Fraction
 
@@ -410,6 +411,184 @@ class TestCheckConvergence:
             check_convergence(series, [(1, 0.0)])
         with pytest.raises(UsageError):
             check_convergence(series, [(1.5, 1.0)])
+
+
+# The three d_n checks as they were written before they shared one
+# comparison, each with its own slack, count, first step and worst margin.
+def reference_recurrence(dn, bounds, z):
+    checked = dn.in_region_fraction == 1.0
+    slack = bounds + z * dn.stderr - dn.mean
+    excluded = int(np.count_nonzero(~checked))
+    if not checked.any():
+        return analyzer.Verdict(
+            True, None, float("nan"),
+            f"no step had all replications in region ({excluded} steps excluded)",
+        )
+    violations = checked & (slack < 0.0)
+    n_violations = int(np.count_nonzero(violations))
+    worst = float(np.min(slack[checked]))
+    first = int(np.flatnonzero(violations)[0]) if n_violations else None
+    context = (
+        f"checked {int(np.count_nonzero(checked))}/{slack.shape[0]} steps at z={z:g}, "
+        f"{excluded} excluded by region exits, {n_violations} violations"
+    )
+    return analyzer.Verdict(n_violations == 0, first, worst, context)
+
+
+def reference_neighborhood(dn, cert, schedule, window, tol_rel):
+    horizon = dn.steps
+    theta = schedule.rho * cert.grad_sq_bound / cert.strong_convexity
+    threshold = theta * (1.0 + tol_rel)
+    tail = slice(horizon + 1 - window, horizon + 1)
+    slack = threshold + 3.0 * dn.stderr[tail] - dn.mean[tail]
+    bad = slack < 0.0
+    n_bad = int(np.count_nonzero(bad))
+    first = int(horizon + 1 - window + np.flatnonzero(bad)[0]) if n_bad else None
+    context = (
+        f"theta={theta:.6g}, threshold={threshold:.6g}, window={window}, "
+        f"{n_bad} violations"
+    )
+    return analyzer.Verdict(n_bad == 0, first, float(np.min(slack)), context)
+
+
+def reference_convergence(dn, checkpoints):
+    worst = math.inf
+    first = None
+    failures = 0
+    for n, threshold in checkpoints:
+        slack = threshold + 3.0 * float(dn.stderr[n]) - float(dn.mean[n])
+        worst = min(worst, slack)
+        if slack < 0.0:
+            failures += 1
+            if first is None:
+                first = n
+    context = f"{len(checkpoints)} checkpoints, {failures} violations"
+    return analyzer.Verdict(failures == 0, first, worst, context)
+
+
+def assert_same_verdict(verdict, reference):
+    assert verdict.passed is reference.passed
+    assert verdict.first_violation_index == reference.first_violation_index
+    assert float.hex(verdict.worst_margin) == float.hex(reference.worst_margin)
+    assert verdict.context == reference.context
+
+
+class TestSharedComparison:
+    """The three d_n checks give the verdicts of their former separate code."""
+
+    HORIZON = 40
+
+    @staticmethod
+    def random_series(seed, in_region=0.7):
+        # Upper bounds near 1, so about half the steps fail at random; a
+        # fraction below 1 leaves a step out of the recurrence check only.
+        rng = np.random.default_rng(seed)
+        steps = TestSharedComparison.HORIZON + 1
+        fraction = np.where(rng.random(steps) < in_region, 1.0, rng.uniform(0.0, 1.0, steps))
+        return make_series(
+            rng.uniform(0.2, 1.8, steps), rng.uniform(0.0, 0.2, steps), fraction
+        ), rng
+
+    @staticmethod
+    def step_at(steps, where):
+        return steps[{"first": 0, "middle": len(steps) // 2, "last": -1}[where]]
+
+    @staticmethod
+    def violate_at(series, steps, where):
+        """Let every step of ``steps`` pass but the first, a middle or the last one."""
+        # Steps outside the set fail, without effect on the verdict.
+        mean = np.full_like(series.mean, 1e3)
+        mean[steps] = 0.0
+        if where is not None:
+            mean[TestSharedComparison.step_at(steps, where)] = 1e3
+        return dataclasses.replace(series, mean=mean)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_random_series(self, seed):
+        series, rng = self.random_series(seed)
+        bounds = rng.uniform(0.5, 1.5, series.mean.shape[0])
+        z = float(rng.uniform(0.5, 4.0))
+        assert_same_verdict(check_recurrence(series, bounds, z),
+                            reference_recurrence(series, bounds, z))
+        cert, schedule = make_cert(mu=1.0, grad_sq_bound=2.0), ConstantSchedule(rho=0.5)
+        window = int(rng.integers(1, self.HORIZON + 2))
+        tol_rel = float(rng.uniform(0.0, 0.2))
+        assert_same_verdict(check_neighborhood(series, cert, schedule, window, tol_rel),
+                            reference_neighborhood(series, cert, schedule, window, tol_rel))
+        steps = np.sort(rng.choice(self.HORIZON + 1, size=5, replace=False))
+        checkpoints = [(int(n), float(t)) for n, t in zip(steps, rng.uniform(0.5, 1.5, 5))]
+        assert_same_verdict(check_convergence(series, checkpoints),
+                            reference_convergence(series, checkpoints))
+
+    @pytest.mark.parametrize("where", ["first", "middle", "last", None])
+    def test_recurrence_violation_position(self, where):
+        series, rng = self.random_series(11)
+        checked = np.flatnonzero(series.in_region_fraction == 1.0)
+        assert 0 < checked.shape[0] < series.mean.shape[0]
+        series = self.violate_at(series, checked, where)
+        bounds = rng.uniform(0.5, 1.5, series.mean.shape[0])
+        verdict = check_recurrence(series, bounds, 3.0)
+        assert_same_verdict(verdict, reference_recurrence(series, bounds, 3.0))
+        expected = None if where is None else self.step_at(checked, where)
+        assert verdict.first_violation_index == expected
+
+    @pytest.mark.parametrize("window", [1, 7, HORIZON + 1])
+    @pytest.mark.parametrize("where", ["first", "middle", "last", None])
+    def test_neighborhood_violation_position(self, window, where):
+        series, _ = self.random_series(12)
+        tail = np.arange(self.HORIZON + 1 - window, self.HORIZON + 1)
+        series = self.violate_at(series, tail, where)
+        cert, schedule = make_cert(mu=1.0, grad_sq_bound=2.0), ConstantSchedule(rho=0.5)
+        verdict = check_neighborhood(series, cert, schedule, window, 0.1)
+        assert_same_verdict(verdict, reference_neighborhood(series, cert, schedule, window, 0.1))
+        expected = None if where is None else self.step_at(tail, where)
+        assert verdict.first_violation_index == expected
+
+    @pytest.mark.parametrize("steps", [[0], [17], [0, 9, 23, HORIZON]],
+                             ids=["step-0", "single", "several"])
+    @pytest.mark.parametrize("where", ["first", "middle", "last", None])
+    def test_convergence_violation_position(self, steps, where):
+        series, rng = self.random_series(13)
+        series = self.violate_at(series, np.array(steps), where)
+        checkpoints = [(n, float(t)) for n, t in zip(steps, rng.uniform(0.5, 1.5, len(steps)))]
+        verdict = check_convergence(series, checkpoints)
+        assert_same_verdict(verdict, reference_convergence(series, checkpoints))
+        expected = None if where is None else self.step_at(steps, where)
+        assert verdict.first_violation_index == expected
+
+    def test_zero_slack_passes(self):
+        # mean_n equal to u_n + 3 * stderr_n, in the same float operations.
+        series, rng = self.random_series(15, in_region=1.0)
+        bounds = rng.uniform(0.5, 1.5, series.mean.shape[0])
+        cert, schedule = make_cert(mu=1.0, grad_sq_bound=2.0), ConstantSchedule(rho=0.5)
+        threshold = 0.5 * 2.0 / 1.0 * (1.0 + 0.0)
+        checkpoints = [(n, float(bounds[n])) for n in (0, 20, self.HORIZON)]
+        for upper, check, reference in (
+            (bounds, lambda dn: check_recurrence(dn, bounds, 3.0),
+             lambda dn: reference_recurrence(dn, bounds, 3.0)),
+            (threshold, lambda dn: check_neighborhood(dn, cert, schedule, 9, 0.0),
+             lambda dn: reference_neighborhood(dn, cert, schedule, 9, 0.0)),
+            (bounds, lambda dn: check_convergence(dn, checkpoints),
+             lambda dn: reference_convergence(dn, checkpoints)),
+        ):
+            edge = dataclasses.replace(series, mean=upper + 3.0 * series.stderr)
+            verdict = check(edge)
+            assert_same_verdict(verdict, reference(edge))
+            assert verdict.passed and verdict.worst_margin == 0.0
+
+    def test_no_step_in_region(self):
+        series, rng = self.random_series(14, in_region=0.0)
+        assert not (series.in_region_fraction == 1.0).any()
+        bounds = rng.uniform(0.5, 1.5, series.mean.shape[0])
+        assert_same_verdict(check_recurrence(series, bounds, 3.0),
+                            reference_recurrence(series, bounds, 3.0))
+        # The other two checks still judge every step they name.
+        cert, schedule = make_cert(mu=1.0, grad_sq_bound=2.0), ConstantSchedule(rho=0.5)
+        assert_same_verdict(check_neighborhood(series, cert, schedule, 5, 0.0),
+                            reference_neighborhood(series, cert, schedule, 5, 0.0))
+        checkpoints = [(3, 1.0), (30, 0.9)]
+        assert_same_verdict(check_convergence(series, checkpoints),
+                            reference_convergence(series, checkpoints))
 
 
 class TestProductDecay:

@@ -208,6 +208,40 @@ class TestIntegersTooLargeForAFloat:
         assert "'rho' in schedule must be finite" in capsys.readouterr().err
 
 
+class TestDuplicateKeys:
+    """A key repeated in one JSON object is refused by name, not overwritten."""
+
+    CASES = {
+        "top-level": ('"horizon": 100', '"horizon": 500, "horizon": 3', "'horizon'"),
+        "problem": ('"curvature": 1.0', '"curvature": 1.0, "curvature": 50.0', "'curvature'"),
+        "check": ('"z": 2.0', '"z": 2.0, "z": 9.0', "'z'"),
+    }
+
+    @staticmethod
+    def repeated(case):
+        found, replacement, _ = TestDuplicateKeys.CASES[case]
+        text = json.dumps(base_document(checks=[{"type": "recurrence", "z": 2.0}]))
+        assert text.count(found) == 1
+        return text.replace(found, replacement)
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_is_named(self, case):
+        with pytest.raises(ConfigurationError, match=f"duplicate key {self.CASES[case][2]}"):
+            parse_config(self.repeated(case))
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_run_exits_two(self, case, tmp_path, monkeypatch, capsys):
+        monkeypatch.setenv("SGDCHECK_OUTPUT_DIR", str(tmp_path / "out"))
+        path = tmp_path / "repeated.json"
+        path.write_text(self.repeated(case), encoding="utf-8")
+        assert main(["run", str(path)]) == 2
+        assert f"duplicate key {self.CASES[case][2]}" in capsys.readouterr().err
+
+    def test_equal_keys_in_different_objects_are_allowed(self):
+        document = base_document(checks=[{"type": "recurrence"}, {"type": "neighborhood"}])
+        assert [check["type"] for check in parse(document).checks] == ["recurrence", "neighborhood"]
+
+
 class TestRoundTrip:
     def test_serialize_then_parse_is_identity(self):
         document = base_document(

@@ -22,6 +22,7 @@ import dataclasses
 import json
 import os
 import signal
+import sys
 import threading
 import time
 import warnings
@@ -809,6 +810,25 @@ class TestVerifyBlocks:
         assert threading.active_count() == before
         assert engine._process_count(8000, 2) == 2
 
+    def test_every_block_runs_once_in_order(self, cores):
+        # More threads than cores and a short switch interval, so the threads
+        # interleave as they take blocks from their shared iterator.
+        cores(8)
+        calls = []
+
+        def record(block):
+            calls.append(block)
+            return -block
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            results = objective._map_blocks(record, list(range(2000)))
+        finally:
+            sys.setswitchinterval(interval)
+        assert sorted(calls) == list(range(2000))
+        assert results == [-b for b in range(2000)]
+
     @staticmethod
     def block_of(blocks):
         """The index of the block whose points start with ``x[0]``."""
@@ -849,27 +869,26 @@ class TestVerifyBlocks:
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
     def test_an_interrupt_stops_the_blocks_not_started(self, cores, monkeypatch):
-        # Block 1 interrupts the caller once it waits for the first result,
-        # after it started both threads; both blocks return only once the
-        # caller shuts the pool down, so no block after them starts.
-        from concurrent.futures import Future, ThreadPoolExecutor
-
+        # Block 1 interrupts the caller once it waits for the blocks, after
+        # it started both threads; both blocks return only once the caller
+        # joins the threads, so no block after them starts.
         cores(2)
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
         block_of = self.block_of(audit_blocks(problem, cert, 300, SeededGenerator(8)))
         values = objective._audit_values
-        ran, waiting, shutting_down = [], threading.Event(), threading.Event()
-        result, shutdown = Future.result, ThreadPoolExecutor.shutdown
+        ran, waiting, joining = [], threading.Event(), threading.Event()
+        acquire, join = threading.Semaphore.acquire, threading.Thread.join
 
-        def signalling_result(future, *args, **kwargs):
-            waiting.set()
-            return result(future, *args, **kwargs)
+        def signalling_acquire(semaphore, *args, **kwargs):
+            if threading.current_thread() is threading.main_thread():
+                waiting.set()
+            return acquire(semaphore, *args, **kwargs)
 
-        def signalling_shutdown(pool, *args, **kwargs):
-            shutting_down.set()
-            return shutdown(pool, *args, **kwargs)
+        def signalling_join(thread, *args, **kwargs):
+            joining.set()
+            return join(thread, *args, **kwargs)
 
         def interrupting_block_1(problem, cert, noise, x, y):
             block = block_of(x)
@@ -878,17 +897,43 @@ class TestVerifyBlocks:
                 assert waiting.wait(timeout=30)
                 signal.pthread_kill(threading.main_thread().ident, signal.SIGINT)
             if block < 2:
-                assert shutting_down.wait(timeout=30)
+                assert joining.wait(timeout=30)
             return values(problem, cert, noise, x, y)
 
-        monkeypatch.setattr(Future, "result", signalling_result)
-        monkeypatch.setattr(ThreadPoolExecutor, "shutdown", signalling_shutdown)
+        monkeypatch.setattr(threading.Semaphore, "acquire", signalling_acquire)
+        monkeypatch.setattr(threading.Thread, "join", signalling_join)
         monkeypatch.setattr(objective, "_audit_values", interrupting_block_1)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
             audit_certificate(problem, cert, 300, SeededGenerator(8))
         assert sorted(ran) == [0, 1]
         assert threading.active_count() == before
+
+    def test_a_thread_whose_start_was_interrupted_is_joined(self, cores, monkeypatch):
+        # The interrupt lands once the first thread runs, before start()
+        # returns to the caller.
+        from sgdcheck import engine
+
+        cores(2)
+        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 2000)
+        problem = make_quadratic(halfwidth=0.5)
+        cert = problem.certify(2.0, [2.0, 0.0])
+        start = threading.Thread.start
+        interrupted = []
+
+        def interrupted_start(thread):
+            start(thread)
+            if not interrupted:
+                interrupted.append(thread)
+                raise KeyboardInterrupt
+
+        monkeypatch.setattr(threading.Thread, "start", interrupted_start)
+        before = threading.active_count()
+        with pytest.raises(KeyboardInterrupt):
+            audit_certificate(problem, cert, 20_000, SeededGenerator(8))
+        assert threading.active_count() == before
+        assert not interrupted[0].is_alive()
+        assert engine._process_count(8000, 2) == 2
 
 
 def overflowing_quadratic():
