@@ -390,7 +390,7 @@ def _mean_and_stderr(values: np.ndarray) -> tuple[float, float]:
         return float(ordered[0]), 0.0
     mean = float(ordered.mean())
     deviations = ordered - mean
-    variance = float(deviations @ deviations) / (ordered.shape[0] - 1)
+    variance = float(sq_norm(deviations)) / (ordered.shape[0] - 1)
     return mean, math.sqrt(variance / ordered.shape[0])
 
 

@@ -47,17 +47,13 @@ MAX_DIMENSION = 64
 # other and run on a pool of threads (_map_blocks).
 _AUDIT_CHUNK = 1 << 15
 
-# Bytes the widest per-sample temporary of one chunk may take.
-_VERIFY_CHUNK_BYTES = 1 << 20
+# Bytes of one d-wide per-sample temporary of a verify chunk: a chunk holds
+# _VERIFY_CHUNK_BYTES // (8 * dimension) samples, at most a whole block.
+_VERIFY_CHUNK_BYTES = 1 << 19
 
 # Bytes of the replication-major tile into which
 # ShiftedQuadratic.fill_noise_block draws the unit values of a block.
 _TILE_BYTES = 1 << 18
-
-# Matrix products of at most this many multiply-adds may go to a BLAS
-# small-matrix kernel (OpenBLAS uses one up to 100^3), which can round
-# differently from the kernel of a larger product.
-_SMALL_PRODUCT = 100**3
 
 
 def row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray | float:
@@ -176,22 +172,13 @@ class StochasticProblem(abc.ABC):
         """dtype of the values :meth:`noise_block` returns."""
         return np.dtype(float)
 
-    @property
-    def batch_width(self) -> int:
-        """Doubles per point in the widest temporary of the batched mean
-        quantities: ``dimension``, or one residual per design row."""
-        return self.dimension
-
-    @abc.abstractmethod
-    def sample_noise(self, rng):
-        """Draw one noise value from the family's law."""
-
     @abc.abstractmethod
     def noise_block(self, rng, count: int):
         """Draw ``count`` noise values at once.
 
-        The block consumes the generator exactly like ``count`` successive
-        calls to :meth:`sample_noise`, so recorded runs can be replayed.
+        The block holds the draws of ``count`` successive
+        ``noise_block(rng, 1)`` calls and leaves the generator where they
+        leave it, so recorded runs can be replayed.
         """
 
     def fill_noise_block(self, generators, out: np.ndarray) -> None:
@@ -300,9 +287,6 @@ class ShiftedQuadratic(StochasticProblem):
     def noise_shape(self) -> tuple[int, ...]:
         return (self.dimension,)
 
-    def sample_noise(self, rng) -> np.ndarray:
-        return rng.uniform(-self.noise_halfwidth, self.noise_halfwidth, size=self.dimension)
-
     def noise_block(self, rng, count: int) -> np.ndarray:
         return rng.uniform(
             -self.noise_halfwidth, self.noise_halfwidth, size=(count, self.dimension)
@@ -390,6 +374,16 @@ class FiniteSumLeastSquares(StochasticProblem):
     uniform over the rows.  The mean loss is the classical least squares
     objective scaled by 1 / K; its curvature is the smallest eigenvalue of
     the normalized Gram matrix design^T design / K.
+
+    The mean quantities are a quadratic form centred at a point c, built
+    once with ``einsum``: with G = design^T design, r the residuals at c,
+    g = design^T r and e = x - c, the mean loss is
+    (|r|^2 + 2 <g, e> + e^T G e) / (2K) and the mean gradient (g + G e) / K.
+    c solves G c = design^T targets, or is 0 where G is singular or the
+    solution is not finite; on a certified design it is the minimizer up
+    to rounding, so the audit evaluates the form near its centre.  A point
+    costs d^2 multiply-adds of its own and no BLAS call, so its values do
+    not depend on the batch it is in or on the BLAS threads.
     """
 
     design: np.ndarray
@@ -417,6 +411,17 @@ class FiniteSumLeastSquares(StochasticProblem):
         targets.flags.writeable = False
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "targets", targets)
+        with np.errstate(all="ignore"):
+            gram = np.einsum("ki,kj->ij", design, design)
+            try:
+                centre = np.linalg.solve(gram, np.einsum("ki,k->i", design, targets))
+            except np.linalg.LinAlgError:
+                centre = np.zeros(dim)
+            if not np.all(np.isfinite(centre)):
+                centre = np.zeros(dim)
+            residual = np.einsum("kj,j->k", design, centre) - targets
+            form = (gram, centre, np.einsum("ki,k->i", design, residual), sq_norm(residual))
+        object.__setattr__(self, "_form", form)
 
     @property
     def dimension(self) -> int:
@@ -434,13 +439,6 @@ class FiniteSumLeastSquares(StochasticProblem):
     def noise_dtype(self) -> np.dtype:
         """The smallest unsigned type that holds every row index."""
         return np.min_scalar_type(self.rows - 1)
-
-    @property
-    def batch_width(self) -> int:
-        return self.rows
-
-    def sample_noise(self, rng) -> int:
-        return int(rng.integers(self.rows))
 
     def noise_block(self, rng, count: int) -> np.ndarray:
         # The int64 draws, stored in noise_dtype.
@@ -476,22 +474,26 @@ class FiniteSumLeastSquares(StochasticProblem):
                 return table[noise]
         return super().gradient_alignment(noise, x, direction)
 
+    def _centred_form(self, x):
+        """The mean loss at ``x`` and rows times the mean gradient there."""
+        gram, centre, grad_c, sq_c = self._form
+        e = self._check_x(x) - centre
+        grad = np.einsum("ij,...j->...i", gram, e)
+        np.add(grad, grad_c, out=grad)
+        # e^T G e + 2 <g, e> as <e, G e + g> + <e, g>.
+        loss = (row_dot(e, grad) + row_dot(e, grad_c) + sq_c) / (2 * self.rows)
+        return loss, grad
+
     def mean_loss(self, x):
-        x = self._check_x(x)
-        residual = np.inner(x, self.design) - self.targets
-        return 0.5 * sq_norm(residual) / self.rows
+        return self._centred_form(x)[0]
 
     def mean_gradient(self, x):
-        x = self._check_x(x)
-        residual = np.inner(x, self.design) - self.targets
-        return np.asarray(residual) @ self.design / self.rows
+        return self.mean_loss_and_gradient(x)[1]
 
     def mean_loss_and_gradient(self, x):
-        """Both mean quantities from one residual at ``x``."""
-        x = self._check_x(x)
-        residual = np.inner(x, self.design) - self.targets
-        loss = 0.5 * sq_norm(residual) / self.rows
-        return loss, np.asarray(residual) @ self.design / self.rows
+        """Both mean quantities from one evaluation of the form at ``x``."""
+        loss, grad = self._centred_form(x)
+        return loss, np.divide(grad, self.rows, out=grad)
 
     def minimizer(self) -> np.ndarray:
         gram = self.design.T @ self.design
@@ -511,7 +513,9 @@ class FiniteSumLeastSquares(StochasticProblem):
                     "normal equations could not be solved to relative residual 1e-12; "
                     "the design is too ill-conditioned"
                 )
-        grad_norm = float(np.linalg.norm(self.mean_gradient(x)))
+        # The gradient through the residuals of every row, as x was solved.
+        residual = np.inner(x, self.design) - self.targets
+        grad_norm = float(np.linalg.norm(residual @ self.design / self.rows))
         if grad_norm > 1e-9 * (1.0 + float(np.linalg.norm(x))):
             raise CertificationError(
                 "minimizer fails the first-order optimality check; "
@@ -592,38 +596,11 @@ def sample_in_ball(center: np.ndarray, radius: float, count: int, rng) -> np.nda
     return np.add(center, directions, out=directions)
 
 
-def _verify_chunk_size(width: int, dimension: int) -> int:
-    """Samples per chunk of a verify stage, at most _AUDIT_CHUNK.
-
-    The largest power of two, at least 8, whose widest per-sample
-    temporary (``width`` doubles) fits in _VERIFY_CHUNK_BYTES; doubled
-    while the matrix products of one chunk (chunk x width x dimension
-    multiply-adds) stay within _SMALL_PRODUCT, so that they take the
-    kernel of a full block.
-    """
-    fit = _VERIFY_CHUNK_BYTES // (8 * width)
-    size = 1 << max(3, fit.bit_length() - 1)
-    while size * width * dimension <= _SMALL_PRODUCT:
-        size *= 2
-    return min(size, _AUDIT_CHUNK)
-
-
-def _verify_chunks(samples: int, width: int, dimension: int):
-    """Slices that cover the ``samples <= _AUDIT_CHUNK`` samples of one
-    block with the per-sample bits of one evaluation of the whole block.
-
-    The block is cut into chunks of _verify_chunk_size, and the last chunk
-    takes the remainder; a block shorter than a chunk stays whole.  BLAS may
-    compute a short product with another kernel (a matrix-vector routine for
-    one sample, a small-matrix kernel for a few), so a short trailing chunk
-    could round differently from the same samples inside a larger product.
-    """
-    size = _verify_chunk_size(width, dimension)
-    lo = 0
-    while lo < samples:
-        hi = lo + size if samples - lo >= 2 * size else samples
-        yield slice(lo, hi)
-        lo = hi
+def _verify_chunks(samples: int, dimension: int) -> list[slice]:
+    """Slices of _VERIFY_CHUNK_BYTES // (8 * dimension) samples, at least
+    one, that cover the ``samples`` samples of one block in order."""
+    size = max(1, _VERIFY_CHUNK_BYTES // (8 * dimension))
+    return [slice(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 
 
 def usable_cores() -> int:
@@ -703,17 +680,18 @@ def _map_blocks(fn, blocks: list) -> list:
 
 def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample squared-gradient ratios and relative convexity slacks."""
-    # Each gradient is dropped as soon as it is used: one held through the
-    # next mean-loss call raises the peak RSS of the audit.
+    # At most two (samples, d) temporaries live at once: each gradient is
+    # dropped as soon as it is used, and the loss at y comes first, before
+    # the gradient at x and the gap are held.
     grads = problem.pointwise_gradient(noise, x)
     ratios = np.asarray(sq_norm(grads)) / cert.grad_sq_bound
     del grads
+    loss_y = np.asarray(problem.mean_loss(y))
     loss_x, grad_x = problem.mean_loss_and_gradient(x)
     loss_x = np.asarray(loss_x)
     gap = y - x
     alignment = np.asarray(row_dot(grad_x, gap))
     del grad_x
-    loss_y = np.asarray(problem.mean_loss(y))
     quad = 0.5 * cert.strong_convexity * np.asarray(sq_norm(gap))
     slack = loss_y - loss_x - alignment - quad
     scale = np.maximum.reduce([np.ones(quad.shape[0]), np.abs(loss_x), np.abs(loss_y), quad])
@@ -726,7 +704,7 @@ def _audit_arrays(problem, cert, noise, xs, ys) -> tuple[np.ndarray, np.ndarray]
     ratios = np.empty(samples)
     rel_slack = np.empty(samples)
     with np.errstate(over="ignore", invalid="ignore"):
-        for part in _verify_chunks(samples, problem.batch_width, problem.dimension):
+        for part in _verify_chunks(samples, problem.dimension):
             ratios[part], rel_slack[part] = _audit_values(
                 problem, cert, noise[part], xs[part], ys[part]
             )
@@ -824,8 +802,7 @@ def _gradient_block(problem, cert, block) -> float:
     noise = problem.noise_block(rng, count)
     worst = 0.0
     with np.errstate(over="ignore", invalid="ignore"):
-        # The widest per-sample temporaries here are points and gradients.
-        for part in _verify_chunks(count, problem.dimension, problem.dimension):
+        for part in _verify_chunks(count, problem.dimension):
             error = _max_gradient_error(problem, noise[part], xs[part])
             worst = float(np.maximum(worst, error))
     return worst

@@ -16,6 +16,7 @@ from pathlib import Path
 
 import pytest
 
+from sgdcheck import objective
 from sgdcheck.cli import ENV_OUTPUT_DIR, main
 
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -66,18 +67,22 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
+def verify_digest(name: str) -> str:
+    """Digest of the ``verify`` stdout of config ``name``."""
+    with contextlib.redirect_stdout(io.StringIO()) as verify_out:
+        assert main(["verify", str(GOLDEN_DIR / f"{name}.json")]) == 0
+    return sha256(verify_out.getvalue().encode("utf-8"))
+
+
 def golden_digests(name: str, out_dir: Path) -> tuple[str, str, str]:
     """Digests of the outputs of config ``name``, written into ``out_dir``,
     which ENV_OUTPUT_DIR must name."""
-    config = str(GOLDEN_DIR / f"{name}.json")
     with contextlib.redirect_stdout(io.StringIO()):
-        assert main(["run", config]) == 0
-    with contextlib.redirect_stdout(io.StringIO()) as verify_out:
-        assert main(["verify", config]) == 0
+        assert main(["run", str(GOLDEN_DIR / f"{name}.json")]) == 0
     return (
         sha256((out_dir / "series.csv").read_bytes()),
         sha256((out_dir / "report.txt").read_bytes()),
-        sha256(verify_out.getvalue().encode("utf-8")),
+        verify_digest(name),
     )
 
 
@@ -85,6 +90,13 @@ def golden_digests(name: str, out_dir: Path) -> tuple[str, str, str]:
 def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path))
     assert golden_digests(name, tmp_path) == DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_verify_digest_holds_at_one_sample_per_chunk(name, monkeypatch):
+    # A sample's values do not depend on the chunk it is evaluated in.
+    monkeypatch.setattr(objective, "_VERIFY_CHUNK_BYTES", 1)
+    assert verify_digest(name) == DIGESTS[name][2]
 
 
 if __name__ == "__main__":

@@ -59,13 +59,13 @@ class TestShiftedQuadratic:
 
     def test_degenerate_noise_is_exactly_zero(self):
         problem = make_quadratic(halfwidth=0.0)
-        draw = problem.sample_noise(SeededGenerator(5))
+        draw = problem.noise_block(SeededGenerator(5), 1)[0]
         assert np.array_equal(draw, np.zeros(2))
 
     def test_noise_law_bounds_and_reproducibility(self):
         problem = make_quadratic(halfwidth=0.3)
-        first = problem.sample_noise(SeededGenerator(11))
-        second = problem.sample_noise(SeededGenerator(11))
+        first = problem.noise_block(SeededGenerator(11), 1)[0]
+        second = problem.noise_block(SeededGenerator(11), 1)[0]
         assert np.array_equal(first, second)
         block = problem.noise_block(SeededGenerator(11), 1000)
         assert block.shape == (1000, 2)
@@ -75,7 +75,7 @@ class TestShiftedQuadratic:
         problem = make_quadratic(halfwidth=0.3)
         block = problem.noise_block(SeededGenerator(77), 50)
         gen = SeededGenerator(77)
-        singles = np.array([problem.sample_noise(gen) for _ in range(50)])
+        singles = np.array([problem.noise_block(gen, 1)[0] for _ in range(50)])
         assert np.array_equal(block, singles)
 
     def test_mean_loss_noise_floor(self):
@@ -210,6 +210,101 @@ class TestFiniteSumLeastSquares:
         assert slack.min() >= -1e-12
 
 
+def residual_form(problem, x, dtype=float):
+    """Mean loss and gradient through the residuals of every design row."""
+    design = problem.design.astype(dtype)
+    residual = np.einsum("kj,...j->...k", design, np.asarray(x, dtype=dtype))
+    residual -= problem.targets.astype(dtype)
+    rows = problem.rows
+    return (
+        np.einsum("...k,...k->...", residual, residual) / (2 * rows),
+        np.einsum("...k,kj->...j", residual, design) / rows,
+    )
+
+
+def uncentred(problem):
+    """A copy of ``problem`` whose mean quantities use the form centred at 0."""
+    copy = FiniteSumLeastSquares(design=problem.design, targets=problem.targets)
+    grad_at_zero = -np.einsum("ki,k->i", problem.design, problem.targets)
+    form = (problem._form[0], np.zeros(problem.dimension), grad_at_zero, sq_norm(problem.targets))
+    object.__setattr__(copy, "_form", form)
+    return copy
+
+
+class TestCentredForm:
+    """Least squares evaluates its mean quantities as a form centred near x*."""
+
+    @staticmethod
+    def slack_error(problem, samples=4000):
+        """Largest error of the audit's relative slacks against a long
+        double evaluation of the residual form at the same points."""
+        cert = problem.certify(1.0, problem.minimizer())
+        rng = SeededGenerator(3)
+        xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
+        ys = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
+        noise = problem.noise_block(rng, samples)
+        _, rel_slack = objective._audit_values(problem, cert, noise, xs, ys)
+        loss_x, grad_x = residual_form(problem, xs, np.longdouble)
+        loss_y, _ = residual_form(problem, ys, np.longdouble)
+        gap = (ys - xs).astype(np.longdouble)
+        quad = 0.5 * cert.strong_convexity * np.einsum("...i,...i->...", gap, gap)
+        slack = loss_y - loss_x - np.einsum("...i,...i->...", grad_x, gap) - quad
+        scale = np.maximum.reduce([np.ones(samples), np.abs(loss_x), np.abs(loss_y), quad])
+        return float(np.max(np.abs(rel_slack - slack / scale)))
+
+    @staticmethod
+    def fitted(scale):
+        """A 64x8 design with targets of size ``scale`` fitted to about 1e-3."""
+        rng = np.random.default_rng(5)
+        design = rng.normal(size=(64, 8))
+        targets = design @ (scale * rng.normal(size=8)) + 1e-3 * rng.normal(size=64)
+        return FiniteSumLeastSquares(design=design, targets=targets)
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+    @pytest.mark.parametrize("scale", [1.0, 1e3, 1e5])
+    def test_audit_slacks_are_accurate_at_every_target_scale(self, scale):
+        assert self.slack_error(self.fitted(scale)) <= 1e-13
+
+    @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
+    def test_a_form_centred_at_zero_loses_the_slacks_at_large_targets(self):
+        # The reason for the centre: |targets|^2 cancels in the slack.
+        assert self.slack_error(uncentred(self.fitted(1e5))) > 1e-13
+
+    @pytest.mark.parametrize("extra", ["repeated", "zero", "sum"])
+    def test_rank_deficient_design_agrees_with_the_residual_form(self, extra):
+        # A fifth column that repeats the first, is zero or sums the first two.
+        rng = np.random.default_rng(8)
+        base = rng.normal(size=(40, 4))
+        column = {"repeated": base[:, 0], "zero": np.zeros(40), "sum": base[:, 0] + base[:, 1]}
+        design = np.column_stack([base, column[extra]])
+        problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=40))
+        assert np.all(np.isfinite(problem._form[1]))
+        xs = 3.0 * rng.normal(size=(500, 5))
+        loss, grad = problem.mean_loss_and_gradient(xs)
+        ref_loss, ref_grad = residual_form(problem, xs)
+        np.testing.assert_allclose(loss, ref_loss, rtol=1e-12)
+        np.testing.assert_allclose(grad, ref_grad, rtol=1e-12, atol=1e-12 * np.abs(ref_grad).max())
+
+    @pytest.mark.parametrize("design, targets", [
+        ([[1.0, 0.0], [1e200, 1e200]], [0.5, 0.0]),   # G overflows
+        ([[1e160, 0.0], [0.0, 1.0]], [1e160, 0.0]),   # design^T targets overflows
+    ])
+    def test_a_centre_that_overflows_is_zero(self, design, targets, capfd):
+        problem = FiniteSumLeastSquares(design=design, targets=targets)
+        assert np.array_equal(problem._form[1], np.zeros(2))
+        # Building the form prints nothing, neither numpy nor LAPACK.
+        assert capfd.readouterr() == ("", "")
+
+    def test_one_point_has_the_bits_of_the_batch(self):
+        problem = least_squares(385, 16, seed=4)
+        xs = np.random.default_rng(6).normal(size=(257, 16))
+        loss, grad = problem.mean_loss_and_gradient(xs)
+        for i in [0, 100, 256]:
+            one_loss, one_grad = problem.mean_loss_and_gradient(xs[i])
+            assert_same_bits(np.asarray(one_loss), loss[i])
+            assert_same_bits(one_grad, grad[i])
+
+
 class TestGradientConsistency:
     """Analytic gradients must match central finite differences."""
 
@@ -241,7 +336,7 @@ class TestOutBuffers:
             problem = ShiftedQuadratic(curvature=1.7, center=[0.4, -0.1, 0.3], noise_halfwidth=0.6)
         else:
             problem = FiniteSumLeastSquares(design=rng.normal(size=(6, 3)), targets=rng.normal(size=6))
-        noise = problem.noise_block(rng, 5) if batch else problem.sample_noise(rng)
+        noise = problem.noise_block(rng, 5) if batch else problem.noise_block(rng, 1)[0]
         x = rng.normal(size=(5, 3) if batch else 3)
         if family == "quadratic":
             formula = 1.7 * (x - problem.center - noise)
@@ -656,50 +751,66 @@ def chunk_problem(name):
     return problem, problem.certify(1.0, problem.minimizer())
 
 
-# Least squares at 2048 rows stops at 1025 samples: one block of 2^15
-# samples would hold 2 x 512 MiB of residuals.
 CHUNK_GRID = [
     (name, samples)
-    for name in ["quadratic-2", "quadratic-16", "ls-12x3", "ls-128x16", "ls-128x2", "ls-2048x16"]
+    for name in [
+        "quadratic-2", "quadratic-16", "ls-12x3", "ls-128x16", "ls-128x2", "ls-201x16",
+        "ls-385x16", "ls-2048x16",
+    ]
     for samples in [1, 7, 1025, 32_769, 40_001]
-    if name != "ls-2048x16" or samples <= 1025
 ]
 
 
 class TestVerifyChunks:
     """Both verify stages evaluate cache-sized chunks with the bits of one batch."""
 
-    @pytest.mark.parametrize("width, dimension, size", [
-        (2, 2, 1 << 15),   # a d=2 quadratic: the cap
-        (128, 16, 1024),   # 128 rows x 128 KiB of residuals
-        (32, 8, 4096),
-        (2048, 16, 64),
-        (200, 8, 1024),    # 512 samples would make a product of 819 200 multiply-adds
-        (128, 2, 4096),
-        (1 << 18, 1, 8),   # never fewer than 8 samples
+    @pytest.mark.parametrize("dimension, size", [
+        (1, 1 << 15),   # a whole block
+        (2, 1 << 15),   # a d=2 quadratic keeps whole blocks
+        (3, 21_845),
+        (8, 8192),
+        (16, 4096),
+        (33, 1985),
+        (64, 1024),
     ])
-    def test_chunk_size(self, width, dimension, size):
-        assert objective._verify_chunk_size(width, dimension) == size
+    def test_chunk_size(self, dimension, size):
+        parts = objective._verify_chunks(1 << 15, dimension)
+        assert parts[0] == slice(0, size)
 
-    def test_problems_report_their_widest_temporary(self):
-        assert make_quadratic(dim=5).batch_width == 5
-        assert least_squares(40, 3).batch_width == 40
+    def test_chunks_are_sized_by_the_dimension_alone(self, monkeypatch):
+        # A least-squares chunk is as long as a quadratic one of the same
+        # dimension, however many design rows it has.
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        values = objective._audit_values
+        lengths = []
+
+        def recording(problem, cert, noise, x, y):
+            lengths.append(x.shape[0])
+            return values(problem, cert, noise, x, y)
+
+        monkeypatch.setattr(objective, "_audit_values", recording)
+        for name in ["quadratic-16", "ls-128x16", "ls-2048x16"]:
+            problem, cert = chunk_problem(name)
+            audit_certificate(problem, cert, 10_000, SeededGenerator(3))
+        assert lengths == [4096, 4096, 1808] * 3
+
+    def test_one_sample_per_chunk_at_the_smallest_budget(self, monkeypatch):
+        monkeypatch.setattr(objective, "_VERIFY_CHUNK_BYTES", 1)
+        assert objective._verify_chunks(3, 64) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
     @pytest.mark.parametrize("samples", [
         1, 7, 1023, 1024, 2047, 2048, 3000, 32_767, 32_768, 32_769, 33_792, 34_817, 40_001, 100_000,
     ])
     def test_chunks_tile_every_block(self, samples):
-        size, cap = 1024, objective._AUDIT_CHUNK
+        size, cap = 4096, objective._AUDIT_CHUNK
         counts = [count for _, count in objective._stage_blocks(SeededGenerator(0), samples)]
         assert counts == [min(cap, samples - lo) for lo in range(0, samples, cap)]
         for block_length in counts:
-            parts = list(objective._verify_chunks(block_length, 128, 16))
+            parts = objective._verify_chunks(block_length, 16)
             assert parts[0].start == 0 and parts[-1].stop == block_length
             assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-            for part in parts:
-                assert part.start % size == 0
-                length = part.stop - part.start
-                assert size <= length < 2 * size or length == block_length < size
+            assert all(part.stop - part.start == size for part in parts[:-1])
+            assert 0 < parts[-1].stop - parts[-1].start <= size
 
     @pytest.mark.parametrize("name, samples", CHUNK_GRID)
     def test_audit_values_equal_whole_blocks(self, name, samples):
@@ -720,7 +831,7 @@ class TestVerifyChunks:
         problem, cert = chunk_problem(name)
         report = check_gradients(problem, cert, 40_001, SeededGenerator(9))
         monkeypatch.setattr(objective, "_VERIFY_CHUNK_BYTES", 1 << 40)
-        assert objective._verify_chunk_size(problem.dimension, problem.dimension) == 1 << 15
+        assert objective._verify_chunks(1 << 15, problem.dimension) == [slice(0, 1 << 15)]
         assert check_gradients(problem, cert, 40_001, SeededGenerator(9)) == report
 
     @pytest.mark.parametrize("name", ["quadratic-2", "ls-12x3", "ls-128x16"])
