@@ -34,8 +34,8 @@ from .errors import CertificationError, ConfigurationError, require_int
 AUDIT_RTOL = 1e-9
 
 # Designs whose normalized Gram matrix has a smallest eigenvalue at or below
-# this floor (relative to max(1, largest eigenvalue)) are treated as rank
-# deficient.
+# this floor times its largest eigenvalue are treated as rank deficient; the
+# floor does not move when the design is scaled.
 RANK_TOL = 1e-10
 
 MAX_DIMENSION = 64
@@ -115,7 +115,6 @@ class HypothesisCertificate:
     region_center: np.ndarray
     region_radius: float
     guaranteed_containment: bool
-    notes: tuple[str, ...] = ()
 
 
 @dataclass(frozen=True, eq=False)
@@ -349,20 +348,12 @@ class ShiftedQuadratic(StochasticProblem):
         reach = self.noise_halfwidth * math.sqrt(self.dimension)
         bound = _squared_bound(self.curvature * (region_radius + reach))
         contained = reach <= region_radius
-        notes = (
-            "strong_convexity equals the curvature; the mean loss is an exact quadratic",
-            "grad_sq_bound = (curvature * (region_radius + halfwidth * sqrt(dim)))^2",
-            "containment holds for any schedule with rate * curvature <= 1"
-            if contained
-            else "containment not guaranteed: noise reach exceeds the region radius",
-        )
         return HypothesisCertificate(
             strong_convexity=self.curvature,
             grad_sq_bound=bound,
             region_center=self.minimizer(),
             region_radius=region_radius,
             guaranteed_containment=contained,
-            notes=notes,
         )
 
 
@@ -380,8 +371,9 @@ class FiniteSumLeastSquares(StochasticProblem):
     g = design^T r and e = x - c, the mean loss is
     (|r|^2 + 2 <g, e> + e^T G e) / (2K) and the mean gradient (g + G e) / K.
     c solves G c = design^T targets, or is 0 where G is singular or the
-    solution is not finite; on a certified design it is the minimizer up
-    to rounding, so the audit evaluates the form near its centre.  A point
+    solution is not finite.  The form is the only normal-equations state:
+    ``minimizer`` returns c and ``certify`` reads G and r, so the audit
+    evaluates the form near its centre.  A point
     costs d^2 multiply-adds of its own and no BLAS call, so its values do
     not depend on the batch it is in or on the BLAS threads.
     """
@@ -420,7 +412,8 @@ class FiniteSumLeastSquares(StochasticProblem):
             if not np.all(np.isfinite(centre)):
                 centre = np.zeros(dim)
             residual = np.einsum("kj,j->k", design, centre) - targets
-            form = (gram, centre, np.einsum("ki,k->i", design, residual), sq_norm(residual))
+            grad_c = np.einsum("ki,k->i", design, residual)
+            form = (gram, centre, residual, grad_c, sq_norm(residual))
         object.__setattr__(self, "_form", form)
 
     @property
@@ -476,7 +469,7 @@ class FiniteSumLeastSquares(StochasticProblem):
 
     def _centred_form(self, x):
         """The mean loss at ``x`` and rows times the mean gradient there."""
-        gram, centre, grad_c, sq_c = self._form
+        gram, centre, _, grad_c, sq_c = self._form
         e = self._check_x(x) - centre
         grad = np.einsum("ij,...j->...i", gram, e)
         np.add(grad, grad_c, out=grad)
@@ -496,60 +489,44 @@ class FiniteSumLeastSquares(StochasticProblem):
         return loss, np.divide(grad, self.rows, out=grad)
 
     def minimizer(self) -> np.ndarray:
-        gram = self.design.T @ self.design
-        rhs = self.design.T @ self.targets
-        try:
-            x = np.linalg.solve(gram, rhs)
-        except np.linalg.LinAlgError as err:
-            raise CertificationError(f"normal equations are singular: {err}") from None
-        scale = 1.0 + float(np.linalg.norm(rhs))
-        residual = gram @ x - rhs
-        if np.linalg.norm(residual) > 1e-12 * scale:
-            # One step of iterative refinement before giving up.
-            x = x - np.linalg.solve(gram, residual)
-            residual = gram @ x - rhs
-            if np.linalg.norm(residual) > 1e-12 * scale:
-                raise CertificationError(
-                    "normal equations could not be solved to relative residual 1e-12; "
-                    "the design is too ill-conditioned"
-                )
-        # The gradient through the residuals of every row, as x was solved.
-        residual = np.inner(x, self.design) - self.targets
-        grad_norm = float(np.linalg.norm(residual @ self.design / self.rows))
-        if grad_norm > 1e-9 * (1.0 + float(np.linalg.norm(x))):
+        """The form's centre c, once it passes a first-order test.
+
+        The test bounds the form's gradient g = design^T r at c relative to
+        the backward-error scale of the normal equations,
+        ||design|| * (||design|| * ||c|| + ||targets||) in Frobenius norms,
+        which also bounds the rounding of r and of g; so the test does not
+        move when the design and targets are scaled together.
+        """
+        _, centre, _, grad_c, _ = self._form
+        width = math.sqrt(float(sq_norm(self.design.ravel())))
+        fit = width * math.sqrt(float(sq_norm(centre))) + math.sqrt(float(sq_norm(self.targets)))
+        # False on a NaN, and on a scale that overflows.
+        if not math.sqrt(float(sq_norm(grad_c))) <= 1e-9 * width * fit < math.inf:
             raise CertificationError(
                 "minimizer fails the first-order optimality check; "
-                "the design is too ill-conditioned"
+                "the design is singular or too ill-conditioned"
             )
-        return x
+        return centre.copy()
 
     def certify(self, region_radius: float, x0) -> HypothesisCertificate:
-        x_star = self.minimizer()
-        region_radius = _certify_radius(self, region_radius, x0, x_star=x_star)
-        gram_mean = self.design.T @ self.design / self.rows
-        eigenvalues = np.linalg.eigvalsh(gram_mean)
+        # _certify_radius checks the minimizer, the form's centre.
+        region_radius = _certify_radius(self, region_radius, x0)
+        gram, centre, residual, _, _ = self._form
+        eigenvalues = np.linalg.eigvalsh(gram / self.rows)
         smallest = float(eigenvalues[0])
-        if smallest <= RANK_TOL * max(1.0, float(eigenvalues[-1])):
+        if smallest <= RANK_TOL * float(eigenvalues[-1]):
             raise CertificationError(
                 "design matrix is rank deficient; the mean loss is not strongly convex"
             )
         row_norms = np.sqrt(sq_norm(self.design))
-        residual_star = np.abs(np.inner(x_star, self.design) - self.targets)
-        per_row = row_norms * (row_norms * region_radius + residual_star)
+        per_row = row_norms * (row_norms * region_radius + np.abs(residual))
         bound = _squared_bound(float(np.max(per_row)))
-        notes = (
-            "strong_convexity is the smallest eigenvalue of design^T design / rows",
-            "grad_sq_bound = max over rows of (||row|| * (||row|| * region_radius "
-            "+ |row residual at the minimizer|))^2",
-            "containment is not guaranteed for this family; region flags are recorded per step",
-        )
         return HypothesisCertificate(
             strong_convexity=smallest,
             grad_sq_bound=bound,
-            region_center=x_star,
+            region_center=centre.copy(),
             region_radius=region_radius,
             guaranteed_containment=False,
-            notes=notes,
         )
 
 
@@ -567,14 +544,12 @@ def _squared_bound(root: float) -> float:
     return bound
 
 
-def _certify_radius(problem, region_radius, x0, x_star=None) -> float:
+def _certify_radius(problem, region_radius, x0) -> float:
     region_radius = float(region_radius)
     if not math.isfinite(region_radius) or region_radius <= 0.0:
         raise CertificationError("region_radius must be a finite positive real")
     x0 = as_float_vector(x0, problem.dimension, "x0")
-    if x_star is None:
-        x_star = problem.minimizer()
-    start_dist = math.sqrt(float(sq_norm(x0 - x_star)))
+    start_dist = math.sqrt(float(sq_norm(x0 - problem.minimizer())))
     if start_dist > region_radius:
         raise CertificationError(
             f"x0 lies at distance {start_dist:.6g} from the minimizer, "

@@ -29,22 +29,22 @@ DIGESTS = {
         "3d1af60f21e5a47f928b58b23317ba5ef02e27dcef06c2f4d78708b1b2b32dbe",
     ),
     "ls_descent_convergence": (
-        "20c032bbb7080fed35fd158c412ab1409f2454755f5353d4320a6d58c5ba1ca0",
+        "c05fbc4932901875d02cf8b975a42c47a13663f8293fef0008c3ec06f58f12c4",
         "8ade97cb00305f194e71543cba4b33d0527bccfd95658fcd7e6657d77eefe50c",
         "aa0650326f655ff935b7a80497c5f4fd9ffc891725cc71786d5382b0b8fa05f2",
     ),
     "ls_lemma": (
-        "219abfce2ab3c97030c2366f18a9d99977efac9a1b280eb9dd5067380410e79f",
-        "e5ddf7aa784dd054fead6fb0f4f072c05049598ef020b1fe3e040e7e4806d9cb",
+        "f46930237879d6f213fdd3abe636a0a7eb8cc9a8906b5a6c3e7b872e15049873",
+        "0466e5ed763e4444d04fe15d151142de5009833b25b2df0daa0ae7918e05f414",
         "c42e27a327224df1264df57ddcb851297cb28018654fb27969863c7f3f307c72",
     ),
     # A 200x8 design with odd sample counts (33 001 audited, 1 001 gradient
     # checks): the audit runs past the 2^15 block boundary into a second
     # draw block of 233 samples, drawn from a generator jumped once.
     "ls_chunk_tails": (
-        "c25e0243a37c4e3e27570fe76adef43fd2be3ca5db0932063a8da328140be8a1",
+        "c6abc14d12412b602ac5fd9a760c343ea02c98314fd36f4104ad0c401280117c",
         "6a482291e0d16576b89781af7c5935b0ddf72244f0f3fd3da1ded4cf18f3be06",
-        "20c421b710de410dbe53e2b5b9769215aa94e1f4f353a1cc3358dc4ed2371e7b",
+        "4709f8c5db742a76c71f1e1c96bf64720b6e7268866a08ef68a95db74d2ec132",
     ),
     # A d=3 quadratic at R=37, H=2000: the noise is drawn in one block of
     # replication tiles of 5, so the last tile holds 2.

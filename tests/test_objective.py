@@ -188,6 +188,38 @@ class TestFiniteSumLeastSquares:
         assert cert.grad_sq_bound == pytest.approx(1.0, rel=1e-12)
         assert not cert.guaranteed_containment
 
+    @pytest.mark.parametrize("scale", [10.0**e for e in range(-8, 13)])
+    def test_certification_does_not_depend_on_the_scale(self, scale):
+        # Design and targets scaled together: mu scales by scale^2, and a
+        # design with a repeated or a zero column is refused at every scale.
+        rng = np.random.default_rng(0)
+        design, targets = rng.standard_normal((32, 8)), rng.standard_normal(32)
+        unit = FiniteSumLeastSquares(design=design, targets=targets)
+        mu = unit.certify(1.0, unit.minimizer()).strong_convexity
+        problem = FiniteSumLeastSquares(design=scale * design, targets=scale * targets)
+        cert = problem.certify(1.0, problem.minimizer())
+        assert cert.strong_convexity / scale**2 == pytest.approx(mu, rel=1e-12)
+        for column in (design[:, 0], np.zeros(32)):
+            deficient = FiniteSumLeastSquares(
+                design=scale * np.column_stack([design, column]), targets=scale * targets
+            )
+            with pytest.raises(CertificationError):
+                deficient.certify(1.0, deficient._form[1])
+
+    @pytest.mark.parametrize("size", [1.0, 1e6, 1e12])
+    def test_targets_orthogonal_to_the_columns_certify(self, size):
+        # x* = 0 up to rounding and |r| = |targets|: the first-order test
+        # scales with ||targets||, not with ||design^T targets||, which is
+        # rounding noise here.
+        rng = np.random.default_rng(0)
+        design = rng.standard_normal((32, 8))
+        basis, _ = np.linalg.qr(design)
+        targets = rng.standard_normal(32)
+        targets -= basis @ (basis.T @ targets)
+        problem = FiniteSumLeastSquares(design=design, targets=size * targets)
+        cert = problem.certify(1.0, np.zeros(8))
+        assert np.sqrt(sq_norm(cert.region_center)) <= 1e-12 * size
+
     def test_rank_deficient_design_fails_certification(self):
         problem = FiniteSumLeastSquares(design=[[1.0, 0.0], [2.0, 0.0]], targets=[0.0, 0.0])
         with pytest.raises(CertificationError):
@@ -226,7 +258,8 @@ def uncentred(problem):
     """A copy of ``problem`` whose mean quantities use the form centred at 0."""
     copy = FiniteSumLeastSquares(design=problem.design, targets=problem.targets)
     grad_at_zero = -np.einsum("ki,k->i", problem.design, problem.targets)
-    form = (problem._form[0], np.zeros(problem.dimension), grad_at_zero, sq_norm(problem.targets))
+    form = (problem._form[0], np.zeros(problem.dimension), -problem.targets, grad_at_zero,
+            sq_norm(problem.targets))
     object.__setattr__(copy, "_form", form)
     return copy
 
@@ -235,10 +268,12 @@ class TestCentredForm:
     """Least squares evaluates its mean quantities as a form centred near x*."""
 
     @staticmethod
-    def slack_error(problem, samples=4000):
+    def slack_error(problem, centred=None, samples=4000):
         """Largest error of the audit's relative slacks against a long
-        double evaluation of the residual form at the same points."""
-        cert = problem.certify(1.0, problem.minimizer())
+        double evaluation of the residual form at the same points, in the
+        certified ball of ``centred`` (by default ``problem``)."""
+        centred = centred or problem
+        cert = centred.certify(1.0, centred.minimizer())
         rng = SeededGenerator(3)
         xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
         ys = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
@@ -268,7 +303,8 @@ class TestCentredForm:
     @pytest.mark.skipif(np.finfo(np.longdouble).eps > 1e-18, reason="needs an extended long double")
     def test_a_form_centred_at_zero_loses_the_slacks_at_large_targets(self):
         # The reason for the centre: |targets|^2 cancels in the slack.
-        assert self.slack_error(uncentred(self.fitted(1e5))) > 1e-13
+        problem = self.fitted(1e5)
+        assert self.slack_error(uncentred(problem), problem) > 1e-13
 
     @pytest.mark.parametrize("extra", ["repeated", "zero", "sum"])
     def test_rank_deficient_design_agrees_with_the_residual_form(self, extra):
@@ -294,6 +330,17 @@ class TestCentredForm:
         assert np.array_equal(problem._form[1], np.zeros(2))
         # Building the form prints nothing, neither numpy nor LAPACK.
         assert capfd.readouterr() == ("", "")
+
+    def test_minimizer_and_certificate_read_the_form(self):
+        problem = least_squares(385, 16, seed=4)
+        _, centre, residual, grad_c, _ = problem._form
+        x_star = problem.minimizer()
+        assert_same_bits(x_star, centre)
+        assert_same_bits(problem.mean_gradient(x_star), grad_c / problem.rows)
+        cert = problem.certify(1.0, x_star)
+        assert_same_bits(cert.region_center, centre)
+        row_norms = np.sqrt(sq_norm(problem.design))
+        assert cert.grad_sq_bound == np.max(row_norms * (row_norms + np.abs(residual))) ** 2
 
     def test_one_point_has_the_bits_of_the_batch(self):
         problem = least_squares(385, 16, seed=4)
