@@ -86,7 +86,8 @@ def descent_verdict(problem: StochasticProblem, cert: HypothesisCertificate,
     first_bad = None
     for i in range(points):
         verdict = check_descent_inequality(problem, cert, locations[i], samples, draw_rng)
-        worst = min(worst, verdict.worst_margin)
+        # np.minimum, unlike min, keeps a NaN margin.
+        worst = float(np.minimum(worst, verdict.worst_margin))
         if not verdict.passed and first_bad is None:
             first_bad = i
     return Verdict(

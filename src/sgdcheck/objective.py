@@ -213,6 +213,10 @@ class StochasticProblem(abc.ABC):
         """
         return row_dot(direction, self.pointwise_gradient(noise, x))
 
+    def sorted_alignment(self, noise, x, direction):
+        """The values of gradient_alignment(noise, x, direction), ascending."""
+        return np.sort(self.gradient_alignment(noise, x, direction))
+
     @abc.abstractmethod
     def mean_loss(self, x): ...
 
@@ -450,22 +454,28 @@ class FiniteSumLeastSquares(StochasticProblem):
         residual = row_dot(rows, x) - self.targets[noise]
         return np.multiply(rows, np.asarray(residual)[..., None], out=out)
 
-    def gradient_alignment(self, noise, x, direction):
-        """<direction, pointwise_gradient(noise_j, x)> for each draw j.
+    def sorted_alignment(self, noise, x, direction):
+        """The values of gradient_alignment(noise, x, direction), ascending.
 
-        With at least as many draws as rows, the value of every row is
-        computed once and gathered per draw.  A value depends only on its
-        row and goes through the same operations either way, so the bits are
-        those of the direct path.  A table with a non-finite value falls
-        back to the direct path, which warns only about rows actually drawn.
+        With at least as many draws as rows, stored as noise_block stores
+        them, the value of every row is computed once, the rows are ordered
+        by value and each value is repeated as often as its row was drawn.
+        A value depends only on its row and goes through the same operations
+        either way, and equal values have equal bits, so the result is the
+        sorted direct path bit for bit (up to the order of +0.0 and -0.0,
+        which changes no sum).  A table with a non-finite value falls back
+        to the direct path, which warns only about rows actually drawn; so
+        does a row index out of range, which the direct path refuses.
         """
         noise = np.asarray(noise)
-        if noise.size >= self.rows:
+        if noise.dtype == self.noise_dtype and noise.size >= self.rows:
+            counts = np.bincount(noise.ravel(), minlength=self.rows)
             with np.errstate(over="ignore", invalid="ignore"):
                 table = row_dot(direction, self.pointwise_gradient(np.arange(self.rows), x))
-            if np.isfinite(table).all():
-                return table[noise]
-        return super().gradient_alignment(noise, x, direction)
+            if counts.shape[0] == self.rows and np.isfinite(table).all():
+                order = np.argsort(table)
+                return np.repeat(table[order], counts[order])
+        return super().sorted_alignment(noise, x, direction)
 
     def _centred_form(self, x):
         """The mean loss at ``x`` and rows times the mean gradient there."""

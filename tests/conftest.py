@@ -4,7 +4,8 @@ checks that no test leaves a child process or a thread behind.
 Acceptance tests record one line per guarantee through the ``scoreboard``
 fixture; the lines are printed in their own terminal section after the run,
 outside pytest's output capture.  Memory tests measure with the
-``peak_traced_bytes`` fixture.
+``peak_traced_bytes`` fixture, and tests that size thread or process pools
+fake the usable cores with ``fake_cores``.
 """
 import os
 import threading
@@ -40,6 +41,18 @@ def peak_traced_bytes():
     return measure
 
 
+@pytest.fixture
+def fake_cores(monkeypatch):
+    """``fake_cores(k)`` makes the process see k usable cores: the thread
+    pools of the verify stages and of the lemma, and the worker count of
+    run_seeds, size themselves by it."""
+
+    def use(count: int) -> None:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+
+    return use
+
+
 @pytest.fixture(autouse=True)
 def no_child_process_left():
     """After each test, no child process may be running or unreaped: run_seeds
@@ -53,7 +66,8 @@ def no_child_process_left():
 @pytest.fixture(autouse=True)
 def no_thread_left():
     """After each test, as many threads run as before it: the verify stages
-    join every thread they start on every way out."""
+    and the run-stage checks (the lemma's parts) join every thread they
+    start on every way out."""
     before = threading.active_count()
     yield
     assert threading.active_count() == before

@@ -1,6 +1,7 @@
 """Tests for d_n estimation, the envelope, and the verdict checks."""
 import dataclasses
 import math
+import threading
 import warnings
 from fractions import Fraction
 
@@ -28,6 +29,7 @@ from sgdcheck import (
 )
 from sgdcheck import analyzer
 from sgdcheck.analyzer import merge_parts, step_stats
+from sgdcheck.objective import sq_norm
 
 
 def quadratic_runs(seeds, radius=10.0):
@@ -679,18 +681,47 @@ class TestProductDecayChunks:
             for kind in sorted(LEMMA_SCHEDULES)
         ],
     )
-    def test_bitwise_equal_to_one_shot_sum(self, kind, length):
+    def test_bitwise_equal_to_one_shot_sum(self, kind, length, fake_cores):
         schedule, mu = LEMMA_SCHEDULES[kind]
         for n in (0, 5):
-            result = product_decay(schedule, mu, n, length - 1)
             log_product, log_majorant = one_shot_decay(schedule, mu, n, length - 1)
-            assert result.log_product == log_product
-            assert result.log_majorant == log_majorant
+            for cores in (1, 2, 3, 8):
+                fake_cores(cores)
+                result = product_decay(schedule, mu, n, length - 1)
+                assert result.log_product == log_product
+                assert result.log_majorant == log_majorant
 
     def test_memory_does_not_grow_with_the_range(self, peak_traced_bytes):
         schedule = InverseTimeSchedule(scale=1.0, offset=2.0)
         peak = peak_traced_bytes(lambda: product_decay(schedule, 1.0, 1, 20_000_000))
         assert peak < 4 * 2**20, peak
+
+    def test_memory_does_not_grow_with_the_cores(self, peak_traced_bytes, fake_cores):
+        fake_cores(8)
+        schedule = InverseTimeSchedule(scale=1.0, offset=2.0)
+        peak = peak_traced_bytes(lambda: product_decay(schedule, 1.0, 1, 20_000_000))
+        assert peak < 4 * 2**20, peak
+
+    @pytest.mark.parametrize("cores, length, started", [
+        (1, 5_000_000, 0),
+        (2, 1 << 15, 0),        # one part: evaluated inline
+        (2, 1001, 0),
+        (2, 50_001, 2),         # two halves of one part each
+        (2, 5_000_000, 2),
+        (8, 5_000_000, 8),
+    ])
+    def test_threads_started(self, cores, length, started, fake_cores, monkeypatch):
+        fake_cores(cores)
+        starts = []
+        start = threading.Thread.start
+
+        def counted(thread):
+            starts.append(1)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counted)
+        product_decay(LEMMA_SCHEDULES["inverse_time"][0], 0.7, 1, length - 1)
+        assert len(starts) == started
 
 
 class TestCheckDescentInequality:
@@ -729,6 +760,34 @@ class TestCheckDescentInequality:
         assert not verdict.passed
         assert verdict.first_violation_index == 0
 
+    def test_a_margin_that_is_not_finite_fails_as_nan(self):
+        # Some alignment values overflow to inf: the mean is inf and the
+        # deviations hold a NaN.  No warning may escape.
+        problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=1e155)
+        cert = make_cert(radius=1e156, dim=2)
+        verdict = check_descent_inequality(problem, cert, [1e155, 0.0], 200, SeededGenerator(8))
+        assert not verdict.passed
+        assert verdict.first_violation_index == 0
+        assert math.isnan(verdict.worst_margin)
+
+    def test_an_infinite_stderr_fails_as_nan(self):
+        # Values spanning the float range: the mean is finite, but a
+        # deviation overflows, so the standard error and both margins are inf.
+        class Spread:
+            def noise_block(self, rng, count):
+                return np.zeros(count)
+
+            def sorted_alignment(self, noise, x, direction):
+                return np.repeat([-1.7e308, 1.7e308], [1, noise.shape[0] - 1])
+
+            def mean_gradient(self, x):
+                return np.zeros(1)
+
+        verdict = check_descent_inequality(Spread(), make_cert(), [1.0], 100, None)
+        assert "stderr=inf" in verdict.context
+        assert not verdict.passed
+        assert math.isnan(verdict.worst_margin)
+
     def test_validation(self):
         problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=0.0)
         cert = problem.certify(2.0, [1.0, 1.0])
@@ -736,3 +795,38 @@ class TestCheckDescentInequality:
             check_descent_inequality(problem, cert, [1.0, 1.0], 99, SeededGenerator(6))
         with pytest.raises(UsageError):
             check_descent_inequality(problem, cert, [5.0, 0.0], 200, SeededGenerator(7))
+
+
+class TestDescentStatistics:
+    """_mean_and_stderr rescales only the sums that overflow, as step_stats does."""
+
+    @staticmethod
+    def plain(ordered):
+        """The unscaled statistics (the reference where nothing overflows)."""
+        mean = float(ordered.mean())
+        variance = float(sq_norm(ordered - mean)) / (ordered.shape[0] - 1)
+        return mean, math.sqrt(variance / ordered.shape[0])
+
+    @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
+    def test_bits_of_the_plain_sums_where_nothing_overflows(self, scale):
+        ordered = np.sort(SeededGenerator(4).normal(size=20_000)) * scale
+        assert analyzer._mean_and_stderr(ordered) == self.plain(ordered)
+
+    def test_a_sum_that_overflows_is_summed_scaled(self):
+        values = SeededGenerator(5).uniform(1e307, 1.7e308, size=1000)
+        ordered = np.sort(values)
+        with np.errstate(over="ignore"):
+            assert ordered.mean() == math.inf
+            mean, stderr = analyzer._mean_and_stderr(ordered)
+        small = np.ldexp(ordered, -600)
+        small_mean, small_stderr = self.plain(small)
+        assert mean == math.ldexp(small_mean, 600)
+        assert stderr == math.ldexp(small_stderr, 600)
+
+    def test_squared_deviations_that_overflow_are_summed_scaled(self):
+        ordered = np.array([-1e300, -1e300, 1e300, 1e300])
+        with np.errstate(over="ignore"):
+            mean, stderr = analyzer._mean_and_stderr(ordered)
+        assert mean == 0.0
+        assert stderr == math.ldexp(self.plain(np.ldexp(ordered, -600))[1], 600)
+        assert stderr == pytest.approx(1e300 / math.sqrt(3.0), rel=1e-12)

@@ -1,5 +1,6 @@
 """Tests for the check pipeline of an experiment (sgdcheck.checks)."""
 import json
+import math
 
 import numpy as np
 import pytest
@@ -17,6 +18,7 @@ from sgdcheck import (
     product_decay,
     run_replications,
 )
+from sgdcheck import checks
 from sgdcheck.checks import (
     ORACLE_RTOL,
     closed_form_product,
@@ -102,8 +104,8 @@ class TestDescentTable:
     def test_verdict_is_identical_to_the_direct_path(self, monkeypatch):
         problem, cert = self.problem()
         table = descent_verdict(problem, cert, 31, 6, 20_000)
-        monkeypatch.setattr(FiniteSumLeastSquares, "gradient_alignment",
-                            StochasticProblem.gradient_alignment)
+        monkeypatch.setattr(FiniteSumLeastSquares, "sorted_alignment",
+                            StochasticProblem.sorted_alignment)
         assert descent_verdict(problem, cert, 31, 6, 20_000) == table
 
     def test_at_most_one_gradient_row_per_design_row_per_point(self, monkeypatch):
@@ -119,3 +121,19 @@ class TestDescentTable:
         points = 5
         descent_verdict(problem, cert, 31, points, 20_000)
         assert sum(rows_seen) <= points * problem.rows
+
+
+def test_descent_verdict_keeps_a_nan_margin(monkeypatch):
+    margins = iter([1.0, float("nan"), 0.5])
+
+    def point(problem, cert, x, samples, rng):
+        margin = next(margins)
+        return Verdict(margin >= 0.0, None if margin >= 0.0 else 0, margin, "")
+
+    monkeypatch.setattr(checks, "check_descent_inequality", point)
+    cfg = config([])
+    problem = build_problem(cfg.problem)
+    verdict = descent_verdict(problem, problem.certify(2.0, cfg.x0), 7, 3, 200)
+    assert not verdict.passed
+    assert verdict.first_violation_index == 1
+    assert math.isnan(verdict.worst_margin)

@@ -2,6 +2,7 @@
 import dataclasses
 import json
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -170,6 +171,28 @@ class TestRunCommand:
         assert "overall: FAIL" in stdout
         report = (out_dir / "report.txt").read_text(encoding="utf-8")
         assert report.splitlines()[-1] == "overall: FAIL"
+
+    def test_descent_statistics_that_overflow_stay_finite(self, tmp_path, out_dir, capsys):
+        # Every alignment value is finite, near 1e304, but their sum and the
+        # sum of their squared deviations overflow: both are summed scaled.
+        config = tmp_path / "experiment.json"
+        write_config(
+            config,
+            problem={"family": "shifted_quadratic", "curvature": 1.0, "center": [0.0, 0.0],
+                     "noise_halfwidth": 1e150},
+            schedule={"kind": "constant", "rho": 0.5},
+            x0=[1e152, 0.0], region_radius=3e152, horizon=10, replications=4, master_seed=3,
+            checks=[{"type": "descent", "points": 3, "samples": 20_000}],
+        )
+        with warnings.catch_warnings():
+            # A warning would print to stderr instead of raising.
+            warnings.simplefilter("always")
+            assert main(["run", str(config)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "[PASS] descent" in captured.out
+        report = (out_dir / "report.txt").read_text(encoding="utf-8")
+        assert "inf" not in report and "nan" not in report
 
     def test_divergent_run_exits_three(self, tmp_path, out_dir, capsys):
         config = tmp_path / "experiment.json"

@@ -577,7 +577,7 @@ class TestProcesses:
         signal.signal(signal.SIGALRM, previous)
 
     @pytest.fixture
-    def cores(self, monkeypatch):
+    def cores(self, monkeypatch, fake_cores):
         """``cores(k, part)`` cuts the replications into parts of ``part``,
         lets run_seeds fork a worker for each of k cores, or for each part if
         fewer, and counts the workers it forks."""
@@ -589,7 +589,7 @@ class TestProcesses:
             return fork()
 
         def use(count, part=1):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+            fake_cores(count)
             monkeypatch.setattr(engine, "_PROCESS_VALUES", 1)
             monkeypatch.setattr(engine, "_PART", part)
             monkeypatch.setattr(os, "fork", counted_fork)
@@ -597,21 +597,21 @@ class TestProcesses:
 
         return use
 
-    def test_size_rule(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(8)))
+    def test_size_rule(self, monkeypatch, fake_cores):
+        fake_cores(8)
         # ls-long and ls-audit stay in one process; quad-wide gets 3 workers on 8 cores.
         assert engine._process_count(200, 8) == 1
         assert engine._process_count(400, 16) == 1
         assert engine._process_count(8000, 2) == 3
         assert engine._process_count(10**6, 2) == 8
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        fake_cores(2)
         assert engine._process_count(8000, 2) == 2
         monkeypatch.setattr(engine, "_PROCESS_VALUES", 1)
         assert engine._process_count(3, 4) == 2
         assert engine._process_count(1, 64) == 1
 
-    def test_one_process_while_other_threads_run(self, monkeypatch):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+    def test_one_process_while_other_threads_run(self, fake_cores):
+        fake_cores(2)
         assert engine._process_count(8000, 2) == 2
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)

@@ -99,6 +99,20 @@ def test_verify_digest_holds_at_one_sample_per_chunk(name, monkeypatch):
     assert verify_digest(name) == DIGESTS[name][2]
 
 
+@pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_run_output_does_not_depend_on_the_core_count(name, tmp_path, monkeypatch, fake_cores):
+    # The cores size the replication workers and the lemma's threads.
+    monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path))
+    stdouts = set()
+    for cores in (1, 4):
+        fake_cores(cores)
+        with contextlib.redirect_stdout(io.StringIO()) as run_out:
+            assert main(["run", str(GOLDEN_DIR / f"{name}.json")]) == 0
+        stdouts.add(run_out.getvalue())
+        assert sha256((tmp_path / "report.txt").read_bytes()) == DIGESTS[name][1]
+    assert len(stdouts) == 1
+
+
 if __name__ == "__main__":
     for name in DIGESTS:
         with tempfile.TemporaryDirectory() as out_dir:

@@ -20,7 +20,6 @@ from sgdcheck.objective import row_dot, sq_norm
 
 import dataclasses
 import json
-import os
 import signal
 import sys
 import threading
@@ -505,7 +504,7 @@ class TestAudit:
 
     @pytest.mark.parametrize("case", ["quadratic", "finite_sum", "nan_ratio"])
     def test_verify_output_does_not_depend_on_the_thread_count(
-        self, case, tmp_path, monkeypatch, capsys
+        self, case, tmp_path, monkeypatch, capsys, fake_cores
     ):
         # Blocks of 97 samples: the audit runs 11 blocks, the gradient check
         # 4.  The certificate is corrupted so both witnesses print; in
@@ -564,7 +563,7 @@ class TestAudit:
             assert worst_grad == 999 and np.nanmax(ratios[:97]) > 1.0
         outputs = set()
         for cores in range(1, 6):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cores: set(range(n)))
+            fake_cores(cores)
             report = audit_certificate(problem, cert, 1000, aux_generator(7, 2))
             assert_same_bits(np.array(report.max_grad_ratio), ratios[worst_grad])
             assert_same_bits(np.array(report.min_convexity_slack), slacks[worst_convexity])
@@ -605,8 +604,14 @@ ALIGNMENT_GRID = [
 ]
 
 
+def sorted_direct(problem, noise, x, direction):
+    """The direct path: one gradient per draw, then np.sort (the reference)."""
+    return np.sort(objective.StochasticProblem.gradient_alignment(problem, noise, x, direction))
+
+
 class TestGradientAlignment:
-    """The least-squares row table has the bits of the per-draw path."""
+    """sorted_alignment: the least-squares row counts have the bits of the
+    per-draw path, sorted."""
 
     @pytest.mark.parametrize("dim, rows", ALIGNMENT_GRID)
     def test_bitwise_equal_to_the_direct_path(self, dim, rows):
@@ -619,18 +624,40 @@ class TestGradientAlignment:
             if samples < 1:
                 continue
             noise = problem.noise_block(gen, samples)
-            got = problem.gradient_alignment(noise, x, direction)
-            direct = objective.StochasticProblem.gradient_alignment(problem, noise, x, direction)
+            got = problem.sorted_alignment(noise, x, direction)
+            direct = sorted_direct(problem, noise, x, direction)
             assert got.dtype == direct.dtype
             assert_same_bits(got, direct)
+
+    @pytest.mark.parametrize("case", ["duplicate_rows", "zero_row", "zero_direction",
+                                      "uint8", "uint16"])
+    def test_bitwise_equal_on_ties(self, case):
+        rows = {"uint8": 256, "uint16": 257}.get(case, 40)
+        problem = least_squares(rows, 3, seed=rows)
+        design, targets = problem.design.copy(), problem.targets
+        if case == "duplicate_rows":
+            design[1::2] = design[0::2]
+            targets = np.repeat(targets[0::2], 2)
+        elif case == "zero_row":
+            design[[0, 7]] = 0.0
+        problem = FiniteSumLeastSquares(design=design, targets=targets)
+        assert problem.noise_dtype == (np.uint16 if case == "uint16" else np.uint8)
+        x = problem.minimizer() + 0.5
+        direction = np.zeros(3) if case == "zero_direction" else np.array([1.0, -2.0, 0.5])
+        for samples in (rows, 20_000):
+            noise = problem.noise_block(SeededGenerator(rows), samples)
+            got = problem.sorted_alignment(noise, x, direction)
+            assert_same_bits(got, sorted_direct(problem, noise, x, direction))
+        if case == "zero_direction":
+            assert not got.any()
 
     def test_quadratic_keeps_the_direct_path(self):
         problem = make_quadratic(dim=3)
         rng = SeededGenerator(5)
         noise = problem.noise_block(rng, 500)
         x, direction = rng.normal(size=3), rng.normal(size=3)
-        assert_same_bits(problem.gradient_alignment(noise, x, direction),
-                         row_dot(direction, problem.pointwise_gradient(noise, x)))
+        assert_same_bits(problem.sorted_alignment(noise, x, direction),
+                         np.sort(row_dot(direction, problem.pointwise_gradient(noise, x))))
 
     def test_evaluates_each_row_once(self, monkeypatch):
         problem = least_squares(128, 16)
@@ -643,10 +670,16 @@ class TestGradientAlignment:
 
         monkeypatch.setattr(FiniteSumLeastSquares, "pointwise_gradient", counting)
         noise = problem.noise_block(SeededGenerator(1), 20_000)
-        problem.gradient_alignment(noise, np.zeros(16), np.ones(16))
+        problem.sorted_alignment(noise, np.zeros(16), np.ones(16))
         # Below one draw per row the draws are evaluated directly.
-        problem.gradient_alignment(noise[:127], np.zeros(16), np.ones(16))
+        problem.sorted_alignment(noise[:127], np.zeros(16), np.ones(16))
         assert rows_seen == [128, 127]
+
+    def test_a_row_index_out_of_range_is_refused(self):
+        problem = least_squares(100, 2)
+        noise = np.full(200, 100, dtype=np.uint8)
+        with pytest.raises(IndexError):
+            problem.sorted_alignment(noise, np.zeros(2), np.ones(2))
 
     def test_a_row_never_drawn_does_not_warn(self):
         # Row 1 overflows at x; only row 0 is drawn, so no warning may escape
@@ -656,7 +689,7 @@ class TestGradientAlignment:
         noise = np.zeros(10, dtype=np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = problem.gradient_alignment(noise, x, direction)
+            got = problem.sorted_alignment(noise, x, direction)
         assert_same_bits(got, np.full(10, 0.5))
 
     def test_a_drawn_overflowing_row_warns_as_before(self):
@@ -664,9 +697,9 @@ class TestGradientAlignment:
         x, direction = np.array([1.0, 1.0]), np.array([1.0, -1.0])
         noise = np.array([0, 1, 0, 1], dtype=np.uint8)
         with pytest.warns(RuntimeWarning):
-            got = problem.gradient_alignment(noise, x, direction)
+            got = problem.sorted_alignment(noise, x, direction)
         with pytest.warns(RuntimeWarning):
-            direct = objective.StochasticProblem.gradient_alignment(problem, noise, x, direction)
+            direct = sorted_direct(problem, noise, x, direction)
         assert_same_bits(got, direct)
 
 
@@ -824,10 +857,10 @@ class TestVerifyChunks:
         parts = objective._verify_chunks(1 << 15, dimension)
         assert parts[0] == slice(0, size)
 
-    def test_chunks_are_sized_by_the_dimension_alone(self, monkeypatch):
+    def test_chunks_are_sized_by_the_dimension_alone(self, monkeypatch, fake_cores):
         # A least-squares chunk is as long as a quadratic one of the same
         # dimension, however many design rows it has.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        fake_cores(1)
         values = objective._audit_values
         lengths = []
 
@@ -913,9 +946,9 @@ class TestVerifyChunks:
         )
         assert peak < draws + 4 * 2**20
 
-    def test_gradient_check_memory_stays_near_the_draws(self, peak_traced_bytes, monkeypatch):
+    def test_gradient_check_memory_stays_near_the_draws(self, peak_traced_bytes, fake_cores):
         # One thread: each further thread holds a block and its chunk.
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
+        fake_cores(1)
         problem, cert = chunk_problem("ls-2048x16")
         samples = 40_000
         draws = samples * 16 * 8 + samples * 8
@@ -928,17 +961,10 @@ class TestVerifyChunks:
 class TestVerifyBlocks:
     """Verify stages draw and evaluate independent blocks on a thread pool."""
 
-    @pytest.fixture
-    def cores(self, monkeypatch):
-        def use(count):
-            monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
-
-        return use
-
     @pytest.mark.parametrize("stage", ["audit", "gradient_check"])
-    def test_memory_does_not_grow_with_the_samples(self, stage, cores, peak_traced_bytes,
+    def test_memory_does_not_grow_with_the_samples(self, stage, fake_cores, peak_traced_bytes,
                                                    monkeypatch):
-        cores(1)
+        fake_cores(1)
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 1 << 12)
         problem, cert = chunk_problem("ls-128x16")
         check = audit_certificate if stage == "audit" else check_gradients
@@ -948,11 +974,11 @@ class TestVerifyBlocks:
         ]
         assert peaks[1] <= 1.25 * peaks[0]
 
-    def test_no_thread_is_left_behind(self, cores, tmp_path, monkeypatch, capsys):
+    def test_no_thread_is_left_behind(self, fake_cores, tmp_path, monkeypatch, capsys):
         # A thread left running would keep the next run_seeds in one process.
         from sgdcheck import engine
 
-        cores(2)
+        fake_cores(2)
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 64)
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps({
@@ -968,10 +994,10 @@ class TestVerifyBlocks:
         assert threading.active_count() == before
         assert engine._process_count(8000, 2) == 2
 
-    def test_every_block_runs_once_in_order(self, cores):
+    def test_every_block_runs_once_in_order(self, fake_cores):
         # More threads than cores and a short switch interval, so the threads
         # interleave as they take blocks from their shared iterator.
-        cores(8)
+        fake_cores(8)
         calls = []
 
         def record(block):
@@ -993,10 +1019,10 @@ class TestVerifyBlocks:
         firsts = [xs[0] for _, xs, _ in blocks]
         return lambda x: next(b for b, first in enumerate(firsts) if np.array_equal(first, x[0]))
 
-    def test_a_failing_block_stops_the_blocks_after_it(self, cores, monkeypatch):
+    def test_a_failing_block_stops_the_blocks_after_it(self, fake_cores, monkeypatch):
         # Block 2 returns only after block 3 has raised, so the second
         # thread is free for block 4 only once block 3 failed.
-        cores(2)
+        fake_cores(2)
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
@@ -1026,11 +1052,11 @@ class TestVerifyBlocks:
         assert threading.active_count() == before
 
     @pytest.mark.skipif(not hasattr(signal, "pthread_kill"), reason="needs pthread_kill")
-    def test_an_interrupt_stops_the_blocks_not_started(self, cores, monkeypatch):
+    def test_an_interrupt_stops_the_blocks_not_started(self, fake_cores, monkeypatch):
         # Block 1 interrupts the caller once it waits for the blocks, after
         # it started both threads; both blocks return only once the caller
         # joins the threads, so no block after them starts.
-        cores(2)
+        fake_cores(2)
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
@@ -1067,12 +1093,12 @@ class TestVerifyBlocks:
         assert sorted(ran) == [0, 1]
         assert threading.active_count() == before
 
-    def test_a_thread_whose_start_was_interrupted_is_joined(self, cores, monkeypatch):
+    def test_a_thread_whose_start_was_interrupted_is_joined(self, fake_cores, monkeypatch):
         # The interrupt lands once the first thread runs, before start()
         # returns to the caller.
         from sgdcheck import engine
 
-        cores(2)
+        fake_cores(2)
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 2000)
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
