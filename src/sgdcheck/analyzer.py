@@ -14,21 +14,13 @@ lemma below quantifies.
 """
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, UsageError, require_int
-from .objective import (
-    HypothesisCertificate,
-    StochasticProblem,
-    _map_blocks,
-    row_dot,
-    sq_norm,
-    usable_cores,
-)
+from .objective import HypothesisCertificate, StochasticProblem, row_dot, sq_norm
 from .schedule import ConstantSchedule, Schedule
 
 
@@ -341,42 +333,34 @@ def check_convergence(dn: DnSeries, checkpoints) -> Verdict:
     return Verdict(violations == 0, first, worst, context)
 
 
-# Terms of the lemma range in flight at once in product_decay: each of its
-# threads, one per usable core and at most 2^depth, evaluates parts of at
-# most _LEMMA_CHUNK >> depth terms.  A part of at least 128 terms is one that
-# numpy's pairwise summation of the whole range would also sum on its own,
-# so depth stops at 9.
-_LEMMA_CHUNK = 1 << 16
-_LEMMA_MAX_DEPTH = 9
+# Terms of the lemma range evaluated at once by product_decay.  A multiple of
+# 8 and at least 128, so every part is one that numpy's pairwise summation
+# of the whole range would also sum on its own.  At k = 5e6, 2^15-term parts
+# evaluated in place took about three quarters of the time of 2^16-term parts
+# with fresh temporaries.
+_LEMMA_CHUNK = 1 << 15
 
 
-def _leaf_sums(schedule: Schedule, mu: float, first: int, count: int) -> tuple[float, float]:
-    """np.sum of log1p(-t) and of t over t = rate_l * mu, l = first..first+count-1,
-    in two arrays of that length."""
+def _range_sums(schedule: Schedule, mu: float, first: int, count: int) -> tuple[float, float]:
+    """Sums of log1p(-t) and of t over t = rate_l * mu, l = first..first+count-1.
+
+    Splits the range the way numpy's pairwise summation splits an array, at
+    half its length rounded down to a multiple of 8, until a part holds at
+    most _LEMMA_CHUNK terms, and sums each part with np.sum: the result has
+    the bits of np.sum over the whole range, in O(_LEMMA_CHUNK) memory.  A
+    part is evaluated in place, in two arrays of its length.
+    """
+    if count > _LEMMA_CHUNK:
+        half = count // 2
+        half -= half % 8
+        log_left, lin_left = _range_sums(schedule, mu, first, half)
+        log_right, lin_right = _range_sums(schedule, mu, first + half, count - half)
+        return log_left + log_right, lin_left + lin_right
     terms = schedule.rates(first, count)
     np.multiply(terms, mu, out=terms)
     logs = np.negative(terms)
     np.log1p(logs, out=logs)
     return np.sum(logs), np.sum(terms)
-
-
-def _pairwise_sums(part_sums, first: int, count: int, leaf: int, depth: int) -> tuple[float, float]:
-    """Pairs of sums over the parts of a range, added back in numpy's pairwise tree.
-
-    Splits the ``count`` terms from ``first`` the way numpy's pairwise
-    summation splits an array, at half its length rounded down to a multiple
-    of 8, until a part holds at most ``leaf`` terms or lies ``depth`` splits
-    down (a negative depth does not limit), and adds the ``part_sums(first,
-    count)`` of the parts back in the same tree.  With _leaf_sums as
-    part_sums the result has the bits of np.sum over the whole range.
-    """
-    if count <= leaf or depth == 0:
-        return part_sums(first, count)
-    half = count // 2
-    half -= half % 8
-    left = _pairwise_sums(part_sums, first, half, leaf, depth - 1)
-    right = _pairwise_sums(part_sums, first + half, count - half, leaf, depth - 1)
-    return left[0] + right[0], left[1] + right[1]
 
 
 def product_decay(schedule: Schedule, mu: float, n: int, k: int) -> ProductDecay:
@@ -387,9 +371,7 @@ def product_decay(schedule: Schedule, mu: float, n: int, k: int) -> ProductDecay
     exp(-sum of rate_l * mu), which dominates it because log(1 - t) <= -t.
     A range whose first factor has rate_n * mu >= 1 leaves the domain of the
     lemma; validate_lemma refuses it.  The range is summed in parts of
-    bounded length, spread over one thread per usable core, so memory grows
-    neither with k nor with the cores, and the result does not depend on
-    how many threads ran.
+    bounded length, so memory does not grow with k.
     """
     mu = float(mu)
     if not math.isfinite(mu) or mu <= 0.0:
@@ -397,16 +379,7 @@ def product_decay(schedule: Schedule, mu: float, n: int, k: int) -> ProductDecay
     n = require_int(n, "n", 0)
     k = require_int(k, "k", 0)
     validate_lemma(schedule, mu, n)
-    # The top depth + 2 levels of the tree cut the range into at most four
-    # subtrees per thread, which the threads take in order as they free up:
-    # one pass lists the subtrees, the other adds their sums back in the tree.
-    depth = min((usable_cores() - 1).bit_length(), _LEMMA_MAX_DEPTH)
-    leaf = _LEMMA_CHUNK >> depth
-    evaluate = functools.partial(_leaf_sums, schedule, mu)
-    subtrees: list[tuple[int, int]] = []
-    _pairwise_sums(lambda *part: subtrees.append(part) or (0.0, 0.0), n, k + 1, leaf, depth + 2)
-    sums = iter(_map_blocks(lambda part: _pairwise_sums(evaluate, *part, leaf, -1), subtrees))
-    log_sum, rate_sum = _pairwise_sums(lambda *part: next(sums), n, k + 1, leaf, depth + 2)
+    log_sum, rate_sum = _range_sums(schedule, mu, n, k + 1)
     log_product = float(log_sum)
     log_majorant = float(-rate_sum)
     return ProductDecay(
@@ -421,19 +394,20 @@ def _mean_and_stderr(ordered: np.ndarray) -> tuple[float, float]:
     """Mean and standard error of values sorted in ascending order.
 
     Values all equal get an exact mean and a standard error of zero.  As in
-    step_stats, only a sum that overflows, of the values or of their squared
-    deviations, is summed again scaled by 2^-_RESCALE; every other statistic
-    keeps the bits of the plain sums.
+    step_stats, only a sum that is not finite, of the values or of their
+    squared deviations, is summed again scaled by 2^-_RESCALE: one that
+    overflows, or whose pairwise halves overflow to -inf and +inf and add to
+    NaN.  Every other statistic keeps the bits of the plain sums.
     """
     if ordered[0] == ordered[-1]:
         return float(ordered[0]), 0.0
     count = ordered.shape[0]
     mean = float(ordered.mean())
-    if math.isinf(mean):
+    if not math.isfinite(mean):
         mean = float(np.ldexp(np.ldexp(ordered, -_RESCALE).mean(), _RESCALE))
     deviations = ordered - mean
     total, shift = float(sq_norm(deviations)), 0
-    if math.isinf(total):
+    if not math.isfinite(total):
         total, shift = float(sq_norm(np.ldexp(deviations, -_RESCALE))), _RESCALE
     return mean, float(np.ldexp(math.sqrt(total / (count - 1) / count), shift))
 

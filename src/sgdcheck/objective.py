@@ -205,17 +205,13 @@ class StochasticProblem(abc.ABC):
         returned; the values are the same bits either way.
         """
 
-    def gradient_alignment(self, noise, x, direction):
-        """<direction, pointwise_gradient(noise_j, x)> for each draw j.
+    def sorted_alignment(self, noise, x, direction):
+        """<direction, pointwise_gradient(noise_j, x)> over the draws j, ascending.
 
         ``x`` is one point (N,) and ``direction`` one vector (N,), shared by
         every draw of ``noise``.
         """
-        return row_dot(direction, self.pointwise_gradient(noise, x))
-
-    def sorted_alignment(self, noise, x, direction):
-        """The values of gradient_alignment(noise, x, direction), ascending."""
-        return np.sort(self.gradient_alignment(noise, x, direction))
+        return np.sort(row_dot(direction, self.pointwise_gradient(noise, x)))
 
     @abc.abstractmethod
     def mean_loss(self, x): ...
@@ -455,20 +451,20 @@ class FiniteSumLeastSquares(StochasticProblem):
         return np.multiply(rows, np.asarray(residual)[..., None], out=out)
 
     def sorted_alignment(self, noise, x, direction):
-        """The values of gradient_alignment(noise, x, direction), ascending.
+        """<direction, pointwise_gradient(noise_j, x)> over the draws j, ascending.
 
-        With at least as many draws as rows, stored as noise_block stores
-        them, the value of every row is computed once, the rows are ordered
-        by value and each value is repeated as often as its row was drawn.
-        A value depends only on its row and goes through the same operations
-        either way, and equal values have equal bits, so the result is the
-        sorted direct path bit for bit (up to the order of +0.0 and -0.0,
-        which changes no sum).  A table with a non-finite value falls back
-        to the direct path, which warns only about rows actually drawn; so
-        does a row index out of range, which the direct path refuses.
+        With at least as many draws as rows, the value of every row is
+        computed once, the rows are ordered by value and each value is
+        repeated as often as its row was drawn.  A value depends only on its
+        row and goes through the same operations either way, and equal
+        values have equal bits, so the result is the sorted direct path bit
+        for bit (up to the order of +0.0 and -0.0, which changes no sum).  A
+        table with a non-finite value falls back to the direct path, which
+        warns only about rows actually drawn; so does a row index out of
+        range, which the direct path refuses.
         """
         noise = np.asarray(noise)
-        if noise.dtype == self.noise_dtype and noise.size >= self.rows:
+        if noise.size >= self.rows:
             counts = np.bincount(noise.ravel(), minlength=self.rows)
             with np.errstate(over="ignore", invalid="ignore"):
                 table = row_dot(direction, self.pointwise_gradient(np.arange(self.rows), x))

@@ -44,8 +44,8 @@ def peak_traced_bytes():
 @pytest.fixture
 def fake_cores(monkeypatch):
     """``fake_cores(k)`` makes the process see k usable cores: the thread
-    pools of the verify stages and of the lemma, and the worker count of
-    run_seeds, size themselves by it."""
+    pools of the verify stages and the worker count of run_seeds size
+    themselves by it."""
 
     def use(count: int) -> None:
         monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
@@ -66,8 +66,8 @@ def no_child_process_left():
 @pytest.fixture(autouse=True)
 def no_thread_left():
     """After each test, as many threads run as before it: the verify stages
-    and the run-stage checks (the lemma's parts) join every thread they
-    start on every way out."""
+    join every thread they start on every way out, and the run-stage checks
+    start none."""
     before = threading.active_count()
     yield
     assert threading.active_count() == before

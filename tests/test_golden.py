@@ -101,7 +101,7 @@ def test_verify_digest_holds_at_one_sample_per_chunk(name, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_run_output_does_not_depend_on_the_core_count(name, tmp_path, monkeypatch, fake_cores):
-    # The cores size the replication workers and the lemma's threads.
+    # The cores size the replication workers.
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path))
     stdouts = set()
     for cores in (1, 4):

@@ -606,7 +606,7 @@ ALIGNMENT_GRID = [
 
 def sorted_direct(problem, noise, x, direction):
     """The direct path: one gradient per draw, then np.sort (the reference)."""
-    return np.sort(objective.StochasticProblem.gradient_alignment(problem, noise, x, direction))
+    return np.sort(row_dot(direction, problem.pointwise_gradient(noise, x)))
 
 
 class TestGradientAlignment:
