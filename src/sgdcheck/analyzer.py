@@ -30,7 +30,9 @@ class DnSeries:
 
     ``mean[n]`` is the mean of ||x_n - x*||^2 over the replications and
     ``stderr[n]`` its sample standard deviation divided by
-    sqrt(replications), zero for a single replication;
+    sqrt(replications), zero for a single replication; both are the
+    step_stats of each part of the replications, merged by merge_parts, so
+    they keep their bits whatever the order of the replications;
     ``in_region_fraction[n]`` is the share of replications whose iterate was
     still inside the certified ball.  The paths are not kept: replication i
     can be replayed from ``seeds[i]``, and ``final_x[i]`` is its last
@@ -77,10 +79,11 @@ class ProductDecay:
     log_majorant: float
 
 
-# Values sorted and summed at once by step_stats; bounds its temporaries.
+# Values copied, sorted and summed at once by step_stats; bounds its
+# temporaries.  A chunk's height does not change the bits of its row sums.
 _STATS_CHUNK = 1 << 16
-# Rows whose sum overflows are summed again scaled by 2^-_RESCALE, which
-# brings any finite value and its square well inside the float range.
+# A row whose sum is not finite is summed again scaled by 2^-_RESCALE, which
+# brings any finite value, its deviations and their squares inside the range.
 _RESCALE = 600
 
 
@@ -89,54 +92,63 @@ def stats_chunk_steps(rows: int) -> int:
     return max(1, _STATS_CHUNK // rows)
 
 
-def _row_totals(values: np.ndarray, square: bool = False) -> tuple[np.ndarray, np.ndarray]:
-    """Left-to-right sum of each row of ``values``, or of their squares.
+def _sorted_stats(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each row of ``ordered``, a C-contiguous
+    (rows, n) array sorted along axis 1.
 
-    Returns the sums and, per row, the exponent e such that the sum is the
-    one of values * 2^-e: 0, or _RESCALE for a row whose plain sum
-    overflows, which is summed again scaled.
+    The values and their squared deviations from the mean are summed with
+    np.add.reduce along each row, pairwise, with the bits of the row summed
+    alone.  A row whose values are all equal gets an exact mean and a
+    standard error of exactly zero.  A row whose sum is not finite, of the
+    values or of their squared deviations (one that overflows, or whose
+    pairwise halves overflow to -inf and +inf and add to NaN), is summed
+    again with its values scaled by 2^-_RESCALE; its deviations are then
+    taken between scaled values, so they cannot overflow.  It keeps its
+    plain mean where that is finite, and every other row keeps the bits of
+    the plain sums.
     """
-    with np.errstate(over="ignore"):
-        work = np.multiply(values, values) if square else values.copy()
-        np.add.accumulate(work, axis=1, out=work)
-    totals = work[:, -1].copy()
-    over = np.isinf(totals)
-    shift = np.where(over, _RESCALE, 0).astype(np.intc)
-    if over.any():
-        scaled = np.ldexp(values[over], -_RESCALE)
-        if square:
+    count = ordered.shape[1]
+    constant = ordered[:, 0] == ordered[:, -1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = np.add.reduce(ordered, axis=1) / count
+        squares = ordered - mean[:, None]
+        np.multiply(squares, squares, out=squares)
+        total = np.add.reduce(squares, axis=1)
+        stderr = np.sqrt(total / max(count - 1, 1) / count)
+        redo = np.flatnonzero(~(np.isfinite(total) | constant))
+        if redo.shape[0]:
+            scaled = np.ldexp(ordered[redo], -_RESCALE)
+            centre = np.add.reduce(scaled, axis=1) / count
+            kept = mean[redo]
+            mean[redo] = np.where(np.isfinite(kept), kept, np.ldexp(centre, _RESCALE))
+            np.subtract(scaled, centre[:, None], out=scaled)
             np.multiply(scaled, scaled, out=scaled)
-        totals[over] = np.add.accumulate(scaled, axis=1)[:, -1]
-    return totals, shift
+            total = np.add.reduce(scaled, axis=1)
+            stderr[redo] = np.ldexp(np.sqrt(total / max(count - 1, 1) / count), _RESCALE)
+    return np.where(constant, ordered[:, 0], mean), np.where(constant, 0.0, stderr)
 
 
 def step_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and standard error of each row of a step-major block.
 
-    ``block[n]`` holds one value per replication.  Every row is sorted and
-    then summed strictly left to right, for the mean and for the squared
-    deviations alike, so the result does not depend on the order of the
-    replications nor on how the steps are split into blocks.  Constant rows
-    (a single replication included) get an exact mean and a standard error of
-    exactly zero.  A row of finite values whose sum or sum of squared
-    deviations would overflow is summed scaled by an exact power of two, so
-    its mean and standard error stay finite; every other row keeps its bits.
+    ``block[n]`` holds one value per replication.  The steps are taken in
+    chunks of stats_chunk_steps(replications), each copied in C order and
+    sorted along its rows, and _sorted_stats sums every sorted row pairwise
+    on its own, so the result does not depend on the order or the memory
+    layout of the replications nor on how the steps are split into blocks.
+    Constant rows (a single replication included) get an exact mean and a
+    standard error of exactly zero, and a row of finite values whose sums
+    would overflow is summed scaled by an exact power of two, so its mean
+    and standard error stay finite wherever they are finite doubles.
     """
     steps, rows = block.shape
     mean = np.empty(steps)
     stderr = np.empty(steps)
     chunk = stats_chunk_steps(rows)
     for lo in range(0, steps, chunk):
-        ordered = np.sort(block[lo:lo + chunk], axis=1)
-        constant = ordered[:, 0] == ordered[:, -1]
-        total, shift = _row_totals(ordered)
-        part = np.where(constant, ordered[:, 0], np.ldexp(total / rows, shift))
-        # The deviations overwrite the sorted values.
-        np.subtract(ordered, part[:, None], out=ordered)
-        total, shift = _row_totals(ordered, square=True)
-        root = np.ldexp(np.sqrt(total / max(rows - 1, 1) / rows), shift)
-        mean[lo:lo + chunk] = part
-        stderr[lo:lo + chunk] = np.where(constant, 0.0, root)
+        ordered = np.array(block[lo:lo + chunk], order="C")
+        ordered.sort(axis=1)
+        mean[lo:lo + chunk], stderr[lo:lo + chunk] = _sorted_stats(ordered)
     return mean, stderr
 
 
@@ -390,28 +402,6 @@ def product_decay(schedule: Schedule, mu: float, n: int, k: int) -> ProductDecay
     )
 
 
-def _mean_and_stderr(ordered: np.ndarray) -> tuple[float, float]:
-    """Mean and standard error of values sorted in ascending order.
-
-    Values all equal get an exact mean and a standard error of zero.  As in
-    step_stats, only a sum that is not finite, of the values or of their
-    squared deviations, is summed again scaled by 2^-_RESCALE: one that
-    overflows, or whose pairwise halves overflow to -inf and +inf and add to
-    NaN.  Every other statistic keeps the bits of the plain sums.
-    """
-    if ordered[0] == ordered[-1]:
-        return float(ordered[0]), 0.0
-    count = ordered.shape[0]
-    mean = float(ordered.mean())
-    if not math.isfinite(mean):
-        mean = float(np.ldexp(np.ldexp(ordered, -_RESCALE).mean(), _RESCALE))
-    deviations = ordered - mean
-    total, shift = float(sq_norm(deviations)), 0
-    if not math.isfinite(total):
-        total, shift = float(sq_norm(np.ldexp(deviations, -_RESCALE))), _RESCALE
-    return mean, float(np.ldexp(math.sqrt(total / (count - 1) / count), shift))
-
-
 def check_descent_inequality(
     problem: StochasticProblem,
     cert: HypothesisCertificate,
@@ -437,8 +427,8 @@ def check_descent_inequality(
     noise = problem.noise_block(rng, samples)
     # A value or statistic that overflows shows in the verdict, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        ordered = np.asarray(problem.sorted_alignment(noise, x, gap))
-        estimate, stderr = _mean_and_stderr(ordered)
+        ordered = np.ascontiguousarray(problem.sorted_alignment(noise, x, gap))
+        estimate, stderr = (float(stat[0]) for stat in _sorted_stats(ordered[None]))
         closed_form = float(row_dot(gap, problem.mean_gradient(x)))
     required = 0.5 * cert.strong_convexity * gap_sq
     descent_margin = estimate - (required - 3.0 * stderr)

@@ -28,7 +28,6 @@ from sgdcheck import (
 )
 from sgdcheck import analyzer
 from sgdcheck.analyzer import merge_parts, step_stats
-from sgdcheck.objective import sq_norm
 
 
 def quadratic_runs(seeds, radius=10.0):
@@ -110,23 +109,18 @@ class TestStepStats:
         np.testing.assert_array_equal(mean, [0.1, 0.7, 3.0])
         np.testing.assert_array_equal(stderr, [0.0, 0.0, 0.0])
 
-    def test_sums_sorted_values_left_to_right(self):
-        # The mean and the squared deviations are summed in ascending order
-        # of the values, one after another, so a plain Python loop over the
-        # sorted values reproduces every bit.
+    def test_sums_each_sorted_row_pairwise(self):
+        # The mean and the squared deviations are summed with np.add.reduce
+        # over the values in ascending order, so summing each sorted row on
+        # its own reproduces every bit.
         rng = SeededGenerator(11)
-        block = rng.uniform(0.0, 1.0, size=(40, 25)) ** 3 * 1e3
+        block = rng.uniform(0.0, 1.0, size=(40, 300)) ** 3 * 1e3
         mean, stderr = step_stats(block)
         for n, row in enumerate(block):
-            ordered = sorted(row)
-            total = 0.0
-            for value in ordered:
-                total += value
-            expected_mean = total / len(ordered)
-            squares = 0.0
-            for value in ordered:
-                squares += (value - expected_mean) * (value - expected_mean)
-            expected_stderr = np.sqrt(squares / (len(ordered) - 1) / len(ordered))
+            ordered = np.sort(row)
+            expected_mean = np.add.reduce(ordered) / ordered.shape[0]
+            squares = np.add.reduce((ordered - expected_mean) ** 2)
+            expected_stderr = np.sqrt(squares / (ordered.shape[0] - 1) / ordered.shape[0])
             assert mean[n] == expected_mean
             assert stderr[n] == expected_stderr
 
@@ -134,23 +128,30 @@ class TestStepStats:
         rng = SeededGenerator(12)
         block = rng.uniform(0.0, 5.0, size=(30, 64))
         mean, stderr = step_stats(block)
+        # The permuted blocks are F-ordered, as is a Fortran copy.
+        reordered = [np.asfortranarray(block), block[:, ::-1]]
         for trial in range(5):
-            order = np.argsort(rng.uniform(0.0, 1.0, size=64))
-            permuted_mean, permuted_stderr = step_stats(block[:, order])
+            reordered.append(block[:, np.argsort(rng.uniform(0.0, 1.0, size=64))])
+        for permuted in reordered:
+            permuted_mean, permuted_stderr = step_stats(permuted)
             assert np.array_equal(mean, permuted_mean)
             assert np.array_equal(stderr, permuted_stderr)
 
     def test_step_split_is_invisible(self, monkeypatch):
         rng = SeededGenerator(13)
-        block = rng.uniform(0.0, 5.0, size=(101, 32))
-        mean, stderr = step_stats(block)
-        for chunk in (32, 7 * 32, 200 * 32):
-            monkeypatch.setattr(analyzer, "_STATS_CHUNK", chunk)
-            assert np.array_equal(step_stats(block)[0], mean)
-            assert np.array_equal(step_stats(block)[1], stderr)
-        pieces = [step_stats(block[lo:lo + 13]) for lo in range(0, 101, 13)]
-        assert np.array_equal(np.concatenate([p[0] for p in pieces]), mean)
-        assert np.array_equal(np.concatenate([p[1] for p in pieces]), stderr)
+        # 8193 replications: wider than the 8192-value buffers in which
+        # einsum sums a block of several rows.
+        for steps, width in ((101, 32), (9, 8193)):
+            block = rng.uniform(0.0, 5.0, size=(steps, width))
+            monkeypatch.setattr(analyzer, "_STATS_CHUNK", 1 << 16)
+            mean, stderr = step_stats(block)
+            for chunk_steps in (1, 3, 7, 200):
+                monkeypatch.setattr(analyzer, "_STATS_CHUNK", chunk_steps * width)
+                assert np.array_equal(step_stats(block)[0], mean)
+                assert np.array_equal(step_stats(block)[1], stderr)
+            pieces = [step_stats(block[lo:lo + 4]) for lo in range(0, steps, 4)]
+            assert np.array_equal(np.concatenate([p[0] for p in pieces]), mean)
+            assert np.array_equal(np.concatenate([p[1] for p in pieces]), stderr)
 
 
     def test_huge_deviations_do_not_overflow(self):
@@ -169,6 +170,19 @@ class TestStepStats:
         # Halving is exact, so the scaled sum gives the bits of (a + b) / 2.
         assert mean[0] == 1e308 / 2 + 1.7e308 / 2
         assert stderr[0] == pytest.approx(0.35e308, rel=1e-15)
+
+    def test_values_spanning_the_float_range_are_summed_scaled(self):
+        # 1 and 99: a deviation, -3.4e308, overflows.  100 and 100: the
+        # pairwise halves of the sum overflow to -inf and +inf and add to NaN.
+        for counts, expected in (((1, 99), 3.4e306), ((100, 100), 1.7e308 / math.sqrt(199.0))):
+            row = np.repeat([-1.7e308, 1.7e308], counts)
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                mean, stderr = step_stats(row[None])
+            small_mean, small_stderr = TestDescentStatistics.plain(np.ldexp(row, -600))
+            assert mean[0] == math.ldexp(small_mean, 600)
+            assert stderr[0] == math.ldexp(small_stderr, 600)
+            assert stderr[0] == pytest.approx(expected, rel=1e-12)
 
     def test_rescaled_rows_leave_the_others_alone(self):
         rng = SeededGenerator(14)
@@ -740,9 +754,11 @@ class TestCheckDescentInequality:
         assert verdict.first_violation_index == 0
         assert math.isnan(verdict.worst_margin)
 
-    def test_an_infinite_stderr_fails_as_nan(self):
-        # Values spanning the float range: the mean is finite, but a
-        # deviation overflows, so the standard error and both margins are inf.
+    def test_a_deviation_that_overflows_gives_a_finite_stderr(self):
+        # Values spanning the float range: a deviation, -3.4e308, overflows,
+        # so the squared deviations are summed from scaled values and the
+        # standard error is the finite 3.4e306 that step_stats also gives.
+        # The estimate, 1.666e308, is far from the closed form, 0.
         class Spread:
             def noise_block(self, rng, count):
                 return np.zeros(count)
@@ -753,10 +769,15 @@ class TestCheckDescentInequality:
             def mean_gradient(self, x):
                 return np.zeros(1)
 
-        verdict = check_descent_inequality(Spread(), make_cert(), [1.0], 100, None)
-        assert "stderr=inf" in verdict.context
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            verdict = check_descent_inequality(Spread(), make_cert(), [1.0], 100, None)
+        stderr = step_stats(np.repeat([-1.7e308, 1.7e308], [1, 99])[None])[1][0]
+        assert f"stderr={stderr:.3g}" in verdict.context
+        assert "stderr=3.4e+306" in verdict.context
         assert not verdict.passed
-        assert math.isnan(verdict.worst_margin)
+        assert verdict.first_violation_index == 0
+        assert verdict.worst_margin == pytest.approx(5.0 * stderr - 1.666e308, rel=1e-12)
 
     def test_validation(self):
         problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=0.0)
@@ -768,26 +789,30 @@ class TestCheckDescentInequality:
 
 
 class TestDescentStatistics:
-    """_mean_and_stderr rescales only the sums that overflow, as step_stats does."""
+    """_sorted_stats rescales only the sums that are not finite."""
 
     @staticmethod
     def plain(ordered):
         """The unscaled statistics (the reference where nothing overflows)."""
         mean = float(ordered.mean())
-        variance = float(sq_norm(ordered - mean)) / (ordered.shape[0] - 1)
+        variance = float(np.add.reduce((ordered - mean) ** 2)) / (ordered.shape[0] - 1)
         return mean, math.sqrt(variance / ordered.shape[0])
+
+    @staticmethod
+    def stats(ordered):
+        return tuple(float(stat[0]) for stat in analyzer._sorted_stats(ordered[None]))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
     def test_bits_of_the_plain_sums_where_nothing_overflows(self, scale):
         ordered = np.sort(SeededGenerator(4).normal(size=20_000)) * scale
-        assert analyzer._mean_and_stderr(ordered) == self.plain(ordered)
+        assert self.stats(ordered) == self.plain(ordered)
 
     def test_a_sum_that_overflows_is_summed_scaled(self):
         values = SeededGenerator(5).uniform(1e307, 1.7e308, size=1000)
         ordered = np.sort(values)
         with np.errstate(over="ignore"):
             assert ordered.mean() == math.inf
-            mean, stderr = analyzer._mean_and_stderr(ordered)
+            mean, stderr = self.stats(ordered)
         small = np.ldexp(ordered, -600)
         small_mean, small_stderr = self.plain(small)
         assert mean == math.ldexp(small_mean, 600)
@@ -799,7 +824,7 @@ class TestDescentStatistics:
         ordered = np.repeat([-1.7e308, 1.7e308], [100, 100])
         with np.errstate(over="ignore", invalid="ignore"):
             assert math.isnan(ordered.mean())
-            mean, stderr = analyzer._mean_and_stderr(ordered)
+            mean, stderr = self.stats(ordered)
         assert mean == 0.0
         assert stderr == math.ldexp(self.plain(np.ldexp(ordered, -600))[1], 600)
         assert stderr == pytest.approx(1.7e308 / math.sqrt(199.0), rel=1e-12)
@@ -807,7 +832,7 @@ class TestDescentStatistics:
     def test_squared_deviations_that_overflow_are_summed_scaled(self):
         ordered = np.array([-1e300, -1e300, 1e300, 1e300])
         with np.errstate(over="ignore"):
-            mean, stderr = analyzer._mean_and_stderr(ordered)
+            mean, stderr = self.stats(ordered)
         assert mean == 0.0
         assert stderr == math.ldexp(self.plain(np.ldexp(ordered, -600))[1], 600)
         assert stderr == pytest.approx(1e300 / math.sqrt(3.0), rel=1e-12)

@@ -5,7 +5,8 @@ of ``series.csv``, ``report.txt`` and the ``verify`` stdout are compared
 against digests recorded when the outputs were last accepted.  A change that
 alters any of these bytes on purpose records new digests and says why:
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current digests of
-every config in ``DIGESTS`` in the form of the table below.
+every config in ``DIGESTS`` in the form of the table below, with
+``# changed`` after each digest that differs from the recorded one.
 """
 import contextlib
 import hashlib
@@ -24,17 +25,17 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # name -> (series.csv, report.txt, verify stdout) SHA-256 digests.
 DIGESTS = {
     "quadratic_descent": (
-        "0458677b21810391dcafdac24e6910e8b40e1ae8acae5e2c7d7773bfe5744241",
+        "accfc5b58687d1f976e68922628802bc144c03bc289f2956e43f77ca70beb4f1",
         "5cb5730375469fe84fe7f6f8b17c75a5c025532a93e1df6696fb2a34f9798dff",
         "3d1af60f21e5a47f928b58b23317ba5ef02e27dcef06c2f4d78708b1b2b32dbe",
     ),
     "ls_descent_convergence": (
-        "c05fbc4932901875d02cf8b975a42c47a13663f8293fef0008c3ec06f58f12c4",
+        "44a030fa68492651a075dd3f64d6fb67564a4cf0a8c05462a1a06a602b0a129e",
         "8ade97cb00305f194e71543cba4b33d0527bccfd95658fcd7e6657d77eefe50c",
         "aa0650326f655ff935b7a80497c5f4fd9ffc891725cc71786d5382b0b8fa05f2",
     ),
     "ls_lemma": (
-        "f46930237879d6f213fdd3abe636a0a7eb8cc9a8906b5a6c3e7b872e15049873",
+        "70d6ec396921df7903f798b6944279e7d58a391c7e980a599aca07a032f78d38",
         "0466e5ed763e4444d04fe15d151142de5009833b25b2df0daa0ae7918e05f414",
         "c42e27a327224df1264df57ddcb851297cb28018654fb27969863c7f3f307c72",
     ),
@@ -42,21 +43,21 @@ DIGESTS = {
     # checks): the audit runs past the 2^15 block boundary into a second
     # draw block of 233 samples, drawn from a generator jumped once.
     "ls_chunk_tails": (
-        "c6abc14d12412b602ac5fd9a760c343ea02c98314fd36f4104ad0c401280117c",
+        "22c7ae4ae07300ec9dd892841a2dcfa2489458c5d3bb4215fb4f07796a1dd718",
         "6a482291e0d16576b89781af7c5935b0ddf72244f0f3fd3da1ded4cf18f3be06",
         "4709f8c5db742a76c71f1e1c96bf64720b6e7268866a08ef68a95db74d2ec132",
     ),
     # A d=3 quadratic at R=37, H=2000: the noise is drawn in one block of
     # replication tiles of 5, so the last tile holds 2.
     "quadratic_tile_tails": (
-        "3d23d325be58c6cb5ba9f6e1575fa1a7a0091b8b0304589836530f78086ee0fc",
+        "eca149d617d6606886080de3031562de54b16ae749ccc3b672f7044f4b27b1bf",
         "199732f26967d8aeebcf957c6da7315796818fc6efae5910729bed53ab2aaa07",
         "962f0febefbd3154b1a3b60cb0ce6aab48a1bbce15cb7e6dc91242f22a289d4d",
     ),
     # A d=2 quadratic at R=2085, H=200: three parts of replications, the
     # last of 37, so these bytes pin how the parts are merged.
     "quadratic_parts": (
-        "ec9b76963857ca146fce71559f8551b95aa5a1a83327546fcc2a95d755939424",
+        "42983e8d1dba57e1f9bdc457afa8c64d20680494c441a7c47627256d0129f3ef",
         "96511e0188ea48fffde7eaf9d8e5ccf1fd931b2e2c441238f6746e789d9e392f",
         "3df3edcb8d5bd5483026786258fb2acf6eeb0ca33f647740cc5af1a994547206",
     ),
@@ -119,6 +120,6 @@ if __name__ == "__main__":
             os.environ[ENV_OUTPUT_DIR] = out_dir
             digests = golden_digests(name, Path(out_dir))
         print(f'    "{name}": (')
-        for digest in digests:
-            print(f'        "{digest}",')
+        for digest, recorded in zip(digests, DIGESTS[name]):
+            print(f'        "{digest}",' + ("  # changed" if digest != recorded else ""))
         print("    ),")
