@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError, require_int
+from .errors import DomainError, UsageError, require_int, require_real
 from .objective import HypothesisCertificate, StochasticProblem, row_dot, sq_norm
 from .schedule import ConstantSchedule, Schedule
 
@@ -192,9 +192,7 @@ def bound_sequence(
     point stays there exactly and the distance to it contracts by precisely
     (1 - rate * mu) per step.
     """
-    d0 = float(d0)
-    if not math.isfinite(d0) or d0 < 0.0:
-        raise UsageError("d0 must be a finite real >= 0")
+    d0 = require_real(d0, "d0", strict=False)
     steps = require_int(steps, "steps", 1)
     mu = cert.strong_convexity
     grad_bound = cert.grad_sq_bound
@@ -228,9 +226,7 @@ def check_recurrence(dn: DnSeries, bounds: np.ndarray, z: float = 3.0) -> Verdic
     replication left the certified region are excluded from the comparison
     and reported in the context, because the certificate does not cover them.
     """
-    z = float(z)
-    if not math.isfinite(z) or z <= 0.0:
-        raise UsageError("z must be a finite positive real")
+    z = require_real(z, "z")
     if bounds.shape != dn.mean.shape:
         raise UsageError("bound sequence and d_n series cover different horizons")
     checked = np.flatnonzero(dn.in_region_fraction == 1.0)
@@ -268,9 +264,9 @@ def validate_lemma(schedule: Schedule, mu: float, n: int) -> None:
     """Refuse a lemma range whose factors leave the domain, before any run.
 
     Both schedule kinds are non-increasing, in floating point too, so when
-    rate(n) * mu < 1 every factor of the range from n on is positive.
+    rate_n * mu < 1 every factor of the range from n on is positive.
     """
-    if schedule.rate(n) * mu >= 1.0:
+    if schedule.rates(n, 1)[0] * mu >= 1.0:
         raise DomainError(f"rate({n}) * mu >= 1; every factor must stay positive")
 
 
@@ -289,9 +285,7 @@ def check_neighborhood(
     """
     horizon = dn.steps
     window = validate_neighborhood(cert, schedule, window, horizon)
-    tol_rel = float(tol_rel)
-    if not math.isfinite(tol_rel) or tol_rel < 0.0:
-        raise UsageError("tol_rel must be a finite real >= 0")
+    tol_rel = require_real(tol_rel, "tol_rel", strict=False)
     theta = schedule.rho * cert.grad_sq_bound / cert.strong_convexity
     threshold = theta * (1.0 + tol_rel)
     tail = np.arange(horizon + 1 - window, horizon + 1)
@@ -385,9 +379,7 @@ def product_decay(schedule: Schedule, mu: float, n: int, k: int) -> ProductDecay
     lemma; validate_lemma refuses it.  The range is summed in parts of
     bounded length, so memory does not grow with k.
     """
-    mu = float(mu)
-    if not math.isfinite(mu) or mu <= 0.0:
-        raise UsageError("mu must be a finite positive real")
+    mu = require_real(mu, "mu")
     n = require_int(n, "n", 0)
     k = require_int(k, "k", 0)
     validate_lemma(schedule, mu, n)
@@ -414,9 +406,9 @@ def check_descent_inequality(
     Estimates E<x - x*, pointwise_gradient(noise, x)> by Monte Carlo and
     requires it to reach (mu / 2) * ||x - x*||^2 minus three standard errors,
     which is what strong convexity promises for the mean gradient.  The
-    estimate must also agree with the closed form
-    <x - x*, mean_gradient(x)> within five standard errors.  A margin that
-    is not finite fails the point, which then reports a NaN margin.
+    estimate must also agree with the closed form <x - x*, grad F(x)>, F
+    the mean loss, within five standard errors.  A margin that is not
+    finite fails the point, which then reports a NaN margin.
     """
     samples = require_int(samples, "samples", 100)
     x = np.asarray(x, dtype=float)
@@ -429,7 +421,7 @@ def check_descent_inequality(
     with np.errstate(over="ignore", invalid="ignore"):
         ordered = np.ascontiguousarray(problem.sorted_alignment(noise, x, gap))
         estimate, stderr = (float(stat[0]) for stat in _sorted_stats(ordered[None]))
-        closed_form = float(row_dot(gap, problem.mean_gradient(x)))
+        closed_form = float(row_dot(gap, problem.mean_loss_and_gradient(x)[1]))
     required = 0.5 * cert.strong_convexity * gap_sq
     descent_margin = estimate - (required - 3.0 * stderr)
     agreement_margin = 5.0 * stderr - abs(estimate - closed_form)

@@ -40,3 +40,18 @@ def require_int(value, name: str, minimum: int) -> int:
     if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < minimum:
         raise UsageError(f"{name} must be an integer >= {minimum}")
     return int(value)
+
+
+def require_real(value, name: str, strict: bool = True, error: type = UsageError) -> float:
+    """``value`` as a Python float; ``error`` unless a finite real, > 0 when
+    ``strict`` and >= 0 otherwise.  Python and numpy ints and floats pass;
+    bools, strings and integers too large for a double do not.
+    """
+    if not isinstance(value, bool) and isinstance(value, (int, float, np.integer, np.floating)):
+        try:
+            real = float(value)
+        except OverflowError:
+            real = np.inf
+        if np.isfinite(real) and (real > 0.0 if strict else real >= 0.0):
+            return real
+    raise error(f"{name} must be a finite {'positive real' if strict else 'real >= 0'}")

@@ -6,8 +6,8 @@ constants from the family before its behaviour can be checked against the
 one-step envelope:
 
 - ``strong_convexity``: a modulus mu > 0 such that for all x, y in the
-  operating region, mean_loss(y) >= mean_loss(x) + <mean_gradient(x), y - x>
-  + (mu / 2) * ||y - x||^2.
+  operating region, F(y) >= F(x) + <grad F(x), y - x> + (mu / 2) * ||y - x||^2,
+  where F is the mean loss.
 - ``grad_sq_bound``: a constant B with ||pointwise_gradient(noise, x)||^2 <= B
   for every noise value and every x in the operating region.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ConfigurationError, require_int
+from .errors import CertificationError, ConfigurationError, require_int, require_real
 
 # Certificates are audited and checked against sampled data at this
 # relative tolerance; it absorbs float roundoff without hiding real slack.
@@ -91,13 +91,6 @@ def as_float_vector(value, dim: int | None, name: str) -> np.ndarray:
             f"'{name}' has dimension {arr.shape[0]}, expected {dim}"
         )
     return arr
-
-
-def _positive_real(value, name: str) -> float:
-    value = float(value)
-    if not math.isfinite(value) or value <= 0.0:
-        raise ConfigurationError(f"'{name}' must be a finite positive real")
-    return value
 
 
 @dataclass(frozen=True, eq=False)
@@ -214,14 +207,8 @@ class StochasticProblem(abc.ABC):
         return np.sort(row_dot(direction, self.pointwise_gradient(noise, x)))
 
     @abc.abstractmethod
-    def mean_loss(self, x): ...
-
-    @abc.abstractmethod
-    def mean_gradient(self, x): ...
-
     def mean_loss_and_gradient(self, x):
-        """``(mean_loss(x), mean_gradient(x))``, with the same bits."""
-        return self.mean_loss(x), self.mean_gradient(x)
+        """``(loss, gradient)`` of the mean loss at ``x``."""
 
     @abc.abstractmethod
     def minimizer(self) -> np.ndarray:
@@ -261,15 +248,15 @@ class ShiftedQuadratic(StochasticProblem):
     family = "shifted_quadratic"
 
     def __post_init__(self):
-        object.__setattr__(self, "curvature", _positive_real(self.curvature, "curvature"))
+        curvature = require_real(self.curvature, "'curvature'", error=ConfigurationError)
+        object.__setattr__(self, "curvature", curvature)
         center = as_float_vector(self.center, None, "center").copy()
         if center.shape[0] > MAX_DIMENSION:
             raise ConfigurationError(f"dimension exceeds the cap of {MAX_DIMENSION}")
         center.flags.writeable = False
         object.__setattr__(self, "center", center)
-        hw = float(self.noise_halfwidth)
-        if not math.isfinite(hw) or hw < 0.0:
-            raise ConfigurationError("'noise_halfwidth' must be a finite real >= 0")
+        hw = require_real(self.noise_halfwidth, "'noise_halfwidth'", strict=False,
+                          error=ConfigurationError)
         if not math.isfinite(2.0 * hw):
             # The noise law is uniform on [-hw, hw]; its width must be a double.
             raise ConfigurationError(
@@ -330,15 +317,16 @@ class ShiftedQuadratic(StochasticProblem):
         diff = np.subtract(diff, noise, out=out)
         return np.multiply(diff, self.curvature, out=out)
 
-    def mean_loss(self, x):
-        x = self._check_x(x)
+    def mean_loss_and_gradient(self, x):
+        diff = self._check_x(x) - self.center
         # E||noise||^2 = dimension * halfwidth^2 / 3 for coordinatewise uniform noise.
-        floor = self.curvature * self.dimension * self.noise_halfwidth**2 / 6.0
-        return 0.5 * self.curvature * sq_norm(x - self.center) + floor
-
-    def mean_gradient(self, x):
-        x = self._check_x(x)
-        return self.curvature * (x - self.center)
+        try:
+            floor = self.curvature * self.dimension * self.noise_halfwidth**2 / 6.0
+        except OverflowError:  # halfwidth^2 is not a double; the floor may be one
+            floor = (self.curvature * self.noise_halfwidth * self.noise_halfwidth
+                     * self.dimension / 6.0)
+        loss = 0.5 * self.curvature * sq_norm(diff) + floor
+        return loss, np.multiply(diff, self.curvature, out=diff)
 
     def minimizer(self) -> np.ndarray:
         return self.center.copy()
@@ -473,25 +461,14 @@ class FiniteSumLeastSquares(StochasticProblem):
                 return np.repeat(table[order], counts[order])
         return super().sorted_alignment(noise, x, direction)
 
-    def _centred_form(self, x):
-        """The mean loss at ``x`` and rows times the mean gradient there."""
+    def mean_loss_and_gradient(self, x):
+        """Both mean quantities from one evaluation of the form at ``x``."""
         gram, centre, _, grad_c, sq_c = self._form
         e = self._check_x(x) - centre
         grad = np.einsum("ij,...j->...i", gram, e)
         np.add(grad, grad_c, out=grad)
         # e^T G e + 2 <g, e> as <e, G e + g> + <e, g>.
         loss = (row_dot(e, grad) + row_dot(e, grad_c) + sq_c) / (2 * self.rows)
-        return loss, grad
-
-    def mean_loss(self, x):
-        return self._centred_form(x)[0]
-
-    def mean_gradient(self, x):
-        return self.mean_loss_and_gradient(x)[1]
-
-    def mean_loss_and_gradient(self, x):
-        """Both mean quantities from one evaluation of the form at ``x``."""
-        loss, grad = self._centred_form(x)
         return loss, np.divide(grad, self.rows, out=grad)
 
     def minimizer(self) -> np.ndarray:
@@ -551,9 +528,7 @@ def _squared_bound(root: float) -> float:
 
 
 def _certify_radius(problem, region_radius, x0) -> float:
-    region_radius = float(region_radius)
-    if not math.isfinite(region_radius) or region_radius <= 0.0:
-        raise CertificationError("region_radius must be a finite positive real")
+    region_radius = require_real(region_radius, "region_radius", error=CertificationError)
     x0 = as_float_vector(x0, problem.dimension, "x0")
     start_dist = math.sqrt(float(sq_norm(x0 - problem.minimizer())))
     if start_dist > region_radius:
@@ -667,9 +642,8 @@ def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:
     grads = problem.pointwise_gradient(noise, x)
     ratios = np.asarray(sq_norm(grads)) / cert.grad_sq_bound
     del grads
-    loss_y = np.asarray(problem.mean_loss(y))
-    loss_x, grad_x = problem.mean_loss_and_gradient(x)
-    loss_x = np.asarray(loss_x)
+    loss_y = np.asarray(problem.mean_loss_and_gradient(y)[0])
+    loss_x, grad_x = map(np.asarray, problem.mean_loss_and_gradient(x))
     gap = y - x
     alignment = np.asarray(row_dot(grad_x, gap))
     del grad_x

@@ -7,31 +7,23 @@ non-increasing, and the report states the conditions for each analytically.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigurationError, UsageError, require_int
+from .errors import ConfigurationError, require_int, require_real
 
 
 @dataclass(frozen=True)
 class ConstantSchedule:
-    """rate(n) = rho for every n."""
+    """rate_n = rho for every n."""
 
     rho: float
 
     kind = "constant"
 
     def __post_init__(self):
-        rho = float(self.rho)
-        if not math.isfinite(rho) or rho <= 0.0:
-            raise ConfigurationError("'rho' must be a finite positive real")
-        object.__setattr__(self, "rho", rho)
-
-    def rate(self, n: int) -> float:
-        require_int(n, "step index", 0)
-        return self.rho
+        object.__setattr__(self, "rho", require_real(self.rho, "'rho'", error=ConfigurationError))
 
     def rates(self, start: int, count: int) -> np.ndarray:
         require_int(start, "step index", 0)
@@ -40,7 +32,7 @@ class ConstantSchedule:
 
 @dataclass(frozen=True)
 class InverseTimeSchedule:
-    """rate(n) = scale / (offset + n), the classical decaying choice.
+    """rate_n = scale / (offset + n), the classical decaying choice.
 
     Rates decrease to zero while their partial sums grow like a harmonic
     series, so both Robbins-Monro conditions hold for any positive scale
@@ -54,13 +46,8 @@ class InverseTimeSchedule:
 
     def __post_init__(self):
         for name in ("scale", "offset"):
-            value = float(getattr(self, name))
-            if not math.isfinite(value) or value <= 0.0:
-                raise ConfigurationError(f"'{name}' must be a finite positive real")
+            value = require_real(getattr(self, name), f"'{name}'", error=ConfigurationError)
             object.__setattr__(self, name, value)
-
-    def rate(self, n: int) -> float:
-        return self.scale / (self.offset + require_int(n, "step index", 0))
 
     def rates(self, start: int, count: int) -> np.ndarray:
         start = require_int(start, "step index", 0)
@@ -76,7 +63,7 @@ class ScheduleReport:
     """Analytic summary of a schedule against a convexity modulus.
 
     ``robbins_monro`` is True when the rates tend to zero and their series
-    diverges.  ``max_rate_mu`` is the largest rate times mu, rate(0) * mu
+    diverges.  ``max_rate_mu`` is the largest rate times mu, rate_0 * mu
     since both kinds are non-increasing, and ``stability_ok`` says that
     product stays below one, which keeps every factor of the one-step
     envelope positive.
@@ -89,11 +76,9 @@ class ScheduleReport:
 
 def validate_schedule(schedule: Schedule, mu: float) -> ScheduleReport:
     """Report the decay, divergence, and stability properties of a schedule."""
-    mu = float(mu)
-    if not math.isfinite(mu) or mu <= 0.0:
-        raise UsageError("mu must be a finite positive real")
+    mu = require_real(mu, "mu")
     # Constant rates do not decay; inverse-time rates do.  Both sum to infinity.
-    max_rate_mu = schedule.rate(0) * mu
+    max_rate_mu = float(schedule.rates(0, 1)[0]) * mu
     return ScheduleReport(
         robbins_monro=isinstance(schedule, InverseTimeSchedule),
         max_rate_mu=max_rate_mu,

@@ -766,8 +766,8 @@ class TestCheckDescentInequality:
             def sorted_alignment(self, noise, x, direction):
                 return np.repeat([-1.7e308, 1.7e308], [1, noise.shape[0] - 1])
 
-            def mean_gradient(self, x):
-                return np.zeros(1)
+            def mean_loss_and_gradient(self, x):
+                return 0.0, np.zeros(1)
 
         with warnings.catch_warnings():
             warnings.simplefilter("error")

@@ -112,7 +112,7 @@ class TestRunCommand:
         for n, row in enumerate(rows):
             fields = row.split(",")
             assert int(fields[0]) == n
-            assert float(fields[1]) == schedule.rate(n)
+            assert float(fields[1]) == schedule.rates(n, 1)[0]
             assert float(fields[2]) == dn.mean[n]
             assert float(fields[3]) == dn.stderr[n]
             assert float(fields[4]) == bounds[n]

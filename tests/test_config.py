@@ -288,4 +288,4 @@ class TestBuilders:
         config = parse(base_document(schedule={"kind": "inverse_time", "scale": 1.0, "offset": 9.0}))
         sched = build_schedule(config.schedule)
         assert isinstance(sched, InverseTimeSchedule)
-        assert sched.rate(1) == pytest.approx(0.1)
+        assert sched.rates(1, 1)[0] == pytest.approx(0.1)

@@ -271,8 +271,8 @@ class TestRunReplication:
         center = cert.region_center
         x = np.repeat(np.asarray(x0, dtype=float)[None, :], len(seeds), axis=0)
         path = [sq_norm(x - center)]
-        for n in range(150):
-            x = x - sched.rate(n) * problem.pointwise_gradient(noise[n], x)
+        for n, rate in enumerate(sched.rates(0, 150)):
+            x = x - rate * problem.pointwise_gradient(noise[n], x)
             path.append(sq_norm(x - center))
         path = np.array(path)
         mean, stderr = step_stats(path)

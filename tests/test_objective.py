@@ -79,18 +79,25 @@ class TestShiftedQuadratic:
 
     def test_mean_loss_noise_floor(self):
         problem = ShiftedQuadratic(curvature=1.0, center=[0.5, -0.5], noise_halfwidth=1.0)
-        at_center = problem.mean_loss(np.array([0.5, -0.5]))
+        at_center = problem.mean_loss_and_gradient(np.array([0.5, -0.5]))[0]
         assert at_center == pytest.approx(1.0 / 3.0, rel=1e-15)
 
     def test_mean_quantities_match_pointwise_at_zero_noise(self):
         problem = make_quadratic(halfwidth=0.0)
         x = np.array([1.2, -0.7])
-        assert problem.mean_loss(x) == pytest.approx(
+        assert problem.mean_loss_and_gradient(x)[0] == pytest.approx(
             problem.pointwise_loss(np.zeros(2), x), rel=1e-15
         )
         np.testing.assert_allclose(
-            problem.mean_gradient(x), problem.pointwise_gradient(np.zeros(2), x)
+            problem.mean_loss_and_gradient(x)[1], problem.pointwise_gradient(np.zeros(2), x)
         )
+
+    def test_a_floor_beyond_a_squared_halfwidth_is_finite(self):
+        # halfwidth^2 = 1e310 is not a double; the floor 1e-10 * 1e310 / 6 is.
+        problem = ShiftedQuadratic(curvature=1e-10, center=[0.0], noise_halfwidth=1e155)
+        loss, grad = problem.mean_loss_and_gradient([2.0])
+        assert loss == pytest.approx(1e300 / 6.0, rel=1e-12)
+        assert_same_bits(grad, [2e-10])
 
     def test_minimizer_is_center(self):
         problem = ShiftedQuadratic(curvature=2.0, center=[3.0, 4.0], noise_halfwidth=0.2)
@@ -99,7 +106,7 @@ class TestShiftedQuadratic:
     def test_dimension_mismatch_raises(self):
         problem = make_quadratic()
         with pytest.raises(ConfigurationError):
-            problem.mean_loss(np.zeros(3))
+            problem.mean_loss_and_gradient(np.zeros(3))[0]
 
     def test_certificate_constants(self):
         narrow = ShiftedQuadratic(curvature=2.0, center=[0.0], noise_halfwidth=0.0)
@@ -129,8 +136,8 @@ class TestShiftedQuadratic:
         rng = SeededGenerator(21)
         xs = rng.normal(size=(200, 3))
         ys = rng.normal(size=(200, 3))
-        lhs = problem.mean_loss(ys) - problem.mean_loss(xs)
-        lhs = lhs - row_dot(problem.mean_gradient(xs), ys - xs)
+        loss_x, grad_x = problem.mean_loss_and_gradient(xs)
+        lhs = problem.mean_loss_and_gradient(ys)[0] - loss_x - row_dot(grad_x, ys - xs)
         rhs = 0.5 * 1.7 * sq_norm(ys - xs)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
 
@@ -177,7 +184,7 @@ class TestFiniteSumLeastSquares:
         targets = rng.normal(size=12)
         problem = FiniteSumLeastSquares(design=design, targets=targets)
         x_star = problem.minimizer()
-        grad = problem.mean_gradient(x_star)
+        grad = problem.mean_loss_and_gradient(x_star)[1]
         assert np.linalg.norm(grad) <= 1e-9 * (1.0 + np.linalg.norm(x_star))
 
     def test_certificate_identity_design(self):
@@ -232,10 +239,11 @@ class TestFiniteSumLeastSquares:
         cert = problem.certify(2.0, problem.minimizer())
         xs = sample_in_ball(cert.region_center, cert.region_radius, 500, rng)
         ys = sample_in_ball(cert.region_center, cert.region_radius, 500, rng)
+        loss_x, grad_x = problem.mean_loss_and_gradient(xs)
         slack = (
-            problem.mean_loss(ys)
-            - problem.mean_loss(xs)
-            - row_dot(problem.mean_gradient(xs), ys - xs)
+            problem.mean_loss_and_gradient(ys)[0]
+            - loss_x
+            - row_dot(grad_x, ys - xs)
             - 0.5 * cert.strong_convexity * sq_norm(ys - xs)
         )
         assert slack.min() >= -1e-12
@@ -335,7 +343,7 @@ class TestCentredForm:
         _, centre, residual, grad_c, _ = problem._form
         x_star = problem.minimizer()
         assert_same_bits(x_star, centre)
-        assert_same_bits(problem.mean_gradient(x_star), grad_c / problem.rows)
+        assert_same_bits(problem.mean_loss_and_gradient(x_star)[1], grad_c / problem.rows)
         cert = problem.certify(1.0, x_star)
         assert_same_bits(cert.region_center, centre)
         row_norms = np.sqrt(sq_norm(problem.design))
@@ -428,7 +436,7 @@ class TestUnbiasedness:
         grads = problem.pointwise_gradient(draws, x)
         sample_mean = grads.mean(axis=0)
         stderr = grads.std(axis=0, ddof=1) / np.sqrt(grads.shape[0])
-        exact = problem.mean_gradient(x)
+        exact = problem.mean_loss_and_gradient(x)[1]
         assert np.all(np.abs(sample_mean - exact) <= 5.0 * stderr + 1e-12)
 
     def test_finite_sum(self):
@@ -439,7 +447,7 @@ class TestUnbiasedness:
         grads = problem.pointwise_gradient(draws, x)
         sample_mean = grads.mean(axis=0)
         stderr = grads.std(axis=0, ddof=1) / np.sqrt(grads.shape[0])
-        exact = problem.mean_gradient(x)
+        exact = problem.mean_loss_and_gradient(x)[1]
         assert np.all(np.abs(sample_mean - exact) <= 5.0 * stderr + 1e-12)
 
 
@@ -456,10 +464,10 @@ class TestMinimizerOptimality:
         for problem in problems:
             cert = problem.certify(20.0, problem.minimizer())
             x_star = cert.region_center
-            base = problem.mean_loss(x_star)
+            base = problem.mean_loss_and_gradient(x_star)[0]
             directions = rng.normal(size=(100, 2))
             directions /= np.sqrt(sq_norm(directions))[:, None]
-            moved = problem.mean_loss(x_star + scale * directions)
+            moved = problem.mean_loss_and_gradient(x_star + scale * directions)[0]
             lower = 0.5 * cert.strong_convexity * scale**2
             assert np.all(moved - base >= lower * (1.0 - 1e-9))
 
@@ -703,6 +711,30 @@ class TestGradientAlignment:
         assert_same_bits(got, direct)
 
 
+def separate_mean_loss(problem, x):
+    """The mean loss as each family computed it on its own."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(problem, ShiftedQuadratic):
+        floor = problem.curvature * problem.dimension * problem.noise_halfwidth**2 / 6.0
+        return 0.5 * problem.curvature * sq_norm(x - problem.center) + floor
+    gram, centre, _, grad_c, sq_c = problem._form
+    e = x - centre
+    grad = np.einsum("ij,...j->...i", gram, e)
+    np.add(grad, grad_c, out=grad)
+    return (row_dot(e, grad) + row_dot(e, grad_c) + sq_c) / (2 * problem.rows)
+
+
+def separate_mean_gradient(problem, x):
+    """The mean gradient as each family computed it on its own."""
+    x = np.asarray(x, dtype=float)
+    if isinstance(problem, ShiftedQuadratic):
+        return problem.curvature * (x - problem.center)
+    gram, centre, _, grad_c, _ = problem._form
+    grad = np.einsum("ij,...j->...i", gram, x - centre)
+    np.add(grad, grad_c, out=grad)
+    return np.divide(grad, problem.rows, out=grad)
+
+
 class TestMeanLossAndGradient:
     @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])
     @pytest.mark.parametrize("shape", [(3,), (7, 3)])
@@ -713,8 +745,8 @@ class TestMeanLossAndGradient:
             problem = least_squares(9, 3)
         x = np.random.default_rng(3).normal(size=shape)
         loss, grad = problem.mean_loss_and_gradient(x)
-        assert_same_bits(np.asarray(loss), problem.mean_loss(x))
-        assert_same_bits(np.asarray(grad), problem.mean_gradient(x))
+        assert_same_bits(np.asarray(loss), separate_mean_loss(problem, x))
+        assert_same_bits(np.asarray(grad), separate_mean_gradient(problem, x))
 
 
 class TestCompactNoise:

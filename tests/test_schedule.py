@@ -14,8 +14,8 @@ from sgdcheck import (
 class TestConstantSchedule:
     def test_rate_is_constant(self):
         sched = ConstantSchedule(rho=4.0)
-        assert sched.rate(0) == 4.0
-        assert sched.rate(123456) == 4.0
+        assert sched.rates(0, 1)[0] == 4.0
+        assert sched.rates(123456, 1)[0] == 4.0
         np.testing.assert_array_equal(sched.rates(10, 5), np.full(5, 4.0))
 
     def test_rejects_nonpositive(self):
@@ -29,11 +29,11 @@ class TestConstantSchedule:
     def test_index_validation(self):
         sched = ConstantSchedule(rho=1.0)
         with pytest.raises(UsageError):
-            sched.rate(-1)
+            sched.rates(-1, 1)
         with pytest.raises(UsageError):
-            sched.rate(1.5)
+            sched.rates(1.5, 1)
         with pytest.raises(UsageError):
-            sched.rate(True)
+            sched.rates(True, 1)
         with pytest.raises(UsageError):
             sched.rates(0, -1)
 
@@ -41,8 +41,8 @@ class TestConstantSchedule:
 class TestInverseTimeSchedule:
     def test_rate_values(self):
         sched = InverseTimeSchedule(scale=1.0, offset=9.0)
-        assert sched.rate(1) == pytest.approx(0.1, rel=1e-15)
-        assert sched.rate(0) == pytest.approx(1.0 / 9.0, rel=1e-15)
+        assert sched.rates(1, 1)[0] == pytest.approx(0.1, rel=1e-15)
+        assert sched.rates(0, 1)[0] == pytest.approx(1.0 / 9.0, rel=1e-15)
 
     def test_strictly_decreasing(self):
         sched = InverseTimeSchedule(scale=2.0, offset=1.0)
@@ -57,7 +57,7 @@ class TestInverseTimeSchedule:
     def test_rates_matches_pointwise(self):
         sched = InverseTimeSchedule(scale=3.0, offset=2.0)
         block = sched.rates(5, 50)
-        singles = np.array([sched.rate(5 + j) for j in range(50)])
+        singles = np.array([3.0 / (2.0 + n) for n in range(5, 55)])
         np.testing.assert_array_equal(block, singles)
 
     def test_rejects_bad_parameters(self):
