@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError, require_int, require_real
+from .errors import DomainError, UsageError, require_int, require_real, require_vector
 from .objective import HypothesisCertificate, StochasticProblem, row_dot, sq_norm
 from .schedule import ConstantSchedule, Schedule
 
@@ -306,19 +306,10 @@ def validate_checkpoints(points, horizon: int) -> list[tuple[int, float]]:
     cleaned: list[tuple[int, float]] = []
     try:
         for n, threshold in points:
-            if (isinstance(n, bool) or not isinstance(n, (int, np.integer))
-                    or not 0 <= n <= horizon):
-                raise UsageError(f"checkpoint step {n!r} is not an integer in [0, {horizon}]")
+            n = require_int(n, "checkpoint step", 0, horizon)
             if cleaned and n <= cleaned[-1][0]:
                 raise UsageError("checkpoints must be strictly increasing in step")
-            if (isinstance(threshold, bool)
-                    or not isinstance(threshold, (int, float, np.integer, np.floating))
-                    or not math.isfinite(threshold) or threshold <= 0.0):
-                raise UsageError("checkpoints must have finite positive thresholds")
-            cleaned.append((int(n), float(threshold)))
-    except OverflowError:
-        # An integer threshold too large for a float.
-        raise UsageError("checkpoints must have finite positive thresholds") from None
+            cleaned.append((n, require_real(threshold, "checkpoint threshold")))
     except (TypeError, ValueError):
         raise UsageError("checkpoints must be (step, threshold) pairs") from None
     if not cleaned:
@@ -411,7 +402,7 @@ def check_descent_inequality(
     finite fails the point, which then reports a NaN margin.
     """
     samples = require_int(samples, "samples", 100)
-    x = np.asarray(x, dtype=float)
+    x = np.array(require_vector(x, "x", len(cert.region_center), UsageError))
     gap = x - cert.region_center
     gap_sq = float(sq_norm(gap))
     if gap_sq > cert.region_radius * cert.region_radius:

@@ -22,6 +22,7 @@ from .analyzer import (
 )
 from .config import ExperimentConfig
 from .engine import aux_generator
+from .errors import require_int
 from .objective import HypothesisCertificate, StochasticProblem, sample_in_ball
 from .schedule import ConstantSchedule, InverseTimeSchedule, Schedule
 
@@ -79,6 +80,7 @@ def descent_verdict(problem: StochasticProblem, cert: HypothesisCertificate,
     Points come from auxiliary stream 0 of the master seed and the samples
     at every point from stream 1.
     """
+    points = require_int(points, "points", 1)
     point_rng = aux_generator(master_seed, 0)
     draw_rng = aux_generator(master_seed, 1)
     locations = sample_in_ball(cert.region_center, cert.region_radius, points, point_rng)

@@ -9,16 +9,20 @@ coerced to their declared kinds); a normalized config round-trips through
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
 from .analyzer import validate_checkpoints
-from .errors import ConfigurationError, UsageError
-from .objective import FiniteSumLeastSquares, ShiftedQuadratic, StochasticProblem
+from .errors import (
+    UINT64_MAX,
+    ConfigurationError,
+    UsageError,
+    require_int,
+    require_real,
+    require_vector,
+)
+from .objective import FiniteSumLeastSquares, ShiftedQuadratic, StochasticProblem, design_rows
 from .schedule import ConstantSchedule, InverseTimeSchedule, Schedule
-
-_MAX_SEED = (1 << 64) - 1
 
 DEFAULT_RECURRENCE_Z = 3.0
 DEFAULT_NEIGHBORHOOD_TOL = 0.2
@@ -53,57 +57,6 @@ def _check_keys(obj: dict, where: str, required: set[str], optional: set[str]) -
             raise ConfigurationError(f"missing key '{key}' in {where}")
 
 
-def _integer(obj: dict, key: str, where: str, minimum: int, maximum: int | None = None,
-             default: int | None = None) -> int:
-    """obj[key] checked as an integer in range; ``default`` if the key is absent."""
-    if key not in obj:
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigurationError(f"'{key}' in {where} must be an integer")
-    if value < minimum or (maximum is not None and value > maximum):
-        bound = f">= {minimum}" if maximum is None else f"in [{minimum}, {maximum}]"
-        raise ConfigurationError(f"'{key}' in {where} must be {bound}")
-    return value
-
-
-def _to_float(value) -> float:
-    """float(value), or inf for an integer too large for a double."""
-    try:
-        return float(value)
-    except OverflowError:
-        return math.inf
-
-
-def _real(obj: dict, key: str, where: str, minimum: float | None = None,
-          strict: bool = False, default: float | None = None) -> float:
-    """obj[key] checked as a finite real; ``default`` if the key is absent."""
-    if key not in obj:
-        return default
-    value = obj[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigurationError(f"'{key}' in {where} must be a real number")
-    value = _to_float(value)
-    if not math.isfinite(value):
-        raise ConfigurationError(f"'{key}' in {where} must be finite")
-    if minimum is not None and (value < minimum or (strict and value <= minimum)):
-        relation = ">" if strict else ">="
-        raise ConfigurationError(f"'{key}' in {where} must be {relation} {minimum}")
-    return value
-
-
-def _real_list(value, key: str, where: str) -> list[float]:
-    if not isinstance(value, list) or not value:
-        raise ConfigurationError(f"'{key}' in {where} must be a non-empty list of reals")
-    cleaned = []
-    for item in value:
-        if (isinstance(item, bool) or not isinstance(item, (int, float))
-                or not math.isfinite(_to_float(item))):
-            raise ConfigurationError(f"'{key}' in {where} must contain only finite reals")
-        cleaned.append(float(item))
-    return cleaned
-
-
 def _parse_problem(spec) -> dict:
     where = "problem"
     if not isinstance(spec, dict) or "family" not in spec:
@@ -113,22 +66,19 @@ def _parse_problem(spec) -> dict:
         _check_keys(spec, where, {"family", "curvature", "center", "noise_halfwidth"}, set())
         return {
             "family": family,
-            "curvature": _real(spec, "curvature", where, minimum=0.0, strict=True),
-            "center": _real_list(spec["center"], "center", where),
-            "noise_halfwidth": _real(spec, "noise_halfwidth", where, minimum=0.0),
+            "curvature": require_real(spec["curvature"], "'curvature' in problem",
+                                      error=ConfigurationError),
+            "center": require_vector(spec["center"], "'center' in problem"),
+            "noise_halfwidth": require_real(spec["noise_halfwidth"],
+                                            "'noise_halfwidth' in problem", strict=False,
+                                            error=ConfigurationError),
         }
     if family == "finite_sum_least_squares":
         _check_keys(spec, where, {"family", "design_rows", "targets"}, set())
-        rows = spec["design_rows"]
-        if not isinstance(rows, list) or not rows:
-            raise ConfigurationError("'design_rows' in problem must be a non-empty list of rows")
-        design = [_real_list(row, "design_rows", where) for row in rows]
-        if any(len(row) != len(design[0]) for row in design):
-            raise ConfigurationError("'design_rows' in problem must be rows of equal length")
         return {
             "family": family,
-            "design_rows": design,
-            "targets": _real_list(spec["targets"], "targets", where),
+            "design_rows": design_rows(spec["design_rows"], "'design_rows' in problem"),
+            "targets": require_vector(spec["targets"], "'targets' in problem"),
         }
     raise ConfigurationError(f"unknown problem family '{family}'")
 
@@ -138,17 +88,15 @@ def _parse_schedule(spec) -> dict:
     if not isinstance(spec, dict) or "kind" not in spec:
         raise ConfigurationError("missing key 'kind' in schedule")
     kind = spec["kind"]
-    if kind == "constant":
-        _check_keys(spec, where, {"kind", "rho"}, set())
-        return {"kind": kind, "rho": _real(spec, "rho", where, minimum=0.0, strict=True)}
-    if kind == "inverse_time":
-        _check_keys(spec, where, {"kind", "scale", "offset"}, set())
-        return {
-            "kind": kind,
-            "scale": _real(spec, "scale", where, minimum=0.0, strict=True),
-            "offset": _real(spec, "offset", where, minimum=0.0, strict=True),
-        }
-    raise ConfigurationError(f"unknown schedule kind '{kind}'")
+    kinds = {"constant": ("rho",), "inverse_time": ("scale", "offset")}
+    keys = kinds.get(kind) if isinstance(kind, str) else None
+    if keys is None:
+        raise ConfigurationError(f"unknown schedule kind '{kind}'")
+    _check_keys(spec, where, {"kind", *keys}, set())
+    return {"kind": kind} | {
+        key: require_real(spec[key], f"'{key}' in {where}", error=ConfigurationError)
+        for key in keys
+    }
 
 
 def _parse_checkpoints(value, where: str, horizon: int) -> list[list]:
@@ -166,28 +114,31 @@ def _parse_check(spec, index: int, horizon: int) -> dict:
     kind = spec["type"]
     if kind == "recurrence":
         _check_keys(spec, where, {"type"}, {"z"})
-        z = _real(spec, "z", where, minimum=0.0, strict=True, default=DEFAULT_RECURRENCE_Z)
+        z = require_real(spec.get("z", DEFAULT_RECURRENCE_Z), f"'z' in {where}",
+                         error=ConfigurationError)
         return {"type": kind, "z": z}
     if kind == "neighborhood":
         _check_keys(spec, where, {"type"}, {"window", "tol_rel"})
-        window = _integer(spec, "window", where, minimum=1,
-                          default=min(max(100, horizon // 10), horizon + 1))
-        tol = _real(spec, "tol_rel", where, minimum=0.0, default=DEFAULT_NEIGHBORHOOD_TOL)
+        window = require_int(spec.get("window", min(max(100, horizon // 10), horizon + 1)),
+                             f"'window' in {where}", 1, error=ConfigurationError)
+        tol = require_real(spec.get("tol_rel", DEFAULT_NEIGHBORHOOD_TOL), f"'tol_rel' in {where}",
+                           strict=False, error=ConfigurationError)
         return {"type": kind, "window": window, "tol_rel": tol}
     if kind == "convergence":
         _check_keys(spec, where, {"type", "checkpoints"}, set())
         return {"type": kind, "checkpoints": _parse_checkpoints(spec["checkpoints"], where, horizon)}
     if kind == "descent":
         _check_keys(spec, where, {"type"}, {"points", "samples"})
-        points = _integer(spec, "points", where, minimum=1, default=DEFAULT_DESCENT_POINTS)
-        samples = _integer(spec, "samples", where, minimum=100, default=DEFAULT_DESCENT_SAMPLES)
+        points = require_int(spec.get("points", DEFAULT_DESCENT_POINTS), f"'points' in {where}", 1,
+                             error=ConfigurationError)
+        samples = require_int(spec.get("samples", DEFAULT_DESCENT_SAMPLES),
+                              f"'samples' in {where}", 100, error=ConfigurationError)
         return {"type": kind, "points": points, "samples": samples}
     if kind == "lemma":
         _check_keys(spec, where, {"type", "n", "k"}, set())
-        return {
-            "type": kind,
-            "n": _integer(spec, "n", where, minimum=0),
-            "k": _integer(spec, "k", where, minimum=0),
+        return {"type": kind} | {
+            key: require_int(spec[key], f"'{key}' in {where}", 0, error=ConfigurationError)
+            for key in ("n", "k")
         }
     raise ConfigurationError(f"unknown check type '{kind}' in {where}")
 
@@ -195,11 +146,11 @@ def _parse_check(spec, index: int, horizon: int) -> dict:
 def _parse_verify(spec) -> dict:
     where = "verify"
     _check_keys(spec, where, set(), {"audit_samples", "gradient_checks"})
+    defaults = {"audit_samples": DEFAULT_AUDIT_SAMPLES, "gradient_checks": DEFAULT_GRADIENT_CHECKS}
     return {
-        "audit_samples": _integer(spec, "audit_samples", where, minimum=1,
-                                  default=DEFAULT_AUDIT_SAMPLES),
-        "gradient_checks": _integer(spec, "gradient_checks", where, minimum=1,
-                                    default=DEFAULT_GRADIENT_CHECKS),
+        key: require_int(spec.get(key, default), f"'{key}' in {where}", 1,
+                         error=ConfigurationError)
+        for key, default in defaults.items()
     }
 
 
@@ -225,11 +176,14 @@ def parse_config(text: str) -> ExperimentConfig:
         {"problem", "schedule", "x0", "horizon", "replications", "master_seed", "region_radius"},
         {"checks", "output", "verify"},
     )
-    horizon = _integer(raw, "horizon", "config", minimum=1)
-    replications = _integer(raw, "replications", "config", minimum=2)
-    master_seed = _integer(raw, "master_seed", "config", minimum=0, maximum=_MAX_SEED)
-    region_radius = _real(raw, "region_radius", "config", minimum=0.0, strict=True)
-    x0 = _real_list(raw["x0"], "x0", "config")
+    horizon = require_int(raw["horizon"], "'horizon' in config", 1, error=ConfigurationError)
+    replications = require_int(raw["replications"], "'replications' in config", 2,
+                               error=ConfigurationError)
+    master_seed = require_int(raw["master_seed"], "'master_seed' in config", 0, UINT64_MAX,
+                              error=ConfigurationError)
+    region_radius = require_real(raw["region_radius"], "'region_radius' in config",
+                                 error=ConfigurationError)
+    x0 = require_vector(raw["x0"], "'x0' in config")
     checks_raw = raw.get("checks", [])
     if not isinstance(checks_raw, list):
         raise ConfigurationError("'checks' in config must be a list")

@@ -18,28 +18,14 @@ import threading
 import numpy as np
 
 from .analyzer import DnSeries, merge_parts, stats_chunk_steps, step_stats
-from .errors import DivergenceError, UsageError, require_int
-from .objective import (
-    HypothesisCertificate,
-    StochasticProblem,
-    as_float_vector,
-    sq_norm,
-    usable_cores,
-)
+from .errors import UINT64_MAX, DivergenceError, UsageError, require_int, require_vector
+from .objective import HypothesisCertificate, StochasticProblem, sq_norm, usable_cores
 from .schedule import Schedule
 
-_MASK64 = (1 << 64) - 1
 # Weyl increment and mixing constants of the SplitMix64 stream.
 _GAMMA = 0x9E3779B97F4A7C15
 _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
-
-
-def _check_seed(value, name: str) -> int:
-    value = require_int(value, name, 0)
-    if value > _MASK64:
-        raise UsageError(f"{name} must lie in [0, 2^64)")
-    return value
 
 
 def derive_seed(master_seed: int, index: int) -> int:
@@ -50,11 +36,11 @@ def derive_seed(master_seed: int, index: int) -> int:
     is a bijection and the states are distinct for distinct indices, so for a
     fixed master seed no two replications ever share a seed.
     """
-    master_seed = _check_seed(master_seed, "master_seed")
-    index = _check_seed(index, "index")
-    z = (master_seed + (index + 1) * _GAMMA) & _MASK64
-    z = ((z ^ (z >> 30)) * _MIX1) & _MASK64
-    z = ((z ^ (z >> 27)) * _MIX2) & _MASK64
+    master_seed = require_int(master_seed, "master_seed", 0, UINT64_MAX)
+    index = require_int(index, "index", 0, UINT64_MAX)
+    z = (master_seed + (index + 1) * _GAMMA) & UINT64_MAX
+    z = ((z ^ (z >> 30)) * _MIX1) & UINT64_MAX
+    z = ((z ^ (z >> 27)) * _MIX2) & UINT64_MAX
     return z ^ (z >> 31)
 
 
@@ -95,7 +81,7 @@ class SeededGenerator:
     algorithm = "philox4x64"
 
     def __init__(self, seed: int):
-        self.seed = _check_seed(seed, "seed")
+        self.seed = require_int(seed, "seed", 0, UINT64_MAX)
         self._gen = np.random.Generator(np.random.Philox(seed=_philox_key_type()(self.seed)))
 
     def uniform(self, low: float, high: float, size=None):
@@ -323,12 +309,12 @@ def run_seeds(
     its seed.
     """
     steps = require_int(steps, "steps", 1)
-    seeds = tuple(_check_seed(seed, "seed") for seed in seeds)
+    seeds = tuple(require_int(seed, "seed", 0, UINT64_MAX) for seed in seeds)
     if not seeds:
         raise UsageError("at least one seed is required")
     count = len(seeds)
     dimension = problem.dimension
-    x0 = as_float_vector(x0, dimension, "x0")
+    x0 = np.array(require_vector(x0, "'x0'", dimension))
     order = np.argsort(np.array(seeds, dtype=np.uint64), kind="stable")
     ordered = [seeds[i] for i in order]
     sizes = [min(_PART, count - lo) for lo in range(0, count, _PART)]

@@ -27,7 +27,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CertificationError, ConfigurationError, require_int, require_real
+from .errors import (
+    CertificationError,
+    ConfigurationError,
+    require_int,
+    require_real,
+    require_vector,
+)
 
 # Certificates are audited and checked against sampled data at this
 # relative tolerance; it absorbs float roundoff without hiding real slack.
@@ -80,17 +86,18 @@ def _rows_like(vector: np.ndarray, batch: np.ndarray) -> np.ndarray:
     return np.repeat(vector[None, :], points, axis=0).reshape(batch.shape)
 
 
-def as_float_vector(value, dim: int | None, name: str) -> np.ndarray:
-    arr = np.asarray(value, dtype=float)
-    if arr.ndim != 1 or arr.size == 0:
-        raise ConfigurationError(f"'{name}' must be a non-empty 1-d vector of reals")
-    if not np.all(np.isfinite(arr)):
-        raise ConfigurationError(f"'{name}' must contain only finite values")
-    if dim is not None and arr.shape[0] != dim:
-        raise ConfigurationError(
-            f"'{name}' has dimension {arr.shape[0]}, expected {dim}"
-        )
-    return arr
+def design_rows(value, name: str) -> list[list[float]]:
+    """``value`` as a list of rows of floats; ConfigurationError unless a
+    non-empty list, tuple or 2-d array whose rows pass require_vector and
+    share one length."""
+    if isinstance(value, np.ndarray):
+        value = value.tolist()
+    if not isinstance(value, (list, tuple)) or not value:
+        raise ConfigurationError(f"{name} must be a non-empty list of rows")
+    rows = [require_vector(row, f"a row of {name}") for row in value]
+    if any(len(row) != len(rows[0]) for row in rows):
+        raise ConfigurationError(f"{name} must be rows of equal length")
+    return rows
 
 
 @dataclass(frozen=True, eq=False)
@@ -250,7 +257,7 @@ class ShiftedQuadratic(StochasticProblem):
     def __post_init__(self):
         curvature = require_real(self.curvature, "'curvature'", error=ConfigurationError)
         object.__setattr__(self, "curvature", curvature)
-        center = as_float_vector(self.center, None, "center").copy()
+        center = np.array(require_vector(self.center, "'center'"))
         if center.shape[0] > MAX_DIMENSION:
             raise ConfigurationError(f"dimension exceeds the cap of {MAX_DIMENSION}")
         center.flags.writeable = False
@@ -372,11 +379,7 @@ class FiniteSumLeastSquares(StochasticProblem):
     family = "finite_sum_least_squares"
 
     def __post_init__(self):
-        design = np.asarray(self.design, dtype=float)
-        if design.ndim != 2 or design.size == 0:
-            raise ConfigurationError("'design_rows' must be a non-empty 2-d matrix")
-        if not np.all(np.isfinite(design)):
-            raise ConfigurationError("'design_rows' must contain only finite values")
+        design = np.array(design_rows(self.design, "'design_rows'"))
         rows, dim = design.shape
         if dim > MAX_DIMENSION:
             raise ConfigurationError(f"dimension exceeds the cap of {MAX_DIMENSION}")
@@ -384,10 +387,8 @@ class FiniteSumLeastSquares(StochasticProblem):
             raise ConfigurationError(
                 f"'design_rows' needs at least as many rows ({rows}) as columns ({dim})"
             )
-        targets = as_float_vector(self.targets, rows, "targets")
-        design = design.copy()
+        targets = np.array(require_vector(self.targets, "'targets'", rows))
         design.flags.writeable = False
-        targets = targets.copy()
         targets.flags.writeable = False
         object.__setattr__(self, "design", design)
         object.__setattr__(self, "targets", targets)
@@ -529,7 +530,7 @@ def _squared_bound(root: float) -> float:
 
 def _certify_radius(problem, region_radius, x0) -> float:
     region_radius = require_real(region_radius, "region_radius", error=CertificationError)
-    x0 = as_float_vector(x0, problem.dimension, "x0")
+    x0 = np.array(require_vector(x0, "'x0'", problem.dimension))
     start_dist = math.sqrt(float(sq_norm(x0 - problem.minimizer())))
     if start_dist > region_radius:
         raise CertificationError(

@@ -109,6 +109,11 @@ class TestParsing:
         with pytest.raises(ConfigurationError, match="unknown schedule kind"):
             parse(base_document(schedule={"kind": "step_decay"}))
 
+    @pytest.mark.parametrize("kind", [["constant"], {"constant": 1}, 1, None])
+    def test_a_kind_that_is_not_a_string_is_unknown(self, kind):
+        with pytest.raises(ConfigurationError, match="unknown schedule kind"):
+            parse(base_document(schedule={"kind": kind, "rho": 0.05}))
+
     def test_finite_sum_document(self):
         document = base_document(
             problem={
@@ -167,7 +172,8 @@ class TestChecks:
             parse(convergence([[50, 1.0], [50, 0.5]]))
         with pytest.raises(ConfigurationError, match=r"\[0, 100\]"):
             parse(convergence([[101, 1.0]]))
-        with pytest.raises(ConfigurationError, match="positive thresholds"):
+        with pytest.raises(ConfigurationError,
+                           match="checkpoint threshold must be a finite positive real"):
             parse(convergence([[50, -1.0]]))
         with pytest.raises(ConfigurationError):
             parse(convergence([]))
@@ -205,7 +211,7 @@ class TestIntegersTooLargeForAFloat:
         path.write_text(json.dumps(base_document(schedule={"kind": "constant", "rho": HUGE})),
                         encoding="utf-8")
         assert main(["run", str(path)]) == 2
-        assert "'rho' in schedule must be finite" in capsys.readouterr().err
+        assert "'rho' in schedule must be a finite positive real" in capsys.readouterr().err
 
 
 class TestDuplicateKeys:
