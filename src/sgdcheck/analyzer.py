@@ -31,8 +31,8 @@ class DnSeries:
     ``mean[n]`` is the mean of ||x_n - x*||^2 over the replications and
     ``stderr[n]`` its sample standard deviation divided by
     sqrt(replications), zero for a single replication; both are the
-    step_stats of each part of the replications, merged by merge_parts, so
-    they keep their bits whatever the order of the replications;
+    step_stats of parts of the replications sorted by seed, merged by
+    merge_parts, so they keep their bits whatever the order of the seeds;
     ``in_region_fraction[n]`` is the share of replications whose iterate was
     still inside the certified ball.  The paths are not kept: replication i
     can be replayed from ``seeds[i]``, and ``final_x[i]`` is its last
@@ -79,8 +79,8 @@ class ProductDecay:
     log_majorant: float
 
 
-# Values copied, sorted and summed at once by step_stats; bounds its
-# temporaries.  A chunk's height does not change the bits of its row sums.
+# Values the engine folds at once by step_stats; bounds its temporaries.
+# A fold run's height does not change the bits of its row sums.
 _STATS_CHUNK = 1 << 16
 # A row whose sum is not finite is summed again scaled by 2^-_RESCALE, which
 # brings any finite value, its deviations and their squares inside the range.
@@ -88,36 +88,40 @@ _RESCALE = 600
 
 
 def stats_chunk_steps(rows: int) -> int:
-    """Steps of ``rows`` values each that step_stats sorts and sums at once."""
+    """Steps of ``rows`` values each that the engine folds at once."""
     return max(1, _STATS_CHUNK // rows)
 
 
-def _sorted_stats(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of each row of ``ordered``, a C-contiguous
-    (rows, n) array sorted along axis 1.
+def step_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error of each row of a step-major block.
 
-    The values and their squared deviations from the mean are summed with
-    np.add.reduce along each row, pairwise, with the bits of the row summed
-    alone.  A row whose values are all equal gets an exact mean and a
-    standard error of exactly zero.  A row whose sum is not finite, of the
-    values or of their squared deviations (one that overflows, or whose
-    pairwise halves overflow to -inf and +inf and add to NaN), is summed
-    again with its values scaled by 2^-_RESCALE; its deviations are then
-    taken between scaled values, so they cannot overflow.  It keeps its
-    plain mean where that is finite, and every other row keeps the bits of
-    the plain sums.
+    ``block[n]`` holds one value per replication, in the order the caller
+    fixes (the engine's is ascending seed order).  The values and their
+    squared deviations from the mean are summed with np.add.reduce along
+    each row, pairwise, with the bits of the row summed alone, whatever the
+    memory layout of the block or its split into steps; the block is not
+    written to.  A row whose values are all equal (a single replication
+    included) gets an exact mean and a standard error of exactly zero.  A
+    row whose sum is not finite, of the values or of their squared
+    deviations (one that overflows, or whose pairwise halves overflow to
+    -inf and +inf and add to NaN), is summed again with its values scaled by
+    2^-_RESCALE; its deviations are then taken between scaled values, so
+    they cannot overflow.  It keeps its plain mean where that is finite, and
+    every other row keeps the bits of the plain sums.
     """
-    count = ordered.shape[1]
-    constant = ordered[:, 0] == ordered[:, -1]
+    values = np.ascontiguousarray(block)
+    count = values.shape[1]
+    low = np.minimum.reduce(values, axis=1)
+    constant = low == np.maximum.reduce(values, axis=1)
     with np.errstate(over="ignore", invalid="ignore"):
-        mean = np.add.reduce(ordered, axis=1) / count
-        squares = ordered - mean[:, None]
+        mean = np.add.reduce(values, axis=1) / count
+        squares = values - mean[:, None]
         np.multiply(squares, squares, out=squares)
         total = np.add.reduce(squares, axis=1)
         stderr = np.sqrt(total / max(count - 1, 1) / count)
         redo = np.flatnonzero(~(np.isfinite(total) | constant))
         if redo.shape[0]:
-            scaled = np.ldexp(ordered[redo], -_RESCALE)
+            scaled = np.ldexp(values[redo], -_RESCALE)
             centre = np.add.reduce(scaled, axis=1) / count
             kept = mean[redo]
             mean[redo] = np.where(np.isfinite(kept), kept, np.ldexp(centre, _RESCALE))
@@ -125,31 +129,7 @@ def _sorted_stats(ordered: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             np.multiply(scaled, scaled, out=scaled)
             total = np.add.reduce(scaled, axis=1)
             stderr[redo] = np.ldexp(np.sqrt(total / max(count - 1, 1) / count), _RESCALE)
-    return np.where(constant, ordered[:, 0], mean), np.where(constant, 0.0, stderr)
-
-
-def step_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and standard error of each row of a step-major block.
-
-    ``block[n]`` holds one value per replication.  The steps are taken in
-    chunks of stats_chunk_steps(replications), each copied in C order and
-    sorted along its rows, and _sorted_stats sums every sorted row pairwise
-    on its own, so the result does not depend on the order or the memory
-    layout of the replications nor on how the steps are split into blocks.
-    Constant rows (a single replication included) get an exact mean and a
-    standard error of exactly zero, and a row of finite values whose sums
-    would overflow is summed scaled by an exact power of two, so its mean
-    and standard error stay finite wherever they are finite doubles.
-    """
-    steps, rows = block.shape
-    mean = np.empty(steps)
-    stderr = np.empty(steps)
-    chunk = stats_chunk_steps(rows)
-    for lo in range(0, steps, chunk):
-        ordered = np.array(block[lo:lo + chunk], order="C")
-        ordered.sort(axis=1)
-        mean[lo:lo + chunk], stderr[lo:lo + chunk] = _sorted_stats(ordered)
-    return mean, stderr
+    return np.where(constant, low, mean), np.where(constant, 0.0, stderr)
 
 
 def merge_parts(means: np.ndarray, stderrs: np.ndarray, sizes) -> tuple[np.ndarray, np.ndarray]:
@@ -410,8 +390,8 @@ def check_descent_inequality(
     noise = problem.noise_block(rng, samples)
     # A value or statistic that overflows shows in the verdict, not as a warning.
     with np.errstate(over="ignore", invalid="ignore"):
-        ordered = np.ascontiguousarray(problem.sorted_alignment(noise, x, gap))
-        estimate, stderr = (float(stat[0]) for stat in _sorted_stats(ordered[None]))
+        values = problem.alignment(noise, x, gap)
+        estimate, stderr = (float(stat[0]) for stat in step_stats(values[None]))
         closed_form = float(row_dot(gap, problem.mean_loss_and_gradient(x)[1]))
     required = 0.5 * cert.strong_convexity * gap_sq
     descent_margin = estimate - (required - 3.0 * stderr)

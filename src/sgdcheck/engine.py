@@ -321,17 +321,20 @@ def run_seeds(
     parts = len(sizes)
     processes = min(parts, _process_count(count, dimension))
     block = min(steps, max(1, BLOCK_BUDGET // (count * math.prod(problem.noise_shape))))
-    rates = schedule.rates(0, steps)
 
     # Per-part statistics, the last iterates in seed order and one
     # (step, replication) divergence slot per process.
     size = 3 * parts * (steps + 1) + count * dimension + 2 * processes
-    if processes == 1:
-        shared = np.empty(size)
-    else:
-        import mmap
+    try:
+        if processes == 1:
+            shared = np.empty(size)
+        else:
+            import mmap
 
-        shared = np.frombuffer(mmap.mmap(-1, 8 * size))
+            shared = np.frombuffer(mmap.mmap(-1, 8 * size))
+        rates = schedule.rates(0, steps)
+    except (ValueError, MemoryError, OverflowError, OSError):
+        raise UsageError(f"{steps} steps of {count} replications do not fit in memory") from None
     stats = shared[:3 * parts * (steps + 1)].reshape(3, parts, steps + 1)
     final_x = shared[stats.size:size - 2 * processes].reshape(count, dimension)
     slots = shared[size - 2 * processes:].reshape(processes, 2)

@@ -205,13 +205,13 @@ class StochasticProblem(abc.ABC):
         returned; the values are the same bits either way.
         """
 
-    def sorted_alignment(self, noise, x, direction):
-        """<direction, pointwise_gradient(noise_j, x)> over the draws j, ascending.
+    def alignment(self, noise, x, direction):
+        """<direction, pointwise_gradient(noise_j, x)> over the draws j, in draw order.
 
         ``x`` is one point (N,) and ``direction`` one vector (N,), shared by
         every draw of ``noise``.
         """
-        return np.sort(row_dot(direction, self.pointwise_gradient(noise, x)))
+        return row_dot(direction, self.pointwise_gradient(noise, x))
 
     @abc.abstractmethod
     def mean_loss_and_gradient(self, x):
@@ -229,7 +229,11 @@ class StochasticProblem(abc.ABC):
         """
 
     def _check_x(self, x) -> np.ndarray:
-        arr = np.asarray(x, dtype=float)
+        arr = np.asarray(x)
+        if arr.dtype != np.float64:
+            if arr.dtype.kind not in "fiu":
+                raise ConfigurationError(f"point must hold real numbers, not {arr.dtype}")
+            arr = arr.astype(float)
         if arr.shape[-1:] != (self.dimension,):
             raise ConfigurationError(
                 f"point has trailing dimension {arr.shape[-1:]}, "
@@ -439,28 +443,24 @@ class FiniteSumLeastSquares(StochasticProblem):
         residual = row_dot(rows, x) - self.targets[noise]
         return np.multiply(rows, np.asarray(residual)[..., None], out=out)
 
-    def sorted_alignment(self, noise, x, direction):
-        """<direction, pointwise_gradient(noise_j, x)> over the draws j, ascending.
+    def alignment(self, noise, x, direction):
+        """<direction, pointwise_gradient(noise_j, x)> over the draws j, in draw order.
 
         With at least as many draws as rows, the value of every row is
-        computed once, the rows are ordered by value and each value is
-        repeated as often as its row was drawn.  A value depends only on its
-        row and goes through the same operations either way, and equal
-        values have equal bits, so the result is the sorted direct path bit
-        for bit (up to the order of +0.0 and -0.0, which changes no sum).  A
-        table with a non-finite value falls back to the direct path, which
-        warns only about rows actually drawn; so does a row index out of
-        range, which the direct path refuses.
+        computed once and each draw takes the value of its row.  A value
+        depends only on its row and goes through the same operations either
+        way, so the result is the direct path bit for bit.  A table with a
+        non-finite value falls back to the direct path, which warns only
+        about rows actually drawn; a row index out of range raises
+        IndexError on either path.
         """
         noise = np.asarray(noise)
         if noise.size >= self.rows:
-            counts = np.bincount(noise.ravel(), minlength=self.rows)
             with np.errstate(over="ignore", invalid="ignore"):
                 table = row_dot(direction, self.pointwise_gradient(np.arange(self.rows), x))
-            if counts.shape[0] == self.rows and np.isfinite(table).all():
-                order = np.argsort(table)
-                return np.repeat(table[order], counts[order])
-        return super().sorted_alignment(noise, x, direction)
+            if np.isfinite(table).all():
+                return table.take(noise)
+        return super().alignment(noise, x, direction)
 
     def mean_loss_and_gradient(self, x):
         """Both mean quantities from one evaluation of the form at ``x``."""

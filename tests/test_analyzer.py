@@ -109,50 +109,46 @@ class TestStepStats:
         np.testing.assert_array_equal(mean, [0.1, 0.7, 3.0])
         np.testing.assert_array_equal(stderr, [0.0, 0.0, 0.0])
 
-    def test_sums_each_sorted_row_pairwise(self):
+    def test_sums_each_row_pairwise(self):
         # The mean and the squared deviations are summed with np.add.reduce
-        # over the values in ascending order, so summing each sorted row on
+        # over the values in the order they arrive, so summing each row on
         # its own reproduces every bit.
         rng = SeededGenerator(11)
         block = rng.uniform(0.0, 1.0, size=(40, 300)) ** 3 * 1e3
         mean, stderr = step_stats(block)
         for n, row in enumerate(block):
-            ordered = np.sort(row)
-            expected_mean = np.add.reduce(ordered) / ordered.shape[0]
-            squares = np.add.reduce((ordered - expected_mean) ** 2)
-            expected_stderr = np.sqrt(squares / (ordered.shape[0] - 1) / ordered.shape[0])
+            expected_mean = np.add.reduce(row) / row.shape[0]
+            squares = np.add.reduce((row - expected_mean) ** 2)
+            expected_stderr = np.sqrt(squares / (row.shape[0] - 1) / row.shape[0])
             assert mean[n] == expected_mean
             assert stderr[n] == expected_stderr
 
-    def test_replication_order_is_invisible(self):
+    def test_memory_layout_is_invisible(self):
+        # A C block, its Fortran copy and the same values as a column slice
+        # of a wider array give the same bits, and none of them is written.
         rng = SeededGenerator(12)
         block = rng.uniform(0.0, 5.0, size=(30, 64))
-        mean, stderr = step_stats(block)
-        # The permuted blocks are F-ordered, as is a Fortran copy.
-        reordered = [np.asfortranarray(block), block[:, ::-1]]
-        for trial in range(5):
-            reordered.append(block[:, np.argsort(rng.uniform(0.0, 1.0, size=64))])
-        for permuted in reordered:
-            permuted_mean, permuted_stderr = step_stats(permuted)
-            assert np.array_equal(mean, permuted_mean)
-            assert np.array_equal(stderr, permuted_stderr)
+        mean, stderr = step_stats(block.copy())
+        wider = rng.uniform(0.0, 5.0, size=(30, 100))
+        wider[:, 20:84] = block
+        for layout in (block, np.asfortranarray(block), wider[:, 20:84]):
+            before = layout.copy()
+            layout_mean, layout_stderr = step_stats(layout)
+            assert np.array_equal(mean, layout_mean)
+            assert np.array_equal(stderr, layout_stderr)
+            assert np.array_equal(layout, before)
 
-    def test_step_split_is_invisible(self, monkeypatch):
+    def test_step_split_is_invisible(self):
         rng = SeededGenerator(13)
         # 8193 replications: wider than the 8192-value buffers in which
         # einsum sums a block of several rows.
         for steps, width in ((101, 32), (9, 8193)):
             block = rng.uniform(0.0, 5.0, size=(steps, width))
-            monkeypatch.setattr(analyzer, "_STATS_CHUNK", 1 << 16)
             mean, stderr = step_stats(block)
-            for chunk_steps in (1, 3, 7, 200):
-                monkeypatch.setattr(analyzer, "_STATS_CHUNK", chunk_steps * width)
-                assert np.array_equal(step_stats(block)[0], mean)
-                assert np.array_equal(step_stats(block)[1], stderr)
-            pieces = [step_stats(block[lo:lo + 4]) for lo in range(0, steps, 4)]
-            assert np.array_equal(np.concatenate([p[0] for p in pieces]), mean)
-            assert np.array_equal(np.concatenate([p[1] for p in pieces]), stderr)
-
+            for split in (1, 3, 4, 7, 200):
+                pieces = [step_stats(block[lo:lo + split]) for lo in range(0, steps, split)]
+                assert np.array_equal(np.concatenate([p[0] for p in pieces]), mean)
+                assert np.array_equal(np.concatenate([p[1] for p in pieces]), stderr)
 
     def test_huge_deviations_do_not_overflow(self):
         # The squared deviations, 2.5e399, overflow; the row is summed scaled
@@ -763,7 +759,7 @@ class TestCheckDescentInequality:
             def noise_block(self, rng, count):
                 return np.zeros(count)
 
-            def sorted_alignment(self, noise, x, direction):
+            def alignment(self, noise, x, direction):
                 return np.repeat([-1.7e308, 1.7e308], [1, noise.shape[0] - 1])
 
             def mean_loss_and_gradient(self, x):
@@ -789,31 +785,30 @@ class TestCheckDescentInequality:
 
 
 class TestDescentStatistics:
-    """_sorted_stats rescales only the sums that are not finite."""
+    """step_stats rescales only the sums that are not finite."""
 
     @staticmethod
-    def plain(ordered):
+    def plain(values):
         """The unscaled statistics (the reference where nothing overflows)."""
-        mean = float(ordered.mean())
-        variance = float(np.add.reduce((ordered - mean) ** 2)) / (ordered.shape[0] - 1)
-        return mean, math.sqrt(variance / ordered.shape[0])
+        mean = float(values.mean())
+        variance = float(np.add.reduce((values - mean) ** 2)) / (values.shape[0] - 1)
+        return mean, math.sqrt(variance / values.shape[0])
 
     @staticmethod
-    def stats(ordered):
-        return tuple(float(stat[0]) for stat in analyzer._sorted_stats(ordered[None]))
+    def stats(values):
+        return tuple(float(stat[0]) for stat in step_stats(values[None]))
 
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
     def test_bits_of_the_plain_sums_where_nothing_overflows(self, scale):
-        ordered = np.sort(SeededGenerator(4).normal(size=20_000)) * scale
-        assert self.stats(ordered) == self.plain(ordered)
+        values = SeededGenerator(4).normal(size=20_000) * scale
+        assert self.stats(values) == self.plain(values)
 
     def test_a_sum_that_overflows_is_summed_scaled(self):
         values = SeededGenerator(5).uniform(1e307, 1.7e308, size=1000)
-        ordered = np.sort(values)
         with np.errstate(over="ignore"):
-            assert ordered.mean() == math.inf
-            mean, stderr = self.stats(ordered)
-        small = np.ldexp(ordered, -600)
+            assert values.mean() == math.inf
+            mean, stderr = self.stats(values)
+        small = np.ldexp(values, -600)
         small_mean, small_stderr = self.plain(small)
         assert mean == math.ldexp(small_mean, 600)
         assert stderr == math.ldexp(small_stderr, 600)
@@ -821,18 +816,18 @@ class TestDescentStatistics:
     def test_halves_that_overflow_to_both_infinities_are_summed_scaled(self):
         # The pairwise sum adds -inf and +inf: a NaN mean, though the mean
         # (0) and the standard error are finite doubles.
-        ordered = np.repeat([-1.7e308, 1.7e308], [100, 100])
+        values = np.repeat([-1.7e308, 1.7e308], [100, 100])
         with np.errstate(over="ignore", invalid="ignore"):
-            assert math.isnan(ordered.mean())
-            mean, stderr = self.stats(ordered)
+            assert math.isnan(values.mean())
+            mean, stderr = self.stats(values)
         assert mean == 0.0
-        assert stderr == math.ldexp(self.plain(np.ldexp(ordered, -600))[1], 600)
+        assert stderr == math.ldexp(self.plain(np.ldexp(values, -600))[1], 600)
         assert stderr == pytest.approx(1.7e308 / math.sqrt(199.0), rel=1e-12)
 
     def test_squared_deviations_that_overflow_are_summed_scaled(self):
-        ordered = np.array([-1e300, -1e300, 1e300, 1e300])
+        values = np.array([-1e300, -1e300, 1e300, 1e300])
         with np.errstate(over="ignore"):
-            mean, stderr = self.stats(ordered)
+            mean, stderr = self.stats(values)
         assert mean == 0.0
-        assert stderr == math.ldexp(self.plain(np.ldexp(ordered, -600))[1], 600)
+        assert stderr == math.ldexp(self.plain(np.ldexp(values, -600))[1], 600)
         assert stderr == pytest.approx(1e300 / math.sqrt(3.0), rel=1e-12)

@@ -104,8 +104,7 @@ class TestDescentTable:
     def test_verdict_is_identical_to_the_direct_path(self, monkeypatch):
         problem, cert = self.problem()
         table = descent_verdict(problem, cert, 31, 6, 20_000)
-        monkeypatch.setattr(FiniteSumLeastSquares, "sorted_alignment",
-                            StochasticProblem.sorted_alignment)
+        monkeypatch.setattr(FiniteSumLeastSquares, "alignment", StochasticProblem.alignment)
         assert descent_verdict(problem, cert, 31, 6, 20_000) == table
 
     def test_at_most_one_gradient_row_per_design_row_per_point(self, monkeypatch):

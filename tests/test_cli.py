@@ -369,6 +369,19 @@ class TestRunPreflight:
         assert err.startswith(f"config error: cannot create output directory {taken}:")
         assert taken.read_text(encoding="utf-8") == "not a directory"
 
+    @pytest.mark.parametrize("horizon", [2**50, 2**62])
+    def test_a_horizon_too_long_to_allocate_exits_two(self, tmp_path, out_dir, capsys, horizon):
+        # 2**62 steps are more than a numpy array holds; the 2**50 steps of
+        # the statistics buffer are more than any overcommit setting maps.
+        config = tmp_path / "experiment.json"
+        write_config(config, horizon=horizon)
+        started = time.monotonic()
+        assert main(["run", str(config)]) == 2
+        assert time.monotonic() - started < 1.0
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert f"{horizon} steps of 20 replications do not fit in memory" in err
+
     def test_window_of_the_whole_horizon_still_runs(self, tmp_path, out_dir):
         config = tmp_path / "experiment.json"
         write_config(config, checks=[{"type": "neighborhood", "window": 51, "tol_rel": 0.2}])

@@ -27,7 +27,7 @@ from sgdcheck import (
     run_replications,
     run_seeds,
 )
-from sgdcheck.analyzer import stats_chunk_steps, step_stats
+from sgdcheck.analyzer import merge_parts, stats_chunk_steps, step_stats
 from sgdcheck.objective import sq_norm
 
 # SplitMix64 stream for master seed 0 (indices 0..3).
@@ -340,7 +340,8 @@ class TestRunReplications:
         solos, rows = solo_rows(problem, sched, x0, steps, cert, seeds)
         for i, solo in enumerate(solos):
             assert np.array_equal(batch.final_x[i], solo.final_x[0])
-        mean, stderr = step_stats(rows.T)
+        # One part: step_stats of the rows in ascending seed order.
+        mean, stderr = step_stats(rows[sorted(range(count), key=seeds.__getitem__)].T)
         assert np.array_equal(batch.mean, mean)
         assert np.array_equal(batch.stderr, stderr)
         assert np.array_equal(
@@ -694,6 +695,20 @@ class TestProcesses:
             for field in ("mean", "stderr", "in_region_fraction"):
                 assert getattr(runs, field).tobytes() == getattr(reference, field).tobytes()
             assert runs.final_x.tobytes() == reference.final_x[order].tobytes()
+
+    @pytest.mark.parametrize("processes", [1, 2])
+    def test_the_one_order_is_the_seed_order(self, processes, cores):
+        # R = 11 in parts of 4, 4 and 3, seeds given in descending order:
+        # each part's step_stats takes its rows in ascending seed order.
+        problem, sched, cert = quadratic_setup()
+        seeds = sorted((derive_seed(9, i) for i in range(11)), reverse=True)
+        cores(processes, 4)
+        runs = run_seeds(problem, sched, [2.0, 0.0], 150, cert, seeds)
+        _, rows = solo_rows(problem, sched, [2.0, 0.0], 150, cert, seeds[::-1])
+        parts = [step_stats(rows[lo:lo + 4].T) for lo in range(0, 11, 4)]
+        mean, stderr = merge_parts(*(np.stack(column) for column in zip(*parts)), [4, 4, 3])
+        assert runs.mean.tobytes() == mean.tobytes()
+        assert runs.stderr.tobytes() == stderr.tobytes()
 
     def test_parts_merge_to_the_statistics_of_all_replications(self, cores):
         problem, sched, cert = quadratic_setup()

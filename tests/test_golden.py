@@ -25,17 +25,17 @@ GOLDEN_DIR = Path(__file__).parent / "golden"
 # name -> (series.csv, report.txt, verify stdout) SHA-256 digests.
 DIGESTS = {
     "quadratic_descent": (
-        "accfc5b58687d1f976e68922628802bc144c03bc289f2956e43f77ca70beb4f1",
+        "78720bed8ddf5a52c38b3ed83c604cd2d5fb9f835c2dfad3c93425ce1bf01b71",
         "5cb5730375469fe84fe7f6f8b17c75a5c025532a93e1df6696fb2a34f9798dff",
         "3d1af60f21e5a47f928b58b23317ba5ef02e27dcef06c2f4d78708b1b2b32dbe",
     ),
     "ls_descent_convergence": (
-        "44a030fa68492651a075dd3f64d6fb67564a4cf0a8c05462a1a06a602b0a129e",
+        "44b773dc49302293b6a1fe537da331f4129eb8a0f2642e9b6eae413e826b861f",
         "8ade97cb00305f194e71543cba4b33d0527bccfd95658fcd7e6657d77eefe50c",
         "aa0650326f655ff935b7a80497c5f4fd9ffc891725cc71786d5382b0b8fa05f2",
     ),
     "ls_lemma": (
-        "70d6ec396921df7903f798b6944279e7d58a391c7e980a599aca07a032f78d38",
+        "21dd941c17e9cd949deb9db35f71fca953015bb77153114de4b6fefd0550d817",
         "0466e5ed763e4444d04fe15d151142de5009833b25b2df0daa0ae7918e05f414",
         "c42e27a327224df1264df57ddcb851297cb28018654fb27969863c7f3f307c72",
     ),
@@ -43,21 +43,21 @@ DIGESTS = {
     # checks): the audit runs past the 2^15 block boundary into a second
     # draw block of 233 samples, drawn from a generator jumped once.
     "ls_chunk_tails": (
-        "22c7ae4ae07300ec9dd892841a2dcfa2489458c5d3bb4215fb4f07796a1dd718",
+        "cba9aec8fcb801b5d8b34d568dc8b9d365c5933c05467732492e15dca44f599e",
         "6a482291e0d16576b89781af7c5935b0ddf72244f0f3fd3da1ded4cf18f3be06",
         "4709f8c5db742a76c71f1e1c96bf64720b6e7268866a08ef68a95db74d2ec132",
     ),
     # A d=3 quadratic at R=37, H=2000: the noise is drawn in one block of
     # replication tiles of 5, so the last tile holds 2.
     "quadratic_tile_tails": (
-        "eca149d617d6606886080de3031562de54b16ae749ccc3b672f7044f4b27b1bf",
+        "e43241abbfa202162ed414ec54d1cfbc590a604c8ef4b6e9a5cec6f32ee0df03",
         "199732f26967d8aeebcf957c6da7315796818fc6efae5910729bed53ab2aaa07",
         "962f0febefbd3154b1a3b60cb0ce6aab48a1bbce15cb7e6dc91242f22a289d4d",
     ),
     # A d=2 quadratic at R=2085, H=200: three parts of replications, the
     # last of 37, so these bytes pin how the parts are merged.
     "quadratic_parts": (
-        "42983e8d1dba57e1f9bdc457afa8c64d20680494c441a7c47627256d0129f3ef",
+        "76a771e59009b7f1c58c1f04c772bdaeece3415bb9be388e94ccb247b54b43bc",
         "96511e0188ea48fffde7eaf9d8e5ccf1fd931b2e2c441238f6746e789d9e392f",
         "3df3edcb8d5bd5483026786258fb2acf6eeb0ca33f647740cc5af1a994547206",
     ),

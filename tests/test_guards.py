@@ -183,6 +183,41 @@ def test_vector_guard_at_every_call_site(label, error, message, sized, call):
         call(value)
 
 
+LEAST_SQUARES = FiniteSumLeastSquares(design=[[1.0, 0.0], [0.0, 2.0], [1.0, 1.0]],
+                                      targets=[1.0, 0.0, 1.0])
+
+# Every point method of both families: (label, call with the point set to the
+# value and every other argument valid).
+POINT_SITES = [
+    (f"{family} {method}", call)
+    for family, problem, noise in (
+        ("quadratic", PROBLEM, np.array([[0.1, -0.2], [0.3, 0.0], [0.0, 0.4]])),
+        ("least squares", LEAST_SQUARES, np.array([0, 2, 1], dtype=np.uint8)),
+    )
+    for method, call in (
+        ("pointwise_loss", lambda x, p=problem, n=noise: p.pointwise_loss(n, x)),
+        ("pointwise_gradient", lambda x, p=problem, n=noise: p.pointwise_gradient(n, x)),
+        ("mean_loss_and_gradient", lambda x, p=problem: p.mean_loss_and_gradient(x)),
+        ("alignment", lambda x, p=problem, n=noise: p.alignment(n, x, np.array([1.0, -2.0]))),
+    )
+]
+
+
+@pytest.mark.parametrize("label, call", POINT_SITES, ids=[c[0] for c in POINT_SITES])
+def test_points_that_are_not_real_numbers_are_refused(label, call):
+    for value in (["1", True], [True, False], [None, 1.0], [1j, 0.0]):
+        with pytest.raises(ConfigurationError) as info:
+            call(value)
+        assert str(info.value) == f"point must hold real numbers, not {np.asarray(value).dtype}"
+    # An int array gives the bits of the float array.
+    for ints in (np.array([1, -2]), np.array([3, 0], dtype=np.uint8), [2, 1]):
+        got = call(ints)
+        expected = call(np.array(ints, dtype=float))
+        for a, b in zip(got if isinstance(got, tuple) else (got,),
+                        expected if isinstance(expected, tuple) else (expected,)):
+            assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+
 def test_design_rows_share_one_length():
     with pytest.raises(ConfigurationError) as info:
         FiniteSumLeastSquares(design=[[1.0, 0.0], [0.0, 1.0, 0.0]], targets=[1.0, 0.0])

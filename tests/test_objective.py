@@ -612,14 +612,14 @@ ALIGNMENT_GRID = [
 ]
 
 
-def sorted_direct(problem, noise, x, direction):
-    """The direct path: one gradient per draw, then np.sort (the reference)."""
-    return np.sort(row_dot(direction, problem.pointwise_gradient(noise, x)))
+def direct(problem, noise, x, direction):
+    """The direct path: one gradient per draw, in draw order (the reference)."""
+    return row_dot(direction, problem.pointwise_gradient(noise, x))
 
 
 class TestGradientAlignment:
-    """sorted_alignment: the least-squares row counts have the bits of the
-    per-draw path, sorted."""
+    """alignment: the least-squares row table has the bits of the per-draw
+    path."""
 
     @pytest.mark.parametrize("dim, rows", ALIGNMENT_GRID)
     def test_bitwise_equal_to_the_direct_path(self, dim, rows):
@@ -632,10 +632,10 @@ class TestGradientAlignment:
             if samples < 1:
                 continue
             noise = problem.noise_block(gen, samples)
-            got = problem.sorted_alignment(noise, x, direction)
-            direct = sorted_direct(problem, noise, x, direction)
-            assert got.dtype == direct.dtype
-            assert_same_bits(got, direct)
+            got = problem.alignment(noise, x, direction)
+            reference = direct(problem, noise, x, direction)
+            assert got.dtype == reference.dtype
+            assert_same_bits(got, reference)
 
     @pytest.mark.parametrize("case", ["duplicate_rows", "zero_row", "zero_direction",
                                       "uint8", "uint16"])
@@ -654,8 +654,8 @@ class TestGradientAlignment:
         direction = np.zeros(3) if case == "zero_direction" else np.array([1.0, -2.0, 0.5])
         for samples in (rows, 20_000):
             noise = problem.noise_block(SeededGenerator(rows), samples)
-            got = problem.sorted_alignment(noise, x, direction)
-            assert_same_bits(got, sorted_direct(problem, noise, x, direction))
+            got = problem.alignment(noise, x, direction)
+            assert_same_bits(got, direct(problem, noise, x, direction))
         if case == "zero_direction":
             assert not got.any()
 
@@ -664,8 +664,8 @@ class TestGradientAlignment:
         rng = SeededGenerator(5)
         noise = problem.noise_block(rng, 500)
         x, direction = rng.normal(size=3), rng.normal(size=3)
-        assert_same_bits(problem.sorted_alignment(noise, x, direction),
-                         np.sort(row_dot(direction, problem.pointwise_gradient(noise, x))))
+        assert_same_bits(problem.alignment(noise, x, direction),
+                         row_dot(direction, problem.pointwise_gradient(noise, x)))
 
     def test_evaluates_each_row_once(self, monkeypatch):
         problem = least_squares(128, 16)
@@ -678,16 +678,16 @@ class TestGradientAlignment:
 
         monkeypatch.setattr(FiniteSumLeastSquares, "pointwise_gradient", counting)
         noise = problem.noise_block(SeededGenerator(1), 20_000)
-        problem.sorted_alignment(noise, np.zeros(16), np.ones(16))
+        problem.alignment(noise, np.zeros(16), np.ones(16))
         # Below one draw per row the draws are evaluated directly.
-        problem.sorted_alignment(noise[:127], np.zeros(16), np.ones(16))
+        problem.alignment(noise[:127], np.zeros(16), np.ones(16))
         assert rows_seen == [128, 127]
 
     def test_a_row_index_out_of_range_is_refused(self):
         problem = least_squares(100, 2)
         noise = np.full(200, 100, dtype=np.uint8)
         with pytest.raises(IndexError):
-            problem.sorted_alignment(noise, np.zeros(2), np.ones(2))
+            problem.alignment(noise, np.zeros(2), np.ones(2))
 
     def test_a_row_never_drawn_does_not_warn(self):
         # Row 1 overflows at x; only row 0 is drawn, so no warning may escape
@@ -697,7 +697,7 @@ class TestGradientAlignment:
         noise = np.zeros(10, dtype=np.uint8)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = problem.sorted_alignment(noise, x, direction)
+            got = problem.alignment(noise, x, direction)
         assert_same_bits(got, np.full(10, 0.5))
 
     def test_a_drawn_overflowing_row_warns_as_before(self):
@@ -705,10 +705,10 @@ class TestGradientAlignment:
         x, direction = np.array([1.0, 1.0]), np.array([1.0, -1.0])
         noise = np.array([0, 1, 0, 1], dtype=np.uint8)
         with pytest.warns(RuntimeWarning):
-            got = problem.sorted_alignment(noise, x, direction)
+            got = problem.alignment(noise, x, direction)
         with pytest.warns(RuntimeWarning):
-            direct = sorted_direct(problem, noise, x, direction)
-        assert_same_bits(got, direct)
+            reference = direct(problem, noise, x, direction)
+        assert_same_bits(got, reference)
 
 
 def separate_mean_loss(problem, x):
