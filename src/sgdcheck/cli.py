@@ -8,6 +8,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -18,7 +19,7 @@ from .config import ExperimentConfig, build_problem, build_schedule, load_config
 from .engine import aux_generator, run_replications
 from .errors import ConfigurationError, DivergenceError, SgdCheckError
 from .objective import audit_certificate, check_gradients
-from .schedule import ConstantSchedule, InverseTimeSchedule, Schedule, validate_schedule
+from .schedule import KINDS, validate_schedule
 
 ENV_OUTPUT_DIR = "SGDCHECK_OUTPUT_DIR"
 
@@ -71,9 +72,7 @@ def _write_series_csv(path: Path, rates: np.ndarray, dn: DnSeries, bounds: np.nd
 def _report_lines(cfg: ExperimentConfig, problem, schedule, cert, sched_report,
                   dn: DnSeries, verdicts: list[tuple[str, Verdict]]) -> list[str]:
     schedule_bits = ", ".join(
-        f"{key}={getattr(schedule, key):g}"
-        for key in ("rho", "scale", "offset")
-        if hasattr(schedule, key)
+        f"{parameter.name}={getattr(schedule, parameter.name):g}" for parameter in fields(schedule)
     )
     lines = [
         f"problem: {problem.family}, dimension={problem.dimension}",
@@ -170,14 +169,15 @@ def cmd_verify(args) -> int:
 
 
 def cmd_lemma(args) -> int:
-    if args.kind == "constant":
-        if args.rho is None:
-            raise ConfigurationError("--rho is required for the constant kind")
-        schedule: Schedule = ConstantSchedule(rho=args.rho)
-    else:
-        if args.scale is None or args.offset is None:
-            raise ConfigurationError("--scale and --offset are required for inverse_time")
-        schedule = InverseTimeSchedule(scale=args.scale, offset=args.offset)
+    names = [parameter.name for parameter in fields(KINDS[args.kind])]
+    if any(getattr(args, name) is None for name in names):
+        flags = " and ".join(f"--{name}" for name in names)
+        raise ConfigurationError(f"{flags} is required for the {args.kind} kind" if len(names) == 1
+                                 else f"{flags} are required for {args.kind}")
+    for name in (parameter.name for cls in KINDS.values() for parameter in fields(cls)):
+        if name not in names and getattr(args, name) is not None:
+            raise ConfigurationError(f"--{name} is not a parameter of the {args.kind} kind")
+    schedule = KINDS[args.kind](**{name: getattr(args, name) for name in names})
     verdict, numbers = lemma_verdict(schedule, args.mu, args.n, args.k)
     print(f"product={g17(numbers['product'])}")
     print(f"majorant={g17(numbers['majorant'])}")
@@ -202,10 +202,10 @@ def build_parser() -> argparse.ArgumentParser:
     verify.set_defaults(handler=cmd_verify)
 
     lemma = sub.add_parser("lemma", help="evaluate the contraction product for a schedule")
-    lemma.add_argument("--kind", required=True, choices=["constant", "inverse_time"])
-    lemma.add_argument("--rho", type=float, default=None, help="rate for the constant kind")
-    lemma.add_argument("--scale", type=float, default=None, help="numerator for inverse_time")
-    lemma.add_argument("--offset", type=float, default=None, help="denominator offset for inverse_time")
+    lemma.add_argument("--kind", required=True, choices=list(KINDS))
+    for kind, cls in KINDS.items():
+        for parameter in fields(cls):
+            lemma.add_argument(f"--{parameter.name}", type=float, help=f"{kind} schedule parameter")
     lemma.add_argument("--mu", type=float, required=True, help="strong convexity modulus")
     lemma.add_argument("--n", type=int, required=True, help="first step of the product")
     lemma.add_argument("--k", type=int, required=True, help="number of steps past the first")

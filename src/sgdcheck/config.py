@@ -9,7 +9,7 @@ coerced to their declared kinds); a normalized config round-trips through
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from .analyzer import validate_checkpoints
@@ -22,14 +22,7 @@ from .errors import (
     require_vector,
 )
 from .objective import FiniteSumLeastSquares, ShiftedQuadratic, StochasticProblem, design_rows
-from .schedule import ConstantSchedule, InverseTimeSchedule, Schedule
-
-DEFAULT_RECURRENCE_Z = 3.0
-DEFAULT_NEIGHBORHOOD_TOL = 0.2
-DEFAULT_DESCENT_POINTS = 10
-DEFAULT_DESCENT_SAMPLES = 10_000
-DEFAULT_AUDIT_SAMPLES = 10_000
-DEFAULT_GRADIENT_CHECKS = 1_000
+from .schedule import KINDS, Schedule
 
 
 @dataclass
@@ -46,111 +39,119 @@ class ExperimentConfig:
     verify: dict = field(default_factory=dict)
 
 
-def _check_keys(obj: dict, where: str, required: set[str], optional: set[str]) -> None:
-    if not isinstance(obj, dict):
+def _guard(require, *bounds):
+    """``require`` (require_int or require_real) as a config guard."""
+    return lambda value, where: require(value, where, *bounds, error=ConfigurationError)
+
+
+_POSITIVE = _guard(require_real, True)
+_NON_NEGATIVE = _guard(require_real, False)
+
+
+def _list(value, where: str) -> list:
+    if not isinstance(value, list):
+        raise ConfigurationError(f"{where} must be a list")
+    return value
+
+
+def _path(value, where: str) -> str | None:
+    if value is not None and not isinstance(value, str):
+        raise ConfigurationError(f"{where} must be a string path")
+    return value
+
+
+def _parse_keys(spec, where: str, keys: dict, tag: str | None = None) -> dict:
+    """``spec`` read against ``keys``, its table of ``(guard, default)`` per key,
+    ``...`` marking a required key.  The result holds ``tag``, then each key as
+    ``guard(value, "'key' in where")`` returns it, an absent value read as the default."""
+    if not isinstance(spec, dict):
         raise ConfigurationError(f"{where} must be an object")
-    for key in obj:
-        if key not in required and key not in optional:
+    for key in spec:
+        if key not in keys and key != tag:
             raise ConfigurationError(f"unknown key '{key}' in {where}")
-    for key in sorted(required):
-        if key not in obj:
+    for key in sorted(keys):
+        if keys[key][1] is ... and key not in spec:
             raise ConfigurationError(f"missing key '{key}' in {where}")
+    parsed = {} if tag is None else {tag: spec[tag]}
+    for key, (guard, default) in keys.items():
+        parsed[key] = guard(spec.get(key, default), f"'{key}' in {where}")
+    return parsed
 
 
-def _parse_problem(spec) -> dict:
-    where = "problem"
-    if not isinstance(spec, dict) or "family" not in spec:
-        raise ConfigurationError("missing key 'family' in problem")
-    family = spec["family"]
-    if family == "shifted_quadratic":
-        _check_keys(spec, where, {"family", "curvature", "center", "noise_halfwidth"}, set())
-        return {
-            "family": family,
-            "curvature": require_real(spec["curvature"], "'curvature' in problem",
-                                      error=ConfigurationError),
-            "center": require_vector(spec["center"], "'center' in problem"),
-            "noise_halfwidth": require_real(spec["noise_halfwidth"],
-                                            "'noise_halfwidth' in problem", strict=False,
-                                            error=ConfigurationError),
-        }
-    if family == "finite_sum_least_squares":
-        _check_keys(spec, where, {"family", "design_rows", "targets"}, set())
-        return {
-            "family": family,
-            "design_rows": design_rows(spec["design_rows"], "'design_rows' in problem"),
-            "targets": require_vector(spec["targets"], "'targets' in problem"),
-        }
-    raise ConfigurationError(f"unknown problem family '{family}'")
-
-
-def _parse_schedule(spec) -> dict:
-    where = "schedule"
-    if not isinstance(spec, dict) or "kind" not in spec:
-        raise ConfigurationError("missing key 'kind' in schedule")
-    kind = spec["kind"]
-    kinds = {"constant": ("rho",), "inverse_time": ("scale", "offset")}
-    keys = kinds.get(kind) if isinstance(kind, str) else None
+def _parse_variant(spec, where: str, what: str, tables: dict) -> dict:
+    """A tagged section: the tag named last in ``what`` ("problem family")
+    picks the key table of ``tables`` that reads the rest."""
+    tag = what.split()[-1]
+    if not isinstance(spec, dict) or tag not in spec:
+        raise ConfigurationError(f"missing key '{tag}' in {where}")
+    value = spec[tag]
+    keys = tables.get(value) if isinstance(value, str) else None
     if keys is None:
-        raise ConfigurationError(f"unknown schedule kind '{kind}'")
-    _check_keys(spec, where, {"kind", *keys}, set())
-    return {"kind": kind} | {
-        key: require_real(spec[key], f"'{key}' in {where}", error=ConfigurationError)
-        for key in keys
-    }
+        raise ConfigurationError(f"unknown {what} '{value}' in {where}")
+    return _parse_keys(spec, where, keys, tag)
 
 
-def _parse_checkpoints(value, where: str, horizon: int) -> list[list]:
-    try:
-        points = validate_checkpoints(value, horizon)
-    except UsageError as err:
-        raise ConfigurationError(f"'checkpoints' in {where}: {err}") from None
-    return [[n, threshold] for n, threshold in points]
+# The key tables: key -> (guard, default), in the order the guards run.
+_PROBLEM_KEYS = {
+    "shifted_quadratic": {
+        "curvature": (_POSITIVE, ...),
+        "center": (require_vector, ...),
+        "noise_halfwidth": (_NON_NEGATIVE, ...),
+    },
+    "finite_sum_least_squares": {
+        "design_rows": (design_rows, ...),
+        "targets": (require_vector, ...),
+    },
+}
+
+_SCHEDULE_KEYS = {
+    kind: {parameter.name: (_POSITIVE, ...) for parameter in fields(cls)}
+    for kind, cls in KINDS.items()
+}
+
+_VERIFY_KEYS = {
+    "audit_samples": (_guard(require_int, 1), 10_000),
+    "gradient_checks": (_guard(require_int, 1), 1_000),
+}
+
+_CONFIG_KEYS = {
+    "horizon": (_guard(require_int, 1), ...),
+    "replications": (_guard(require_int, 2), ...),
+    "master_seed": (_guard(require_int, 0, UINT64_MAX), ...),
+    "region_radius": (_POSITIVE, ...),
+    "x0": (require_vector, ...),
+    "checks": (_list, []),
+    "output": (_path, None),
+    "verify": (lambda value, where: _parse_keys(value, "verify", _VERIFY_KEYS), {}),
+    "problem": (lambda value, where: _parse_variant(value, "problem", "problem family",
+                                                    _PROBLEM_KEYS), ...),
+    "schedule": (lambda value, where: _parse_variant(value, "schedule", "schedule kind",
+                                                     _SCHEDULE_KEYS), ...),
+}
 
 
-def _parse_check(spec, index: int, horizon: int) -> dict:
-    where = f"checks[{index}]"
-    if not isinstance(spec, dict) or "type" not in spec:
-        raise ConfigurationError(f"missing key 'type' in {where}")
-    kind = spec["type"]
-    if kind == "recurrence":
-        _check_keys(spec, where, {"type"}, {"z"})
-        z = require_real(spec.get("z", DEFAULT_RECURRENCE_Z), f"'z' in {where}",
-                         error=ConfigurationError)
-        return {"type": kind, "z": z}
-    if kind == "neighborhood":
-        _check_keys(spec, where, {"type"}, {"window", "tol_rel"})
-        window = require_int(spec.get("window", min(max(100, horizon // 10), horizon + 1)),
-                             f"'window' in {where}", 1, error=ConfigurationError)
-        tol = require_real(spec.get("tol_rel", DEFAULT_NEIGHBORHOOD_TOL), f"'tol_rel' in {where}",
-                           strict=False, error=ConfigurationError)
-        return {"type": kind, "window": window, "tol_rel": tol}
-    if kind == "convergence":
-        _check_keys(spec, where, {"type", "checkpoints"}, set())
-        return {"type": kind, "checkpoints": _parse_checkpoints(spec["checkpoints"], where, horizon)}
-    if kind == "descent":
-        _check_keys(spec, where, {"type"}, {"points", "samples"})
-        points = require_int(spec.get("points", DEFAULT_DESCENT_POINTS), f"'points' in {where}", 1,
-                             error=ConfigurationError)
-        samples = require_int(spec.get("samples", DEFAULT_DESCENT_SAMPLES),
-                              f"'samples' in {where}", 100, error=ConfigurationError)
-        return {"type": kind, "points": points, "samples": samples}
-    if kind == "lemma":
-        _check_keys(spec, where, {"type", "n", "k"}, set())
-        return {"type": kind} | {
-            key: require_int(spec[key], f"'{key}' in {where}", 0, error=ConfigurationError)
-            for key in ("n", "k")
-        }
-    raise ConfigurationError(f"unknown check type '{kind}' in {where}")
+def _check_tables(horizon: int) -> dict:
+    """The key table of each check type for a run of ``horizon`` steps."""
 
+    def checkpoints(value, where: str) -> list[list]:
+        try:
+            points = validate_checkpoints(value, horizon)
+        except UsageError as err:
+            raise ConfigurationError(f"{where}: {err}") from None
+        return [[n, threshold] for n, threshold in points]
 
-def _parse_verify(spec) -> dict:
-    where = "verify"
-    _check_keys(spec, where, set(), {"audit_samples", "gradient_checks"})
-    defaults = {"audit_samples": DEFAULT_AUDIT_SAMPLES, "gradient_checks": DEFAULT_GRADIENT_CHECKS}
     return {
-        key: require_int(spec.get(key, default), f"'{key}' in {where}", 1,
-                         error=ConfigurationError)
-        for key, default in defaults.items()
+        "recurrence": {"z": (_POSITIVE, 3.0)},
+        "neighborhood": {
+            "window": (_guard(require_int, 1), min(max(100, horizon // 10), horizon + 1)),
+            "tol_rel": (_NON_NEGATIVE, 0.2),
+        },
+        "convergence": {"checkpoints": (checkpoints, ...)},
+        "descent": {
+            "points": (_guard(require_int, 1), 10),
+            "samples": (_guard(require_int, 100), 10_000),
+        },
+        "lemma": {"n": (_guard(require_int, 0), ...), "k": (_guard(require_int, 0), ...)},
     }
 
 
@@ -170,40 +171,13 @@ def parse_config(text: str) -> ExperimentConfig:
         raw = json.loads(text, object_pairs_hook=_unique_keys)
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"invalid JSON: {err}") from None
-    _check_keys(
-        raw,
-        "config",
-        {"problem", "schedule", "x0", "horizon", "replications", "master_seed", "region_radius"},
-        {"checks", "output", "verify"},
-    )
-    horizon = require_int(raw["horizon"], "'horizon' in config", 1, error=ConfigurationError)
-    replications = require_int(raw["replications"], "'replications' in config", 2,
-                               error=ConfigurationError)
-    master_seed = require_int(raw["master_seed"], "'master_seed' in config", 0, UINT64_MAX,
-                              error=ConfigurationError)
-    region_radius = require_real(raw["region_radius"], "'region_radius' in config",
-                                 error=ConfigurationError)
-    x0 = require_vector(raw["x0"], "'x0' in config")
-    checks_raw = raw.get("checks", [])
-    if not isinstance(checks_raw, list):
-        raise ConfigurationError("'checks' in config must be a list")
-    checks = [_parse_check(item, i, horizon) for i, item in enumerate(checks_raw)]
-    output = raw.get("output")
-    if output is not None and not isinstance(output, str):
-        raise ConfigurationError("'output' in config must be a string path")
-    verify = _parse_verify(raw.get("verify", {}))
-    return ExperimentConfig(
-        problem=_parse_problem(raw["problem"]),
-        schedule=_parse_schedule(raw["schedule"]),
-        x0=x0,
-        horizon=horizon,
-        replications=replications,
-        master_seed=master_seed,
-        region_radius=region_radius,
-        checks=checks,
-        output=output,
-        verify=verify,
-    )
+    config = _parse_keys(raw, "config", _CONFIG_KEYS)
+    checks = _check_tables(config["horizon"])
+    config["checks"] = [
+        _parse_variant(spec, f"checks[{i}]", "check type", checks)
+        for i, spec in enumerate(config["checks"])
+    ]
+    return ExperimentConfig(**config)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -215,19 +189,9 @@ def load_config(path) -> ExperimentConfig:
 
 
 def serialize_config(config: ExperimentConfig) -> str:
-    document = {
-        "problem": config.problem,
-        "schedule": config.schedule,
-        "x0": config.x0,
-        "horizon": config.horizon,
-        "replications": config.replications,
-        "master_seed": config.master_seed,
-        "region_radius": config.region_radius,
-        "checks": config.checks,
-        "verify": config.verify,
-    }
-    if config.output is not None:
-        document["output"] = config.output
+    document = asdict(config)
+    if document["output"] is None:
+        del document["output"]
     return json.dumps(document, indent=2, sort_keys=True) + "\n"
 
 
@@ -242,6 +206,5 @@ def build_problem(spec: dict) -> StochasticProblem:
 
 
 def build_schedule(spec: dict) -> Schedule:
-    if spec["kind"] == "constant":
-        return ConstantSchedule(rho=spec["rho"])
-    return InverseTimeSchedule(scale=spec["scale"], offset=spec["offset"])
+    parameters = dict(spec)
+    return KINDS[parameters.pop("kind")](**parameters)

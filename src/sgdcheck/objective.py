@@ -531,11 +531,12 @@ def _squared_bound(root: float) -> float:
 def _certify_radius(problem, region_radius, x0) -> float:
     region_radius = require_real(region_radius, "region_radius", error=CertificationError)
     x0 = np.array(require_vector(x0, "'x0'", problem.dimension))
-    start_dist = math.sqrt(float(sq_norm(x0 - problem.minimizer())))
-    if start_dist > region_radius:
+    # Squared distances, as the engine and the descent check compare them.
+    start_sq = float(sq_norm(x0 - problem.minimizer()))
+    if start_sq > region_radius * region_radius:
         raise CertificationError(
-            f"x0 lies at distance {start_dist:.6g} from the minimizer, "
-            f"outside the region of radius {region_radius:.6g}"
+            f"x0 lies at squared distance {start_sq:.17g} from the minimizer, "
+            f"outside the region of squared radius {region_radius * region_radius:.17g}"
         )
     return region_radius
 

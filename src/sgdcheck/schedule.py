@@ -57,6 +57,9 @@ class InverseTimeSchedule:
 
 Schedule = ConstantSchedule | InverseTimeSchedule
 
+# Every schedule kind by name; a kind's parameters are its dataclass fields.
+KINDS = {cls.kind: cls for cls in (ConstantSchedule, InverseTimeSchedule)}
+
 
 @dataclass(frozen=True)
 class ScheduleReport:

@@ -559,7 +559,20 @@ class TestLemmaCommand:
     def test_missing_kind_argument_exits_two(self, capsys):
         code = main(["lemma", "--kind", "constant", "--mu", "1.0", "--n", "0", "--k", "0"])
         assert code == 2
-        assert "--rho" in capsys.readouterr().err
+        assert capsys.readouterr().err == "config error: --rho is required for the constant kind\n"
+        assert main(["lemma", "--kind", "inverse_time", "--offset", "1", "--mu", "1.0", "--n", "0",
+                     "--k", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "config error: --scale and --offset are required for inverse_time\n"
+        )
+
+    def test_a_flag_of_another_kind_exits_two(self, capsys):
+        code = main(["lemma", "--kind", "constant", "--rho", "0.1", "--scale", "5", "--offset",
+                     "1", "--mu", "1", "--n", "0", "--k", "3"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "config error: --scale is not a parameter of the constant kind\n"
 
 
 @pytest.mark.xfail(

@@ -1,4 +1,5 @@
 """Tests for strict config parsing, defaults, and round-tripping."""
+import dataclasses
 import json
 
 import pytest
@@ -16,6 +17,7 @@ from sgdcheck import (
     serialize_config,
 )
 from sgdcheck.cli import main
+from sgdcheck.schedule import KINDS
 
 
 def base_document(**overrides):
@@ -104,10 +106,29 @@ class TestParsing:
             parse(base_document(x0=[1.0, None]))
 
     def test_unknown_family_and_kind(self):
-        with pytest.raises(ConfigurationError, match="unknown problem family"):
+        with pytest.raises(ConfigurationError) as info:
             parse(base_document(problem={"family": "cubic"}))
-        with pytest.raises(ConfigurationError, match="unknown schedule kind"):
+        assert str(info.value) == "unknown problem family 'cubic' in problem"
+        with pytest.raises(ConfigurationError) as info:
             parse(base_document(schedule={"kind": "step_decay"}))
+        assert str(info.value) == "unknown schedule kind 'step_decay' in schedule"
+
+    def test_checks_are_read_after_the_other_sections(self):
+        # A check's keys depend on the horizon, so the checks are read once
+        # the rest of the config is; that the checks are a list is read in
+        # its place.
+        bad_check = [{"type": "telemetry"}]
+        for overrides, message in [
+            ({"problem": {"family": "cubic"}}, "unknown problem family 'cubic' in problem"),
+            ({"schedule": {"kind": "constant"}}, "missing key 'rho' in schedule"),
+            ({"output": 3}, "'output' in config must be a string path"),
+            ({"verify": {"x": 1}}, "unknown key 'x' in verify"),
+            ({"checks": {}, "output": 3}, "'checks' in config must be a list"),
+            ({"horizon": 0}, "'horizon' in config must be an integer >= 1"),
+        ]:
+            with pytest.raises(ConfigurationError) as info:
+                parse(base_document(**({"checks": bad_check} | overrides)))
+            assert str(info.value) == message
 
     @pytest.mark.parametrize("kind", [["constant"], {"constant": 1}, 1, None])
     def test_a_kind_that_is_not_a_string_is_unknown(self, kind):
@@ -295,3 +316,38 @@ class TestBuilders:
         sched = build_schedule(config.schedule)
         assert isinstance(sched, InverseTimeSchedule)
         assert sched.rates(1, 1)[0] == pytest.approx(0.1)
+
+
+@pytest.mark.parametrize("kind", list(KINDS))
+def test_every_schedule_kind_is_read_built_reported_and_flagged(kind, tmp_path, monkeypatch,
+                                                                  capsys):
+    names = [parameter.name for parameter in dataclasses.fields(KINDS[kind])]
+    values = {name: 0.5 + i for i, name in enumerate(names)}
+    config = parse(base_document(schedule={"kind": kind} | values))
+    assert config.schedule == {"kind": kind} | values
+    schedule = build_schedule(config.schedule)
+    assert type(schedule) is KINDS[kind]
+    assert dataclasses.asdict(schedule) == values
+
+    monkeypatch.setenv("SGDCHECK_OUTPUT_DIR", str(tmp_path / "out"))
+    path = tmp_path / "experiment.json"
+    path.write_text(json.dumps(base_document(schedule={"kind": kind} | values)), encoding="utf-8")
+    assert main(["run", str(path)]) == 0
+    report = (tmp_path / "out" / "report.txt").read_text(encoding="utf-8").splitlines()
+    parameters = ", ".join(f"{name}={value:g}" for name, value in values.items())
+    assert report[2].startswith(f"schedule: {kind} ({parameters}), ")
+
+    # lemma takes exactly the kind's parameters as flags.
+    lemma = ["lemma", "--kind", kind, "--mu", "1.0", "--n", "0", "--k", "3"]
+    flags = [arg for name, value in values.items() for arg in (f"--{name}", str(value))]
+    capsys.readouterr()
+    assert main(lemma + flags) == 0
+    for i in range(0, len(flags), 2):
+        assert main(lemma + flags[:i] + flags[i + 2:]) == 2
+        assert "required" in capsys.readouterr().err
+    others = {parameter.name for cls in KINDS.values() for parameter in dataclasses.fields(cls)}
+    for other in sorted(others - set(names)):
+        assert main(lemma + flags + [f"--{other}", "1.0"]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: --{other} is not a parameter of the {kind} kind\n"
+        )

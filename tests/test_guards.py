@@ -32,6 +32,7 @@ from sgdcheck import (
     run_seeds,
     validate_schedule,
 )
+from sgdcheck import config
 from sgdcheck.analyzer import validate_lemma, validate_neighborhood
 from sgdcheck.checks import descent_verdict
 
@@ -364,6 +365,31 @@ def test_every_numeric_config_key_is_guarded(key, path, out_of_range, message):
         with pytest.raises(ConfigurationError) as info:
             parse_config(config_text(where, value))
         assert str(info.value) == message
+
+
+def test_config_sites_name_every_numeric_key_of_the_tables():
+    """A key added to a config table without a row in CONFIG_SITES fails here."""
+    tables = [config._CONFIG_KEYS, config._VERIFY_KEYS, *config._PROBLEM_KEYS.values(),
+              *config._SCHEDULE_KEYS.values(), *config._check_tables(HORIZON).values()]
+    # The sections, the output path and the checkpoints (guarded above) hold no number.
+    other = {"problem", "schedule", "checks", "verify", "output", "checkpoints"}
+    numeric = {key for table in tables for key in table} - other
+    assert numeric == {site[0] for site in CONFIG_SITES}
+
+
+def test_the_schedule_kinds_are_named_once():
+    """A kind's name outside its class, or a hasattr probe of a schedule in
+    the command line, is a second list of kinds growing back."""
+    package = Path(sgdcheck.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"[\"'](constant|inverse_time)[\"']", line)
+        and not (path.name == "schedule.py" and re.match(r"\s*kind = ", line))
+    ]
+    assert offenders == []
+    assert "hasattr(" not in (package / "cli.py").read_text(encoding="utf-8")
 
 
 def test_only_errors_tests_for_bools():

@@ -5,12 +5,14 @@ import pytest
 from sgdcheck import (
     CertificationError,
     ConfigurationError,
+    ConstantSchedule,
     FiniteSumLeastSquares,
     SeededGenerator,
     ShiftedQuadratic,
     UsageError,
     audit_certificate,
     check_gradients,
+    run_replications,
     sample_in_ball,
 )
 from sgdcheck import objective
@@ -125,6 +127,19 @@ class TestShiftedQuadratic:
         problem = make_quadratic()
         with pytest.raises(CertificationError):
             problem.certify(1.0, [2.0, 0.0])
+
+    def test_certify_and_the_run_agree_on_the_ball(self):
+        # Both compare squared distances with radius * radius.  The square
+        # root of 1.0000000000000002 rounds to 1.0, so comparing distances
+        # accepted a start that the run counts outside the ball at step 0.
+        problem = ShiftedQuadratic(curvature=1.0, center=[0.0, 0.0], noise_halfwidth=0.1)
+        assert float(sq_norm(np.array([0.6, 0.8000000000000002]))) > 1.0
+        with pytest.raises(CertificationError, match="squared distance 1.0000000000000002"):
+            problem.certify(1.0, [0.6, 0.8000000000000002])
+        assert float(sq_norm(np.array([0.6, 0.8]))) == 1.0
+        cert = problem.certify(1.0, [0.6, 0.8])
+        dn = run_replications(problem, ConstantSchedule(rho=0.1), [0.6, 0.8], 3, cert, 7, 4)
+        assert dn.in_region_fraction[0] == 1.0
 
     def test_containment_flag_needs_noise_inside_region(self):
         problem = ShiftedQuadratic(curvature=1.0, center=[0.0], noise_halfwidth=5.0)
