@@ -6,6 +6,7 @@ configs or out-of-domain arguments, 3 when a run diverged.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import os
 import sys
 from dataclasses import fields
@@ -48,9 +49,15 @@ def _make_output_dir(cfg: ExperimentConfig) -> Path:
     return out_dir
 
 
-def _write_text(path: Path, text: str) -> None:
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
-        handle.write(text)
+@contextlib.contextmanager
+def _output_file(path: Path):
+    """``path`` open for writing; an OSError while it is opened, written or
+    closed is a ConfigurationError naming the file."""
+    try:
+        with path.open("w", encoding="utf-8", newline="\n") as handle:
+            yield handle
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {path}: {err.strerror}") from None
 
 
 def _write_series_csv(path: Path, rates: np.ndarray, dn: DnSeries, bounds: np.ndarray) -> None:
@@ -61,7 +68,7 @@ def _write_series_csv(path: Path, rates: np.ndarray, dn: DnSeries, bounds: np.nd
     """
     columns = (rates, dn.mean, dn.stderr, bounds, dn.in_region_fraction)
     total = dn.mean.shape[0]
-    with path.open("w", encoding="utf-8", newline="\n") as handle:
+    with _output_file(path) as handle:
         handle.write(CSV_HEADER + "\n")
         for lo in range(0, total, SERIES_CHUNK_ROWS):
             hi = min(lo + SERIES_CHUNK_ROWS, total)
@@ -125,7 +132,8 @@ def cmd_run(args) -> int:
     rates = schedule.rates(0, cfg.horizon + 1)
     _write_series_csv(out_dir / "series.csv", rates, dn, bounds)
     report = _report_lines(cfg, problem, schedule, cert, sched_report, dn, verdicts)
-    _write_text(out_dir / "report.txt", "\n".join(report) + "\n")
+    with _output_file(out_dir / "report.txt") as handle:
+        handle.write("\n".join(report) + "\n")
     for line in report:
         print(line)
     return 0 if all(verdict.passed for _, verdict in verdicts) else 1

@@ -60,13 +60,17 @@ def _path(value, where: str) -> str | None:
     return value
 
 
+def _object(spec, where: str) -> dict:
+    if not isinstance(spec, dict):
+        raise ConfigurationError(f"{where} must be an object")
+    return spec
+
+
 def _parse_keys(spec, where: str, keys: dict, tag: str | None = None) -> dict:
     """``spec`` read against ``keys``, its table of ``(guard, default)`` per key,
     ``...`` marking a required key.  The result holds ``tag``, then each key as
     ``guard(value, "'key' in where")`` returns it, an absent value read as the default."""
-    if not isinstance(spec, dict):
-        raise ConfigurationError(f"{where} must be an object")
-    for key in spec:
+    for key in _object(spec, where):
         if key not in keys and key != tag:
             raise ConfigurationError(f"unknown key '{key}' in {where}")
     for key in sorted(keys):
@@ -82,7 +86,7 @@ def _parse_variant(spec, where: str, what: str, tables: dict) -> dict:
     """A tagged section: the tag named last in ``what`` ("problem family")
     picks the key table of ``tables`` that reads the rest."""
     tag = what.split()[-1]
-    if not isinstance(spec, dict) or tag not in spec:
+    if tag not in _object(spec, where):
         raise ConfigurationError(f"missing key '{tag}' in {where}")
     value = spec[tag]
     keys = tables.get(value) if isinstance(value, str) else None

@@ -53,8 +53,9 @@ MAX_DIMENSION = 64
 # other and run on a pool of threads (_map_blocks).
 _AUDIT_CHUNK = 1 << 15
 
-# Bytes of one d-wide per-sample temporary of a verify chunk: a chunk holds
-# _VERIFY_CHUNK_BYTES // (8 * dimension) samples, at most a whole block.
+# Bytes of one per-sample temporary of a verify chunk, d wide but counted as
+# at least 16 wide: a chunk holds _VERIFY_CHUNK_BYTES // (8 * max(d, 16))
+# samples (see _verify_chunks).
 _VERIFY_CHUNK_BYTES = 1 << 19
 
 # Bytes of the replication-major tile into which
@@ -546,18 +547,29 @@ def sample_in_ball(center: np.ndarray, radius: float, count: int, rng) -> np.nda
     center = np.asarray(center, dtype=float)
     dim = center.shape[0]
     directions = rng.normal(size=(count, dim))
-    norms = np.sqrt(sq_norm(directions))
-    norms = np.where(norms == 0.0, 1.0, norms)
-    radii = radius * rng.uniform(0.0, 1.0, size=count) ** (1.0 / dim)
+    norms = sq_norm(directions)
+    np.sqrt(norms, out=norms)
+    norms[norms == 0.0] = 1.0
+    # scale = radius * u ** (1 / dim) / norm, computed in the buffer of the
+    # uniform draws u; ``**=`` takes the path of ``**``, sqrt at dim = 2.
+    scale = rng.uniform(0.0, 1.0, size=count)
+    scale **= 1.0 / dim
+    np.multiply(scale, radius, out=scale)
+    np.divide(scale, norms, out=scale)
     # center + directions * scale, computed in the buffer of the directions.
-    np.multiply(directions, (radii / norms)[:, None], out=directions)
+    np.multiply(directions, scale[:, None], out=directions)
     return np.add(center, directions, out=directions)
 
 
 def _verify_chunks(samples: int, dimension: int) -> list[slice]:
-    """Slices of _VERIFY_CHUNK_BYTES // (8 * dimension) samples, at least
-    one, that cover the ``samples`` samples of one block in order."""
-    size = max(1, _VERIFY_CHUNK_BYTES // (8 * dimension))
+    """Slices of _VERIFY_CHUNK_BYTES // (8 * max(dimension, 16)) samples, at
+    least one, that cover the ``samples`` samples of one block in order.
+
+    A sample's scalar temporaries (its ratio, two losses, alignment, quad,
+    slack and scale in the audit) cost about as much as one 16-wide vector,
+    so below 16 dimensions the chunk stops growing: 4096 samples at d <= 16.
+    """
+    size = max(1, _VERIFY_CHUNK_BYTES // (8 * max(dimension, 16)))
     return [slice(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
 
 
@@ -640,19 +652,30 @@ def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:
     """Per-sample squared-gradient ratios and relative convexity slacks."""
     # At most two (samples, d) temporaries live at once: each gradient is
     # dropped as soon as it is used, and the loss at y comes first, before
-    # the gradient at x and the gap are held.
+    # the gradient at x and the gap are held.  The per-sample values are
+    # built in place, each in the buffer of its first operand.
     grads = problem.pointwise_gradient(noise, x)
-    ratios = np.asarray(sq_norm(grads)) / cert.grad_sq_bound
+    ratios = sq_norm(grads)
     del grads
+    np.divide(ratios, cert.grad_sq_bound, out=ratios)
     loss_y = np.asarray(problem.mean_loss_and_gradient(y)[0])
     loss_x, grad_x = map(np.asarray, problem.mean_loss_and_gradient(x))
     gap = y - x
     alignment = np.asarray(row_dot(grad_x, gap))
     del grad_x
-    quad = 0.5 * cert.strong_convexity * np.asarray(sq_norm(gap))
-    slack = loss_y - loss_x - alignment - quad
-    scale = np.maximum.reduce([np.ones(quad.shape[0]), np.abs(loss_x), np.abs(loss_y), quad])
-    return ratios, slack / scale
+    quad = sq_norm(gap)
+    del gap
+    np.multiply(0.5 * cert.strong_convexity, quad, out=quad)
+    slack = loss_y - loss_x
+    np.subtract(slack, alignment, out=slack)
+    np.subtract(slack, quad, out=slack)
+    # max(1, |loss_x|, |loss_y|, quad), one operand at a time; max is exact,
+    # so the order does not change the value.
+    scale = np.abs(loss_x, out=loss_x)
+    np.maximum(scale, 1.0, out=scale)
+    np.maximum(scale, np.abs(loss_y, out=loss_y), out=scale)
+    np.maximum(scale, quad, out=scale)
+    return ratios, np.divide(slack, scale, out=slack)
 
 
 def _audit_arrays(problem, cert, noise, xs, ys) -> tuple[np.ndarray, np.ndarray]:

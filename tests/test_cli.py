@@ -369,6 +369,19 @@ class TestRunPreflight:
         assert err.startswith(f"config error: cannot create output directory {taken}:")
         assert taken.read_text(encoding="utf-8") == "not a directory"
 
+    @pytest.mark.parametrize("name", ["series.csv", "report.txt"])
+    def test_an_output_file_that_cannot_be_written_exits_two(
+        self, name, tmp_path, out_dir, capsys
+    ):
+        (out_dir / name).mkdir(parents=True)
+        config = tmp_path / "experiment.json"
+        write_config(config)
+        assert main(["run", str(config)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"config error: cannot write {out_dir / name}: Is a directory\n"
+        assert captured.out == ""
+        assert (out_dir / name).is_dir()
+
     @pytest.mark.parametrize("horizon", [2**50, 2**62])
     def test_a_horizon_too_long_to_allocate_exits_two(self, tmp_path, out_dir, capsys, horizon):
         # 2**62 steps are more than a numpy array holds; the 2**50 steps of

@@ -113,6 +113,17 @@ class TestParsing:
             parse(base_document(schedule={"kind": "step_decay"}))
         assert str(info.value) == "unknown schedule kind 'step_decay' in schedule"
 
+    @pytest.mark.parametrize("overrides, message", [
+        ({"problem": 5}, "problem must be an object"),
+        ({"schedule": [1]}, "schedule must be an object"),
+        ({"checks": [3]}, "checks[0] must be an object"),
+        ({"verify": 2}, "verify must be an object"),
+    ])
+    def test_a_section_that_is_not_an_object_says_so(self, overrides, message):
+        with pytest.raises(ConfigurationError) as info:
+            parse(base_document(**overrides))
+        assert str(info.value) == message
+
     def test_checks_are_read_after_the_other_sections(self):
         # A check's keys depend on the horizon, so the checks are read once
         # the rest of the config is; that the checks are a list is read in

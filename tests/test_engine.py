@@ -137,6 +137,55 @@ class TestSeededGenerator:
         with pytest.raises(UsageError):
             SeededGenerator(1).jumped(0)
 
+    # The first four values of each draw method from a fresh generator,
+    # recorded with numpy 2.4.6.  numpy does not promise that Generator
+    # streams stay the same across versions (NEP 19); a failure here names
+    # the stream that moved, where otherwise only golden digests would.
+    PHILOX_ANSWERS = {
+        "seed 0": (lambda: SeededGenerator(0), {
+            "random": ["0x1.7a5d3204726c0p-7", "0x1.eeb1585ce5460p-3",
+                       "0x1.c8667a55d9028p-4", "0x1.20faf40a5fab6p-1"],
+            "uniform": ["-0x1.f42d166fdc6cap-2", "-0x1.08a753d18d5d0p-2",
+                        "-0x1.8de6616a89bf6p-2", "0x1.07d7a052fd5b0p-4"],
+            "integers": [4, 1, 78, 30],
+            "normal": ["0x1.463cb3872ecbdp-3", "-0x1.c6313809c831cp+0",
+                       "0x1.5396485e717b0p+0", "0x1.346e5e799d961p+0"],
+        }),
+        "seed 2**64 - 1": (lambda: SeededGenerator(2**64 - 1), {
+            "random": ["0x1.e1290e2c6ef2cp-3", "0x1.6f435abb5c260p-1",
+                       "0x1.a50baba7f4bfap-2", "0x1.6eaa5d0f1a384p-1"],
+            "uniform": ["-0x1.0f6b78e9c886ap-2", "0x1.bd0d6aed70980p-3",
+                        "-0x1.6bd151602d018p-4", "0x1.baa9743c68e10p-3"],
+            "integers": [70, 30, 87, 91],
+            "normal": ["-0x1.6263d495cd1d9p+1", "0x1.ad8c353429341p+0",
+                       "-0x1.cf161705b3e36p-2", "0x1.41ecaa3154b2dp+1"],
+        }),
+        "seed 0 jumped once": (lambda: SeededGenerator(0).jumped(1), {
+            "random": ["0x1.498ac0ff6240dp-1", "0x1.0435ec58bdff0p-4",
+                       "0x1.ecd83886ec6c8p-4", "0x1.5aab132feebf6p-2"],
+            "uniform": ["0x1.262b03fd89034p-3", "-0x1.bef284e9d0804p-2",
+                        "-0x1.84c9f1de44e4ep-2", "-0x1.4aa9d9a022814p-3"],
+            "integers": [88, 82, 69, 8],
+            "normal": ["-0x1.c2493f81bf470p-3", "0x1.c010db6980710p-4",
+                       "-0x1.503345ad68fc5p+0", "0x1.54ee2cba71f4bp-1"],
+        }),
+    }
+
+    @pytest.mark.parametrize("name", list(PHILOX_ANSWERS))
+    def test_philox_streams_give_their_known_answers(self, name):
+        make, answers = self.PHILOX_ANSWERS[name]
+        gen = make()
+        draws = {
+            "random": [gen.random() for _ in range(4)],
+            "uniform": make().uniform(-0.5, 0.5, size=4).tolist(),
+            "integers": make().integers(128, size=4).tolist(),
+            "normal": make().normal(size=4).tolist(),
+        }
+        assert {
+            method: [v if method == "integers" else float.hex(v) for v in values]
+            for method, values in draws.items()
+        } == answers
+
 
 class TestStep:
     """One SGD update, observed through a one-step, one-seed run."""

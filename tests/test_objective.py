@@ -892,10 +892,10 @@ class TestVerifyChunks:
     """Both verify stages evaluate cache-sized chunks with the bits of one batch."""
 
     @pytest.mark.parametrize("dimension, size", [
-        (1, 1 << 15),   # a whole block
-        (2, 1 << 15),   # a d=2 quadratic keeps whole blocks
-        (3, 21_845),
-        (8, 8192),
+        (1, 4096),      # below 16 dimensions a chunk is sized as at 16
+        (2, 4096),
+        (3, 4096),
+        (8, 4096),
         (16, 4096),
         (33, 1985),
         (64, 1024),
@@ -1003,6 +1003,22 @@ class TestVerifyChunks:
             lambda: check_gradients(problem, cert, samples, SeededGenerator(5))
         )
         assert peak < draws + 4 * 2**20
+
+    @pytest.mark.parametrize("stage", ["audit", "gradient_check"])
+    def test_memory_stays_near_the_draws_at_two_dimensions(
+        self, stage, peak_traced_bytes, fake_cores
+    ):
+        # The draws of a d=2 block take 1.5 MiB in the audit and 1 MiB in
+        # the gradient check; evaluated as one chunk, the block would take
+        # them to 6.0 and 4.0 MiB.
+        fake_cores(1)
+        problem, cert = chunk_problem("quadratic-2")
+        check = audit_certificate if stage == "audit" else check_gradients
+        # A first call in a fresh process also traces the modules numpy
+        # imports on first use, about 0.7 MiB.
+        check(problem, cert, 40_000, SeededGenerator(5))
+        peak = peak_traced_bytes(lambda: check(problem, cert, 40_000, SeededGenerator(5)))
+        assert peak < 3 * 2**20
 
 
 class TestVerifyBlocks:
