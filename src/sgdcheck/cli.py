@@ -50,14 +50,36 @@ def _make_output_dir(cfg: ExperimentConfig) -> Path:
 
 
 @contextlib.contextmanager
+def _write_errors(path: Path):
+    """An OSError in the block is a ConfigurationError naming ``path``."""
+    try:
+        yield
+    except OSError as err:
+        raise ConfigurationError(f"cannot write {path}: {err.strerror}") from None
+
+
+@contextlib.contextmanager
 def _output_file(path: Path):
     """``path`` open for writing; an OSError while it is opened, written or
     closed is a ConfigurationError naming the file."""
-    try:
-        with path.open("w", encoding="utf-8", newline="\n") as handle:
-            yield handle
-    except OSError as err:
-        raise ConfigurationError(f"cannot write {path}: {err.strerror}") from None
+    with _write_errors(path), path.open("w", encoding="utf-8", newline="\n") as handle:
+        yield handle
+
+
+def _probe_output_file(path: Path) -> None:
+    """Raise the error _output_file would raise on opening ``path``, before
+    a run computes what goes into it.
+
+    An existing file is opened for writing without truncating it; a new one
+    is created exclusively and removed again.
+    """
+    with _write_errors(path):
+        try:
+            os.close(os.open(path, os.O_WRONLY | os.O_CREAT | os.O_EXCL))
+        except FileExistsError:
+            os.close(os.open(path, os.O_WRONLY))
+        else:
+            path.unlink()
 
 
 def _write_series_csv(path: Path, rates: np.ndarray, dn: DnSeries, bounds: np.ndarray) -> None:
@@ -123,6 +145,8 @@ def cmd_run(args) -> int:
     preflight_checks(cfg, schedule, cert)
     sched_report = validate_schedule(schedule, cert.strong_convexity)
     out_dir = _make_output_dir(cfg)
+    for name in ("series.csv", "report.txt"):
+        _probe_output_file(out_dir / name)
     dn = run_replications(
         problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed, cfg.replications
     )

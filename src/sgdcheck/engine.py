@@ -133,37 +133,50 @@ def aux_generator(master_seed: int, stream: int) -> SeededGenerator:
 # the engine's working memory does not grow with the horizon.
 BLOCK_BUDGET = 1 << 22
 
-# Iterate values (replications * dimension) that warrant a process of their
-# own: run_seeds steps in at most R * d // _PROCESS_VALUES processes.
-_PROCESS_VALUES = 1 << 12
+# Replication-steps (replications * steps) that warrant a process of their
+# own: run_seeds steps in at most R * H // _PROCESS_STEPS processes.
+_PROCESS_STEPS = 1 << 22
 
 # Replications per part: the seeds, sorted ascending, are cut into parts of
-# _PART and a last part with the remainder.  Each part's statistics are
-# folded on their own and merged in part order, so the parts, and every
+# _part_size(R) and a last part with the remainder.  Each part's statistics
+# are folded on their own and merged in part order, so the parts, and every
 # output bit, depend only on the seed values.
 _PART = 1 << 10
+_MIN_PART = 1 << 6
 
 # Bytes of the buffer in which each process keeps the iterates of its last
 # few steps, whose squared distances are then computed in one pass.
 _PATH_BYTES = 1 << 18
 
 
-def _process_count(replications: int, dimension: int) -> int:
-    """Processes that step ``replications`` iterates of ``dimension`` values.
+def _part_size(replications: int) -> int:
+    """Replications per part of a run of ``replications``.
 
-    One per usable core, as long as each gets at least _PROCESS_VALUES
-    iterate values and one replication.  One process is the caller itself;
-    more are forked workers.  The caller also steps alone where os.fork is
-    missing, and while other Python threads run: a forked child would copy
-    any lock one of them holds.
+    Half the run, rounded up, but at least _MIN_PART and at most _PART:
+    runs of up to _MIN_PART replications are one part, runs of up to
+    2 * _PART two, one for each of two processes, and longer runs are cut
+    into parts of _PART.
+    """
+    return min(_PART, max(_MIN_PART, -(-replications // 2)))
+
+
+def _process_count(replications: int, steps: int) -> int:
+    """Processes that step ``replications`` replications over ``steps`` steps.
+
+    One per usable core, as long as each gets at least _PROCESS_STEPS
+    replication-steps and one replication.  One process is the caller
+    itself; more are forked workers.  The caller also steps alone where
+    os.fork is missing, and while other Python threads run: a forked child
+    would copy any lock one of them holds.
     """
     if not hasattr(os, "fork") or threading.active_count() > 1:
         return 1
-    return max(1, min(usable_cores(), replications, replications * dimension // _PROCESS_VALUES))
+    return max(1, min(usable_cores(), replications, replications * steps // _PROCESS_STEPS))
 
 
-def _step_parts(problem, seeds, index, x0, cert, rates, block, stats, final_x, slot, parent):
-    """Step the replications of ``seeds``, whole parts of them, over ``rates``.
+def _step_parts(problem, seeds, index, x0, cert, rates, block, part, stats, final_x, slot, parent):
+    """Step the replications of ``seeds``, whole parts of ``part`` of them,
+    over ``rates``.
 
     Part j gets in ``stats[:, j]`` the step_stats of its squared distances
     and the count of them inside the certified ball, and the last iterates
@@ -174,8 +187,8 @@ def _step_parts(problem, seeds, index, x0, cert, rates, block, stats, final_x, s
     ``slot``, and stepping stops.  With a ``parent`` pid, stepping also
     stops at a noise block where the process has another parent.
 
-    Steps write their iterates into a path buffer of at most _PATH_BYTES
-    (the operations of x - rate * gradient); the held steps then get their
+    The problem's ``descend`` writes the iterates of each run of steps into
+    a path buffer of at most _PATH_BYTES; the held steps then get their
     squared distances from one subtraction of a row of the center per
     replication, which never broadcasts over the short last axis.
     """
@@ -185,17 +198,16 @@ def _step_parts(problem, seeds, index, x0, cert, rates, block, stats, final_x, s
 
     def fold(rows: np.ndarray, first: int) -> None:
         span = slice(first, first + rows.shape[0])
-        for j, lo in enumerate(range(0, count, _PART)):
-            part = rows[:, lo:lo + _PART]
-            stats[0, j, span], stats[1, j, span] = step_stats(part)
-            stats[2, j, span] = np.count_nonzero(part <= radius_sq, axis=1)
+        for j, lo in enumerate(range(0, count, part)):
+            values = rows[:, lo:lo + part]
+            stats[0, j, span], stats[1, j, span] = step_stats(values)
+            stats[2, j, span] = np.count_nonzero(values <= radius_sq, axis=1)
 
     x = np.repeat(x0[None, :], count, axis=0)
     centers = np.repeat(cert.region_center[None, :], count, axis=0)
     fold(sq_norm(x - centers)[None, :], 0)
     steps = rates.shape[0]
     run = min(block, stats_chunk_steps(count))
-    grad = np.empty_like(x)
     hold = max(1, min(run, _PATH_BYTES // x.nbytes))
     path = np.empty((hold,) + x.shape)
     sq_dist = np.empty((run, count))
@@ -207,26 +219,17 @@ def _step_parts(problem, seeds, index, x0, cert, rates, block, stats, final_x, s
         problem.fill_noise_block(generators, noise[:length])
         for lo in range(0, length, run):
             first, width = start + lo, min(run, length - lo)
-            steps_noise = noise[lo:lo + width]
-            if steps_noise.dtype.kind == "u":
-                # Compact row indices are widened once per run; take would
-                # convert them again at every step.
-                steps_noise = steps_noise.astype(np.intp)
             # A run goes on past its first non-finite value, which the scan
             # below reports, so overflow and NaN are not warned about here.
             with np.errstate(over="ignore", invalid="ignore"):
                 for held in range(0, width, hold):
-                    span = min(hold, width - held)
-                    point = x
-                    for k in range(span):
-                        g = problem.pointwise_gradient(steps_noise[held + k], point, out=grad)
-                        np.multiply(g, rates[first + held + k], out=g)
-                        point = np.subtract(point, g, out=path[k])
-                    np.copyto(x, point)
+                    span, step = min(hold, width - held), first + held
+                    problem.descend(
+                        noise[lo + held:lo + held + span], x, rates[step:step + span], path[:span]
+                    )
+                    np.copyto(x, path[span - 1])
                     diff = np.subtract(path[:span], centers, out=path[:span])
                     sq_norm(diff, out=sq_dist[held:held + span])
-            # The widened indices go before the run is folded.
-            del steps_noise
             rows = sq_dist[:width]
             # max propagates NaN and inf, so one reduction screens the run.
             if not np.isfinite(rows.max()):
@@ -297,16 +300,16 @@ def run_seeds(
     The noise is drawn in blocks (fill_noise_block) of counter-based Philox
     streams, so any block length draws the same values.
 
-    The seeds, sorted ascending, are cut into parts of _PART.  Each part's
-    per-step statistics are folded on their own (step_stats) and merged in
-    part order (merge_parts), so no bit depends on the seed order or the
-    process count, and R <= _PART gives the bits of one step_stats.  With
-    more than one process (_process_count) the caller forks a worker for
-    each contiguous group of parts and steps none itself.  Memory is
-    O(R * b * d + 2^16 + parts * H) for blocks of b steps, d noise values
-    per step and H steps.  Raises DivergenceError at the first step where a
-    squared distance is not finite, naming the lowest such replication and
-    its seed.
+    The seeds, sorted ascending, are cut into parts of _part_size(R).  Each
+    part's per-step statistics are folded on their own (step_stats) and
+    merged in part order (merge_parts), so no bit depends on the seed order
+    or the process count, and R <= _MIN_PART gives the bits of one
+    step_stats.  With more than one process (_process_count) the caller
+    forks a worker for each contiguous group of parts and steps none
+    itself.  Memory is O(R * b * d + 2^16 + parts * H) for blocks of b
+    steps, d noise values per step and H steps.  Raises DivergenceError at
+    the first step where a squared distance is not finite, naming the
+    lowest such replication and its seed.
     """
     steps = require_int(steps, "steps", 1)
     seeds = tuple(require_int(seed, "seed", 0, UINT64_MAX) for seed in seeds)
@@ -317,9 +320,10 @@ def run_seeds(
     x0 = np.array(require_vector(x0, "'x0'", dimension))
     order = np.argsort(np.array(seeds, dtype=np.uint64), kind="stable")
     ordered = [seeds[i] for i in order]
-    sizes = [min(_PART, count - lo) for lo in range(0, count, _PART)]
+    part = _part_size(count)
+    sizes = [min(part, count - lo) for lo in range(0, count, part)]
     parts = len(sizes)
-    processes = min(parts, _process_count(count, dimension))
+    processes = min(parts, _process_count(count, steps))
     block = min(steps, max(1, BLOCK_BUDGET // (count * math.prod(problem.noise_shape))))
 
     # Per-part statistics, the last iterates in seed order and one
@@ -342,9 +346,9 @@ def run_seeds(
     groups = [parts * p // processes for p in range(processes + 1)]
     jobs = {}
     for p, (a, b) in enumerate(zip(groups, groups[1:])):
-        lo, hi = a * _PART, min(b * _PART, count)
+        lo, hi = a * part, min(b * part, count)
         jobs[f"{lo}..{hi - 1}"] = functools.partial(
-            _step_parts, problem, ordered[lo:hi], order[lo:hi], x0, cert, rates, block,
+            _step_parts, problem, ordered[lo:hi], order[lo:hi], x0, cert, rates, block, part,
             stats[:, a:b], final_x[lo:hi], slots[p],
         )
     if processes == 1:

@@ -27,6 +27,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+try:
+    from numpy._core.multiarray import c_einsum
+except ImportError:  # numpy 1.x
+    from numpy.core.multiarray import c_einsum
+
 from .errors import (
     CertificationError,
     ConfigurationError,
@@ -213,6 +218,21 @@ class StochasticProblem(abc.ABC):
         every draw of ``noise``.
         """
         return row_dot(direction, self.pointwise_gradient(noise, x))
+
+    def descend(self, noise, x, rates, out) -> None:
+        """SGD steps from the batch ``x`` (R, N), one per rate of ``rates``.
+
+        Step k uses the draws ``noise[k]``, one per row of ``x``, and writes
+        its iterates, the previous ones minus rates[k] times their
+        pointwise_gradient, into ``out[k]``; ``out`` has shape
+        ``(len(rates), R, N)``.  Overrides must give the bits of this loop,
+        non-finite values included.
+        """
+        point = x
+        for k in range(rates.shape[0]):
+            g = self.pointwise_gradient(noise[k], point, out=out[k])
+            np.multiply(g, rates[k], out=g)
+            point = np.subtract(point, g, out=g)
 
     @abc.abstractmethod
     def mean_loss_and_gradient(self, x):
@@ -443,6 +463,33 @@ class FiniteSumLeastSquares(StochasticProblem):
         rows = self.design.take(noise, axis=0, out=out)
         residual = row_dot(rows, x) - self.targets[noise]
         return np.multiply(rows, np.asarray(residual)[..., None], out=out)
+
+    def descend(self, noise, x, rates, out) -> None:
+        """The steps of the base loop, with the rows and targets of all the
+        steps gathered at once.
+
+        ``out`` first receives the design rows of every step, and step k
+        turns its rows into its iterates in place: the residual
+        <row, x> - target, the row times the residual, the rate product and
+        the subtraction from the previous iterate are the operations of
+        pointwise_gradient and the base loop, in the same order, so the
+        bits are the same.  ``c_einsum`` is ``row_dot`` without the Python
+        wrapper of ``np.einsum``.
+        """
+        # The bounds-checked take of the targets raises on a bad row first,
+        # so the rows can go straight into out: a bounds-checked take with
+        # out copies through a buffer of its size.
+        targets = self.targets.take(noise)
+        rows = self.design.take(noise, axis=0, out=out, mode="wrap")
+        residual = np.empty(x.shape[0])
+        column = residual[:, None]
+        point = x
+        for row, target, rate in zip(rows, targets, rates.tolist()):
+            c_einsum("ij,ij->i", row, point, out=residual)
+            np.subtract(residual, target, out=residual)
+            np.multiply(row, column, out=row)
+            np.multiply(row, rate, out=row)
+            point = np.subtract(point, row, out=row)
 
     def alignment(self, noise, x, direction):
         """<direction, pointwise_gradient(noise_j, x)> over the draws j, in draw order.

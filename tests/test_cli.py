@@ -371,16 +371,30 @@ class TestRunPreflight:
 
     @pytest.mark.parametrize("name", ["series.csv", "report.txt"])
     def test_an_output_file_that_cannot_be_written_exits_two(
-        self, name, tmp_path, out_dir, capsys
+        self, name, tmp_path, out_dir, capsys, monkeypatch
     ):
+        # Both files are probed before any replication runs, and the probe
+        # neither leaves the other file behind nor truncates it.
+        def no_run(*args):
+            raise AssertionError("a replication ran")
+
+        monkeypatch.setattr(cli, "run_replications", no_run)
         (out_dir / name).mkdir(parents=True)
+        other = out_dir / ("report.txt" if name == "series.csv" else "series.csv")
         config = tmp_path / "experiment.json"
         write_config(config)
-        assert main(["run", str(config)]) == 2
-        captured = capsys.readouterr()
-        assert captured.err == f"config error: cannot write {out_dir / name}: Is a directory\n"
-        assert captured.out == ""
-        assert (out_dir / name).is_dir()
+        for earlier in (None, "earlier output\n"):
+            if earlier is not None:
+                other.write_text(earlier, encoding="utf-8")
+            assert main(["run", str(config)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err == f"config error: cannot write {out_dir / name}: Is a directory\n"
+            assert captured.out == ""
+            assert (out_dir / name).is_dir()
+            if earlier is None:
+                assert not other.exists()
+            else:
+                assert other.read_text(encoding="utf-8") == earlier
 
     @pytest.mark.parametrize("horizon", [2**50, 2**62])
     def test_a_horizon_too_long_to_allocate_exits_two(self, tmp_path, out_dir, capsys, horizon):

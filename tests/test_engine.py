@@ -4,6 +4,7 @@ The frozen seed-derivation values are the published SplitMix64 outputs for
 master seed 0, so a regression here means the keying scheme changed and every
 stored result becomes irreproducible.
 """
+import functools
 import os
 import signal
 import threading
@@ -27,7 +28,7 @@ from sgdcheck import (
     run_replications,
     run_seeds,
 )
-from sgdcheck.analyzer import merge_parts, stats_chunk_steps, step_stats
+from sgdcheck.analyzer import merge_parts, step_stats
 from sgdcheck.objective import sq_norm
 
 # SplitMix64 stream for master seed 0 (indices 0..3).
@@ -274,6 +275,69 @@ def diverge_on_overflow_row():
             run_seeds(problem, sched, [1.0, 0.5], 300, cert, OVERFLOW_ROW_SEEDS)
     assert [w.message for w in caught if issubclass(w.category, RuntimeWarning)] == []
     return info.value
+
+
+def descend_both_ways(problem, noise, x, rates):
+    """The iterates of the least-squares ``descend`` and of the base loop."""
+    paths = np.empty((2,) + noise.shape + x.shape[-1:])
+    with np.errstate(over="ignore", invalid="ignore"):
+        problem.descend(noise, x, rates, paths[0])
+        objective.StochasticProblem.descend(problem, noise, x, rates, paths[1])
+    return paths
+
+
+class TestDescend:
+    """FiniteSumLeastSquares.descend gathers a chunk's rows and targets once;
+    its iterates are the bits of the base loop of pointwise_gradient steps."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64])
+    @pytest.mark.parametrize("rows", [128, 300])
+    def test_bits_of_the_base_loop(self, dim, rows):
+        rng = SeededGenerator(dim)
+        problem = FiniteSumLeastSquares(
+            design=rng.normal(size=(rows, dim)), targets=rng.normal(size=rows)
+        )
+        assert problem.noise_dtype == (np.uint8 if rows <= 256 else np.uint16)
+        x = rng.normal(size=(13, dim))
+        hold = engine._PATH_BYTES // x.nbytes
+        for steps in (1, 7, hold):
+            noise = problem.noise_block(rng, 13 * steps).reshape(steps, 13)
+            rates = rng.uniform(0.0, 2.0 / dim, size=steps)
+            ours, base = descend_both_ways(problem, noise, x, rates)
+            assert np.isfinite(ours).all()
+            assert ours.tobytes() == base.tobytes()
+
+    def test_a_row_out_of_range_raises_on_both_paths(self):
+        problem = FiniteSumLeastSquares(design=np.eye(3), targets=np.ones(3))
+        noise = np.array([[0, 1], [2, 3]], dtype=np.uint8)
+        out = np.empty((2, 2, 3))
+        base = functools.partial(objective.StochasticProblem.descend, problem)
+        for descend in (problem.descend, base):
+            with pytest.raises(IndexError):
+                descend(noise, np.zeros((2, 3)), np.ones(2), out)
+
+    def test_overflowing_rows_reach_the_same_first_non_finite_step(self):
+        # The run of diverge_on_overflow_row: its 1e100 row first overflows
+        # at step 12.
+        rng = SeededGenerator(5)
+        design = np.vstack([rng.normal(size=(39, 2)), [[1e100, 0.0]]])
+        problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=40))
+        noise = np.empty((300, len(OVERFLOW_ROW_SEEDS)), dtype=problem.noise_dtype)
+        problem.fill_noise_block([SeededGenerator(seed) for seed in OVERFLOW_ROW_SEEDS], noise)
+        x = np.repeat([[1.0, 0.5]], len(OVERFLOW_ROW_SEEDS), axis=0)
+        paths = descend_both_ways(problem, noise, x, np.full(300, 0.1))
+        with np.errstate(over="ignore", invalid="ignore"):
+            finite = np.isfinite(sq_norm(paths)).all(axis=2)
+        assert finite[:, :11].all() and not finite[:, 11].any()
+        assert paths[0].tobytes() == paths[1].tobytes()
+
+    @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64])
+    def test_c_einsum_is_row_dot(self, dim):
+        rng = SeededGenerator(dim + 100)
+        a, b = rng.normal(size=(2, 37, dim))
+        out = np.empty(37)
+        objective.c_einsum("ij,ij->i", a, b, out=out)
+        assert out.tobytes() == objective.row_dot(a, b).tobytes()
 
 
 class TestRunReplication:
@@ -580,9 +644,9 @@ class TestFoldRuns:
         # One value per step at R = 200: one block spans the whole horizon,
         # so the noise buffer holds R * H compact row indices (one byte each
         # for 32 rows), while the squared distances take one fold run of
-        # 2^16 // R steps (512 KiB), the fold twice that, and the run's row
-        # indices, widened to np.intp, another 512 KiB.  Squared distances
-        # for the whole block would add another 3.1 MiB.
+        # 2^16 // R steps (512 KiB), the fold twice that, and the path buffer
+        # and its gathered rows 256 KiB each.  Squared distances for the
+        # whole block would add another 3.1 MiB.
         rng = SeededGenerator(3)
         design = rng.normal(size=(32, 8))
         problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=32))
@@ -592,11 +656,10 @@ class TestFoldRuns:
         count, steps = 200, 2000
         assert steps * count <= engine.BLOCK_BUDGET
         noise_bytes = steps * count * problem.noise_block(SeededGenerator(0), 1).itemsize
-        run_indices_bytes = stats_chunk_steps(count) * count * np.dtype(np.intp).itemsize
         peak = peak_traced_bytes(
             lambda: run_replications(problem, sched, x0, steps, cert, 5, count)
         )
-        assert peak < noise_bytes + run_indices_bytes + 2 * 2**20, (peak, noise_bytes)
+        assert peak < noise_bytes + 2 * 2**20, (peak, noise_bytes)
 
 
 def summary_bytes(runs):
@@ -640,7 +703,7 @@ class TestProcesses:
 
         def use(count, part=1):
             fake_cores(count)
-            monkeypatch.setattr(engine, "_PROCESS_VALUES", 1)
+            monkeypatch.setattr(engine, "_PROCESS_STEPS", 1)
             monkeypatch.setattr(engine, "_PART", part)
             monkeypatch.setattr(os, "fork", counted_fork)
             return forks
@@ -648,26 +711,71 @@ class TestProcesses:
         return use
 
     def test_size_rule(self, monkeypatch, fake_cores):
+        # Processes by replication-steps R * H: ls-long (200 x 50 000) gets
+        # 2 workers and ls-audit (400 x 500) stays in the caller; quad-wide
+        # (8000 x 2000) gets 3 workers on 8 cores.
         fake_cores(8)
-        # ls-long and ls-audit stay in one process; quad-wide gets 3 workers on 8 cores.
-        assert engine._process_count(200, 8) == 1
-        assert engine._process_count(400, 16) == 1
-        assert engine._process_count(8000, 2) == 3
-        assert engine._process_count(10**6, 2) == 8
+        assert engine._process_count(200, 50_000) == 2
+        assert engine._process_count(400, 500) == 1
+        assert engine._process_count(8000, 2000) == 3
+        assert engine._process_count(10**6, 2000) == 8
         fake_cores(2)
-        assert engine._process_count(8000, 2) == 2
-        monkeypatch.setattr(engine, "_PROCESS_VALUES", 1)
+        assert engine._process_count(200, 50_000) == 2
+        assert engine._process_count(400, 500) == 1
+        assert engine._process_count(8000, 2000) == 2
+        monkeypatch.setattr(engine, "_PROCESS_STEPS", 1)
         assert engine._process_count(3, 4) == 2
         assert engine._process_count(1, 64) == 1
 
+    @pytest.mark.parametrize(
+        "count, sizes",
+        [
+            (2, [2]),
+            (64, [64]),
+            (65, [64, 1]),
+            (128, [64, 64]),
+            (200, [100, 100]),
+            (400, [200, 200]),
+            (1024, [512, 512]),
+            (1500, [750, 750]),
+            (2047, [1024, 1023]),
+            (2048, [1024, 1024]),
+            (2085, [1024, 1024, 37]),
+            (8000, [1024] * 7 + [832]),
+        ],
+    )
+    def test_part_rule(self, count, sizes):
+        part = engine._part_size(count)
+        assert [min(part, count - lo) for lo in range(0, count, part)] == sizes
+
+    def test_two_halves_of_a_least_squares_run_on_two_cores(self, cores):
+        # R = 200 is cut into two parts of 100, one for each of two workers:
+        # the bytes of one process, the statistics of the two seed-ordered
+        # halves merged, and no worker left behind.
+        problem, sched, cert, x0 = finite_sum_setup()
+        seeds = [derive_seed(4, i) for i in range(200)]
+        forks = cores(1, engine._PART)
+        alone = run_seeds(problem, sched, x0, 150, cert, seeds)
+        assert forks == []
+        cores(2, engine._PART)
+        runs = run_seeds(problem, sched, x0, 150, cert, seeds)
+        assert len(forks) == 2
+        assert_no_child_left()
+        assert summary_bytes(runs) == summary_bytes(alone)
+        _, rows = solo_rows(problem, sched, x0, 150, cert, sorted(seeds))
+        halves = [step_stats(rows[lo:lo + 100].T) for lo in (0, 100)]
+        mean, stderr = merge_parts(*(np.stack(column) for column in zip(*halves)), [100, 100])
+        assert runs.mean.tobytes() == mean.tobytes()
+        assert runs.stderr.tobytes() == stderr.tobytes()
+
     def test_one_process_while_other_threads_run(self, fake_cores):
         fake_cores(2)
-        assert engine._process_count(8000, 2) == 2
+        assert engine._process_count(8000, 2000) == 2
         stop = threading.Event()
         thread = threading.Thread(target=stop.wait)
         thread.start()
         try:
-            assert engine._process_count(8000, 2) == 1
+            assert engine._process_count(8000, 2000) == 1
         finally:
             stop.set()
             thread.join(timeout=10)
@@ -680,9 +788,9 @@ class TestProcesses:
             return summary_bytes(run_replications(problem, sched, [2.0, 0.0], 50, cert, 3, 40))
 
         alone = summary()
-        monkeypatch.setattr(engine, "_PROCESS_VALUES", 1)
+        monkeypatch.setattr(engine, "_PROCESS_STEPS", 1)
         monkeypatch.delattr(os, "fork")
-        assert engine._process_count(8000, 2) == 1
+        assert engine._process_count(8000, 2000) == 1
         assert summary() == alone
 
     @pytest.mark.parametrize("family", ["quadratic", "finite_sum"])

@@ -1055,7 +1055,7 @@ class TestVerifyBlocks:
         assert main(["verify", str(config)]) == 0
         assert "samples=1000" in capsys.readouterr().out
         assert threading.active_count() == before
-        assert engine._process_count(8000, 2) == 2
+        assert engine._process_count(8000, 2000) == 2
 
     def test_every_block_runs_once_in_order(self, fake_cores):
         # More threads than cores and a short switch interval, so the threads
@@ -1180,7 +1180,7 @@ class TestVerifyBlocks:
             audit_certificate(problem, cert, 20_000, SeededGenerator(8))
         assert threading.active_count() == before
         assert not interrupted[0].is_alive()
-        assert engine._process_count(8000, 2) == 2
+        assert engine._process_count(8000, 2000) == 2
 
 
 def overflowing_quadratic():
