@@ -5,16 +5,13 @@ families with certified constants, estimates the mean squared distance to
 the optimum over replications, and checks it against the per-step envelope,
 the constant-rate neighborhood bound, and decaying-rate convergence claims.
 """
-from .analyzer import (
-    DnSeries,
-    ProductDecay,
+from .analyzer import DnSeries, ProductDecay, bound_sequence, product_decay
+from .checks import (
     Verdict,
-    bound_sequence,
     check_convergence,
     check_descent_inequality,
     check_neighborhood,
     check_recurrence,
-    product_decay,
 )
 from .config import (
     ExperimentConfig,

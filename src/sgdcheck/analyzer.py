@@ -1,8 +1,8 @@
-"""Estimation and verification of the convergence guarantees.
+"""Estimation of d_n and the envelopes of the convergence guarantees.
 
 Given the per-step statistics of replicated runs this module estimates d_n,
-the mean squared distance to the optimum at step n, and compares it against
-the one-step envelope
+the mean squared distance to the optimum at step n, and evaluates the
+one-step envelope that ``sgdcheck.checks`` compares it against
 
     b_0 = d_0,    b_{n+1} = (1 - rate_n * mu) * b_n + rate_n^2 * B,
 
@@ -19,9 +19,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, UsageError, require_int, require_real, require_vector
-from .objective import HypothesisCertificate, StochasticProblem, row_dot, sq_norm
-from .schedule import ConstantSchedule, Schedule
+from .errors import DomainError, require_int, require_real
+from .objective import HypothesisCertificate
+from .schedule import Schedule
 
 
 @dataclass(frozen=True, eq=False)
@@ -52,21 +52,6 @@ class DnSeries:
     @property
     def steps(self) -> int:
         return self.mean.shape[0] - 1
-
-
-@dataclass(frozen=True)
-class Verdict:
-    """Outcome of one check.
-
-    ``worst_margin`` is the most negative slack observed (positive when the
-    check passes with room to spare); ``first_violation_index`` is the step
-    of the first violation and is None exactly when the check passes.
-    """
-
-    passed: bool
-    first_violation_index: int | None
-    worst_margin: float
-    context: str
 
 
 @dataclass(frozen=True)
@@ -186,60 +171,6 @@ def bound_sequence(
     return values
 
 
-def _compare(dn: DnSeries, steps: np.ndarray, upper, z: float) -> tuple[int, int | None, float]:
-    """Test mean_n <= upper_n + z * stderr_n on ``steps``, a non-empty
-    increasing array of steps, with ``upper`` a scalar or one bound per step.
-
-    Returns the number of violating steps, the first of them (None if there
-    is none) and the smallest slack upper_n + z * stderr_n - mean_n.
-    """
-    slack = upper + z * dn.stderr[steps] - dn.mean[steps]
-    bad = np.flatnonzero(slack < 0.0)
-    first = int(steps[bad[0]]) if bad.shape[0] else None
-    return bad.shape[0], first, float(np.min(slack))
-
-
-def check_recurrence(dn: DnSeries, bounds: np.ndarray, z: float = 3.0) -> Verdict:
-    """Check that the estimated d_n never exceeds the envelope significantly.
-
-    A step violates when mean_n > b_n + z * stderr_n.  Steps where any
-    replication left the certified region are excluded from the comparison
-    and reported in the context, because the certificate does not cover them.
-    """
-    z = require_real(z, "z")
-    if bounds.shape != dn.mean.shape:
-        raise UsageError("bound sequence and d_n series cover different horizons")
-    checked = np.flatnonzero(dn.in_region_fraction == 1.0)
-    excluded = dn.mean.shape[0] - checked.shape[0]
-    if not checked.shape[0]:
-        context = f"no step had all replications in region ({excluded} steps excluded)"
-        return Verdict(True, None, float("nan"), context)
-    violations, first, worst = _compare(dn, checked, bounds[checked], z)
-    context = (
-        f"checked {checked.shape[0]}/{dn.mean.shape[0]} steps at z={z:g}, "
-        f"{excluded} excluded by region exits, {violations} violations"
-    )
-    return Verdict(violations == 0, first, worst, context)
-
-
-def validate_neighborhood(
-    cert: HypothesisCertificate, schedule: Schedule, window: int, horizon: int
-) -> int:
-    """Check that the neighborhood claim applies to a run; returns the window.
-
-    Needs only the certificate, the schedule and the horizon, so a run can be
-    refused before any replication starts.
-    """
-    if not isinstance(schedule, ConstantSchedule):
-        raise UsageError("the neighborhood check applies to constant schedules only")
-    if schedule.rho * cert.strong_convexity >= 1.0:
-        raise UsageError("the neighborhood claim needs rho * mu < 1")
-    window = require_int(window, "window", 1)
-    if window > horizon + 1:
-        raise UsageError(f"window {window} exceeds the horizon of {horizon} steps")
-    return window
-
-
 def validate_lemma(schedule: Schedule, mu: float, n: int) -> None:
     """Refuse a lemma range whose factors leave the domain, before any run.
 
@@ -248,66 +179,6 @@ def validate_lemma(schedule: Schedule, mu: float, n: int) -> None:
     """
     if schedule.rates(n, 1)[0] * mu >= 1.0:
         raise DomainError(f"rate({n}) * mu >= 1; every factor must stay positive")
-
-
-def check_neighborhood(
-    dn: DnSeries,
-    cert: HypothesisCertificate,
-    schedule: Schedule,
-    window: int,
-    tol_rel: float,
-) -> Verdict:
-    """Check the constant-rate neighborhood claim on the final window.
-
-    The claim bounds the limit superior of d_n by theta = rho * B / mu, so on
-    the last ``window`` steps the estimate must satisfy
-    mean_n <= theta * (1 + tol_rel) + 3 * stderr_n.
-    """
-    horizon = dn.steps
-    window = validate_neighborhood(cert, schedule, window, horizon)
-    tol_rel = require_real(tol_rel, "tol_rel", strict=False)
-    theta = schedule.rho * cert.grad_sq_bound / cert.strong_convexity
-    threshold = theta * (1.0 + tol_rel)
-    tail = np.arange(horizon + 1 - window, horizon + 1)
-    violations, first, worst = _compare(dn, tail, threshold, 3.0)
-    context = (
-        f"theta={theta:.6g}, threshold={threshold:.6g}, window={window}, "
-        f"{violations} violations"
-    )
-    return Verdict(violations == 0, first, worst, context)
-
-
-def validate_checkpoints(points, horizon: int) -> list[tuple[int, float]]:
-    """Check (step, threshold) checkpoints against a horizon; returns them cleaned.
-
-    Steps must be integers in [0, horizon], strictly increasing, and
-    thresholds finite positive reals.
-    """
-    cleaned: list[tuple[int, float]] = []
-    try:
-        for n, threshold in points:
-            n = require_int(n, "checkpoint step", 0, horizon)
-            if cleaned and n <= cleaned[-1][0]:
-                raise UsageError("checkpoints must be strictly increasing in step")
-            cleaned.append((n, require_real(threshold, "checkpoint threshold")))
-    except (TypeError, ValueError):
-        raise UsageError("checkpoints must be (step, threshold) pairs") from None
-    if not cleaned:
-        raise UsageError("at least one checkpoint is required")
-    return cleaned
-
-
-def check_convergence(dn: DnSeries, checkpoints) -> Verdict:
-    """Check d_n estimates against (step, threshold) checkpoints.
-
-    The checkpoints must pass validate_checkpoints over the horizon of
-    ``dn``; each one passes when mean_step <= threshold + 3 * stderr_step.
-    """
-    cleaned = validate_checkpoints(checkpoints, dn.steps)
-    steps, thresholds = (np.array(column) for column in zip(*cleaned))
-    violations, first, worst = _compare(dn, steps, thresholds, 3.0)
-    context = f"{len(cleaned)} checkpoints, {violations} violations"
-    return Verdict(violations == 0, first, worst, context)
 
 
 # Terms of the lemma range evaluated at once by product_decay.  A multiple of
@@ -362,51 +233,4 @@ def product_decay(schedule: Schedule, mu: float, n: int, k: int) -> ProductDecay
         majorant=math.exp(log_majorant),
         log_product=log_product,
         log_majorant=log_majorant,
-    )
-
-
-def check_descent_inequality(
-    problem: StochasticProblem,
-    cert: HypothesisCertificate,
-    x,
-    samples: int,
-    rng,
-) -> Verdict:
-    """Check the expected descent alignment at one in-region point.
-
-    Estimates E<x - x*, pointwise_gradient(noise, x)> by Monte Carlo and
-    requires it to reach (mu / 2) * ||x - x*||^2 minus three standard errors,
-    which is what strong convexity promises for the mean gradient.  The
-    estimate must also agree with the closed form <x - x*, grad F(x)>, F
-    the mean loss, within five standard errors.  A margin that is not
-    finite fails the point, which then reports a NaN margin.
-    """
-    samples = require_int(samples, "samples", 100)
-    x = np.array(require_vector(x, "x", len(cert.region_center), UsageError))
-    gap = x - cert.region_center
-    gap_sq = float(sq_norm(gap))
-    if gap_sq > cert.region_radius * cert.region_radius:
-        raise UsageError("x lies outside the certified region")
-    noise = problem.noise_block(rng, samples)
-    # A value or statistic that overflows shows in the verdict, not as a warning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        values = problem.alignment(noise, x, gap)
-        estimate, stderr = (float(stat[0]) for stat in step_stats(values[None]))
-        closed_form = float(row_dot(gap, problem.mean_loss_and_gradient(x)[1]))
-    required = 0.5 * cert.strong_convexity * gap_sq
-    descent_margin = estimate - (required - 3.0 * stderr)
-    agreement_margin = 5.0 * stderr - abs(estimate - closed_form)
-    worst = min(descent_margin, agreement_margin)
-    if not (math.isfinite(descent_margin) and math.isfinite(agreement_margin)):
-        worst = math.nan
-    passed = worst >= 0.0
-    context = (
-        f"estimate={estimate:.6g}, required={required:.6g}, stderr={stderr:.3g}, "
-        f"closed_form={closed_form:.6g}, samples={samples}"
-    )
-    return Verdict(
-        passed=passed,
-        first_violation_index=None if passed else 0,
-        worst_margin=worst,
-        context=context,
     )

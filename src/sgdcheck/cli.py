@@ -14,8 +14,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .analyzer import DnSeries, Verdict, bound_sequence
-from .checks import g17, lemma_verdict, preflight_checks, run_checks
+from .analyzer import DnSeries, bound_sequence
+from .checks import Verdict, g17, lemma_verdict, preflight_checks, run_checks
 from .config import ExperimentConfig, build_problem, build_schedule, load_config
 from .engine import aux_generator, run_replications
 from .errors import ConfigurationError, DivergenceError, SgdCheckError
@@ -142,7 +142,7 @@ def cmd_run(args) -> int:
     problem = build_problem(cfg.problem)
     schedule = build_schedule(cfg.schedule)
     cert = problem.certify(cfg.region_radius, cfg.x0)
-    preflight_checks(cfg, schedule, cert)
+    preflight_checks(cfg, problem, schedule, cert)
     sched_report = validate_schedule(schedule, cert.strong_convexity)
     out_dir = _make_output_dir(cfg)
     for name in ("series.csv", "report.txt"):

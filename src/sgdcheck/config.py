@@ -12,15 +12,9 @@ import json
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
-from .analyzer import validate_checkpoints
-from .errors import (
-    UINT64_MAX,
-    ConfigurationError,
-    UsageError,
-    require_int,
-    require_real,
-    require_vector,
-)
+from .checks import CHECKS
+from .errors import (UINT64_MAX, ConfigurationError, config_guard, require_int, require_real,
+                     require_vector)
 from .objective import FiniteSumLeastSquares, ShiftedQuadratic, StochasticProblem, design_rows
 from .schedule import KINDS, Schedule
 
@@ -39,13 +33,8 @@ class ExperimentConfig:
     verify: dict = field(default_factory=dict)
 
 
-def _guard(require, *bounds):
-    """``require`` (require_int or require_real) as a config guard."""
-    return lambda value, where: require(value, where, *bounds, error=ConfigurationError)
-
-
-_POSITIVE = _guard(require_real, True)
-_NON_NEGATIVE = _guard(require_real, False)
+_POSITIVE = config_guard(require_real, True)
+_NON_NEGATIVE = config_guard(require_real, False)
 
 
 def _list(value, where: str) -> list:
@@ -114,14 +103,14 @@ _SCHEDULE_KEYS = {
 }
 
 _VERIFY_KEYS = {
-    "audit_samples": (_guard(require_int, 1), 10_000),
-    "gradient_checks": (_guard(require_int, 1), 1_000),
+    "audit_samples": (config_guard(require_int, 1), 10_000),
+    "gradient_checks": (config_guard(require_int, 1), 1_000),
 }
 
 _CONFIG_KEYS = {
-    "horizon": (_guard(require_int, 1), ...),
-    "replications": (_guard(require_int, 2), ...),
-    "master_seed": (_guard(require_int, 0, UINT64_MAX), ...),
+    "horizon": (config_guard(require_int, 1), ...),
+    "replications": (config_guard(require_int, 2), ...),
+    "master_seed": (config_guard(require_int, 0, UINT64_MAX), ...),
     "region_radius": (_POSITIVE, ...),
     "x0": (require_vector, ...),
     "checks": (_list, []),
@@ -132,31 +121,6 @@ _CONFIG_KEYS = {
     "schedule": (lambda value, where: _parse_variant(value, "schedule", "schedule kind",
                                                      _SCHEDULE_KEYS), ...),
 }
-
-
-def _check_tables(horizon: int) -> dict:
-    """The key table of each check type for a run of ``horizon`` steps."""
-
-    def checkpoints(value, where: str) -> list[list]:
-        try:
-            points = validate_checkpoints(value, horizon)
-        except UsageError as err:
-            raise ConfigurationError(f"{where}: {err}") from None
-        return [[n, threshold] for n, threshold in points]
-
-    return {
-        "recurrence": {"z": (_POSITIVE, 3.0)},
-        "neighborhood": {
-            "window": (_guard(require_int, 1), min(max(100, horizon // 10), horizon + 1)),
-            "tol_rel": (_NON_NEGATIVE, 0.2),
-        },
-        "convergence": {"checkpoints": (checkpoints, ...)},
-        "descent": {
-            "points": (_guard(require_int, 1), 10),
-            "samples": (_guard(require_int, 100), 10_000),
-        },
-        "lemma": {"n": (_guard(require_int, 0), ...), "k": (_guard(require_int, 0), ...)},
-    }
 
 
 def _unique_keys(pairs: list) -> dict:
@@ -176,7 +140,7 @@ def parse_config(text: str) -> ExperimentConfig:
     except json.JSONDecodeError as err:
         raise ConfigurationError(f"invalid JSON: {err}") from None
     config = _parse_keys(raw, "config", _CONFIG_KEYS)
-    checks = _check_tables(config["horizon"])
+    checks = {kind: check.keys(config["horizon"]) for kind, check in CHECKS.items()}
     config["checks"] = [
         _parse_variant(spec, f"checks[{i}]", "check type", checks)
         for i, spec in enumerate(config["checks"])

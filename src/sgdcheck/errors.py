@@ -72,6 +72,11 @@ def require_real(value, name: str, strict: bool = True, error: type = UsageError
     raise error(f"{name} must be a finite {'positive real' if strict else 'real >= 0'}")
 
 
+def config_guard(require, *bounds):
+    """``require`` (require_int or require_real) as a config guard ``(value, where)``."""
+    return lambda value, where: require(value, where, *bounds, error=ConfigurationError)
+
+
 def require_vector(value, name: str, dim: int | None = None,
                    error: type = ConfigurationError) -> list[float]:
     """``value`` as a list of Python floats; ``error`` unless a non-empty

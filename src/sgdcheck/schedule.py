@@ -21,6 +21,8 @@ class ConstantSchedule:
     rho: float
 
     kind = "constant"
+    # The rates sum to infinity but do not decay.
+    robbins_monro = False
 
     def __post_init__(self):
         object.__setattr__(self, "rho", require_real(self.rho, "'rho'", error=ConfigurationError))
@@ -28,6 +30,10 @@ class ConstantSchedule:
     def rates(self, start: int, count: int) -> np.ndarray:
         require_int(start, "step index", 0)
         return np.full(require_int(count, "count", 0), self.rho)
+
+    def closed_form_product(self, mu: float, n: int, k: int) -> float:
+        """The product of (1 - rho * mu) over l = n..n+k: a plain power."""
+        return (1.0 - self.rho * mu) ** (k + 1)
 
 
 @dataclass(frozen=True)
@@ -43,6 +49,7 @@ class InverseTimeSchedule:
     offset: float
 
     kind = "inverse_time"
+    robbins_monro = True
 
     def __post_init__(self):
         for name in ("scale", "offset"):
@@ -53,6 +60,16 @@ class InverseTimeSchedule:
         start = require_int(start, "step index", 0)
         count = require_int(count, "count", 0)
         return self.scale / (self.offset + np.arange(start, start + count, dtype=float))
+
+    def closed_form_product(self, mu: float, n: int, k: int) -> float | None:
+        """The product of (1 - rate_l * mu) over l = n..n+k where it telescopes.
+
+        With scale * mu = 1 every factor is (offset + l - 1) / (offset + l),
+        so the product collapses to a single ratio; otherwise None.
+        """
+        if self.scale * mu == 1.0:
+            return (self.offset + n - 1.0) / (self.offset + n + k)
+        return None
 
 
 Schedule = ConstantSchedule | InverseTimeSchedule
@@ -80,10 +97,9 @@ class ScheduleReport:
 def validate_schedule(schedule: Schedule, mu: float) -> ScheduleReport:
     """Report the decay, divergence, and stability properties of a schedule."""
     mu = require_real(mu, "mu")
-    # Constant rates do not decay; inverse-time rates do.  Both sum to infinity.
     max_rate_mu = float(schedule.rates(0, 1)[0]) * mu
     return ScheduleReport(
-        robbins_monro=isinstance(schedule, InverseTimeSchedule),
+        robbins_monro=schedule.robbins_monro,
         max_rate_mu=max_rate_mu,
         stability_ok=max_rate_mu < 1.0,
     )

@@ -26,7 +26,7 @@ from sgdcheck import (
     run_replications,
     run_seeds,
 )
-from sgdcheck import analyzer
+from sgdcheck import checks
 from sgdcheck.analyzer import merge_parts, step_stats
 
 
@@ -431,7 +431,7 @@ def reference_recurrence(dn, bounds, z):
     slack = bounds + z * dn.stderr - dn.mean
     excluded = int(np.count_nonzero(~checked))
     if not checked.any():
-        return analyzer.Verdict(
+        return checks.Verdict(
             True, None, float("nan"),
             f"no step had all replications in region ({excluded} steps excluded)",
         )
@@ -443,7 +443,7 @@ def reference_recurrence(dn, bounds, z):
         f"checked {int(np.count_nonzero(checked))}/{slack.shape[0]} steps at z={z:g}, "
         f"{excluded} excluded by region exits, {n_violations} violations"
     )
-    return analyzer.Verdict(n_violations == 0, first, worst, context)
+    return checks.Verdict(n_violations == 0, first, worst, context)
 
 
 def reference_neighborhood(dn, cert, schedule, window, tol_rel):
@@ -459,7 +459,7 @@ def reference_neighborhood(dn, cert, schedule, window, tol_rel):
         f"theta={theta:.6g}, threshold={threshold:.6g}, window={window}, "
         f"{n_bad} violations"
     )
-    return analyzer.Verdict(n_bad == 0, first, float(np.min(slack)), context)
+    return checks.Verdict(n_bad == 0, first, float(np.min(slack)), context)
 
 
 def reference_convergence(dn, checkpoints):
@@ -474,7 +474,7 @@ def reference_convergence(dn, checkpoints):
             if first is None:
                 first = n
     context = f"{len(checkpoints)} checkpoints, {failures} violations"
-    return analyzer.Verdict(failures == 0, first, worst, context)
+    return checks.Verdict(failures == 0, first, worst, context)
 
 
 def assert_same_verdict(verdict, reference):

@@ -30,7 +30,7 @@ CHILD = r"""
 import contextlib, hashlib, io, json, sys
 import numpy as np
 from sgdcheck import FiniteSumLeastSquares, SeededGenerator, ShiftedQuadratic
-from sgdcheck.analyzer import check_descent_inequality
+from sgdcheck.checks import check_descent_inequality
 from sgdcheck.cli import main
 
 golden_dir, names = sys.argv[1], sys.argv[2:]

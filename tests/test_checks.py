@@ -21,7 +21,6 @@ from sgdcheck import (
 from sgdcheck import checks
 from sgdcheck.checks import (
     ORACLE_RTOL,
-    closed_form_product,
     descent_verdict,
     lemma_verdict,
     preflight_checks,
@@ -47,7 +46,7 @@ class TestClosedFormProduct:
     @pytest.mark.parametrize("rho, mu, n, k", [(0.5, 1.0, 3, 9), (0.01, 2.0, 0, 1000)])
     def test_constant_is_the_power(self, rho, mu, n, k):
         schedule = ConstantSchedule(rho=rho)
-        oracle = closed_form_product(schedule, mu, n, k)
+        oracle = schedule.closed_form_product(mu, n, k)
         assert oracle == (1.0 - rho * mu) ** (k + 1)
         product = product_decay(schedule, mu, n, k).product
         assert abs(product - oracle) <= ORACLE_RTOL * oracle
@@ -55,14 +54,14 @@ class TestClosedFormProduct:
     @pytest.mark.parametrize("offset, n, k", [(1.0, 1, 8), (2.0, 5, 100_000)])
     def test_inverse_time_telescopes(self, offset, n, k):
         schedule = InverseTimeSchedule(scale=1.0, offset=offset)
-        oracle = closed_form_product(schedule, 1.0, n, k)
+        oracle = schedule.closed_form_product(1.0, n, k)
         assert oracle == (offset + n - 1.0) / (offset + n + k)
         product = product_decay(schedule, 1.0, n, k).product
         assert abs(product - oracle) <= ORACLE_RTOL * oracle
 
     def test_no_closed_form_off_the_telescoping_scale(self):
         schedule = InverseTimeSchedule(scale=2.0, offset=3.0)
-        assert closed_form_product(schedule, 0.7, 1, 8) is None
+        assert schedule.closed_form_product(0.7, 1, 8) is None
         verdict, numbers = lemma_verdict(schedule, 0.7, 1, 8)
         assert numbers["oracle"] is None
         assert "oracle=n/a" in verdict.context
@@ -82,7 +81,7 @@ def test_run_checks_gives_one_verdict_per_check_in_config_order():
     problem = build_problem(cfg.problem)
     schedule = build_schedule(cfg.schedule)
     cert = problem.certify(cfg.region_radius, cfg.x0)
-    preflight_checks(cfg, schedule, cert)
+    preflight_checks(cfg, problem, schedule, cert)
     dn = run_replications(problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed,
                           cfg.replications)
     bounds = bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon)

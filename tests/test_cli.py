@@ -352,6 +352,67 @@ class TestRunPreflight:
         assert "rate(0) * mu >= 1; every factor must stay positive" in err
         assert not out_dir.exists()
 
+    @pytest.mark.parametrize(
+        "checks, overrides, message",
+        [
+            ([{"type": "telemetry"}], {}, "unknown check type 'telemetry' in checks[0]"),
+            ([{"type": 3}], {}, "unknown check type '3' in checks[0]"),
+            ([{"z": 3.0}], {}, "missing key 'type' in checks[0]"),
+            ([{"type": "recurrence", "x": 1}], {}, "unknown key 'x' in checks[0]"),
+            ([{"type": "lemma"}], {}, "missing key 'k' in checks[0]"),
+            ([{"type": "convergence"}], {}, "missing key 'checkpoints' in checks[0]"),
+            ([{"type": "convergence", "checkpoints": [[10, 1.0], [10, 0.5]]}], {},
+             "'checkpoints' in checks[0]: checkpoints must be strictly increasing in step"),
+            ([{"type": "convergence", "checkpoints": [[10, 1.0, 2.0]]}], {},
+             "'checkpoints' in checks[0]: checkpoints must be (step, threshold) pairs"),
+            ([{"type": "convergence", "checkpoints": []}], {},
+             "'checkpoints' in checks[0]: at least one checkpoint is required"),
+            ([{"type": "convergence", "checkpoints": [[51, 1.0]]}], {},
+             "'checkpoints' in checks[0]: checkpoint step must be an integer in [0, 50]"),
+            ([{"type": "neighborhood"}],
+             {"schedule": {"kind": "inverse_time", "scale": 1.0, "offset": 2.0}},
+             "the neighborhood check applies to constant schedules only"),
+            ([{"type": "neighborhood"}], {"schedule": {"kind": "constant", "rho": 1.0}},
+             "the neighborhood claim needs rho * mu < 1"),
+            ([{"type": "neighborhood", "window": 52}], {},
+             "window 52 exceeds the horizon of 50 steps"),
+            ([{"type": "lemma", "n": 0, "k": 10}],
+             {"schedule": {"kind": "inverse_time", "scale": 1.0, "offset": 1.0}},
+             "rate(0) * mu >= 1; every factor must stay positive"),
+        ],
+    )
+    def test_every_check_config_message_is_exact(
+        self, tmp_path, out_dir, capsys, monkeypatch, checks, overrides, message
+    ):
+        def refuse(*args, **kwargs):
+            raise AssertionError("replications started for a config that cannot be checked")
+
+        monkeypatch.setattr(cli, "run_replications", refuse)
+        config = tmp_path / "experiment.json"
+        write_config(config, checks=checks, **overrides)
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize("points, samples", [(1, 10**13), (10**13, 10_000)])
+    def test_a_descent_check_too_large_to_allocate_exits_two_before_running(
+        self, tmp_path, out_dir, capsys, monkeypatch, points, samples
+    ):
+        # 10**13 two-dimensional points or draws are 146 TiB: numpy refuses
+        # them at once, so nothing of that size is ever allocated.
+        def refuse(*args, **kwargs):
+            raise AssertionError("replications started for a check that cannot run")
+
+        monkeypatch.setattr(cli, "run_replications", refuse)
+        config = tmp_path / "experiment.json"
+        write_config(config, checks=[
+            {"type": "recurrence"}, {"type": "descent", "points": points, "samples": samples},
+        ])
+        assert main(["run", str(config)]) == 2
+        message = f"{points} points at {samples} draws each do not fit in memory"
+        assert capsys.readouterr() == ("", f"config error: {message}\n")
+        assert not out_dir.exists()
+
     def test_unusable_output_directory_exits_two_before_running(
         self, tmp_path, capsys, monkeypatch
     ):

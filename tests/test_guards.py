@@ -33,8 +33,8 @@ from sgdcheck import (
     validate_schedule,
 )
 from sgdcheck import config
-from sgdcheck.analyzer import validate_lemma, validate_neighborhood
-from sgdcheck.checks import descent_verdict
+from sgdcheck.analyzer import validate_lemma
+from sgdcheck.checks import CHECKS, descent_verdict, validate_neighborhood
 
 PROBLEM = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=0.5)
 CERT = PROBLEM.certify(2.0, [1.0, 0.0])
@@ -370,7 +370,7 @@ def test_every_numeric_config_key_is_guarded(key, path, out_of_range, message):
 def test_config_sites_name_every_numeric_key_of_the_tables():
     """A key added to a config table without a row in CONFIG_SITES fails here."""
     tables = [config._CONFIG_KEYS, config._VERIFY_KEYS, *config._PROBLEM_KEYS.values(),
-              *config._SCHEDULE_KEYS.values(), *config._check_tables(HORIZON).values()]
+              *config._SCHEDULE_KEYS.values(), *(check.keys(HORIZON) for check in CHECKS.values())]
     # The sections, the output path and the checkpoints (guarded above) hold no number.
     other = {"problem", "schedule", "checks", "verify", "output", "checkpoints"}
     numeric = {key for table in tables for key in table} - other
@@ -390,6 +390,22 @@ def test_the_schedule_kinds_are_named_once():
     ]
     assert offenders == []
     assert "hasattr(" not in (package / "cli.py").read_text(encoding="utf-8")
+
+
+def test_the_check_types_are_named_once():
+    """A check type's name outside its row of CHECKS is a second list of
+    check types growing back; the lemma subcommand's name is not a check."""
+    package = Path(sgdcheck.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"[\"'](recurrence|neighborhood|convergence|descent|lemma)[\"']", line)
+        and not (path.name == "checks.py" and re.match(r"    \"[a-z]+\": Check\($", line))
+        and not (path.name == "cli.py" and re.match(r'\s*lemma = sub\.add_parser\("lemma", ', line))
+    ]
+    assert offenders == []
+    assert list(CHECKS) == ["recurrence", "neighborhood", "convergence", "descent", "lemma"]
 
 
 def test_only_errors_tests_for_bools():
