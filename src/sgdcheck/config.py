@@ -15,7 +15,7 @@ from pathlib import Path
 from .checks import CHECKS
 from .errors import (UINT64_MAX, ConfigurationError, config_guard, require_int, require_real,
                      require_vector)
-from .objective import FiniteSumLeastSquares, ShiftedQuadratic, StochasticProblem, design_rows
+from .objective import FAMILIES, StochasticProblem
 from .schedule import KINDS, Schedule
 
 
@@ -34,7 +34,6 @@ class ExperimentConfig:
 
 
 _POSITIVE = config_guard(require_real, True)
-_NON_NEGATIVE = config_guard(require_real, False)
 
 
 def _list(value, where: str) -> list:
@@ -86,15 +85,8 @@ def _parse_variant(spec, where: str, what: str, tables: dict) -> dict:
 
 # The key tables: key -> (guard, default), in the order the guards run.
 _PROBLEM_KEYS = {
-    "shifted_quadratic": {
-        "curvature": (_POSITIVE, ...),
-        "center": (require_vector, ...),
-        "noise_halfwidth": (_NON_NEGATIVE, ...),
-    },
-    "finite_sum_least_squares": {
-        "design_rows": (design_rows, ...),
-        "targets": (require_vector, ...),
-    },
+    family: {key: (guard, ...) for key, guard in cls.config_keys.items()}
+    for family, cls in FAMILIES.items()
 }
 
 _SCHEDULE_KEYS = {
@@ -164,13 +156,8 @@ def serialize_config(config: ExperimentConfig) -> str:
 
 
 def build_problem(spec: dict) -> StochasticProblem:
-    if spec["family"] == "shifted_quadratic":
-        return ShiftedQuadratic(
-            curvature=spec["curvature"],
-            center=spec["center"],
-            noise_halfwidth=spec["noise_halfwidth"],
-        )
-    return FiniteSumLeastSquares(design=spec["design_rows"], targets=spec["targets"])
+    family = FAMILIES[spec["family"]]
+    return family(*(spec[key] for key in family.config_keys))
 
 
 def build_schedule(spec: dict) -> Schedule:

@@ -327,15 +327,12 @@ def run_seeds(
     block = min(steps, max(1, BLOCK_BUDGET // (count * math.prod(problem.noise_shape))))
 
     # Per-part statistics, the last iterates in seed order and one
-    # (step, replication) divergence slot per process.
+    # (step, replication) divergence slot per process, in one map forked workers share.
+    import mmap
+
     size = 3 * parts * (steps + 1) + count * dimension + 2 * processes
     try:
-        if processes == 1:
-            shared = np.empty(size)
-        else:
-            import mmap
-
-            shared = np.frombuffer(mmap.mmap(-1, 8 * size))
+        shared = np.frombuffer(mmap.mmap(-1, 8 * size))
         rates = schedule.rates(0, steps)
     except (ValueError, MemoryError, OverflowError, OSError):
         raise UsageError(f"{steps} steps of {count} replications do not fit in memory") from None
@@ -387,5 +384,9 @@ def run_replications(
     standard error needs at least two replications.
     """
     count = require_int(count, "count", 2)
+    try:  # a run whose last iterates do not fit is refused before one seed is derived
+        np.empty((count, problem.dimension))
+    except (ValueError, MemoryError):
+        raise UsageError(f"{steps} steps of {count} replications do not fit in memory") from None
     seeds = [derive_seed(master_seed, i) for i in range(count)]
     return run_seeds(problem, schedule, x0, steps, cert, seeds)

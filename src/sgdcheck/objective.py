@@ -35,6 +35,7 @@ except ImportError:  # numpy 1.x
 from .errors import (
     CertificationError,
     ConfigurationError,
+    config_guard,
     require_int,
     require_real,
     require_vector,
@@ -161,7 +162,8 @@ class StochasticProblem(abc.ABC):
     point (N,) or a matching batch (S, N).
     """
 
-    family: str
+    family: str  # the family's name in a config
+    config_keys: dict  # config key -> guard ``(value, where)``, one per field, in field order
 
     @property
     @abc.abstractmethod
@@ -278,6 +280,8 @@ class ShiftedQuadratic(StochasticProblem):
     noise_halfwidth: float
 
     family = "shifted_quadratic"
+    config_keys = {"curvature": config_guard(require_real, True), "center": require_vector,
+                   "noise_halfwidth": config_guard(require_real, False)}
 
     def __post_init__(self):
         curvature = require_real(self.curvature, "'curvature'", error=ConfigurationError)
@@ -402,6 +406,7 @@ class FiniteSumLeastSquares(StochasticProblem):
     targets: np.ndarray
 
     family = "finite_sum_least_squares"
+    config_keys = {"design_rows": design_rows, "targets": require_vector}
 
     def __post_init__(self):
         design = np.array(design_rows(self.design, "'design_rows'"))
@@ -560,6 +565,10 @@ class FiniteSumLeastSquares(StochasticProblem):
             region_radius=region_radius,
             guaranteed_containment=False,
         )
+
+
+# Every problem family by name; its config_keys give its constructor's arguments in order.
+FAMILIES = {cls.family: cls for cls in (ShiftedQuadratic, FiniteSumLeastSquares)}
 
 
 def _squared_bound(root: float) -> float:

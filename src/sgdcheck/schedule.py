@@ -7,7 +7,7 @@ non-increasing, and the report states the conditions for each analytically.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -52,7 +52,7 @@ class InverseTimeSchedule:
     robbins_monro = True
 
     def __post_init__(self):
-        for name in ("scale", "offset"):
+        for name in (parameter.name for parameter in fields(self)):
             value = require_real(getattr(self, name), f"'{name}'", error=ConfigurationError)
             object.__setattr__(self, name, value)
 

@@ -20,7 +20,7 @@ from sgdcheck import (
     audit_certificate,
     load_config,
 )
-from sgdcheck import cli
+from sgdcheck import cli, engine
 from sgdcheck.cli import CSV_HEADER, ENV_OUTPUT_DIR, main
 from sgdcheck.engine import aux_generator
 
@@ -469,6 +469,20 @@ class TestRunPreflight:
         err = capsys.readouterr().err
         assert err.startswith("config error:")
         assert f"{horizon} steps of 20 replications do not fit in memory" in err
+
+    def test_replications_too_many_to_seed_exit_two(self, tmp_path, out_dir, capsys, monkeypatch):
+        # 2**63 seeds are more than a numpy array holds, so the run is refused
+        # before one seed is derived, not after a list of them has grown.
+        def refuse(*args):
+            raise AssertionError("a seed was derived for a run that cannot fit")
+
+        monkeypatch.setattr(engine, "derive_seed", refuse)
+        config = tmp_path / "experiment.json"
+        write_config(config, replications=2**63)
+        assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == (
+            f"config error: 50 steps of {2**63} replications do not fit in memory\n"
+        )
 
     def test_window_of_the_whole_horizon_still_runs(self, tmp_path, out_dir):
         config = tmp_path / "experiment.json"

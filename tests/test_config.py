@@ -317,6 +317,14 @@ class TestBuilders:
         assert isinstance(problem, ShiftedQuadratic)
         assert problem.curvature == 1.0
         assert problem.noise_halfwidth == 0.5
+        # The keys are read by name, whatever their order in the spec.
+        config = parse(base_document(problem={
+            "family": "shifted_quadratic", "curvature": 2.0, "center": [1.0, 3.0],
+            "noise_halfwidth": 0.25,
+        }))
+        problem = build_problem(dict(reversed(config.problem.items())))
+        assert (problem.curvature, problem.center.tolist(), problem.noise_halfwidth) == (
+            2.0, [1.0, 3.0], 0.25)
 
     def test_build_schedule(self):
         config = parse(base_document())

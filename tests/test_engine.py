@@ -5,6 +5,7 @@ master seed 0, so a regression here means the keying scheme changed and every
 stored result becomes irreproducible.
 """
 import functools
+import gc
 import os
 import signal
 import threading
@@ -420,6 +421,13 @@ class TestRunReplication:
         assert runs.final_x.shape == (1, 2)
         assert not runs.mean.flags.writeable
         assert not runs.final_x.flags.writeable
+        # One part: mean and stderr are views into the run's anonymous map,
+        # which they keep mapped once nothing else refers to it.
+        expected = runs.mean.tobytes() + runs.stderr.tobytes()
+        gc.collect()
+        assert runs.mean.tobytes() + runs.stderr.tobytes() == expected
+        with pytest.raises(ValueError, match="read-only"):
+            runs.stderr[0] = 1.0
 
     def test_step_count_validation(self):
         problem, sched, cert = quadratic_setup()

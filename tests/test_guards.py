@@ -1,5 +1,6 @@
 """The shared argument guards: one integer guard, one real guard, one
 vector guard, the config keys that call them and one checkpoint validator."""
+import dataclasses
 import json
 import re
 from pathlib import Path
@@ -35,6 +36,7 @@ from sgdcheck import (
 from sgdcheck import config
 from sgdcheck.analyzer import validate_lemma
 from sgdcheck.checks import CHECKS, descent_verdict, validate_neighborhood
+from sgdcheck.objective import FAMILIES
 
 PROBLEM = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=0.5)
 CERT = PROBLEM.certify(2.0, [1.0, 0.0])
@@ -369,12 +371,30 @@ def test_every_numeric_config_key_is_guarded(key, path, out_of_range, message):
 
 def test_config_sites_name_every_numeric_key_of_the_tables():
     """A key added to a config table without a row in CONFIG_SITES fails here."""
-    tables = [config._CONFIG_KEYS, config._VERIFY_KEYS, *config._PROBLEM_KEYS.values(),
+    tables = [config._CONFIG_KEYS, config._VERIFY_KEYS,
+              *(family.config_keys for family in FAMILIES.values()),
               *config._SCHEDULE_KEYS.values(), *(check.keys(HORIZON) for check in CHECKS.values())]
     # The sections, the output path and the checkpoints (guarded above) hold no number.
     other = {"problem", "schedule", "checks", "verify", "output", "checkpoints"}
     numeric = {key for table in tables for key in table} - other
     assert numeric == {site[0] for site in CONFIG_SITES}
+
+
+def test_the_problem_families_are_named_once():
+    """A family's name outside its class is a second list of families
+    growing back; each family's config keys set its fields, one each."""
+    package = Path(sgdcheck.__file__).parent
+    offenders = [
+        f"{path.name}:{number}"
+        for path in sorted(package.glob("*.py"))
+        for number, line in enumerate(path.read_text(encoding="utf-8").splitlines(), 1)
+        if re.search(r"[\"'](shifted_quadratic|finite_sum_least_squares)[\"']", line)
+        and not (path.name == "objective.py" and re.match(r"\s*family = ", line))
+    ]
+    assert offenders == []
+    assert list(FAMILIES) == ["shifted_quadratic", "finite_sum_least_squares"]
+    for family in FAMILIES.values():
+        assert len(family.config_keys) == len(dataclasses.fields(family))
 
 
 def test_the_schedule_kinds_are_named_once():
