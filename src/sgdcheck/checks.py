@@ -1,24 +1,27 @@
 """The checks of an experiment: one table of check types and their verdicts.
 
 ``CHECKS`` declares each check type once: the key table of its config
-section, its judge of a finished run and its preflight.  ``preflight_checks``
-and ``run_checks`` loop over the configured checks through it.  The three d_n
-checks build their verdicts with one comparison, ``_compare``; the lemma check
-also compares the contraction product against a closed form where one exists.
+section, its judge, its preflight and whether the judge reads the run.
+``preflight_checks``, ``run_checks`` and ``started_checks`` loop over the
+configured checks through it.  The three d_n checks build their verdicts with
+one comparison, ``_compare``; the lemma check also compares the contraction
+product against a closed form where one exists.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
+import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
 import numpy as np
 
 from .analyzer import DnSeries, product_decay, step_stats, validate_lemma
-from .engine import aux_generator
-from .errors import (ConfigurationError, UsageError, config_guard, require_int, require_real,
-                     require_vector)
+from .engine import _fork_workers, aux_generator, fork_usable
+from .errors import (ConfigurationError, SgdCheckError, UsageError, config_guard, require_int,
+                     require_real, require_vector)
 from .objective import HypothesisCertificate, StochasticProblem, row_dot, sample_in_ball, sq_norm
 from .schedule import ConstantSchedule, Schedule
 
@@ -273,13 +276,16 @@ def _checkpoints(value, where: str, horizon: int) -> list[list]:
 
 class Check(NamedTuple):
     """A check type: ``keys(horizon)``, the key table of its config section for
-    ``horizon`` steps; ``judge(spec, **run)``, its verdict on a finished run;
-    ``preflight(spec, **run)``, if any, its refusal before any replication
-    runs.  ``run`` is cfg, problem, schedule, cert and, for the judge, dn and bounds."""
+    ``horizon`` steps; ``judge(spec, **run)``, its verdict; ``preflight(spec,
+    **run)``, if any, its refusal before any replication runs; ``reads_run``,
+    whether the judge needs the finished run.  ``run`` is cfg, problem,
+    schedule, cert and, for the judge of a check that reads the run, dn and
+    bounds."""
 
     keys: Callable[[int], dict]
     judge: Callable[..., Verdict]
     preflight: Callable[..., None] | None = None
+    reads_run: bool = True
 
 
 # Every check type by name; its row here is the only place the name is written.
@@ -308,6 +314,7 @@ CHECKS = {
         lambda spec, cfg, problem, cert, **_: descent_verdict(
             problem, cert, cfg.master_seed, spec["points"], spec["samples"]),
         _descent_preflight,
+        reads_run=False,
     ),
     "lemma": Check(
         lambda horizon: {"n": (config_guard(require_int, 0), ...),
@@ -316,6 +323,7 @@ CHECKS = {
             schedule, cert.strong_convexity, spec["n"], spec["k"])[0],
         lambda spec, schedule, cert, **_: validate_lemma(
             schedule, cert.strong_convexity, spec["n"]),
+        reads_run=False,
     ),
 }
 
@@ -335,3 +343,85 @@ def run_checks(cfg: ExperimentConfig, problem: StochasticProblem, schedule: Sche
     """One (check type, verdict) pair per configured check, in config order."""
     run = dict(cfg=cfg, problem=problem, schedule=schedule, cert=cert, dn=dn, bounds=bounds)
     return [(spec["type"], CHECKS[spec["type"]].judge(spec, **run)) for spec in cfg.checks]
+
+
+# The indices of the checks that do not read the run go into a pipe as 4-byte
+# words in one write of at most 512 bytes, the least PIPE_BUF POSIX allows:
+# an empty pipe takes it whole and at once, so each read of 4 bytes takes one
+# index.  More such checks are judged in the caller.
+_QUEUE_BYTES = 512
+
+
+def _outcome(spec: dict, run: dict) -> Verdict | SgdCheckError:
+    """The verdict of the check ``spec`` on ``run``, or the error it raised."""
+    try:
+        return CHECKS[spec["type"]].judge(spec, **run)
+    except SgdCheckError as err:
+        return err
+
+
+def _take(queue: int):
+    """The check indices that the pipe ``queue`` still holds, taken one read
+    of 4 bytes at a time until it is empty."""
+    while word := os.read(queue, 4):
+        yield int.from_bytes(word, "little")
+
+
+@contextlib.contextmanager
+def started_checks(cfg: ExperimentConfig, problem: StochasticProblem, schedule: Schedule,
+                   cert: HypothesisCertificate):
+    """Start judging the checks that do not read the run; yields
+    ``judge(dn, bounds)``, which returns what run_checks returns.
+
+    Where fork_usable, a worker forked now and the caller take the checks
+    whose CHECKS row does not read the run from one queue, in config order:
+    the worker at once, the caller once it calls ``judge``, before it judges
+    the checks that read the run.  ``judge`` raises the error of the first
+    check in config order that raised, as run_checks does.  A worker that
+    dies raises RuntimeError naming the last check it took.  Elsewhere, or
+    with no such check, ``judge`` is run_checks and nothing is forked.
+    """
+    queued = [i for i, spec in enumerate(cfg.checks) if not CHECKS[spec["type"]].reads_run]
+    if not queued or 4 * len(queued) > _QUEUE_BYTES or not fork_usable():
+        yield functools.partial(run_checks, cfg, problem, schedule, cert)
+        return
+    run = dict(cfg=cfg, problem=problem, schedule=schedule, cert=cert)
+
+    def work(parent: int) -> dict:
+        outcomes = {}
+        for i in _take(queue):
+            if os.getppid() != parent:
+                break
+            outcomes[i] = _outcome(cfg.checks[i], run)
+        return outcomes
+
+    def judge(dn: DnSeries, bounds: np.ndarray) -> list[tuple[str, Verdict]]:
+        outcomes = {i: _outcome(cfg.checks[i], run) for i in _take(queue)}
+        try:
+            [worker] = join()
+        except RuntimeError as err:
+            taken = [i for i in queued if i not in outcomes]
+            if not taken:
+                raise
+            last = taken[-1]
+            raise RuntimeError(f"{err} in check {last} ({cfg.checks[last]['type']})") from None
+        outcomes.update(worker)
+        verdicts = []
+        for i, spec in enumerate(cfg.checks):
+            outcome = outcomes[i] if i in outcomes else CHECKS[spec["type"]].judge(
+                spec, **run, dn=dn, bounds=bounds)
+            if isinstance(outcome, SgdCheckError):
+                raise outcome
+            verdicts.append((spec["type"], outcome))
+        return verdicts
+
+    queue, write = os.pipe()
+    try:
+        try:
+            os.write(write, b"".join(i.to_bytes(4, "little") for i in queued))
+        finally:
+            os.close(write)
+        with _fork_workers({"judging the checks that do not read the run": work}) as join:
+            yield judge
+    finally:
+        os.close(queue)

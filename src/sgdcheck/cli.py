@@ -15,7 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .analyzer import DnSeries, bound_sequence
-from .checks import Verdict, g17, lemma_verdict, preflight_checks, run_checks
+from .checks import Verdict, g17, lemma_verdict, preflight_checks, started_checks
 from .config import ExperimentConfig, build_problem, build_schedule, load_config
 from .engine import aux_generator, run_replications
 from .errors import ConfigurationError, DivergenceError, SgdCheckError
@@ -147,11 +147,12 @@ def cmd_run(args) -> int:
     out_dir = _make_output_dir(cfg)
     for name in ("series.csv", "report.txt"):
         _probe_output_file(out_dir / name)
-    dn = run_replications(
-        problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed, cfg.replications
-    )
-    bounds = bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon)
-    verdicts = run_checks(cfg, problem, schedule, cert, dn, bounds)
+    with started_checks(cfg, problem, schedule, cert) as judge:
+        dn = run_replications(
+            problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed, cfg.replications
+        )
+        bounds = bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon)
+        verdicts = judge(dn, bounds)
 
     rates = schedule.rates(0, cfg.horizon + 1)
     _write_series_csv(out_dir / "series.csv", rates, dn, bounds)

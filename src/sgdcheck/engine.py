@@ -10,6 +10,7 @@ that large runs step in forked worker processes.
 """
 from __future__ import annotations
 
+import contextlib
 import functools
 import math
 import os
@@ -160,16 +161,21 @@ def _part_size(replications: int) -> int:
     return min(_PART, max(_MIN_PART, -(-replications // 2)))
 
 
+def fork_usable() -> bool:
+    """True where this process may fork a worker that pays: os.fork exists,
+    more than one core is usable and no other Python thread runs, since a
+    forked child would copy any lock one of them holds."""
+    return hasattr(os, "fork") and threading.active_count() == 1 and usable_cores() > 1
+
+
 def _process_count(replications: int, steps: int) -> int:
     """Processes that step ``replications`` replications over ``steps`` steps.
 
     One per usable core, as long as each gets at least _PROCESS_STEPS
     replication-steps and one replication.  One process is the caller
-    itself; more are forked workers.  The caller also steps alone where
-    os.fork is missing, and while other Python threads run: a forked child
-    would copy any lock one of them holds.
+    itself; more are forked workers, and only where fork_usable.
     """
-    if not hasattr(os, "fork") or threading.active_count() > 1:
+    if not fork_usable():
         return 1
     return max(1, min(usable_cores(), replications, replications * steps // _PROCESS_STEPS))
 
@@ -240,27 +246,41 @@ def _step_parts(problem, seeds, index, x0, cert, rates, block, part, stats, fina
     np.copyto(final_x, x)
 
 
-def _fork_workers(jobs: dict) -> None:
-    """Call each job of ``jobs`` (replications -> callable) in a forked worker.
+@contextlib.contextmanager
+def _fork_workers(jobs: dict, note: str = ""):
+    """Call each job of ``jobs`` (label -> callable) in a worker forked now;
+    yields ``join``, which waits for every worker and returns the jobs'
+    values in job order.
 
     A job gets the caller's pid as ``parent``.  The worker ignores SIGINT,
-    which the caller handles for it, and leaves through os._exit: code 0
-    once its job returns, 1 on any error, which it prints.  The caller reaps
-    every worker and raises RuntimeError naming the replications of one that
-    failed; any exception in the caller kills and reaps the workers left.
+    which the caller handles for it, sends its job's value pickled through a
+    pipe and leaves through os._exit: code 0 once the value is sent, 1 on
+    any error, which it prints.  ``join`` reads each worker's value, reaps
+    it and raises RuntimeError naming the label of one that failed, followed
+    by ``note``.  Any exception in the caller, and leaving the block before
+    ``join`` returns, kills and reaps the workers left.
     """
+    import pickle
     import signal
 
     parent = os.getpid()
     workers = {}
     try:
-        for replications, job in jobs.items():
-            pid = os.fork()
+        for label, job in jobs.items():
+            read, write = os.pipe()
+            try:
+                pid = os.fork()
+            except BaseException:
+                os.close(read)
+                os.close(write)
+                raise
             if pid == 0:
                 code = 1
                 try:
                     signal.signal(signal.SIGINT, signal.SIG_IGN)
-                    job(parent=parent)
+                    view = memoryview(pickle.dumps(job(parent=parent)))
+                    while view:
+                        view = view[os.write(write, view):]
                     code = 0
                 except BaseException:
                     import traceback
@@ -268,19 +288,30 @@ def _fork_workers(jobs: dict) -> None:
                     os.write(2, traceback.format_exc().encode())
                 finally:
                     os._exit(code)
-            workers[pid] = replications
-        for pid in list(workers):
-            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-            replications = workers.pop(pid)
-            if code:
-                raise RuntimeError(
-                    f"the process stepping replications {replications} exited with code "
-                    f"{code} (replications numbered in ascending seed order)"
-                )
+            os.close(write)
+            workers[pid] = label, read
+
+        def join() -> list:
+            values = []
+            for pid in list(workers):
+                label, read = workers[pid]
+                chunks = []
+                while chunk := os.read(read, 1 << 16):
+                    chunks.append(chunk)
+                code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+                del workers[pid]
+                os.close(read)
+                if code:
+                    raise RuntimeError(f"the process {label} exited with code {code}{note}")
+                values.append(pickle.loads(b"".join(chunks)))
+            return values
+
+        yield join
     finally:
-        for pid in workers:
+        for pid, (_, read) in workers.items():
             os.kill(pid, signal.SIGKILL)
             os.waitpid(pid, 0)
+            os.close(read)
 
 
 def run_seeds(
@@ -344,14 +375,15 @@ def run_seeds(
     jobs = {}
     for p, (a, b) in enumerate(zip(groups, groups[1:])):
         lo, hi = a * part, min(b * part, count)
-        jobs[f"{lo}..{hi - 1}"] = functools.partial(
+        jobs[f"stepping replications {lo}..{hi - 1}"] = functools.partial(
             _step_parts, problem, ordered[lo:hi], order[lo:hi], x0, cert, rates, block, part,
             stats[:, a:b], final_x[lo:hi], slots[p],
         )
     if processes == 1:
         jobs.popitem()[1](parent=None)
     else:
-        _fork_workers(jobs)
+        with _fork_workers(jobs, " (replications numbered in ascending seed order)") as join:
+            join()
     first, bad = min(map(tuple, slots.tolist()))
     if first < math.inf:
         first, bad = int(first), int(bad)

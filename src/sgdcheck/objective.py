@@ -636,14 +636,33 @@ def usable_cores() -> int:
     return os.cpu_count() or 1
 
 
-def _stage_blocks(rng, samples: int) -> list:
-    """``(generator, count)`` of each block of a verify stage of ``samples``.
+class _StageBlocks:
+    """``(generator, count)`` of each block of a verify stage of ``samples``,
+    a sequence whose item b builds its generator when it is taken.
 
     Every copy is jumped from the state ``rng`` has before block 0 draws
-    from it, so a block's draws do not depend on when the others run.
+    from it, so a block's draws do not depend on when the others run.  Two
+    copies are taken at once: block 1's, ``rng.jumped(1)``, and one that
+    never draws, from which block b >= 2 is jumped b - 1 times.  So a stage
+    holds generators for the blocks being drawn, not one per block.
     """
-    counts = [min(_AUDIT_CHUNK, samples - lo) for lo in range(0, samples, _AUDIT_CHUNK)]
-    return [(rng if b == 0 else rng.jumped(b), count) for b, count in enumerate(counts)]
+
+    def __init__(self, rng, samples: int):
+        self._rng, self._samples = rng, samples
+        self._blocks = -(-samples // _AUDIT_CHUNK)
+        if self._blocks > 1:
+            self._second, self._origin = rng.jumped(1), rng.jumped(1)
+
+    def __len__(self) -> int:
+        return self._blocks
+
+    def __getitem__(self, b: int) -> tuple:
+        if not 0 <= b < self._blocks:
+            raise IndexError(b)
+        count = min(_AUDIT_CHUNK, self._samples - b * _AUDIT_CHUNK)
+        if b < 2:
+            return (self._rng if b == 0 else self._second), count
+        return self._origin.jumped(b - 1), count
 
 
 def _map_blocks(fn, blocks: list) -> list:
@@ -783,14 +802,14 @@ def audit_certificate(
     beyond AUDIT_RTOL relative.  A ratio or slack that is not finite is a
     violation, and a NaN is the worst value.
 
-    The samples come in blocks of _AUDIT_CHUNK (see _stage_blocks), each
+    The samples come in blocks of _AUDIT_CHUNK (see _StageBlocks), each
     drawn x, then y, then noise; with more than one block ``rng`` must offer
     ``jumped`` like SeededGenerator.  The blocks are merged in order, so the
     report does not depend on how many threads ran them.
     """
     samples = require_int(samples, "samples", 1)
     blocks = _map_blocks(
-        functools.partial(_audit_block, problem, cert), _stage_blocks(rng, samples)
+        functools.partial(_audit_block, problem, cert), _StageBlocks(rng, samples)
     )
     ratios, grad_bad, grad_witnesses, slacks, convexity_bad, convexity_witnesses = zip(*blocks)
     worst_grad = int(np.argmax(ratios))
@@ -860,7 +879,7 @@ def check_gradients(
     """
     samples = require_int(samples, "samples", 1)
     errors = _map_blocks(
-        functools.partial(_gradient_block, problem, cert), _stage_blocks(rng, samples)
+        functools.partial(_gradient_block, problem, cert), _StageBlocks(rng, samples)
     )
     max_rel = float(np.max(errors))
     return GradientCheckReport(

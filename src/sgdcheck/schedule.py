@@ -7,6 +7,7 @@ non-increasing, and the report states the conditions for each analytically.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields
 
 import numpy as np
@@ -55,6 +56,12 @@ class InverseTimeSchedule:
         for name in (parameter.name for parameter in fields(self)):
             value = require_real(getattr(self, name), f"'{name}'", error=ConfigurationError)
             object.__setattr__(self, name, value)
+        # The first rate is the largest; every rate is finite if it is.
+        if not math.isfinite(self.scale / self.offset):
+            raise ConfigurationError(
+                f"the first rate 'scale' / 'offset' = {self.scale:g} / {self.offset:g} "
+                "is not a finite double"
+            )
 
     def rates(self, start: int, count: int) -> np.ndarray:
         start = require_int(start, "step index", 0)

@@ -1,6 +1,8 @@
 """Tests for the check pipeline of an experiment (sgdcheck.checks)."""
 import json
 import math
+import os
+import signal
 
 import numpy as np
 import pytest
@@ -25,6 +27,7 @@ from sgdcheck.checks import (
     lemma_verdict,
     preflight_checks,
     run_checks,
+    started_checks,
 )
 
 
@@ -88,6 +91,80 @@ def test_run_checks_gives_one_verdict_per_check_in_config_order():
     verdicts = run_checks(cfg, problem, schedule, cert, dn, bounds)
     assert [name for name, _ in verdicts] == [spec["type"] for spec in checks]
     assert all(isinstance(verdict, Verdict) for _, verdict in verdicts)
+
+
+def experiment(check_list):
+    """The config of ``check_list`` with its problem, schedule and certificate."""
+    cfg = config(check_list)
+    problem = build_problem(cfg.problem)
+    return cfg, problem, build_schedule(cfg.schedule), problem.certify(cfg.region_radius, cfg.x0)
+
+
+def test_every_check_that_does_not_read_the_run_is_judged_without_it():
+    # A judge that starts reading dn or bounds fails here until its row
+    # drops reads_run=False, which keeps it out of the worker forked before
+    # the run.
+    sections = {"descent": {"type": "descent", "points": 2, "samples": 200},
+                "lemma": {"type": "lemma", "n": 1, "k": 10}}
+    for name, row in checks.CHECKS.items():
+        if not row.reads_run:
+            cfg, problem, schedule, cert = experiment([sections[name]])
+            verdict = row.judge(cfg.checks[0], cfg=cfg, problem=problem, schedule=schedule,
+                                cert=cert)
+            assert isinstance(verdict, Verdict)
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the checks' worker is forked")
+class TestStartedChecks:
+    CHECKS = [
+        {"type": "lemma", "n": 1, "k": 10},
+        {"type": "recurrence"},
+        {"type": "descent", "points": 2, "samples": 200},
+        {"type": "lemma", "n": 3, "k": 5},
+    ]
+
+    @staticmethod
+    def judged(cfg, problem, schedule, cert, before_run=lambda: None):
+        with started_checks(cfg, problem, schedule, cert) as judge:
+            before_run()
+            dn = run_replications(problem, schedule, cfg.x0, cfg.horizon, cert,
+                                  cfg.master_seed, cfg.replications)
+            return judge(dn, bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon))
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    def test_the_verdicts_of_run_checks(self, cores, fake_cores):
+        cfg, problem, schedule, cert = experiment(self.CHECKS)
+        fake_cores(1)
+        dn = run_replications(problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed,
+                              cfg.replications)
+        bounds = bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon)
+        alone = run_checks(cfg, problem, schedule, cert, dn, bounds)
+        fake_cores(cores)
+        assert self.judged(cfg, problem, schedule, cert) == alone
+
+    def test_a_worker_killed_mid_check_names_the_check(self, fake_cores, monkeypatch):
+        # The worker takes check 0, the first lemma, and dies in it only
+        # after the run was held back until it had taken it.
+        cfg, problem, schedule, cert = experiment(self.CHECKS)
+        parent = os.getpid()
+        read, write = os.pipe()
+        lemma = checks.CHECKS["lemma"]
+
+        def dying(spec, **run):
+            if os.getpid() != parent:
+                os.write(write, b"k")
+                os.kill(os.getpid(), signal.SIGKILL)
+            return lemma.judge(spec, **run)
+
+        monkeypatch.setitem(checks.CHECKS, "lemma", lemma._replace(judge=dying))
+        fake_cores(2)
+        try:
+            with pytest.raises(RuntimeError, match=r"^the process judging the checks that do "
+                               r"not read the run exited with code -9 in check 0 \(lemma\)$"):
+                self.judged(cfg, problem, schedule, cert, lambda: os.read(read, 1))
+        finally:
+            os.close(read)
+            os.close(write)
 
 
 class TestDescentTable:

@@ -1,6 +1,7 @@
 """End-to-end tests for the command line interface and its file outputs."""
 import dataclasses
 import json
+import os
 import time
 import warnings
 
@@ -20,8 +21,9 @@ from sgdcheck import (
     audit_certificate,
     load_config,
 )
-from sgdcheck import cli, engine
+from sgdcheck import checks, cli, engine
 from sgdcheck.cli import CSV_HEADER, ENV_OUTPUT_DIR, main
+from sgdcheck.errors import UsageError
 from sgdcheck.engine import aux_generator
 
 
@@ -214,6 +216,17 @@ class TestRunCommand:
         assert err.startswith("divergence:")
         assert "step" in err
 
+    def test_a_first_rate_that_overflows_exits_two(self, tmp_path, out_dir, capsys):
+        config = tmp_path / "experiment.json"
+        write_config(config, schedule={"kind": "inverse_time", "scale": 1e308, "offset": 1e-300})
+        with warnings.catch_warnings():
+            # A warning would print to stderr instead of raising.
+            warnings.simplefilter("always")
+            assert main(["run", str(config)]) == 2
+        assert capsys.readouterr().err == ("config error: the first rate 'scale' / 'offset' = "
+                                           "1e+308 / 1e-300 is not a finite double\n")
+        assert not out_dir.exists()
+
     def test_bad_config_exits_two(self, tmp_path, out_dir, capsys):
         config = tmp_path / "experiment.json"
         document = write_config(config)
@@ -245,6 +258,125 @@ class TestRunCommand:
         assert main(["run", str(config)]) == 2
         assert "'design_rows' in problem" in capsys.readouterr().err
         assert not out_dir.exists()
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="the checks' worker is forked")
+class TestChecksWhileTheRunSteps:
+    """The checks that do not read the run are judged in a worker forked
+    before the replications step, with the bytes and errors of one process."""
+
+    CHECKS = [{"type": "recurrence"}, {"type": "descent", "points": 3, "samples": 2000},
+              {"type": "lemma", "n": 1, "k": 10}]
+
+    @pytest.fixture
+    def forks(self, monkeypatch):
+        """The list that gets one entry per os.fork call."""
+        forks = []
+        fork = os.fork
+
+        def counted_fork():
+            forks.append(1)
+            return fork()
+
+        monkeypatch.setattr(os, "fork", counted_fork)
+        return forks
+
+    @pytest.fixture
+    def worker_first(self, monkeypatch):
+        """``worker_first()`` holds the run back until the forked worker has
+        taken its first check, so the worker judges that check."""
+        read, write = os.pipe()
+        parent = os.getpid()
+
+        def reporting(judge):
+            def report(spec, **run):
+                if os.getpid() != parent:
+                    os.write(write, b"w")
+                return judge(spec, **run)
+
+            return report
+
+        def use():
+            for name, row in checks.CHECKS.items():
+                if not row.reads_run:
+                    monkeypatch.setitem(checks.CHECKS, name,
+                                        row._replace(judge=reporting(row.judge)))
+            replications = cli.run_replications
+
+            def held(*args):
+                assert os.read(read, 1) == b"w"
+                return replications(*args)
+
+            monkeypatch.setattr(cli, "run_replications", held)
+
+        yield use
+        os.close(read)
+        os.close(write)
+
+    def outputs(self, config, out_dir, capsys):
+        code = main(["run", str(config)])
+        captured = capsys.readouterr()
+        files = [(out_dir / name).read_bytes() if (out_dir / name).exists() else None
+                 for name in ("series.csv", "report.txt")]
+        return code, captured.out, captured.err, files
+
+    def test_same_bytes_with_and_without_the_worker(
+        self, tmp_path, out_dir, capsys, fake_cores, forks, monkeypatch
+    ):
+        config = tmp_path / "experiment.json"
+        write_config(config, checks=self.CHECKS)
+        fake_cores(1)
+        alone = self.outputs(config, out_dir, capsys)
+        assert forks == [] and alone[0] == 0 and "[PASS] lemma" in alone[1]
+        fake_cores(2)
+        assert self.outputs(config, out_dir, capsys) == alone
+        assert len(forks) == 1
+        monkeypatch.delattr(os, "fork")
+        assert not engine.fork_usable()
+        assert self.outputs(config, out_dir, capsys) == alone
+
+    @pytest.mark.parametrize("raising, expected", [
+        (["lemma"], "lemma"),
+        (["descent", "lemma"], "descent"),
+        (["lemma", "recurrence"], "recurrence"),
+    ])
+    def test_the_first_error_in_config_order_wins(
+        self, raising, expected, tmp_path, out_dir, capsys, fake_cores, forks, monkeypatch,
+        worker_first,
+    ):
+        # Each raising check type refuses with its own message.  The worker
+        # takes the descent check, the lemma goes to whichever process takes
+        # it next, and the caller judges the recurrence.
+        for name in raising:
+            def refuse(spec, _name=name, **run):
+                raise UsageError(f"{_name} refused")
+
+            monkeypatch.setitem(checks.CHECKS, name, checks.CHECKS[name]._replace(judge=refuse))
+        config = tmp_path / "experiment.json"
+        write_config(config, checks=self.CHECKS)
+        fake_cores(1)
+        alone = self.outputs(config, out_dir, capsys)
+        assert alone[:3] == (2, "", f"config error: {expected} refused\n")
+        fake_cores(2)
+        worker_first()
+        assert self.outputs(config, out_dir, capsys) == alone
+        assert len(forks) == 1
+
+    def test_a_diverging_run_kills_the_worker(self, tmp_path, out_dir, capsys, fake_cores, forks):
+        config = tmp_path / "experiment.json"
+        write_config(
+            config,
+            problem={"family": "shifted_quadratic", "curvature": 1.0, "center": [0.0],
+                     "noise_halfwidth": 0.0},
+            schedule={"kind": "constant", "rho": 3.0}, x0=[2.0], horizon=2000, replications=2,
+            checks=[{"type": "descent", "points": 200, "samples": 100_000}],
+        )
+        fake_cores(2)
+        assert main(["run", str(config)]) == 3
+        assert capsys.readouterr().err.startswith("divergence: non-finite iterate")
+        assert len(forks) == 1
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
 
 
 def reference_series_csv(rates, dn, bounds) -> bytes:
@@ -667,6 +799,18 @@ class TestLemmaCommand:
         assert capsys.readouterr().err == (
             "config error: --scale and --offset are required for inverse_time\n"
         )
+
+    def test_a_first_rate_that_overflows_exits_two(self, capsys):
+        with warnings.catch_warnings():
+            # A warning would print to stderr instead of raising.
+            warnings.simplefilter("always")
+            code = main(["lemma", "--kind", "inverse_time", "--scale", "1e308", "--offset",
+                         "1e-300", "--mu", "1e-300", "--n", "0", "--k", "10"])
+        assert code == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("config error: the first rate 'scale' / 'offset' = "
+                                "1e+308 / 1e-300 is not a finite double\n")
 
     def test_a_flag_of_another_kind_exits_two(self, capsys):
         code = main(["lemma", "--kind", "constant", "--rho", "0.1", "--scale", "5", "--offset",

@@ -966,10 +966,11 @@ class TestProcesses:
 
     def test_worker_stops_when_the_parent_goes_away(self, cores, monkeypatch):
         # A forked caller leaves as soon as it would wait for its two workers,
-        # whose steps take 1 ms each over a horizon of 100 s.  Only the caller
-        # and its workers hold the write end of the pipe, so its read end
-        # sees EOF once the workers have found another parent at a noise
-        # block of 10 steps and left.
+        # to read their values or to reap them, while their steps take 1 ms
+        # each over a horizon of 100 s.  Only the caller and its workers hold
+        # the write end of the pipe, so its read end sees EOF once the
+        # workers have found another parent at a noise block of 10 steps and
+        # left.
         problem, sched, cert = quadratic_setup()
         gradient = ShiftedQuadratic.pointwise_gradient
 
@@ -984,6 +985,7 @@ class TestProcesses:
                 os.close(read)
                 monkeypatch.setattr(ShiftedQuadratic, "pointwise_gradient", slow)
                 monkeypatch.setattr(engine, "BLOCK_BUDGET", 10 * 4 * 2)
+                monkeypatch.setattr(os, "read", lambda fd, size: os._exit(0))
                 monkeypatch.setattr(os, "waitpid", lambda pid, options: os._exit(0))
                 cores(2, 2)
                 run_replications(problem, sched, [2.0, 0.0], 10**5, cert, 3, 4)

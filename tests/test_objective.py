@@ -930,7 +930,7 @@ class TestVerifyChunks:
     ])
     def test_chunks_tile_every_block(self, samples):
         size, cap = 4096, objective._AUDIT_CHUNK
-        counts = [count for _, count in objective._stage_blocks(SeededGenerator(0), samples)]
+        counts = [count for _, count in objective._StageBlocks(SeededGenerator(0), samples)]
         assert counts == [min(cap, samples - lo) for lo in range(0, samples, cap)]
         for block_length in counts:
             parts = objective._verify_chunks(block_length, 16)
@@ -938,6 +938,31 @@ class TestVerifyChunks:
             assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
             assert all(part.stop - part.start == size for part in parts[:-1])
             assert 0 < parts[-1].stop - parts[-1].start <= size
+
+    def test_planning_a_stage_holds_no_generator_per_block(self, peak_traced_bytes):
+        # 10^9 samples are 30 518 blocks; planning them builds two copies of
+        # the generator, and each block's copy is built when it is taken.
+        rng, blocks = SeededGenerator(5), []
+        peak = peak_traced_bytes(lambda: blocks.append(objective._StageBlocks(rng, 10**9)))
+        assert peak < 2**20, peak
+        [stage] = blocks
+        assert len(stage) == 30_518
+        assert stage[30_517][1] == 10**9 - 30_517 * objective._AUDIT_CHUNK
+        with pytest.raises(IndexError):
+            stage[30_518]
+
+    def test_a_block_taken_late_draws_from_its_own_jump(self):
+        # Blocks 1 and 3 are taken after block 0 and block 1 have drawn, and
+        # still draw what copies jumped before any draw give.
+        rng = SeededGenerator(11)
+        expected = [SeededGenerator(11).jumped(b).random(np.empty(3)) for b in (1, 3)]
+        stage = objective._StageBlocks(rng, 4 * objective._AUDIT_CHUNK)
+        stage[0][0].random(np.empty(5))
+        late = []
+        for b in (1, 3):
+            late.append(stage[b][0].random(np.empty(3)))
+            stage[b][0].random(np.empty(7))
+        assert [draws.tobytes() for draws in late] == [draws.tobytes() for draws in expected]
 
     @pytest.mark.parametrize("name, samples", CHUNK_GRID)
     def test_audit_values_equal_whole_blocks(self, name, samples):

@@ -66,6 +66,13 @@ class TestInverseTimeSchedule:
         with pytest.raises(ConfigurationError):
             InverseTimeSchedule(scale=1.0, offset=0.0)
 
+    def test_rejects_a_first_rate_that_overflows(self):
+        with pytest.raises(ConfigurationError, match=r"^the first rate 'scale' / 'offset' = "
+                           r"1e\+308 / 1e-300 is not a finite double$"):
+            InverseTimeSchedule(scale=1e308, offset=1e-300)
+        # A first rate near the largest double is finite and kept.
+        assert InverseTimeSchedule(scale=1.7e308, offset=1.0).rates(0, 1)[0] == 1.7e308
+
 
 class TestValidateSchedule:
     def test_constant_flags(self):
