@@ -22,8 +22,8 @@ from .config import (
     serialize_config,
 )
 from .engine import (
-    SeededGenerator,
     derive_seed,
+    philox_generator,
     run_replications,
     run_seeds,
 )
@@ -68,7 +68,6 @@ __all__ = [
     "InverseTimeSchedule",
     "ProductDecay",
     "ScheduleReport",
-    "SeededGenerator",
     "SgdCheckError",
     "ShiftedQuadratic",
     "StochasticProblem",
@@ -86,6 +85,7 @@ __all__ = [
     "derive_seed",
     "load_config",
     "parse_config",
+    "philox_generator",
     "product_decay",
     "run_replications",
     "run_seeds",

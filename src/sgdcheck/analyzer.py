@@ -64,17 +64,9 @@ class ProductDecay:
     log_majorant: float
 
 
-# Values the engine folds at once by step_stats; bounds its temporaries.
-# A fold run's height does not change the bits of its row sums.
-_STATS_CHUNK = 1 << 16
 # A row whose sum is not finite is summed again scaled by 2^-_RESCALE, which
 # brings any finite value, its deviations and their squares inside the range.
 _RESCALE = 600
-
-
-def stats_chunk_steps(rows: int) -> int:
-    """Steps of ``rows`` values each that the engine folds at once."""
-    return max(1, _STATS_CHUNK // rows)
 
 
 def step_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -18,7 +18,7 @@ import threading
 
 import numpy as np
 
-from .analyzer import DnSeries, merge_parts, stats_chunk_steps, step_stats
+from .analyzer import DnSeries, merge_parts, step_stats
 from .errors import UINT64_MAX, DivergenceError, UsageError, require_int, require_vector
 from .objective import HypothesisCertificate, StochasticProblem, sq_norm, usable_cores
 from .schedule import Schedule
@@ -70,49 +70,16 @@ def _philox_key_type() -> type:
     return PhiloxKey
 
 
-class SeededGenerator:
-    """Counter-based pseudo-random generator keyed by a 64-bit seed.
+def philox_generator(seed: int) -> np.random.Generator:
+    """numpy's Generator on the Philox 4x64 stream keyed by a 64-bit seed.
 
-    Wraps the Philox 4x64 bit generator, whose keyed streams are documented
-    with published test vectors and are stable across platforms.  Identical
-    seeds reproduce identical draw sequences; distinct seeds give unrelated
-    streams.
+    Philox is counter based (Salmon, Moraes, Dror & Shaw, SC 2011); its
+    keyed streams have published test vectors and are stable across
+    platforms.  Identical seeds reproduce identical draws; distinct seeds
+    give unrelated streams.
     """
-
-    algorithm = "philox4x64"
-
-    def __init__(self, seed: int):
-        self.seed = require_int(seed, "seed", 0, UINT64_MAX)
-        self._gen = np.random.Generator(np.random.Philox(seed=_philox_key_type()(self.seed)))
-
-    def uniform(self, low: float, high: float, size=None):
-        return self._gen.uniform(low, high, size=size)
-
-    def random(self, out=None):
-        """Uniform draws on [0, 1), one stream value each, written into
-        ``out`` when given."""
-        return self._gen.random(out=out)
-
-    def integers(self, upper: int, size=None):
-        return self._gen.integers(0, upper, size=size)
-
-    def normal(self, size=None):
-        return self._gen.normal(size=size)
-
-    def jumped(self, jumps: int) -> SeededGenerator:
-        """A copy of this generator with its Philox counter ``jumps * 2^128``
-        ahead, as numpy's ``Philox.jumped(jumps)`` gives it; this generator
-        does not move.
-
-        numpy's own ``jumped`` builds the copy from OS entropy before it sets
-        the state; this one starts from the key.
-        """
-        jumps = require_int(jumps, "jumps", 1)
-        copy = SeededGenerator(self.seed)
-        bits = copy._gen.bit_generator
-        bits.state = self._gen.bit_generator.state
-        bits.advance(jumps << 128)
-        return copy
+    seed = require_int(seed, "seed", 0, UINT64_MAX)
+    return np.random.Generator(np.random.Philox(seed=_philox_key_type()(seed)))
 
 
 # Replication seeds use indices below 2^32; auxiliary streams use indices
@@ -120,13 +87,13 @@ class SeededGenerator:
 _AUX_BASE = 1 << 32
 
 
-def aux_generator(master_seed: int, stream: int) -> SeededGenerator:
+def aux_generator(master_seed: int, stream: int) -> np.random.Generator:
     """Generator of auxiliary stream ``stream`` of a master seed.
 
     Streams 0 and 1 draw the descent check's points and samples, 2 the
     certificate audit and 3 the gradient check.
     """
-    return SeededGenerator(derive_seed(master_seed, _AUX_BASE + stream))
+    return philox_generator(derive_seed(master_seed, _AUX_BASE + stream))
 
 
 # Noise values held at once across all replications.  The horizon is cut into
@@ -144,6 +111,11 @@ _PROCESS_STEPS = 1 << 22
 # output bit, depend only on the seed values.
 _PART = 1 << 10
 _MIN_PART = 1 << 6
+
+# Squared distances folded at once by step_stats: the engine scans and folds
+# them in runs of max(1, _STATS_CHUNK // R) steps, which bounds the
+# temporaries; a run's height does not change the bits of its row sums.
+_STATS_CHUNK = 1 << 16
 
 # Bytes of the buffer in which each process keeps the iterates of its last
 # few steps, whose squared distances are then computed in one pass.
@@ -187,8 +159,8 @@ def _step_parts(problem, seeds, index, x0, cert, rates, block, part, stats, fina
     Part j gets in ``stats[:, j]`` the step_stats of its squared distances
     and the count of them inside the certified ball, and the last iterates
     go into ``final_x``.  The noise comes in blocks of ``block`` steps, cut
-    into runs of stats_chunk_steps(len(seeds)) steps that are scanned for
-    divergence and folded.  At the first non-finite squared distance the
+    into runs of max(1, _STATS_CHUNK // len(seeds)) steps that are scanned
+    for divergence and folded.  At the first non-finite squared distance the
     step and the lowest ``index`` of a replication non-finite there go into
     ``slot``, and stepping stops.  With a ``parent`` pid, stepping also
     stops at a noise block where the process has another parent.
@@ -198,7 +170,7 @@ def _step_parts(problem, seeds, index, x0, cert, rates, block, part, stats, fina
     squared distances from one subtraction of a row of the center per
     replication, which never broadcasts over the short last axis.
     """
-    generators = [SeededGenerator(seed) for seed in seeds]
+    generators = [philox_generator(seed) for seed in seeds]
     count = len(generators)
     radius_sq = cert.region_radius * cert.region_radius
 
@@ -213,7 +185,7 @@ def _step_parts(problem, seeds, index, x0, cert, rates, block, part, stats, fina
     centers = np.repeat(cert.region_center[None, :], count, axis=0)
     fold(sq_norm(x - centers)[None, :], 0)
     steps = rates.shape[0]
-    run = min(block, stats_chunk_steps(count))
+    run = min(block, max(1, _STATS_CHUNK // count))
     hold = max(1, min(run, _PATH_BYTES // x.nbytes))
     path = np.empty((hold,) + x.shape)
     sq_dist = np.empty((run, count))

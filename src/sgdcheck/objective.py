@@ -35,6 +35,7 @@ except ImportError:  # numpy 1.x
 from .errors import (
     CertificationError,
     ConfigurationError,
+    UsageError,
     config_guard,
     require_int,
     require_real,
@@ -53,10 +54,10 @@ RANK_TOL = 1e-10
 MAX_DIMENSION = 64
 
 # audit_certificate and check_gradients draw and evaluate their samples in
-# blocks of _AUDIT_CHUNK, the last block taking the remainder.  Block 0
-# draws from the stage's generator and block b >= 1 from a copy of it whose
-# Philox counter is b * 2^128 ahead, so the blocks need nothing from each
-# other and run on a pool of threads (_map_blocks).
+# blocks of _AUDIT_CHUNK, the last block taking the remainder.  Block b
+# draws from a copy of the stage's generator jumped b times, its Philox
+# counter b * 2^128 ahead, so the blocks need nothing from each other and
+# run on a pool of threads (_map_blocks).
 _AUDIT_CHUNK = 1 << 15
 
 # Bytes of one per-sample temporary of a verify chunk, d wide but counted as
@@ -638,20 +639,22 @@ def usable_cores() -> int:
 
 class _StageBlocks:
     """``(generator, count)`` of each block of a verify stage of ``samples``,
-    a sequence whose item b builds its generator when it is taken.
+    a sequence whose item b builds its generator when it is taken: a
+    generator on ``rng.bit_generator.jumped(b)``.
 
-    Every copy is jumped from the state ``rng`` has before block 0 draws
-    from it, so a block's draws do not depend on when the others run.  Two
-    copies are taken at once: block 1's, ``rng.jumped(1)``, and one that
-    never draws, from which block b >= 2 is jumped b - 1 times.  So a stage
-    holds generators for the blocks being drawn, not one per block.
+    ``rng`` itself never draws, so a block's draws do not depend on when the
+    others run, and a stage holds generators for the blocks being drawn, not
+    one per block.  A stage whose per-block results cannot be allocated is
+    refused before any block draws; np.empty touches no page.
     """
 
     def __init__(self, rng, samples: int):
-        self._rng, self._samples = rng, samples
+        self._bits, self._samples = rng.bit_generator, samples
         self._blocks = -(-samples // _AUDIT_CHUNK)
-        if self._blocks > 1:
-            self._second, self._origin = rng.jumped(1), rng.jumped(1)
+        try:
+            np.empty(self._blocks)
+        except (ValueError, MemoryError, OverflowError):
+            raise UsageError(f"{samples} samples do not fit in memory") from None
 
     def __len__(self) -> int:
         return self._blocks
@@ -660,9 +663,7 @@ class _StageBlocks:
         if not 0 <= b < self._blocks:
             raise IndexError(b)
         count = min(_AUDIT_CHUNK, self._samples - b * _AUDIT_CHUNK)
-        if b < 2:
-            return (self._rng if b == 0 else self._second), count
-        return self._origin.jumped(b - 1), count
+        return np.random.Generator(self._bits.jumped(b)), count
 
 
 def _map_blocks(fn, blocks: list) -> list:
@@ -803,9 +804,9 @@ def audit_certificate(
     violation, and a NaN is the worst value.
 
     The samples come in blocks of _AUDIT_CHUNK (see _StageBlocks), each
-    drawn x, then y, then noise; with more than one block ``rng`` must offer
-    ``jumped`` like SeededGenerator.  The blocks are merged in order, so the
-    report does not depend on how many threads ran them.
+    drawn x, then y, then noise, from ``rng`` jumped by its block number;
+    ``rng`` does not move.  The blocks are merged in order, so the report
+    does not depend on how many threads ran them.
     """
     samples = require_int(samples, "samples", 1)
     blocks = _map_blocks(
@@ -875,7 +876,7 @@ def check_gradients(
     Uses step h = 1e-6 * (1 + ||x||) per sample and measures the error of
     each coordinate relative to max(1, |gradient coordinate|).  A NaN error
     is the worst error and fails the check.  The samples are drawn and
-    checked in the blocks of audit_certificate.
+    checked in the blocks of audit_certificate, and ``rng`` does not move.
     """
     samples = require_int(samples, "samples", 1)
     errors = _map_blocks(

@@ -70,7 +70,7 @@ def no_thread_left():
     start none."""
     before = threading.active_count()
     yield
-    assert threading.active_count() == before
+    assert threading.active_count() == before, threading.enumerate()
 
 
 def pytest_terminal_summary(terminalreporter):

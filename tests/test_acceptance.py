@@ -14,7 +14,6 @@ from sgdcheck import (
     ConstantSchedule,
     FiniteSumLeastSquares,
     InverseTimeSchedule,
-    SeededGenerator,
     ShiftedQuadratic,
     audit_certificate,
     bound_sequence,
@@ -23,6 +22,7 @@ from sgdcheck import (
     check_gradients,
     check_neighborhood,
     check_recurrence,
+    philox_generator,
     product_decay,
     run_replications,
     run_seeds,
@@ -147,18 +147,18 @@ def test_criterion_6_audit_accepts_truth_rejects_corruption(scoreboard):
     reports = []
     for problem, radius, x0, seed in cases:
         cert = problem.certify(radius, x0)
-        honest = audit_certificate(problem, cert, 100_000, SeededGenerator(seed))
+        honest = audit_certificate(problem, cert, 100_000, philox_generator(seed))
         low_bound = audit_certificate(
             problem,
             dataclasses.replace(cert, grad_sq_bound=cert.grad_sq_bound * 0.9),
             100_000,
-            SeededGenerator(seed + 1),
+            philox_generator(seed + 1),
         )
         high_mu = audit_certificate(
             problem,
             dataclasses.replace(cert, strong_convexity=cert.strong_convexity * 1.1),
             100_000,
-            SeededGenerator(seed + 2),
+            philox_generator(seed + 2),
         )
         ok = ok and honest.passed and not low_bound.passed and not high_mu.passed
         reports.append((problem.family, honest, low_bound, high_mu))
@@ -185,9 +185,9 @@ def test_criterion_7_descent_inequality_at_sampled_points(scoreboard):
     for problem, radius, x0, seed in cases:
         cert = problem.certify(radius, x0)
         points = sample_in_ball(
-            cert.region_center, cert.region_radius, 50, SeededGenerator(seed)
+            cert.region_center, cert.region_radius, 50, philox_generator(seed)
         )
-        draws = SeededGenerator(seed + 1)
+        draws = philox_generator(seed + 1)
         for i in range(50):
             verdict = check_descent_inequality(problem, cert, points[i], 10_000, draws)
             if not verdict.passed:
@@ -202,10 +202,10 @@ def test_criterion_8_gradients_match_finite_differences(scoreboard):
     quadratic = standard_quadratic()
     finite_sum = standard_finite_sum()
     report_q = check_gradients(
-        quadratic, quadratic.certify(RADIUS, X0), 1000, SeededGenerator(313)
+        quadratic, quadratic.certify(RADIUS, X0), 1000, philox_generator(313)
     )
     report_f = check_gradients(
-        finite_sum, finite_sum.certify(1.5, [0.0, 0.0]), 1000, SeededGenerator(314)
+        finite_sum, finite_sum.certify(1.5, [0.0, 0.0]), 1000, philox_generator(314)
     )
     ok = report_q.passed and report_f.passed
     scoreboard("criterion 8: analytic gradients match finite differences", ok)

@@ -14,7 +14,6 @@ from sgdcheck import (
     FiniteSumLeastSquares,
     HypothesisCertificate,
     InverseTimeSchedule,
-    SeededGenerator,
     ShiftedQuadratic,
     UsageError,
     bound_sequence,
@@ -22,6 +21,7 @@ from sgdcheck import (
     check_descent_inequality,
     check_neighborhood,
     check_recurrence,
+    philox_generator,
     product_decay,
     run_replications,
     run_seeds,
@@ -113,7 +113,7 @@ class TestStepStats:
         # The mean and the squared deviations are summed with np.add.reduce
         # over the values in the order they arrive, so summing each row on
         # its own reproduces every bit.
-        rng = SeededGenerator(11)
+        rng = philox_generator(11)
         block = rng.uniform(0.0, 1.0, size=(40, 300)) ** 3 * 1e3
         mean, stderr = step_stats(block)
         for n, row in enumerate(block):
@@ -126,7 +126,7 @@ class TestStepStats:
     def test_memory_layout_is_invisible(self):
         # A C block, its Fortran copy and the same values as a column slice
         # of a wider array give the same bits, and none of them is written.
-        rng = SeededGenerator(12)
+        rng = philox_generator(12)
         block = rng.uniform(0.0, 5.0, size=(30, 64))
         mean, stderr = step_stats(block.copy())
         wider = rng.uniform(0.0, 5.0, size=(30, 100))
@@ -139,7 +139,7 @@ class TestStepStats:
             assert np.array_equal(layout, before)
 
     def test_step_split_is_invisible(self):
-        rng = SeededGenerator(13)
+        rng = philox_generator(13)
         # 8193 replications: wider than the 8192-value buffers in which
         # einsum sums a block of several rows.
         for steps, width in ((101, 32), (9, 8193)):
@@ -181,7 +181,7 @@ class TestStepStats:
             assert stderr[0] == pytest.approx(expected, rel=1e-12)
 
     def test_rescaled_rows_leave_the_others_alone(self):
-        rng = SeededGenerator(14)
+        rng = philox_generator(14)
         block = rng.uniform(0.0, 5.0, size=(6, 9))
         mean, stderr = step_stats(block)
         mixed = block.copy()
@@ -203,7 +203,7 @@ def merged(block, cuts):
 
 class TestMergeParts:
     def test_one_part_is_returned_unchanged(self):
-        block = SeededGenerator(15).uniform(0.0, 5.0, size=(20, 9))
+        block = philox_generator(15).uniform(0.0, 5.0, size=(20, 9))
         mean, stderr = step_stats(block)
         got = merged(block, [0, 9])
         assert got[0].tobytes() == mean.tobytes()
@@ -214,7 +214,7 @@ class TestMergeParts:
         [[0, 4, 8, 12, 16, 20, 24, 28, 32, 36, 37], [0, 1, 37], [0, 36, 37], list(range(38))],
     )
     def test_matches_the_statistics_of_all_values(self, cuts):
-        block = SeededGenerator(16).uniform(0.0, 5.0, size=(50, 37)) ** 3
+        block = philox_generator(16).uniform(0.0, 5.0, size=(50, 37)) ** 3
         mean, stderr = step_stats(block)
         got_mean, got_stderr = merged(block, cuts)
         np.testing.assert_allclose(got_mean, mean, rtol=1e-14)
@@ -243,7 +243,7 @@ class TestMergeParts:
         assert stderr[0] == pytest.approx(0.35e308, rel=1e-15)
 
     def test_rescaled_rows_stay_finite(self):
-        block = SeededGenerator(14).uniform(0.0, 5.0, size=(6, 9))
+        block = philox_generator(14).uniform(0.0, 5.0, size=(6, 9))
         block[2] *= 1e300
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -633,7 +633,7 @@ class TestProductDecay:
         assert result.product <= result.majorant
 
     def test_majorant_dominates_on_random_schedules(self):
-        rng = SeededGenerator(55)
+        rng = philox_generator(55)
         for _ in range(20):
             scale = rng.uniform(1e-3, 5.0)
             schedules = (
@@ -708,7 +708,7 @@ class TestCheckDescentInequality:
     def test_quadratic_without_noise_is_exact(self):
         problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=0.0)
         cert = problem.certify(2.0, [1.0, 1.0])
-        verdict = check_descent_inequality(problem, cert, [1.0, 1.0], 200, SeededGenerator(1))
+        verdict = check_descent_inequality(problem, cert, [1.0, 1.0], 200, philox_generator(1))
         assert verdict.passed
         # Without noise the estimate equals the closed form bit for bit, so
         # the binding margin is the agreement term at exactly zero.
@@ -719,24 +719,24 @@ class TestCheckDescentInequality:
         problem = ShiftedQuadratic(curvature=2.0, center=np.zeros(3), noise_halfwidth=0.5)
         cert = problem.certify(3.0, [1.0, -1.0, 0.5])
         verdict = check_descent_inequality(
-            problem, cert, [1.0, -1.0, 0.5], 5000, SeededGenerator(2)
+            problem, cert, [1.0, -1.0, 0.5], 5000, philox_generator(2)
         )
         assert verdict.passed
 
     def test_finite_sum(self):
-        rng = SeededGenerator(3)
+        rng = philox_generator(3)
         problem = FiniteSumLeastSquares(design=rng.normal(size=(9, 2)), targets=rng.normal(size=9))
         x_star = problem.minimizer()
         cert = problem.certify(2.0, x_star)
         x = x_star + np.array([0.5, -0.5])
-        verdict = check_descent_inequality(problem, cert, x, 5000, SeededGenerator(4))
+        verdict = check_descent_inequality(problem, cert, x, 5000, philox_generator(4))
         assert verdict.passed
 
     def test_inflated_convexity_fails(self):
         problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=0.0)
         cert = problem.certify(2.0, [1.0, 1.0])
         corrupted = dataclasses.replace(cert, strong_convexity=10.0)
-        verdict = check_descent_inequality(problem, corrupted, [1.0, 1.0], 200, SeededGenerator(5))
+        verdict = check_descent_inequality(problem, corrupted, [1.0, 1.0], 200, philox_generator(5))
         assert not verdict.passed
         assert verdict.first_violation_index == 0
 
@@ -745,7 +745,7 @@ class TestCheckDescentInequality:
         # deviations hold a NaN.  No warning may escape.
         problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=1e155)
         cert = make_cert(radius=1e156, dim=2)
-        verdict = check_descent_inequality(problem, cert, [1e155, 0.0], 200, SeededGenerator(8))
+        verdict = check_descent_inequality(problem, cert, [1e155, 0.0], 200, philox_generator(8))
         assert not verdict.passed
         assert verdict.first_violation_index == 0
         assert math.isnan(verdict.worst_margin)
@@ -779,9 +779,9 @@ class TestCheckDescentInequality:
         problem = ShiftedQuadratic(curvature=1.0, center=np.zeros(2), noise_halfwidth=0.0)
         cert = problem.certify(2.0, [1.0, 1.0])
         with pytest.raises(UsageError):
-            check_descent_inequality(problem, cert, [1.0, 1.0], 99, SeededGenerator(6))
+            check_descent_inequality(problem, cert, [1.0, 1.0], 99, philox_generator(6))
         with pytest.raises(UsageError):
-            check_descent_inequality(problem, cert, [5.0, 0.0], 200, SeededGenerator(7))
+            check_descent_inequality(problem, cert, [5.0, 0.0], 200, philox_generator(7))
 
 
 class TestDescentStatistics:
@@ -800,11 +800,11 @@ class TestDescentStatistics:
 
     @pytest.mark.parametrize("scale", [1.0, 1e-300, 1e150])
     def test_bits_of_the_plain_sums_where_nothing_overflows(self, scale):
-        values = SeededGenerator(4).normal(size=20_000) * scale
+        values = philox_generator(4).normal(size=20_000) * scale
         assert self.stats(values) == self.plain(values)
 
     def test_a_sum_that_overflows_is_summed_scaled(self):
-        values = SeededGenerator(5).uniform(1e307, 1.7e308, size=1000)
+        values = philox_generator(5).uniform(1e307, 1.7e308, size=1000)
         with np.errstate(over="ignore"):
             assert values.mean() == math.inf
             mean, stderr = self.stats(values)

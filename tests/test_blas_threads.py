@@ -29,7 +29,7 @@ LEAST_SQUARES_GOLDENS = sorted(name for name in DIGESTS if name.startswith("ls_"
 CHILD = r"""
 import contextlib, hashlib, io, json, sys
 import numpy as np
-from sgdcheck import FiniteSumLeastSquares, SeededGenerator, ShiftedQuadratic
+from sgdcheck import FiniteSumLeastSquares, ShiftedQuadratic, philox_generator
 from sgdcheck.checks import check_descent_inequality
 from sgdcheck.cli import main
 
@@ -53,7 +53,7 @@ problem = ShiftedQuadratic(curvature=1.3, center=[0.2, -0.4], noise_halfwidth=0.
 cert = problem.certify(2.0, [1.0, 0.0])
 descent = []
 for x in ([0.2, -0.39], [1.5, -0.4]):
-    verdict = check_descent_inequality(problem, cert, x, 100_000, SeededGenerator(12))
+    verdict = check_descent_inequality(problem, cert, x, 100_000, philox_generator(12))
     descent.append(float(verdict.worst_margin).hex())
 print(json.dumps({"verify": verify, "means": means, "descent": descent}))
 """

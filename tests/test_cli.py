@@ -21,7 +21,7 @@ from sgdcheck import (
     audit_certificate,
     load_config,
 )
-from sgdcheck import checks, cli, engine
+from sgdcheck import checks, cli, engine, objective
 from sgdcheck.cli import CSV_HEADER, ENV_OUTPUT_DIR, main
 from sgdcheck.errors import UsageError
 from sgdcheck.engine import aux_generator
@@ -647,6 +647,26 @@ class TestVerifyCommand:
         )
         assert main(["verify", str(config)]) == 0
         assert "[PASS] certificate_audit" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("cores", [1, 2])
+    @pytest.mark.parametrize("key", ["audit_samples", "gradient_checks"])
+    def test_samples_that_do_not_fit_are_refused(
+        self, key, cores, tmp_path, capsys, fake_cores, monkeypatch
+    ):
+        # 2^63 samples are 2^48 blocks, whose results cannot be allocated:
+        # the stage is refused before any of its blocks draws.
+        fake_cores(cores)
+        config = tmp_path / "experiment.json"
+        write_config(config, verify={"audit_samples": 2000, "gradient_checks": 200, key: 2**63})
+        mapped = []
+        map_blocks = objective._map_blocks
+        monkeypatch.setattr(
+            objective, "_map_blocks",
+            lambda fn, blocks: mapped.append(len(blocks)) or map_blocks(fn, blocks),
+        )
+        assert main(["verify", str(config)]) == 2
+        assert capsys.readouterr() == ("", f"config error: {2**63} samples do not fit in memory\n")
+        assert mapped == ([] if key == "audit_samples" else [1])
 
 
 LEAST_SQUARES = {

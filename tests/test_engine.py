@@ -15,17 +15,17 @@ import warnings
 import numpy as np
 import pytest
 
-from sgdcheck import analyzer, engine, objective
+from sgdcheck import engine, objective
 from sgdcheck import (
     ConstantSchedule,
     DivergenceError,
     FiniteSumLeastSquares,
     HypothesisCertificate,
     InverseTimeSchedule,
-    SeededGenerator,
     ShiftedQuadratic,
     UsageError,
     derive_seed,
+    philox_generator,
     run_replications,
     run_seeds,
 )
@@ -74,41 +74,40 @@ class TestDeriveSeed:
 
 class TestSeededGenerator:
     def test_frozen_uniform_draws(self):
-        draws = SeededGenerator(2024).uniform(0.0, 1.0, size=3)
+        draws = philox_generator(2024).uniform(0.0, 1.0, size=3)
         np.testing.assert_array_equal(
             draws,
             [0.7539532404108791, 0.6536530412806927, 0.8305111850799092],
         )
 
     def test_frozen_integer_draws(self):
-        draws = SeededGenerator(2024).integers(10, size=8)
+        draws = philox_generator(2024).integers(10, size=8)
         np.testing.assert_array_equal(draws, [2, 7, 2, 6, 8, 8, 4, 8])
 
     def test_same_seed_same_stream(self):
-        a = SeededGenerator(7).normal(size=100)
-        b = SeededGenerator(7).normal(size=100)
+        a = philox_generator(7).normal(size=100)
+        b = philox_generator(7).normal(size=100)
         assert np.array_equal(a, b)
 
     def test_different_seeds_different_streams(self):
-        a = SeededGenerator(7).uniform(0.0, 1.0, size=100)
-        b = SeededGenerator(8).uniform(0.0, 1.0, size=100)
+        a = philox_generator(7).uniform(0.0, 1.0, size=100)
+        b = philox_generator(8).uniform(0.0, 1.0, size=100)
         assert not np.array_equal(a, b)
 
     def test_algorithm_label(self):
-        assert SeededGenerator(0).algorithm == "philox4x64"
+        assert type(philox_generator(0).bit_generator) is np.random.Philox
 
     def test_seed_validation(self):
-        with pytest.raises(UsageError):
-            SeededGenerator(-1)
-        with pytest.raises(UsageError):
-            SeededGenerator(2**64)
+        for seed in (-1, 2**64, 1.0, True):
+            with pytest.raises(UsageError):
+                philox_generator(seed)
 
     @pytest.mark.parametrize("seed", [0, 1, 2**63, 2**64 - 1])
     def test_stream_is_that_of_the_philox_key(self, seed):
         # The generator skips the OS entropy of Philox(key=seed), not its
         # key, counter or stream.
         keyed = np.random.Philox(key=seed)
-        ours = SeededGenerator(seed)._gen.bit_generator
+        ours = philox_generator(seed).bit_generator
         expected, state = keyed.state, ours.state
         assert state["bit_generator"] == expected["bit_generator"] == "Philox"
         for name in ("counter", "key"):
@@ -122,29 +121,27 @@ class TestSeededGenerator:
 
     @pytest.mark.parametrize("jumps", [1, 2, 31])
     def test_jumped_is_the_philox_jump(self, jumps):
-        gen = SeededGenerator(2**64 - 1)
+        # Block b of a verify stage draws from numpy's Philox jump b of the
+        # stage's generator, here one that has drawn, and the generator
+        # does not move.
+        gen = philox_generator(2**64 - 1)
         gen.normal(size=3)
-        before = gen._gen.bit_generator.state
-        expected = gen._gen.bit_generator.jumped(jumps)
-        copy = gen.jumped(jumps)
-        assert copy.seed == gen.seed
-        counter = copy._gen.bit_generator.state["state"]["counter"]
+        # The repr holds every word of the state, the buffered values too.
+        before = repr(gen.bit_generator.state)
+        expected = gen.bit_generator.jumped(jumps)
+        stage = objective._StageBlocks(gen, (jumps + 1) * objective._AUDIT_CHUNK)
+        copy = stage[jumps][0].bit_generator
+        counter = copy.state["state"]["counter"]
         assert np.array_equal(counter, expected.state["state"]["counter"])
-        assert np.array_equal(copy._gen.bit_generator.random_raw(64), expected.random_raw(64))
-        after = gen._gen.bit_generator.state
-        assert np.array_equal(after["state"]["counter"], before["state"]["counter"])
-        assert after["buffer_pos"] == before["buffer_pos"]
-
-    def test_jumped_needs_a_positive_count(self):
-        with pytest.raises(UsageError):
-            SeededGenerator(1).jumped(0)
+        assert np.array_equal(copy.random_raw(64), expected.random_raw(64))
+        assert repr(gen.bit_generator.state) == before
 
     # The first four values of each draw method from a fresh generator,
     # recorded with numpy 2.4.6.  numpy does not promise that Generator
     # streams stay the same across versions (NEP 19); a failure here names
     # the stream that moved, where otherwise only golden digests would.
     PHILOX_ANSWERS = {
-        "seed 0": (lambda: SeededGenerator(0), {
+        "seed 0": (lambda: philox_generator(0), {
             "random": ["0x1.7a5d3204726c0p-7", "0x1.eeb1585ce5460p-3",
                        "0x1.c8667a55d9028p-4", "0x1.20faf40a5fab6p-1"],
             "uniform": ["-0x1.f42d166fdc6cap-2", "-0x1.08a753d18d5d0p-2",
@@ -153,7 +150,7 @@ class TestSeededGenerator:
             "normal": ["0x1.463cb3872ecbdp-3", "-0x1.c6313809c831cp+0",
                        "0x1.5396485e717b0p+0", "0x1.346e5e799d961p+0"],
         }),
-        "seed 2**64 - 1": (lambda: SeededGenerator(2**64 - 1), {
+        "seed 2**64 - 1": (lambda: philox_generator(2**64 - 1), {
             "random": ["0x1.e1290e2c6ef2cp-3", "0x1.6f435abb5c260p-1",
                        "0x1.a50baba7f4bfap-2", "0x1.6eaa5d0f1a384p-1"],
             "uniform": ["-0x1.0f6b78e9c886ap-2", "0x1.bd0d6aed70980p-3",
@@ -162,7 +159,8 @@ class TestSeededGenerator:
             "normal": ["-0x1.6263d495cd1d9p+1", "0x1.ad8c353429341p+0",
                        "-0x1.cf161705b3e36p-2", "0x1.41ecaa3154b2dp+1"],
         }),
-        "seed 0 jumped once": (lambda: SeededGenerator(0).jumped(1), {
+        "seed 0 jumped once": (lambda: objective._StageBlocks(
+            philox_generator(0), 2 * objective._AUDIT_CHUNK)[1][0], {
             "random": ["0x1.498ac0ff6240dp-1", "0x1.0435ec58bdff0p-4",
                        "0x1.ecd83886ec6c8p-4", "0x1.5aab132feebf6p-2"],
             "uniform": ["0x1.262b03fd89034p-3", "-0x1.bef284e9d0804p-2",
@@ -223,7 +221,7 @@ def quadratic_setup(halfwidth=0.5, rho=0.05, radius=2.0, x0=(2.0, 0.0)):
 
 
 def finite_sum_setup():
-    rng = SeededGenerator(3)
+    rng = philox_generator(3)
     problem = FiniteSumLeastSquares(design=rng.normal(size=(6, 2)), targets=rng.normal(size=6))
     x0 = problem.minimizer() + np.array([1.0, 0.0])
     cert = problem.certify(3.0, x0)
@@ -259,7 +257,7 @@ def diverge_on_overflow_row():
 
     No RuntimeWarning may escape on the way.
     """
-    rng = SeededGenerator(5)
+    rng = philox_generator(5)
     design = np.vstack([rng.normal(size=(39, 2)), [[1e100, 0.0]]])
     problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=40))
     cert = HypothesisCertificate(
@@ -294,7 +292,7 @@ class TestDescend:
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64])
     @pytest.mark.parametrize("rows", [128, 300])
     def test_bits_of_the_base_loop(self, dim, rows):
-        rng = SeededGenerator(dim)
+        rng = philox_generator(dim)
         problem = FiniteSumLeastSquares(
             design=rng.normal(size=(rows, dim)), targets=rng.normal(size=rows)
         )
@@ -320,11 +318,11 @@ class TestDescend:
     def test_overflowing_rows_reach_the_same_first_non_finite_step(self):
         # The run of diverge_on_overflow_row: its 1e100 row first overflows
         # at step 12.
-        rng = SeededGenerator(5)
+        rng = philox_generator(5)
         design = np.vstack([rng.normal(size=(39, 2)), [[1e100, 0.0]]])
         problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=40))
         noise = np.empty((300, len(OVERFLOW_ROW_SEEDS)), dtype=problem.noise_dtype)
-        problem.fill_noise_block([SeededGenerator(seed) for seed in OVERFLOW_ROW_SEEDS], noise)
+        problem.fill_noise_block([philox_generator(seed) for seed in OVERFLOW_ROW_SEEDS], noise)
         x = np.repeat([[1.0, 0.5]], len(OVERFLOW_ROW_SEEDS), axis=0)
         paths = descend_both_ways(problem, noise, x, np.full(300, 0.1))
         with np.errstate(over="ignore", invalid="ignore"):
@@ -334,7 +332,7 @@ class TestDescend:
 
     @pytest.mark.parametrize("dim", [1, 2, 3, 8, 16, 64])
     def test_c_einsum_is_row_dot(self, dim):
-        rng = SeededGenerator(dim + 100)
+        rng = philox_generator(dim + 100)
         a, b = rng.normal(size=(2, 37, dim))
         out = np.empty(37)
         objective.c_einsum("ij,ij->i", a, b, out=out)
@@ -380,7 +378,7 @@ class TestRunReplication:
         monkeypatch.setattr(engine, "BLOCK_BUDGET", 7 * len(seeds) * per_step)
         runs = run_seeds(problem, sched, x0, 150, cert, seeds)
         noise = np.stack(
-            [problem.noise_block(SeededGenerator(seed), 150) for seed in seeds], axis=1
+            [problem.noise_block(philox_generator(seed), 150) for seed in seeds], axis=1
         )
         center = cert.region_center
         x = np.repeat(np.asarray(x0, dtype=float)[None, :], len(seeds), axis=0)
@@ -536,15 +534,20 @@ class TestBlocks:
 
     def test_noise_is_drawn_in_blocks(self, monkeypatch):
         # The quadratic draws each block as one unit-value call per generator.
+        # numpy's Generator takes no patch, so the engine gets generators
+        # that record their unit-value calls and pass every draw on.
         problem, sched, cert = quadratic_setup()
         lengths = []
-        original = SeededGenerator.random
 
-        def recording(self, out=None):
-            lengths.append(out.shape[0])
-            return original(self, out=out)
+        class Recording:
+            def __init__(self, seed):
+                self.gen = philox_generator(seed)
 
-        monkeypatch.setattr(SeededGenerator, "random", recording)
+            def random(self, out=None):
+                lengths.append(out.shape[0])
+                return self.gen.random(out=out)
+
+        monkeypatch.setattr(engine, "philox_generator", Recording)
         monkeypatch.setattr(engine, "BLOCK_BUDGET", 7 * 3 * 2)
         run_replications(problem, sched, [2.0, 0.0], 50, cert, 7, 3)
         assert lengths == [7] * 21 + [1] * 3
@@ -620,7 +623,7 @@ class TestFoldRuns:
         # runs so that step 12 is row 0 of the second run, or row 11 of the
         # first; the run goes on past it into overflow and NaN.
         run = {"first": 11, "middle": 24, "last": 12}[where]
-        monkeypatch.setattr(analyzer, "_STATS_CHUNK", run * len(OVERFLOW_ROW_SEEDS))
+        monkeypatch.setattr(engine, "_STATS_CHUNK", run * len(OVERFLOW_ROW_SEEDS))
         folded = []
         monkeypatch.setattr(
             engine, "step_stats", lambda rows: folded.append(rows.shape[0]) or step_stats(rows)
@@ -655,7 +658,7 @@ class TestFoldRuns:
         # 2^16 // R steps (512 KiB), the fold twice that, and the path buffer
         # and its gathered rows 256 KiB each.  Squared distances for the
         # whole block would add another 3.1 MiB.
-        rng = SeededGenerator(3)
+        rng = philox_generator(3)
         design = rng.normal(size=(32, 8))
         problem = FiniteSumLeastSquares(design=design, targets=rng.normal(size=32))
         x0 = problem.minimizer() + 0.5
@@ -663,7 +666,7 @@ class TestFoldRuns:
         sched = InverseTimeSchedule(scale=1.0, offset=10.0)
         count, steps = 200, 2000
         assert steps * count <= engine.BLOCK_BUDGET
-        noise_bytes = steps * count * problem.noise_block(SeededGenerator(0), 1).itemsize
+        noise_bytes = steps * count * problem.noise_block(philox_generator(0), 1).itemsize
         peak = peak_traced_bytes(
             lambda: run_replications(problem, sched, x0, steps, cert, 5, count)
         )
@@ -855,7 +858,7 @@ class TestProcesses:
         seeds = [derive_seed(5, i) for i in range(23)]
         cores(processes, 4)
         reference = run_seeds(problem, sched, [2.0, 0.0], 200, cert, seeds)
-        for order in (np.arange(23)[::-1], np.argsort(SeededGenerator(8).random(np.empty(23)))):
+        for order in (np.arange(23)[::-1], np.argsort(philox_generator(8).random(23))):
             runs = run_seeds(problem, sched, [2.0, 0.0], 200, cert, [seeds[i] for i in order])
             for field in ("mean", "stderr", "in_region_fraction"):
                 assert getattr(runs, field).tobytes() == getattr(reference, field).tobytes()
@@ -941,6 +944,9 @@ class TestProcesses:
 
         monkeypatch.setattr(ShiftedQuadratic, "pointwise_gradient", interrupting)
         forks = cores(2, 30)
+        # With another thread running the caller steps alone and the
+        # interrupt never comes; the message names the thread.
+        assert engine._process_count(90, 2000) == 2, threading.enumerate()
         with pytest.raises(KeyboardInterrupt):
             run_replications(problem, sched, [2.0, 0.0], 2000, cert, 3, 90)
         assert len(forks) == 2

@@ -16,7 +16,6 @@ from sgdcheck import (
     DnSeries,
     FiniteSumLeastSquares,
     InverseTimeSchedule,
-    SeededGenerator,
     ShiftedQuadratic,
     UsageError,
     audit_certificate,
@@ -28,6 +27,7 @@ from sgdcheck import (
     check_recurrence,
     derive_seed,
     parse_config,
+    philox_generator,
     product_decay,
     run_replications,
     run_seeds,
@@ -51,7 +51,7 @@ UINT64_MAX = 2**64 - 1
 CALL_SITES = [
     ("derive_seed master_seed", 0, UINT64_MAX, lambda v: derive_seed(v, 0)),
     ("derive_seed index", 0, UINT64_MAX, lambda v: derive_seed(7, v)),
-    ("SeededGenerator seed", 0, UINT64_MAX, lambda v: SeededGenerator(v)),
+    ("philox_generator seed", 0, UINT64_MAX, lambda v: philox_generator(v)),
     ("run_seeds seed", 0, UINT64_MAX,
      lambda v: run_seeds(PROBLEM, CONSTANT, [1.0, 0.0], 2, CERT, [v])),
     ("run_seeds steps", 1, None, lambda v: run_seeds(PROBLEM, CONSTANT, [1.0, 0.0], v, CERT, [3])),
@@ -63,12 +63,12 @@ CALL_SITES = [
     ("product_decay n", 0, None, lambda v: product_decay(INVERSE, 1.0, v, 3)),
     ("product_decay k", 0, None, lambda v: product_decay(INVERSE, 1.0, 0, v)),
     ("check_descent_inequality samples", 100, None,
-     lambda v: check_descent_inequality(PROBLEM, CERT, [1.0, 0.0], v, SeededGenerator(1))),
+     lambda v: check_descent_inequality(PROBLEM, CERT, [1.0, 0.0], v, philox_generator(1))),
     ("descent_verdict points", 1, None, lambda v: descent_verdict(PROBLEM, CERT, 7, v, 100)),
     ("audit_certificate samples", 1, None,
-     lambda v: audit_certificate(PROBLEM, CERT, v, SeededGenerator(2))),
+     lambda v: audit_certificate(PROBLEM, CERT, v, philox_generator(2))),
     ("check_gradients samples", 1, None,
-     lambda v: check_gradients(PROBLEM, CERT, v, SeededGenerator(3))),
+     lambda v: check_gradients(PROBLEM, CERT, v, philox_generator(3))),
     ("constant validate_lemma n", 0, None, lambda v: validate_lemma(CONSTANT, 1.0, v)),
     ("constant rates start", 0, None, lambda v: CONSTANT.rates(v, 3)),
     ("constant rates count", 0, None, lambda v: CONSTANT.rates(0, v)),
@@ -165,7 +165,7 @@ VECTOR_SITES = [
     ("run_seeds x0", ConfigurationError, "'x0' must be a 2-element vector of finite reals", True,
      lambda v: run_seeds(PROBLEM, CONSTANT, v, 2, CERT, [3])),
     ("check_descent_inequality x", UsageError, "x must be a 2-element vector of finite reals",
-     True, lambda v: check_descent_inequality(PROBLEM, CERT, v, 100, SeededGenerator(1))),
+     True, lambda v: check_descent_inequality(PROBLEM, CERT, v, 100, philox_generator(1))),
 ]
 
 
@@ -231,7 +231,7 @@ def test_design_rows_share_one_length():
 def test_sample_counts_are_not_truncated(check):
     for bad in (2.9, True, 0):
         with pytest.raises(UsageError):
-            check(PROBLEM, CERT, bad, SeededGenerator(4))
+            check(PROBLEM, CERT, bad, philox_generator(4))
 
 
 HORIZON = 10

@@ -7,11 +7,11 @@ from sgdcheck import (
     ConfigurationError,
     ConstantSchedule,
     FiniteSumLeastSquares,
-    SeededGenerator,
     ShiftedQuadratic,
     UsageError,
     audit_certificate,
     check_gradients,
+    philox_generator,
     run_replications,
     sample_in_ball,
 )
@@ -60,22 +60,22 @@ class TestShiftedQuadratic:
 
     def test_degenerate_noise_is_exactly_zero(self):
         problem = make_quadratic(halfwidth=0.0)
-        draw = problem.noise_block(SeededGenerator(5), 1)[0]
+        draw = problem.noise_block(philox_generator(5), 1)[0]
         assert np.array_equal(draw, np.zeros(2))
 
     def test_noise_law_bounds_and_reproducibility(self):
         problem = make_quadratic(halfwidth=0.3)
-        first = problem.noise_block(SeededGenerator(11), 1)[0]
-        second = problem.noise_block(SeededGenerator(11), 1)[0]
+        first = problem.noise_block(philox_generator(11), 1)[0]
+        second = problem.noise_block(philox_generator(11), 1)[0]
         assert np.array_equal(first, second)
-        block = problem.noise_block(SeededGenerator(11), 1000)
+        block = problem.noise_block(philox_generator(11), 1000)
         assert block.shape == (1000, 2)
         assert np.all(np.abs(block) <= 0.3)
 
     def test_noise_block_matches_per_step_draws(self):
         problem = make_quadratic(halfwidth=0.3)
-        block = problem.noise_block(SeededGenerator(77), 50)
-        gen = SeededGenerator(77)
+        block = problem.noise_block(philox_generator(77), 50)
+        gen = philox_generator(77)
         singles = np.array([problem.noise_block(gen, 1)[0] for _ in range(50)])
         assert np.array_equal(block, singles)
 
@@ -148,7 +148,7 @@ class TestShiftedQuadratic:
 
     def test_strong_convexity_holds_with_equality(self):
         problem = ShiftedQuadratic(curvature=1.7, center=[0.3, -0.2, 1.0], noise_halfwidth=0.4)
-        rng = SeededGenerator(21)
+        rng = philox_generator(21)
         xs = rng.normal(size=(200, 3))
         ys = rng.normal(size=(200, 3))
         loss_x, grad_x = problem.mean_loss_and_gradient(xs)
@@ -172,7 +172,7 @@ class TestFiniteSumLeastSquares:
 
     def test_noise_is_uniform_row_index(self):
         problem = FiniteSumLeastSquares(design=np.eye(3), targets=np.zeros(3))
-        block = problem.noise_block(SeededGenerator(8), 3000)
+        block = problem.noise_block(philox_generator(8), 3000)
         assert set(np.unique(block)) == {0, 1, 2}
         counts = np.bincount(block)
         assert counts.min() > 800
@@ -194,7 +194,7 @@ class TestFiniteSumLeastSquares:
         np.testing.assert_allclose(problem.minimizer(), [1.0, 1.0], rtol=1e-12, atol=1e-12)
 
     def test_minimizer_gradient_is_flat(self):
-        rng = SeededGenerator(31)
+        rng = philox_generator(31)
         design = rng.normal(size=(12, 4))
         targets = rng.normal(size=12)
         problem = FiniteSumLeastSquares(design=design, targets=targets)
@@ -247,7 +247,7 @@ class TestFiniteSumLeastSquares:
             problem.certify(1.0, [0.0, 0.0])
 
     def test_strong_convexity_inequality(self):
-        rng = SeededGenerator(32)
+        rng = philox_generator(32)
         design = rng.normal(size=(10, 3))
         targets = rng.normal(size=10)
         problem = FiniteSumLeastSquares(design=design, targets=targets)
@@ -296,7 +296,7 @@ class TestCentredForm:
         certified ball of ``centred`` (by default ``problem``)."""
         centred = centred or problem
         cert = centred.certify(1.0, centred.minimizer())
-        rng = SeededGenerator(3)
+        rng = philox_generator(3)
         xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
         ys = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
         noise = problem.noise_block(rng, samples)
@@ -380,14 +380,14 @@ class TestGradientConsistency:
     def test_shifted_quadratic(self):
         problem = ShiftedQuadratic(curvature=1.3, center=[0.4, -0.1, 0.0], noise_halfwidth=0.6)
         cert = problem.certify(2.0, [1.0, 0.0, 0.0])
-        report = check_gradients(problem, cert, 300, SeededGenerator(41))
+        report = check_gradients(problem, cert, 300, philox_generator(41))
         assert report.passed, report
 
     def test_finite_sum(self):
-        rng = SeededGenerator(42)
+        rng = philox_generator(42)
         problem = FiniteSumLeastSquares(design=rng.normal(size=(8, 3)), targets=rng.normal(size=8))
         cert = problem.certify(1.5, problem.minimizer())
-        report = check_gradients(problem, cert, 300, SeededGenerator(43))
+        report = check_gradients(problem, cert, 300, philox_generator(43))
         assert report.passed, report
 
 
@@ -400,7 +400,7 @@ class TestOutBuffers:
     """Writing into a caller's buffer gives the bits of the allocating call."""
 
     def draws(self, family, batch):
-        rng = SeededGenerator(44)
+        rng = philox_generator(44)
         if family == "quadratic":
             problem = ShiftedQuadratic(curvature=1.7, center=[0.4, -0.1, 0.3], noise_halfwidth=0.6)
         else:
@@ -430,7 +430,7 @@ class TestOutBuffers:
             problem.pointwise_gradient(np.array([0, 1, 2, 3, 6]), x, out=np.empty_like(x))
 
     def test_sq_norm_out(self):
-        d = SeededGenerator(45).normal(size=(7, 3))
+        d = philox_generator(45).normal(size=(7, 3))
         # A row of a step-major buffer, as the engine passes it.
         row = np.empty((2, 7))[1]
         assert sq_norm(d, out=row) is row
@@ -446,7 +446,7 @@ class TestUnbiasedness:
     def test_shifted_quadratic(self):
         problem = make_quadratic(halfwidth=0.8)
         x = np.array([1.1, -0.4])
-        rng = SeededGenerator(51)
+        rng = philox_generator(51)
         draws = problem.noise_block(rng, 100_000)
         grads = problem.pointwise_gradient(draws, x)
         sample_mean = grads.mean(axis=0)
@@ -455,7 +455,7 @@ class TestUnbiasedness:
         assert np.all(np.abs(sample_mean - exact) <= 5.0 * stderr + 1e-12)
 
     def test_finite_sum(self):
-        rng = SeededGenerator(52)
+        rng = philox_generator(52)
         problem = FiniteSumLeastSquares(design=rng.normal(size=(6, 2)), targets=rng.normal(size=6))
         x = np.array([0.3, -0.8])
         draws = problem.noise_block(rng, 100_000)
@@ -471,7 +471,7 @@ class TestMinimizerOptimality:
 
     @pytest.mark.parametrize("scale", [1e-3, 1.0, 10.0])
     def test_quadratic_growth(self, scale):
-        rng = SeededGenerator(61)
+        rng = philox_generator(61)
         problems = [
             make_quadratic(halfwidth=0.5),
             FiniteSumLeastSquares(design=rng.normal(size=(9, 2)), targets=rng.normal(size=9)),
@@ -493,7 +493,7 @@ class TestAudit:
     def test_valid_certificates_pass(self):
         quadratic = make_quadratic(halfwidth=0.5)
         cert = quadratic.certify(2.0, [2.0, 0.0])
-        report = audit_certificate(quadratic, cert, 20_000, SeededGenerator(71))
+        report = audit_certificate(quadratic, cert, 20_000, philox_generator(71))
         assert report.passed
         assert report.max_grad_ratio <= 1.0
         assert report.min_convexity_slack >= -1e-9
@@ -503,7 +503,7 @@ class TestAudit:
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
         corrupted = dataclasses.replace(cert, grad_sq_bound=cert.grad_sq_bound / 2.0)
-        report = audit_certificate(problem, corrupted, 20_000, SeededGenerator(72))
+        report = audit_certificate(problem, corrupted, 20_000, philox_generator(72))
         assert not report.passed
         assert report.grad_violations > 0
         noise, x = report.grad_witness
@@ -514,7 +514,7 @@ class TestAudit:
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
         corrupted = dataclasses.replace(cert, strong_convexity=cert.strong_convexity * 1.1)
-        report = audit_certificate(problem, corrupted, 20_000, SeededGenerator(73))
+        report = audit_certificate(problem, corrupted, 20_000, philox_generator(73))
         assert not report.passed
         assert report.convexity_violations > 0
         assert report.convexity_witness is not None
@@ -523,7 +523,7 @@ class TestAudit:
         problem = make_quadratic()
         cert = problem.certify(2.0, [2.0, 0.0])
         with pytest.raises(UsageError):
-            audit_certificate(problem, cert, 0, SeededGenerator(74))
+            audit_certificate(problem, cert, 0, philox_generator(74))
 
     @pytest.mark.parametrize("case", ["quadratic", "finite_sum", "nan_ratio"])
     def test_verify_output_does_not_depend_on_the_thread_count(
@@ -606,8 +606,8 @@ class TestAudit:
 class TestSampleInBall:
     def test_stays_inside_and_reproduces(self):
         center = np.array([1.0, -2.0, 0.5])
-        points = sample_in_ball(center, 1.5, 2000, SeededGenerator(81))
-        again = sample_in_ball(center, 1.5, 2000, SeededGenerator(81))
+        points = sample_in_ball(center, 1.5, 2000, philox_generator(81))
+        again = sample_in_ball(center, 1.5, 2000, philox_generator(81))
         assert np.array_equal(points, again)
         assert np.all(sq_norm(points - center) <= 1.5**2 + 1e-12)
         # The draws should actually fill the ball, not hug the center.
@@ -642,7 +642,7 @@ class TestGradientAlignment:
         rng = np.random.default_rng(rows)
         x = problem.minimizer() + rng.normal(size=dim)
         direction = 3.0 * rng.normal(size=dim)
-        gen = SeededGenerator(dim + rows)
+        gen = philox_generator(dim + rows)
         for samples in (max(1, rows // 2), rows - 1, rows, 20_000):
             if samples < 1:
                 continue
@@ -668,7 +668,7 @@ class TestGradientAlignment:
         x = problem.minimizer() + 0.5
         direction = np.zeros(3) if case == "zero_direction" else np.array([1.0, -2.0, 0.5])
         for samples in (rows, 20_000):
-            noise = problem.noise_block(SeededGenerator(rows), samples)
+            noise = problem.noise_block(philox_generator(rows), samples)
             got = problem.alignment(noise, x, direction)
             assert_same_bits(got, direct(problem, noise, x, direction))
         if case == "zero_direction":
@@ -676,7 +676,7 @@ class TestGradientAlignment:
 
     def test_quadratic_keeps_the_direct_path(self):
         problem = make_quadratic(dim=3)
-        rng = SeededGenerator(5)
+        rng = philox_generator(5)
         noise = problem.noise_block(rng, 500)
         x, direction = rng.normal(size=3), rng.normal(size=3)
         assert_same_bits(problem.alignment(noise, x, direction),
@@ -692,7 +692,7 @@ class TestGradientAlignment:
             return original(self, noise, x, out=out)
 
         monkeypatch.setattr(FiniteSumLeastSquares, "pointwise_gradient", counting)
-        noise = problem.noise_block(SeededGenerator(1), 20_000)
+        noise = problem.noise_block(philox_generator(1), 20_000)
         problem.alignment(noise, np.zeros(16), np.ones(16))
         # Below one draw per row the draws are evaluated directly.
         problem.alignment(noise[:127], np.zeros(16), np.ones(16))
@@ -771,9 +771,9 @@ class TestCompactNoise:
     ])
     def test_smallest_unsigned_type_with_the_int64_draws(self, rows, dtype):
         problem = FiniteSumLeastSquares(design=np.ones((rows, 1)), targets=np.zeros(rows))
-        block = problem.noise_block(SeededGenerator(9), 5000)
+        block = problem.noise_block(philox_generator(9), 5000)
         assert block.dtype == dtype
-        wide = SeededGenerator(9).integers(rows, size=5000)
+        wide = philox_generator(9).integers(rows, size=5000)
         assert wide.dtype == np.int64
         assert np.array_equal(block, wide)
 
@@ -787,10 +787,10 @@ def assert_fill_matches_noise_block(problem, replications, count):
     """fill_noise_block equals one noise_block per generator, bit for bit,
     and leaves every generator where that call leaves it."""
     seeds = [1000 + i for i in range(replications)]
-    generators = [SeededGenerator(seed) for seed in seeds]
+    generators = [philox_generator(seed) for seed in seeds]
     out = np.empty((count, replications) + problem.noise_shape, dtype=problem.noise_dtype)
     problem.fill_noise_block(generators, out)
-    references = [SeededGenerator(seed) for seed in seeds]
+    references = [philox_generator(seed) for seed in seeds]
     expected = np.stack([problem.noise_block(gen, count) for gen in references], axis=1)
     assert (out.dtype, out.shape) == (expected.dtype, expected.shape)
     assert out.tobytes() == expected.tobytes()
@@ -833,11 +833,12 @@ class TestFillNoiseBlock:
 
 def stage_generators(rng, samples):
     """The generator and sample count of each block of a verify stage: block
-    0 draws from ``rng``, block b from a copy jumped b times before it."""
+    b draws from a copy of ``rng`` jumped b times."""
     cap = objective._AUDIT_CHUNK
-    blocks = -(-samples // cap)
-    generators = [rng] + [rng.jumped(b) for b in range(1, blocks)]
-    return [(gen, min(cap, samples - b * cap)) for b, gen in enumerate(generators)]
+    return [
+        (np.random.Generator(rng.bit_generator.jumped(b)), min(cap, samples - lo))
+        for b, lo in enumerate(range(0, samples, cap))
+    ]
 
 
 def audit_blocks(problem, cert, samples, rng):
@@ -852,14 +853,14 @@ def audit_blocks(problem, cert, samples, rng):
 
 def audit_draws(problem, cert, samples, seed):
     """The (noise, x, y) draws of ``audit_certificate`` for ``seed``."""
-    blocks = audit_blocks(problem, cert, samples, SeededGenerator(seed))
+    blocks = audit_blocks(problem, cert, samples, philox_generator(seed))
     return tuple(np.concatenate(draws) for draws in zip(*blocks))
 
 
 def gradient_draws(problem, cert, samples, seed):
     """The (noise, x) draws of ``check_gradients`` for ``seed``."""
     noise, xs = [], []
-    for gen, count in stage_generators(SeededGenerator(seed), samples):
+    for gen, count in stage_generators(philox_generator(seed), samples):
         xs.append(sample_in_ball(cert.region_center, cert.region_radius, count, gen))
         noise.append(problem.noise_block(gen, count))
     return np.concatenate(noise), np.concatenate(xs)
@@ -918,7 +919,7 @@ class TestVerifyChunks:
         monkeypatch.setattr(objective, "_audit_values", recording)
         for name in ["quadratic-16", "ls-128x16", "ls-2048x16"]:
             problem, cert = chunk_problem(name)
-            audit_certificate(problem, cert, 10_000, SeededGenerator(3))
+            audit_certificate(problem, cert, 10_000, philox_generator(3))
         assert lengths == [4096, 4096, 1808] * 3
 
     def test_one_sample_per_chunk_at_the_smallest_budget(self, monkeypatch):
@@ -930,7 +931,7 @@ class TestVerifyChunks:
     ])
     def test_chunks_tile_every_block(self, samples):
         size, cap = 4096, objective._AUDIT_CHUNK
-        counts = [count for _, count in objective._StageBlocks(SeededGenerator(0), samples)]
+        counts = [count for _, count in objective._StageBlocks(philox_generator(0), samples)]
         assert counts == [min(cap, samples - lo) for lo in range(0, samples, cap)]
         for block_length in counts:
             parts = objective._verify_chunks(block_length, 16)
@@ -940,9 +941,9 @@ class TestVerifyChunks:
             assert 0 < parts[-1].stop - parts[-1].start <= size
 
     def test_planning_a_stage_holds_no_generator_per_block(self, peak_traced_bytes):
-        # 10^9 samples are 30 518 blocks; planning them builds two copies of
-        # the generator, and each block's copy is built when it is taken.
-        rng, blocks = SeededGenerator(5), []
+        # 10^9 samples are 30 518 blocks; planning them builds no generator,
+        # and each block's copy is built when it is taken.
+        rng, blocks = philox_generator(5), []
         peak = peak_traced_bytes(lambda: blocks.append(objective._StageBlocks(rng, 10**9)))
         assert peak < 2**20, peak
         [stage] = blocks
@@ -954,15 +955,38 @@ class TestVerifyChunks:
     def test_a_block_taken_late_draws_from_its_own_jump(self):
         # Blocks 1 and 3 are taken after block 0 and block 1 have drawn, and
         # still draw what copies jumped before any draw give.
-        rng = SeededGenerator(11)
-        expected = [SeededGenerator(11).jumped(b).random(np.empty(3)) for b in (1, 3)]
+        rng = philox_generator(11)
+        expected = [
+            np.random.Generator(philox_generator(11).bit_generator.jumped(b)).random(3)
+            for b in (1, 3)
+        ]
         stage = objective._StageBlocks(rng, 4 * objective._AUDIT_CHUNK)
-        stage[0][0].random(np.empty(5))
+        stage[0][0].random(5)
         late = []
         for b in (1, 3):
-            late.append(stage[b][0].random(np.empty(3)))
-            stage[b][0].random(np.empty(7))
+            late.append(stage[b][0].random(3))
+            stage[b][0].random(7)
         assert [draws.tobytes() for draws in late] == [draws.tobytes() for draws in expected]
+
+    @pytest.mark.parametrize("b", [0, 1, 3])
+    def test_block_b_draws_from_the_stage_stream_jumped_b_times(self, b):
+        # Block 0 too: jumped(0) is a copy of the stage stream at its state.
+        seed = 2**63 + 5
+        stage = objective._StageBlocks(philox_generator(seed), 4 * objective._AUDIT_CHUNK)
+        expected = np.random.Generator(philox_generator(seed).bit_generator.jumped(b))
+        assert stage[b][0].bit_generator.random_raw(64).tobytes() == (
+            expected.bit_generator.random_raw(64).tobytes()
+        )
+
+    @pytest.mark.parametrize("check", [audit_certificate, check_gradients])
+    def test_the_stage_generator_does_not_move(self, check):
+        problem, cert = chunk_problem("quadratic-2")
+        rng = philox_generator(17)
+        # The repr holds every word of the state, the buffered values too.
+        before = repr(rng.bit_generator.state)
+        check(problem, cert, objective._AUDIT_CHUNK + 1, rng)
+        assert repr(rng.bit_generator.state) == before
+        assert rng.random(4).tobytes() == philox_generator(17).random(4).tobytes()
 
     @pytest.mark.parametrize("name, samples", CHUNK_GRID)
     def test_audit_values_equal_whole_blocks(self, name, samples):
@@ -970,7 +994,7 @@ class TestVerifyChunks:
         # batch, as the audit did before chunks were sized by memory; up to
         # 2^15 samples that is one whole-batch evaluation.
         problem, cert = chunk_problem(name)
-        for block in audit_blocks(problem, cert, samples, SeededGenerator(samples)):
+        for block in audit_blocks(problem, cert, samples, philox_generator(samples)):
             ratios, rel_slack = objective._audit_arrays(problem, cert, *block)
             whole_ratios, whole_slack = objective._audit_values(problem, cert, *block)
             assert_same_bits(ratios, whole_ratios)
@@ -981,17 +1005,17 @@ class TestVerifyChunks:
         self, name, monkeypatch
     ):
         problem, cert = chunk_problem(name)
-        report = check_gradients(problem, cert, 40_001, SeededGenerator(9))
+        report = check_gradients(problem, cert, 40_001, philox_generator(9))
         monkeypatch.setattr(objective, "_VERIFY_CHUNK_BYTES", 1 << 40)
         assert objective._verify_chunks(1 << 15, problem.dimension) == [slice(0, 1 << 15)]
-        assert check_gradients(problem, cert, 40_001, SeededGenerator(9)) == report
+        assert check_gradients(problem, cert, 40_001, philox_generator(9)) == report
 
     @pytest.mark.parametrize("name", ["quadratic-2", "ls-12x3", "ls-128x16"])
     def test_gradient_check_matches_a_copy_per_coordinate(self, name):
         # Reference: every coordinate shifted in a fresh copy of all points.
         problem, cert = chunk_problem(name)
         samples = 3001
-        rng = SeededGenerator(11)
+        rng = philox_generator(11)
         xs = sample_in_ball(cert.region_center, cert.region_radius, samples, rng)
         noise = problem.noise_block(rng, samples)
         grads = problem.pointwise_gradient(noise, xs)
@@ -1004,7 +1028,7 @@ class TestVerifyChunks:
             difference = problem.pointwise_loss(noise, plus) - problem.pointwise_loss(noise, minus)
             approx = difference / (2.0 * h)
             errors.append(np.abs(approx - grads[:, j]) / np.maximum(1.0, np.abs(grads[:, j])))
-        report = check_gradients(problem, cert, samples, SeededGenerator(11))
+        report = check_gradients(problem, cert, samples, philox_generator(11))
         assert report.max_rel_error == float(np.max(errors))
 
     def test_audit_memory_stays_near_the_draws(self, peak_traced_bytes):
@@ -1014,7 +1038,7 @@ class TestVerifyChunks:
         # one ratio and one slack per sample.
         draws = 2 * samples * 16 * 8 + samples * 8 + 2 * samples * 8
         peak = peak_traced_bytes(
-            lambda: audit_certificate(problem, cert, samples, SeededGenerator(5))
+            lambda: audit_certificate(problem, cert, samples, philox_generator(5))
         )
         assert peak < draws + 4 * 2**20
 
@@ -1025,7 +1049,7 @@ class TestVerifyChunks:
         samples = 40_000
         draws = samples * 16 * 8 + samples * 8
         peak = peak_traced_bytes(
-            lambda: check_gradients(problem, cert, samples, SeededGenerator(5))
+            lambda: check_gradients(problem, cert, samples, philox_generator(5))
         )
         assert peak < draws + 4 * 2**20
 
@@ -1041,8 +1065,8 @@ class TestVerifyChunks:
         check = audit_certificate if stage == "audit" else check_gradients
         # A first call in a fresh process also traces the modules numpy
         # imports on first use, about 0.7 MiB.
-        check(problem, cert, 40_000, SeededGenerator(5))
-        peak = peak_traced_bytes(lambda: check(problem, cert, 40_000, SeededGenerator(5)))
+        check(problem, cert, 40_000, philox_generator(5))
+        peak = peak_traced_bytes(lambda: check(problem, cert, 40_000, philox_generator(5)))
         assert peak < 3 * 2**20
 
 
@@ -1057,7 +1081,7 @@ class TestVerifyBlocks:
         problem, cert = chunk_problem("ls-128x16")
         check = audit_certificate if stage == "audit" else check_gradients
         peaks = [
-            peak_traced_bytes(lambda: check(problem, cert, samples, SeededGenerator(5)))
+            peak_traced_bytes(lambda: check(problem, cert, samples, philox_generator(5)))
             for samples in (2 << 12, 8 << 12)
         ]
         assert peaks[1] <= 1.25 * peaks[0]
@@ -1114,7 +1138,7 @@ class TestVerifyBlocks:
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
-        block_of = self.block_of(audit_blocks(problem, cert, 300, SeededGenerator(8)))
+        block_of = self.block_of(audit_blocks(problem, cert, 300, philox_generator(8)))
         values = objective._audit_values
         ran, raised = [], threading.Event()
 
@@ -1135,7 +1159,7 @@ class TestVerifyBlocks:
         monkeypatch.setattr(objective, "_audit_values", failing_block_3)
         before = threading.active_count()
         with pytest.raises(BlockFailed):
-            audit_certificate(problem, cert, 300, SeededGenerator(8))
+            audit_certificate(problem, cert, 300, philox_generator(8))
         assert sorted(ran) == [0, 1, 2, 3]
         assert threading.active_count() == before
 
@@ -1148,7 +1172,7 @@ class TestVerifyBlocks:
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
-        block_of = self.block_of(audit_blocks(problem, cert, 300, SeededGenerator(8)))
+        block_of = self.block_of(audit_blocks(problem, cert, 300, philox_generator(8)))
         values = objective._audit_values
         ran, waiting, joining = [], threading.Event(), threading.Event()
         acquire, join = threading.Semaphore.acquire, threading.Thread.join
@@ -1177,7 +1201,7 @@ class TestVerifyBlocks:
         monkeypatch.setattr(objective, "_audit_values", interrupting_block_1)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            audit_certificate(problem, cert, 300, SeededGenerator(8))
+            audit_certificate(problem, cert, 300, philox_generator(8))
         assert sorted(ran) == [0, 1]
         assert threading.active_count() == before
 
@@ -1202,7 +1226,7 @@ class TestVerifyBlocks:
         monkeypatch.setattr(threading.Thread, "start", interrupted_start)
         before = threading.active_count()
         with pytest.raises(KeyboardInterrupt):
-            audit_certificate(problem, cert, 20_000, SeededGenerator(8))
+            audit_certificate(problem, cert, 20_000, philox_generator(8))
         assert threading.active_count() == before
         assert not interrupted[0].is_alive()
         assert engine._process_count(8000, 2000) == 2
@@ -1219,7 +1243,7 @@ class TestNonFiniteValues:
 
     def test_nan_slacks_fail_the_audit(self):
         problem, cert = overflowing_quadratic()
-        report = audit_certificate(problem, cert, 1000, SeededGenerator(1))
+        report = audit_certificate(problem, cert, 1000, philox_generator(1))
         assert not report.passed
         assert report.grad_violations == 0
         assert report.convexity_violations == 1000
@@ -1228,7 +1252,7 @@ class TestNonFiniteValues:
 
     def test_nan_errors_fail_the_gradient_check(self):
         problem, cert = overflowing_quadratic()
-        report = check_gradients(problem, cert, 1000, SeededGenerator(1))
+        report = check_gradients(problem, cert, 1000, philox_generator(1))
         assert not report.passed
         assert np.isnan(report.max_rel_error)
 
@@ -1242,9 +1266,9 @@ class TestNonFiniteValues:
         def nan_at_the_last_draw(self, noise, x):
             return np.where((noise == last_noise).all(axis=-1), np.nan, loss(self, noise, x))
 
-        assert check_gradients(problem, cert, samples, SeededGenerator(5)).passed
+        assert check_gradients(problem, cert, samples, philox_generator(5)).passed
         monkeypatch.setattr(ShiftedQuadratic, "pointwise_loss", nan_at_the_last_draw)
-        report = check_gradients(problem, cert, samples, SeededGenerator(5))
+        report = check_gradients(problem, cert, samples, philox_generator(5))
         assert not report.passed
         assert np.isnan(report.max_rel_error)
 
@@ -1260,7 +1284,7 @@ class TestNonFiniteValues:
             return np.where((noise == last_noise).all(axis=-1, keepdims=True), np.nan, value)
 
         monkeypatch.setattr(ShiftedQuadratic, "pointwise_gradient", nan_at_the_last_draw)
-        report = audit_certificate(problem, cert, samples, SeededGenerator(7))
+        report = audit_certificate(problem, cert, samples, philox_generator(7))
         assert not report.passed
         assert report.grad_violations == 1
         assert np.isnan(report.max_grad_ratio)
@@ -1270,7 +1294,7 @@ class TestNonFiniteValues:
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
         tiny = dataclasses.replace(cert, grad_sq_bound=5e-324)
-        report = audit_certificate(problem, tiny, 100, SeededGenerator(6))
+        report = audit_certificate(problem, tiny, 100, philox_generator(6))
         assert report.max_grad_ratio == np.inf
         assert report.grad_violations == 100
 
