@@ -45,6 +45,7 @@ from .objective import (
     audit_certificate,
     check_gradients,
     sample_in_ball,
+    verify_certificate,
 )
 from .schedule import (
     ConstantSchedule,
@@ -92,4 +93,5 @@ __all__ = [
     "sample_in_ball",
     "serialize_config",
     "validate_schedule",
+    "verify_certificate",
 ]

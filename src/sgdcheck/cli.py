@@ -19,7 +19,7 @@ from .checks import Verdict, g17, lemma_verdict, preflight_checks, started_check
 from .config import ExperimentConfig, build_problem, build_schedule, load_config
 from .engine import aux_generator, run_replications
 from .errors import ConfigurationError, DivergenceError, SgdCheckError
-from .objective import audit_certificate, check_gradients
+from .objective import verify_certificate
 from .schedule import KINDS, validate_schedule
 
 ENV_OUTPUT_DIR = "SGDCHECK_OUTPUT_DIR"
@@ -175,11 +175,10 @@ def cmd_verify(args) -> int:
     cfg = load_config(args.config)
     problem = build_problem(cfg.problem)
     cert = problem.certify(cfg.region_radius, cfg.x0)
-    audit = audit_certificate(
-        problem, cert, cfg.verify["audit_samples"], aux_generator(cfg.master_seed, 2)
-    )
-    grad = check_gradients(
-        problem, cert, cfg.verify["gradient_checks"], aux_generator(cfg.master_seed, 3)
+    audit, grad = verify_certificate(
+        problem, cert,
+        cfg.verify["audit_samples"], aux_generator(cfg.master_seed, 2),
+        cfg.verify["gradient_checks"], aux_generator(cfg.master_seed, 3),
     )
     print(
         f"[{'PASS' if audit.passed else 'FAIL'}] certificate_audit: "

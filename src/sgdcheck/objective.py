@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import abc
 import functools
+import itertools
 import math
 import os
 import threading
@@ -57,7 +58,8 @@ MAX_DIMENSION = 64
 # blocks of _AUDIT_CHUNK, the last block taking the remainder.  Block b
 # draws from a copy of the stage's generator jumped b times, its Philox
 # counter b * 2^128 ahead, so the blocks need nothing from each other and
-# run on a pool of threads (_map_blocks).
+# run, those of both stages of verify_certificate together, on one pool of
+# threads (_map_blocks).
 _AUDIT_CHUNK = 1 << 15
 
 # Bytes of one per-sample temporary of a verify chunk, d wide but counted as
@@ -204,6 +206,14 @@ class StochasticProblem(abc.ABC):
 
     @abc.abstractmethod
     def pointwise_loss(self, noise, x): ...
+
+    def loss_at(self, noise):
+        """``x -> pointwise_loss(noise, x)``, for many points at fixed noise.
+
+        A family that gathers per-noise data gathers it once, here; the
+        losses have the bits of pointwise_loss.
+        """
+        return functools.partial(self.pointwise_loss, noise)
 
     @abc.abstractmethod
     def pointwise_gradient(self, noise, x, out=None):
@@ -458,10 +468,17 @@ class FiniteSumLeastSquares(StochasticProblem):
         return rng.integers(self.rows, size=count).astype(self.noise_dtype)
 
     def pointwise_loss(self, noise, x):
-        x = self._check_x(x)
-        rows = self.design[noise]
-        residual = row_dot(rows, x) - self.targets[noise]
-        return 0.5 * residual * residual
+        return self.loss_at(noise)(self._check_x(x))
+
+    def loss_at(self, noise):
+        """The loss at fixed rows, gathered once for every point it is called on."""
+        rows, targets = self.design[noise], self.targets[noise]
+
+        def loss(x):
+            residual = row_dot(rows, self._check_x(x)) - targets
+            return 0.5 * residual * residual
+
+        return loss
 
     def pointwise_gradient(self, noise, x, out=None):
         x = self._check_x(x)
@@ -666,34 +683,41 @@ class _StageBlocks:
         return np.random.Generator(self._bits.jumped(b)), count
 
 
-def _map_blocks(fn, blocks: list) -> list:
-    """``[fn(block) for block in blocks]``, on one thread per usable core when
-    there is more than one block and more than one core.
+def _map_blocks(*stages) -> list:
+    """``[reduce([fn(block) for block in blocks]) for fn, blocks, reduce in
+    stages]``, with the blocks on one thread per usable core when there is
+    more than one block in all and more than one core.
 
     numpy releases the GIL in the draws, ufuncs, ``einsum`` and BLAS, so the
-    blocks of a stage run in parallel; the threads take the blocks in order
-    as they free up.  If a block raises, or the caller is interrupted, no
-    block starts once the caller's ``finally`` runs, every thread that
-    started is joined, and the exception propagates (of the blocks that
-    raised, the first in block order).
+    blocks run in parallel.  The threads share one pool: they take the
+    blocks in stage order, then block order, as they free up, so a thread
+    that finds no block left in a stage takes the next stage's first block
+    while the others finish theirs.  If a block raises, or the caller is
+    interrupted, no block starts once the caller's ``finally`` runs, every
+    thread that started is joined, and the exception propagates (of the
+    blocks that raised, the first in stage and block order).
     """
-    count = min(usable_cores(), len(blocks))
+    count = min(usable_cores(), sum(len(blocks) for _, blocks, _ in stages))
     if count <= 1:
-        return [fn(block) for block in blocks]
-    results, failures = [None] * len(blocks), {}
-    # One iterator for all threads: next() on it is atomic under the GIL.
-    order = iter(range(len(blocks)))
+        return [reduce([fn(block) for block in blocks]) for fn, blocks, reduce in stages]
+    results, failures = [[None] * len(blocks) for _, blocks, _ in stages], {}
+    # One iterator of (stage, block) for all threads, built of C iterators
+    # only, so next() on it is atomic under the GIL.
+    order = itertools.chain(*(
+        zip(itertools.repeat(s), range(len(blocks))) for s, (_, blocks, _) in enumerate(stages)
+    ))
     stop, finished = threading.Event(), threading.Semaphore(0)
 
     def work():
         try:
-            for b in order:
+            for s, b in order:
                 if stop.is_set():
                     return
+                fn, blocks, _ = stages[s]
                 try:
-                    results[b] = fn(blocks[b])
+                    results[s][b] = fn(blocks[b])
                 except BaseException as exc:
-                    failures[b] = exc
+                    failures[s, b] = exc
                     stop.set()
         finally:
             finished.release()
@@ -721,7 +745,7 @@ def _map_blocks(fn, blocks: list) -> list:
                     time.sleep(1e-4)
     if failures:
         raise failures[min(failures)]
-    return results
+    return [reduce(blocks) for (_, _, reduce), blocks in zip(stages, results)]
 
 
 def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:
@@ -788,6 +812,31 @@ def _audit_block(problem, cert, block) -> tuple:
     )
 
 
+def _audit_stage(problem, cert, samples, rng) -> tuple:
+    """audit_certificate as a stage of _map_blocks: its block function, its
+    blocks and the report of its block results, merged in block order."""
+    samples = require_int(samples, "samples", 1)
+
+    def report(blocks) -> AuditReport:
+        ratios, grad_bad, grad_witnesses, slacks, convexity_bad, convexity_witnesses = zip(*blocks)
+        worst_grad = int(np.argmax(ratios))
+        worst_convexity = int(np.argmin(slacks))
+        grad_violations = sum(grad_bad)
+        convexity_violations = sum(convexity_bad)
+        return AuditReport(
+            samples=samples,
+            max_grad_ratio=ratios[worst_grad],
+            min_convexity_slack=slacks[worst_convexity],
+            grad_violations=grad_violations,
+            convexity_violations=convexity_violations,
+            passed=grad_violations == 0 and convexity_violations == 0,
+            grad_witness=grad_witnesses[worst_grad] if grad_violations else None,
+            convexity_witness=convexity_witnesses[worst_convexity] if convexity_violations else None,
+        )
+
+    return functools.partial(_audit_block, problem, cert), _StageBlocks(rng, samples), report
+
+
 def audit_certificate(
     problem: StochasticProblem,
     cert: HypothesisCertificate,
@@ -805,45 +854,32 @@ def audit_certificate(
 
     The samples come in blocks of _AUDIT_CHUNK (see _StageBlocks), each
     drawn x, then y, then noise, from ``rng`` jumped by its block number;
-    ``rng`` does not move.  The blocks are merged in order, so the report
-    does not depend on how many threads ran them.
+    ``rng`` does not move.  The blocks run on the thread pool of
+    _map_blocks and are merged in order, so the report does not depend on
+    how many threads ran them, nor on whether verify_certificate ran them
+    beside the gradient check.
     """
-    samples = require_int(samples, "samples", 1)
-    blocks = _map_blocks(
-        functools.partial(_audit_block, problem, cert), _StageBlocks(rng, samples)
-    )
-    ratios, grad_bad, grad_witnesses, slacks, convexity_bad, convexity_witnesses = zip(*blocks)
-    worst_grad = int(np.argmax(ratios))
-    worst_convexity = int(np.argmin(slacks))
-    grad_violations = sum(grad_bad)
-    convexity_violations = sum(convexity_bad)
-    return AuditReport(
-        samples=samples,
-        max_grad_ratio=ratios[worst_grad],
-        min_convexity_slack=slacks[worst_convexity],
-        grad_violations=grad_violations,
-        convexity_violations=convexity_violations,
-        passed=grad_violations == 0 and convexity_violations == 0,
-        grad_witness=grad_witnesses[worst_grad] if grad_violations else None,
-        convexity_witness=convexity_witnesses[worst_convexity] if convexity_violations else None,
-    )
+    return _map_blocks(_audit_stage(problem, cert, samples, rng))[0]
 
 
 def _max_gradient_error(problem, noise, x) -> float:
     """Largest relative error of the analytic gradients at the points ``x``.
 
     Shifts one coordinate of a working copy of ``x`` at a time and restores
-    it before the next; a NaN error is carried to the result.
+    it before the next; a NaN error is carried to the result.  The 2 * d
+    losses come from one ``loss_at(noise)``, so per-noise data is gathered
+    once per chunk.
     """
     grads = np.asarray(problem.pointwise_gradient(noise, x))
+    loss = problem.loss_at(noise)
     h = 1e-6 * (1.0 + np.sqrt(np.asarray(sq_norm(x))))
     shifted = x.copy()
     worst = 0.0
     for j in range(problem.dimension):
         shifted[:, j] = x[:, j] + h
-        plus = np.asarray(problem.pointwise_loss(noise, shifted))
+        plus = np.asarray(loss(shifted))
         shifted[:, j] = x[:, j] - h
-        minus = np.asarray(problem.pointwise_loss(noise, shifted))
+        minus = np.asarray(loss(shifted))
         shifted[:, j] = x[:, j]
         approx = (plus - minus) / (2.0 * h)
         rel = np.abs(approx - grads[:, j]) / np.maximum(1.0, np.abs(grads[:, j]))
@@ -864,6 +900,22 @@ def _gradient_block(problem, cert, block) -> float:
     return worst
 
 
+def _gradient_stage(problem, cert, samples, rng, tolerance) -> tuple:
+    """check_gradients as a stage of _map_blocks (see _audit_stage)."""
+    samples = require_int(samples, "samples", 1)
+
+    def report(errors) -> GradientCheckReport:
+        max_rel = float(np.max(errors))
+        return GradientCheckReport(
+            samples=samples,
+            max_rel_error=max_rel,
+            tolerance=tolerance,
+            passed=max_rel <= tolerance,
+        )
+
+    return functools.partial(_gradient_block, problem, cert), _StageBlocks(rng, samples), report
+
+
 def check_gradients(
     problem: StochasticProblem,
     cert: HypothesisCertificate,
@@ -876,16 +928,25 @@ def check_gradients(
     Uses step h = 1e-6 * (1 + ||x||) per sample and measures the error of
     each coordinate relative to max(1, |gradient coordinate|).  A NaN error
     is the worst error and fails the check.  The samples are drawn and
-    checked in the blocks of audit_certificate, and ``rng`` does not move.
+    checked in the blocks of audit_certificate, on the same thread pool,
+    and ``rng`` does not move.
     """
-    samples = require_int(samples, "samples", 1)
-    errors = _map_blocks(
-        functools.partial(_gradient_block, problem, cert), _StageBlocks(rng, samples)
-    )
-    max_rel = float(np.max(errors))
-    return GradientCheckReport(
-        samples=samples,
-        max_rel_error=max_rel,
-        tolerance=tolerance,
-        passed=max_rel <= tolerance,
-    )
+    return _map_blocks(_gradient_stage(problem, cert, samples, rng, tolerance))[0]
+
+
+def verify_certificate(
+    problem: StochasticProblem, cert: HypothesisCertificate, audit_samples: int, audit_rng,
+    gradient_samples: int, gradient_rng, tolerance: float = 1e-6,
+) -> tuple[AuditReport, GradientCheckReport]:
+    """``(audit_certificate(...), check_gradients(...))`` of the certificate,
+    with the bits of the two calls.
+
+    Both stages are planned first, so a sample count of either that cannot
+    be allocated is refused before any block draws, and their blocks run on
+    one thread pool: no thread waits for the audit's last block before it
+    starts the gradient check.
+    """
+    return tuple(_map_blocks(
+        _audit_stage(problem, cert, audit_samples, audit_rng),
+        _gradient_stage(problem, cert, gradient_samples, gradient_rng, tolerance),
+    ))

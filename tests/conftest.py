@@ -44,7 +44,7 @@ def peak_traced_bytes():
 @pytest.fixture
 def fake_cores(monkeypatch):
     """``fake_cores(k)`` makes the process see k usable cores: the thread
-    pools of the verify stages and the worker count of run_seeds size
+    pool of the verify stages and the worker count of run_seeds size
     themselves by it."""
 
     def use(count: int) -> None:

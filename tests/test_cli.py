@@ -653,20 +653,22 @@ class TestVerifyCommand:
     def test_samples_that_do_not_fit_are_refused(
         self, key, cores, tmp_path, capsys, fake_cores, monkeypatch
     ):
-        # 2^63 samples are 2^48 blocks, whose results cannot be allocated:
-        # the stage is refused before any of its blocks draws.
+        # 2^63 samples are 2^48 blocks, whose results cannot be allocated.
+        # Both stages are planned before any block draws, so the refusal of
+        # either comes before a block of either stage draws.
         fake_cores(cores)
         config = tmp_path / "experiment.json"
         write_config(config, verify={"audit_samples": 2000, "gradient_checks": 200, key: 2**63})
-        mapped = []
-        map_blocks = objective._map_blocks
-        monkeypatch.setattr(
-            objective, "_map_blocks",
-            lambda fn, blocks: mapped.append(len(blocks)) or map_blocks(fn, blocks),
-        )
+        drawn = []
+        for name in ("_audit_block", "_gradient_block"):
+            monkeypatch.setattr(
+                objective, name,
+                lambda problem, cert, block, name=name, draw=getattr(objective, name):
+                    drawn.append(name) or draw(problem, cert, block),
+            )
         assert main(["verify", str(config)]) == 2
         assert capsys.readouterr() == ("", f"config error: {2**63} samples do not fit in memory\n")
-        assert mapped == ([] if key == "audit_samples" else [1])
+        assert drawn == []
 
 
 LEAST_SQUARES = {

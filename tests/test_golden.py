@@ -101,6 +101,14 @@ def test_verify_digest_holds_at_one_sample_per_chunk(name, monkeypatch):
 
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
+def test_verify_output_does_not_depend_on_the_core_count(name, fake_cores):
+    # The cores size the one thread pool that runs the blocks of both stages.
+    for cores in (1, 2, 4):
+        fake_cores(cores)
+        assert verify_digest(name) == DIGESTS[name][2]
+
+
+@pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_run_output_does_not_depend_on_the_core_count(name, tmp_path, monkeypatch, fake_cores):
     # The cores size the replication workers.
     monkeypatch.setenv(ENV_OUTPUT_DIR, str(tmp_path))

@@ -21,6 +21,7 @@ from sgdcheck.engine import aux_generator
 from sgdcheck.objective import row_dot, sq_norm
 
 import dataclasses
+import functools
 import json
 import signal
 import sys
@@ -764,6 +765,74 @@ class TestMeanLossAndGradient:
         assert_same_bits(np.asarray(grad), separate_mean_gradient(problem, x))
 
 
+def gathered_loss(problem, noise, x):
+    """The least-squares loss as pointwise_loss computed it, gathering the
+    rows and targets on every call (the reference)."""
+    rows = problem.design[noise]
+    residual = row_dot(rows, x) - problem.targets[noise]
+    return 0.5 * residual * residual
+
+
+class CountingDesign(np.ndarray):
+    """A design that counts the gathers of its rows by indexing."""
+
+    gathers = 0
+
+    def __getitem__(self, key):
+        CountingDesign.gathers += 1
+        return np.asarray(self)[key]
+
+
+class TestLossAt:
+    """loss_at gathers a least-squares chunk's rows once, with the bits of a
+    gather per call."""
+
+    @pytest.mark.parametrize("scale", [1.0, 1e200])
+    @pytest.mark.parametrize("shape", [(), (5,), (1000,)])
+    def test_bitwise_equal_to_a_gather_per_call(self, scale, shape):
+        # At 1e200 the residuals overflow to inf, and some to nan.
+        problem = FiniteSumLeastSquares(
+            design=np.random.default_rng(1).normal(size=(40, 6)) * scale,
+            targets=np.random.default_rng(2).normal(size=40) * scale,
+        )
+        rng = np.random.default_rng(3)
+        noise = problem.noise_block(rng, 1)[0] if shape == () else problem.noise_block(rng, shape[0])
+        loss = problem.loss_at(noise)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for points in rng.normal(size=(3, *shape, 6)) * scale:
+                expected = gathered_loss(problem, noise, points)
+                assert_same_bits(np.asarray(loss(points)), expected)
+                assert_same_bits(np.asarray(problem.pointwise_loss(noise, points)), expected)
+            if scale > 1.0:
+                assert not np.isfinite(expected).all()
+
+    def test_a_row_out_of_range_raises(self):
+        problem = least_squares(12, 3)
+        noise = np.array([0, 12])
+        with pytest.raises(IndexError):
+            problem.loss_at(noise)
+        with pytest.raises(IndexError):
+            problem.pointwise_loss(noise, np.zeros((2, 3)))
+
+    def test_the_quadratic_loss_is_its_pointwise_loss(self):
+        problem = ShiftedQuadratic(curvature=1.7, center=[0.4, -0.1, 0.3], noise_halfwidth=0.6)
+        rng = np.random.default_rng(4)
+        noise, x = problem.noise_block(rng, 9), rng.normal(size=(9, 3))
+        assert_same_bits(np.asarray(problem.loss_at(noise)(x)), problem.pointwise_loss(noise, x))
+
+    def test_each_gradient_check_chunk_gathers_once(self, monkeypatch, fake_cores):
+        # 5000 samples at d = 16 are one block of two chunks, each of which
+        # takes 2 * 16 losses.
+        fake_cores(1)
+        problem, cert = chunk_problem("ls-128x16")
+        report = check_gradients(problem, cert, 5000, philox_generator(12))
+        object.__setattr__(problem, "design", problem.design.view(CountingDesign))
+        monkeypatch.setattr(CountingDesign, "gathers", 0)
+        assert check_gradients(problem, cert, 5000, philox_generator(12)) == report
+        assert len(objective._verify_chunks(5000, 16)) == 2
+        assert CountingDesign.gathers == 2
+
+
 class TestCompactNoise:
     @pytest.mark.parametrize("rows, dtype", [
         (1, np.uint8), (255, np.uint8), (256, np.uint8), (257, np.uint16),
@@ -1109,21 +1178,64 @@ class TestVerifyBlocks:
     def test_every_block_runs_once_in_order(self, fake_cores):
         # More threads than cores and a short switch interval, so the threads
         # interleave as they take blocks from their shared iterator.
+        # Two stages share the pool; each gets its results in block order.
         fake_cores(8)
         calls = []
 
-        def record(block):
-            calls.append(block)
-            return -block
+        def record(stage, block):
+            calls.append((stage, block))
+            return stage, -block
 
+        stages = [
+            (functools.partial(record, s), list(range(n)), list) for s, n in enumerate((1500, 500))
+        ]
         interval = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
         try:
-            results = objective._map_blocks(record, list(range(2000)))
+            results = objective._map_blocks(*stages)
         finally:
             sys.setswitchinterval(interval)
-        assert sorted(calls) == list(range(2000))
-        assert results == [-b for b in range(2000)]
+        assert sorted(calls) == [(s, b) for s, n in enumerate((1500, 500)) for b in range(n)]
+        assert results == [[(s, -b) for b in range(n)] for s, n in enumerate((1500, 500))]
+
+    def test_the_stages_share_one_pool(self, fake_cores, monkeypatch):
+        # The audit's last block (of 30 samples) returns only once the
+        # gradient check's first block has started, which it does on the
+        # thread freed by another audit block: no thread waits at the stage
+        # boundary.
+        fake_cores(2)
+        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
+        problem = make_quadratic(halfwidth=0.5)
+        cert = problem.certify(2.0, [2.0, 0.0])
+        audit_block, gradient_block = objective._audit_block, objective._gradient_block
+        events, gradient_started = [], threading.Event()
+
+        def recording_audit_block(problem, cert, block):
+            count = block[1]
+            events.append(("audit start", count))
+            if count == 30:
+                assert gradient_started.wait(timeout=30)
+            result = audit_block(problem, cert, block)
+            events.append(("audit end", count))
+            return result
+
+        def recording_gradient_block(problem, cert, block):
+            events.append(("gradient start", block[1]))
+            gradient_started.set()
+            return gradient_block(problem, cert, block)
+
+        monkeypatch.setattr(objective, "_audit_block", recording_audit_block)
+        monkeypatch.setattr(objective, "_gradient_block", recording_gradient_block)
+        audit, grad = objective.verify_certificate(
+            problem, cert, 130, philox_generator(8), 70, philox_generator(9)
+        )
+        assert events.index(("gradient start", 50)) < events.index(("audit end", 30))
+        assert sorted(events) == sorted(
+            [(f"audit {e}", n) for e in ("start", "end") for n in (50, 50, 30)]
+            + [("gradient start", 50), ("gradient start", 20)]
+        )
+        assert vars(audit) == vars(audit_certificate(problem, cert, 130, philox_generator(8)))
+        assert grad == check_gradients(problem, cert, 70, philox_generator(9))
 
     @staticmethod
     def block_of(blocks):
