@@ -29,20 +29,34 @@ _MIX1 = 0xBF58476D1CE4E5B9
 _MIX2 = 0x94D049BB133111EB
 
 
-def derive_seed(master_seed: int, index: int) -> int:
-    """Per-replication seed: output ``index`` of a SplitMix64 stream.
+def derive_seeds(master_seed: int, indices) -> np.ndarray:
+    """Per-replication seeds: output i of a SplitMix64 stream for each index i.
 
-    The stream state is master_seed + (index + 1) * gamma modulo 2^64 and the
-    output is the standard SplitMix64 finalizer of that state.  The finalizer
-    is a bijection and the states are distinct for distinct indices, so for a
-    fixed master seed no two replications ever share a seed.
+    ``indices`` are uint64 values; the seeds come back as a uint64 array of
+    their shape.  The stream state is master_seed + (i + 1) * gamma modulo
+    2^64 and the output is the standard SplitMix64 finalizer of that state,
+    computed in wrapping uint64 arithmetic.  The finalizer is a bijection
+    and the states are distinct for distinct indices, so for a fixed master
+    seed no two replications ever share a seed.
     """
     master_seed = require_int(master_seed, "master_seed", 0, UINT64_MAX)
+    z = np.asarray(indices, dtype=np.uint64) + np.uint64(1)
+    with np.errstate(over="ignore"):
+        z *= np.uint64(_GAMMA)
+        z += np.uint64(master_seed)
+        z ^= z >> np.uint64(30)
+        z *= np.uint64(_MIX1)
+        z ^= z >> np.uint64(27)
+        z *= np.uint64(_MIX2)
+        z ^= z >> np.uint64(31)
+    return z
+
+
+def derive_seed(master_seed: int, index: int) -> int:
+    """The seed of replication ``index`` of a master seed (see derive_seeds)."""
+    master_seed = require_int(master_seed, "master_seed", 0, UINT64_MAX)
     index = require_int(index, "index", 0, UINT64_MAX)
-    z = (master_seed + (index + 1) * _GAMMA) & UINT64_MAX
-    z = ((z ^ (z >> 30)) * _MIX1) & UINT64_MAX
-    z = ((z ^ (z >> 27)) * _MIX2) & UINT64_MAX
-    return z ^ (z >> 31)
+    return int(derive_seeds(master_seed, np.array([index], dtype=np.uint64))[0])
 
 
 @functools.cache
@@ -384,13 +398,14 @@ def run_replications(
 ) -> DnSeries:
     """Run ``count`` replications seeded from ``master_seed`` in lockstep.
 
-    Replication i uses derive_seed(master_seed, i); see run_seeds.  A
-    standard error needs at least two replications.
+    Replication i uses derive_seed(master_seed, i), all derived at once by
+    derive_seeds; see run_seeds.  A standard error needs at least two
+    replications.
     """
     count = require_int(count, "count", 2)
     try:  # a run whose last iterates do not fit is refused before one seed is derived
         np.empty((count, problem.dimension))
     except (ValueError, MemoryError):
         raise UsageError(f"{steps} steps of {count} replications do not fit in memory") from None
-    seeds = [derive_seed(master_seed, i) for i in range(count)]
+    seeds = derive_seeds(master_seed, np.arange(count, dtype=np.uint64)).tolist()
     return run_seeds(problem, schedule, x0, steps, cert, seeds)

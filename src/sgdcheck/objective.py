@@ -62,6 +62,13 @@ MAX_DIMENSION = 64
 # threads (_map_blocks).
 _AUDIT_CHUNK = 1 << 15
 
+# Bytes of one (group, d) float64 array of a verify block.  A block draws
+# and evaluates its samples group by group (_verify_groups), each group all
+# its draws before the next, so a thread holds the draws of one group, not
+# of its block.  Groups are sized apart from the chunks that tile them, and
+# neither changes a sample's values.
+_GROUP_BYTES = 1 << 19
+
 # Bytes of one per-sample temporary of a verify chunk, d wide but counted as
 # at least 16 wide: a chunk holds _VERIFY_CHUNK_BYTES // (8 * max(d, 16))
 # samples (see _verify_chunks).
@@ -637,7 +644,7 @@ def sample_in_ball(center: np.ndarray, radius: float, count: int, rng) -> np.nda
 
 def _verify_chunks(samples: int, dimension: int) -> list[slice]:
     """Slices of _VERIFY_CHUNK_BYTES // (8 * max(dimension, 16)) samples, at
-    least one, that cover the ``samples`` samples of one block in order.
+    least one, that cover the ``samples`` samples of one group in order.
 
     A sample's scalar temporaries (its ratio, two losses, alignment, quad,
     slack and scale in the audit) cost about as much as one 16-wide vector,
@@ -645,6 +652,25 @@ def _verify_chunks(samples: int, dimension: int) -> list[slice]:
     """
     size = max(1, _VERIFY_CHUNK_BYTES // (8 * max(dimension, 16)))
     return [slice(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
+
+
+def _verify_groups(samples: int, dimension: int) -> list[int]:
+    """Sample counts of the groups of a block of ``samples``, in draw order.
+
+    A group holds the largest power of two of samples whose (group,
+    dimension) float64 array fits in _GROUP_BYTES, at least one and at most
+    _AUDIT_CHUNK, and the last group the remainder: 32768 samples at
+    d <= 2, 4096 at d = 9..16 and 1024 at d = 64.
+    """
+    # A group's draws and temporaries take about four group arrays, and
+    # glibc returns the free top of a heap to the system once it exceeds
+    # twice the largest mapped array freed so far, so each group faulted its
+    # pages in again (43 000 minor faults per ls-audit verify).  Freeing one
+    # untouched mapped array of four group arrays lifts that bound; it stays
+    # under the 4 MiB at which numpy asks for huge pages.
+    np.empty(4 * _GROUP_BYTES, dtype=np.uint8)
+    size = min(_AUDIT_CHUNK, 1 << max(0, (_GROUP_BYTES // (8 * dimension)).bit_length() - 1))
+    return [min(size, samples - lo) for lo in range(0, samples, size)]
 
 
 def usable_cores() -> int:
@@ -779,7 +805,7 @@ def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _audit_arrays(problem, cert, noise, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """_audit_values of every sample of one block, evaluated chunk by chunk."""
+    """_audit_values of every sample of one group, evaluated chunk by chunk."""
     samples = xs.shape[0]
     ratios = np.empty(samples)
     rel_slack = np.empty(samples)
@@ -791,11 +817,11 @@ def _audit_arrays(problem, cert, noise, xs, ys) -> tuple[np.ndarray, np.ndarray]
     return ratios, rel_slack
 
 
-def _audit_block(problem, cert, block) -> tuple:
-    """Draw and audit one block: its worst ratio and slack (the first, a NaN
-    before any number, as np.argmax and np.argmin pick them), its violation
-    counts and copies of the draws of both worst samples."""
-    rng, count = block
+def _audit_group(problem, cert, rng, count) -> tuple:
+    """Draw and audit one group, x, then y, then noise: its worst ratio and
+    slack (the first, a NaN before any number, as np.argmax and np.argmin
+    pick them), its violation counts and copies of the draws of both worst
+    samples."""
     xs = sample_in_ball(cert.region_center, cert.region_radius, count, rng)
     ys = sample_in_ball(cert.region_center, cert.region_radius, count, rng)
     noise = problem.noise_block(rng, count)
@@ -812,26 +838,46 @@ def _audit_block(problem, cert, block) -> tuple:
     )
 
 
+def _merge_audits(parts) -> tuple:
+    """The _audit_group result of consecutive groups or blocks from theirs,
+    in order: the first worst ratio and slack, as one np.argmax and
+    np.argmin over all their samples pick them, with their witnesses, and
+    the summed violation counts."""
+    ratios, grad_bad, grad_witnesses, slacks, convexity_bad, convexity_witnesses = zip(*parts)
+    worst_grad = int(np.argmax(ratios))
+    worst_convexity = int(np.argmin(slacks))
+    return (
+        ratios[worst_grad], sum(grad_bad), grad_witnesses[worst_grad],
+        slacks[worst_convexity], sum(convexity_bad), convexity_witnesses[worst_convexity],
+    )
+
+
+def _audit_block(problem, cert, block) -> tuple:
+    """Draw and audit one block, group by group (see _audit_group)."""
+    rng, count = block
+    return _merge_audits([
+        _audit_group(problem, cert, rng, size) for size in _verify_groups(count, problem.dimension)
+    ])
+
+
 def _audit_stage(problem, cert, samples, rng) -> tuple:
     """audit_certificate as a stage of _map_blocks: its block function, its
     blocks and the report of its block results, merged in block order."""
     samples = require_int(samples, "samples", 1)
 
     def report(blocks) -> AuditReport:
-        ratios, grad_bad, grad_witnesses, slacks, convexity_bad, convexity_witnesses = zip(*blocks)
-        worst_grad = int(np.argmax(ratios))
-        worst_convexity = int(np.argmin(slacks))
-        grad_violations = sum(grad_bad)
-        convexity_violations = sum(convexity_bad)
+        ratio, grad_violations, grad_witness, slack, convexity_violations, convexity_witness = (
+            _merge_audits(blocks)
+        )
         return AuditReport(
             samples=samples,
-            max_grad_ratio=ratios[worst_grad],
-            min_convexity_slack=slacks[worst_convexity],
+            max_grad_ratio=ratio,
+            min_convexity_slack=slack,
             grad_violations=grad_violations,
             convexity_violations=convexity_violations,
             passed=grad_violations == 0 and convexity_violations == 0,
-            grad_witness=grad_witnesses[worst_grad] if grad_violations else None,
-            convexity_witness=convexity_witnesses[worst_convexity] if convexity_violations else None,
+            grad_witness=grad_witness if grad_violations else None,
+            convexity_witness=convexity_witness if convexity_violations else None,
         )
 
     return functools.partial(_audit_block, problem, cert), _StageBlocks(rng, samples), report
@@ -853,10 +899,14 @@ def audit_certificate(
     violation, and a NaN is the worst value.
 
     The samples come in blocks of _AUDIT_CHUNK (see _StageBlocks), each
-    drawn x, then y, then noise, from ``rng`` jumped by its block number;
-    ``rng`` does not move.  The blocks run on the thread pool of
-    _map_blocks and are merged in order, so the report does not depend on
-    how many threads ran them, nor on whether verify_certificate ran them
+    drawn from ``rng`` jumped by its block number; ``rng`` does not move.
+    A block draws in groups of _verify_groups, each group x, then y, then
+    noise, and audits a group in chunks (_verify_chunks) before it draws
+    the next, so a thread holds O(group * d) memory: at most 512 KiB per
+    draw of x or y.  The blocks run on the thread pool of _map_blocks, and
+    groups and blocks are merged in order, so the report is that of one
+    argmax and one argmin over all samples and does not depend on how many
+    threads ran the blocks, nor on whether verify_certificate ran them
     beside the gradient check.
     """
     return _map_blocks(_audit_stage(problem, cert, samples, rng))[0]
@@ -887,9 +937,8 @@ def _max_gradient_error(problem, noise, x) -> float:
     return float(worst)
 
 
-def _gradient_block(problem, cert, block) -> float:
-    """Draw one block, x then noise, and return its largest gradient error."""
-    rng, count = block
+def _gradient_group(problem, cert, rng, count) -> float:
+    """Draw one group, x then noise, and return its largest gradient error."""
     xs = sample_in_ball(cert.region_center, cert.region_radius, count, rng)
     noise = problem.noise_block(rng, count)
     worst = 0.0
@@ -898,6 +947,14 @@ def _gradient_block(problem, cert, block) -> float:
             error = _max_gradient_error(problem, noise[part], xs[part])
             worst = float(np.maximum(worst, error))
     return worst
+
+
+def _gradient_block(problem, cert, block) -> float:
+    """Draw and check one block, group by group: its largest gradient error."""
+    rng, count = block
+    return float(np.max([
+        _gradient_group(problem, cert, rng, size) for size in _verify_groups(count, problem.dimension)
+    ]))
 
 
 def _gradient_stage(problem, cert, samples, rng, tolerance) -> tuple:
@@ -928,8 +985,8 @@ def check_gradients(
     Uses step h = 1e-6 * (1 + ||x||) per sample and measures the error of
     each coordinate relative to max(1, |gradient coordinate|).  A NaN error
     is the worst error and fails the check.  The samples are drawn and
-    checked in the blocks of audit_certificate, on the same thread pool,
-    and ``rng`` does not move.
+    checked in the blocks and groups of audit_certificate, each group x,
+    then noise, on the same thread pool, and ``rng`` does not move.
     """
     return _map_blocks(_gradient_stage(problem, cert, samples, rng, tolerance))[0]
 

@@ -608,7 +608,7 @@ class TestRunPreflight:
         def refuse(*args):
             raise AssertionError("a seed was derived for a run that cannot fit")
 
-        monkeypatch.setattr(engine, "derive_seed", refuse)
+        monkeypatch.setattr(engine, "derive_seeds", refuse)
         config = tmp_path / "experiment.json"
         write_config(config, replications=2**63)
         assert main(["run", str(config)]) == 2

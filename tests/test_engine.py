@@ -72,6 +72,62 @@ class TestDeriveSeed:
         assert 0 <= value < 2**64
 
 
+def splitmix64(master_seed, index):
+    """Output ``index`` of the SplitMix64 stream of ``master_seed``, in
+    Python integers: the reference of engine.derive_seeds."""
+    mask = 2**64 - 1
+    z = (master_seed + (index + 1) * 0x9E3779B97F4A7C15) & mask
+    z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & mask
+    z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & mask
+    return z ^ (z >> 31)
+
+
+class TestDeriveSeeds:
+    """The array form that run_replications derives its seeds with."""
+
+    INDICES = [
+        *range(64), 2**32 - 2, 2**32 - 1, 2**32, 2**32 + 1, 2**32 + 3, 2**63, 2**64 - 2, 2**64 - 1,
+    ]
+
+    def test_scalar_known_answers(self):
+        seeds = engine.derive_seeds(0, np.arange(4, dtype=np.uint64))
+        assert seeds.dtype == np.uint64 and seeds.tolist() == SPLITMIX64_SEED0
+        assert engine.derive_seeds(12345, np.array([0, 1], dtype=np.uint64)).tolist() == [
+            2454886589211414944, 3778200017661327597,
+        ]
+
+    @pytest.mark.parametrize("master_seed", [0, 7, 12345, 2**63 + 1, 2**64 - 1])
+    def test_equal_to_the_reference_and_to_derive_seed(self, master_seed):
+        # Wrapping uint64 arithmetic raises no warning, which pytest would
+        # turn into an error.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            seeds = engine.derive_seeds(master_seed, np.array(self.INDICES, dtype=np.uint64))
+        expected = [splitmix64(master_seed, i) for i in self.INDICES]
+        assert seeds.tolist() == expected
+        assert [derive_seed(master_seed, i) for i in self.INDICES] == expected
+
+    def test_run_replications_uses_the_stream(self, monkeypatch):
+        seen = []
+
+        def recording(problem, schedule, x0, steps, cert, seeds):
+            seen.append(seeds)
+
+        monkeypatch.setattr(engine, "run_seeds", recording)
+        problem = objective.ShiftedQuadratic(curvature=1.0, center=np.zeros(1),
+                                             noise_halfwidth=0.5)
+        cert = problem.certify(2.0, [1.0])
+        engine.run_replications(problem, ConstantSchedule(rho=0.1), [1.0], 3, cert, 7, 8000)
+        assert seen == [[splitmix64(7, i) for i in range(8000)]]
+        assert all(type(seed) is int for seed in seen[0])
+
+    def test_master_seed_is_checked(self):
+        with pytest.raises(UsageError):
+            engine.derive_seeds(-1, np.arange(2, dtype=np.uint64))
+        with pytest.raises(UsageError):
+            engine.derive_seeds(2**64, np.arange(2, dtype=np.uint64))
+
+
 class TestSeededGenerator:
     def test_frozen_uniform_draws(self):
         draws = philox_generator(2024).uniform(0.0, 1.0, size=3)

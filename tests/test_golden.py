@@ -6,7 +6,8 @@ against digests recorded when the outputs were last accepted.  A change that
 alters any of these bytes on purpose records new digests and says why:
 ``PYTHONPATH=src python tests/test_golden.py`` prints the current digests of
 every config in ``DIGESTS`` in the form of the table below, with
-``# changed`` after each digest that differs from the recorded one.
+``# changed`` after each digest that differs from the recorded one, and
+then the ``verify`` stdout of every config whose verify digest changed.
 """
 import contextlib
 import hashlib
@@ -40,12 +41,13 @@ DIGESTS = {
         "c42e27a327224df1264df57ddcb851297cb28018654fb27969863c7f3f307c72",
     ),
     # A 200x8 design with odd sample counts (33 001 audited, 1 001 gradient
-    # checks): the audit runs past the 2^15 block boundary into a second
-    # draw block of 233 samples, drawn from a generator jumped once.
+    # checks): the audit's first block draws 4 groups of 8 192 samples, one
+    # after the other, and it runs past the 2^15 block boundary into a
+    # second block of 233 samples, drawn from a generator jumped once.
     "ls_chunk_tails": (
         "cba9aec8fcb801b5d8b34d568dc8b9d365c5933c05467732492e15dca44f599e",
         "6a482291e0d16576b89781af7c5935b0ddf72244f0f3fd3da1ded4cf18f3be06",
-        "4709f8c5db742a76c71f1e1c96bf64720b6e7268866a08ef68a95db74d2ec132",
+        "ec9437ca8f90f19e184f0c264d63c2030c6a5d7f0edeb1f55ec3a2e3c9ae2d38",
     ),
     # A d=3 quadratic at R=37, H=2000: the noise is drawn in one block of
     # replication tiles of 5, so the last tile holds 2.
@@ -68,11 +70,16 @@ def sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
 
 
-def verify_digest(name: str) -> str:
-    """Digest of the ``verify`` stdout of config ``name``."""
+def verify_output(name: str) -> str:
+    """The ``verify`` stdout of config ``name``."""
     with contextlib.redirect_stdout(io.StringIO()) as verify_out:
         assert main(["verify", str(GOLDEN_DIR / f"{name}.json")]) == 0
-    return sha256(verify_out.getvalue().encode("utf-8"))
+    return verify_out.getvalue()
+
+
+def verify_digest(name: str) -> str:
+    """Digest of the ``verify`` stdout of config ``name``."""
+    return sha256(verify_output(name).encode("utf-8"))
 
 
 def golden_digests(name: str, out_dir: Path) -> tuple[str, str, str]:
@@ -123,6 +130,7 @@ def test_run_output_does_not_depend_on_the_core_count(name, tmp_path, monkeypatc
 
 
 if __name__ == "__main__":
+    changed_verify = []
     for name in DIGESTS:
         with tempfile.TemporaryDirectory() as out_dir:
             os.environ[ENV_OUTPUT_DIR] = out_dir
@@ -131,3 +139,11 @@ if __name__ == "__main__":
         for digest, recorded in zip(digests, DIGESTS[name]):
             print(f'        "{digest}",' + ("  # changed" if digest != recorded else ""))
         print("    ),")
+        if digests[2] != DIGESTS[name][2]:
+            changed_verify.append(name)
+    # The new verify stdout of each config whose verify digest changed, so
+    # the values behind the digests can be compared.
+    for name in changed_verify:
+        print(f"\n# verify stdout of {name}:")
+        for line in verify_output(name).splitlines():
+            print(f"#   {line}")

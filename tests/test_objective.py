@@ -531,9 +531,12 @@ class TestAudit:
         self, case, tmp_path, monkeypatch, capsys, fake_cores
     ):
         # Blocks of 97 samples: the audit runs 11 blocks, the gradient check
-        # 4.  The certificate is corrupted so both witnesses print; in
+        # 4.  Each block is one group at the shipped group size, and several
+        # at the small one: 16-sample groups at d = 16 and 64-sample groups
+        # at d = 3.  The certificate is corrupted so both witnesses print; in
         # nan_ratio the last sample of the last block has a NaN gradient,
-        # which must beat every larger finite ratio of the blocks before it.
+        # which must beat every larger finite ratio of the blocks and groups
+        # before it.
         monkeypatch.setattr(objective, "_AUDIT_CHUNK", 97)
         if case == "finite_sum":
             problem, radius = least_squares(201, 16, seed=3), 1.0
@@ -553,7 +556,7 @@ class TestAudit:
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps(document), encoding="utf-8")
         kind = type(problem)
-        certify = kind.certify
+        certify, gradient = kind.certify, kind.pointwise_gradient
 
         def corrupted(self, region_radius, x0):
             cert = certify(self, region_radius, x0)
@@ -565,43 +568,52 @@ class TestAudit:
 
         monkeypatch.setattr(kind, "certify", corrupted)
         cert = problem.certify(radius, problem.minimizer())
-        blocks = audit_blocks(problem, cert, 1000, aux_generator(7, 2))
-        if case == "nan_ratio":
-            last_noise = blocks[-1][0][-1]
-            gradient = kind.pointwise_gradient
+        stdouts = set()
+        for group_bytes, several in [(objective._GROUP_BYTES, False), (8 * 16 * 20, True)]:
+            monkeypatch.setattr(objective, "_GROUP_BYTES", group_bytes)
+            assert (len(objective._verify_groups(97, problem.dimension)) > 1) == several
+            blocks = audit_blocks(problem, cert, 1000, aux_generator(7, 2))
+            monkeypatch.setattr(kind, "pointwise_gradient", gradient)
+            if case == "nan_ratio":
+                last_noise = blocks[-1][0][-1]
 
-            def nan_at_the_last_draw(self, noise, x, out=None):
-                value = gradient(self, noise, x, out)
-                return np.where((noise == last_noise).all(axis=-1, keepdims=True), np.nan, value)
+                def nan_at_the_last_draw(self, noise, x, out=None):
+                    value = gradient(self, noise, x, out)
+                    return np.where(
+                        (noise == last_noise).all(axis=-1, keepdims=True), np.nan, value
+                    )
 
-            monkeypatch.setattr(kind, "pointwise_gradient", nan_at_the_last_draw)
+                monkeypatch.setattr(kind, "pointwise_gradient", nan_at_the_last_draw)
 
-        # The reference: every block evaluated on its own, merged by one
-        # np.argmax and one np.argmin over all samples.
-        ratios, slacks = (np.concatenate(values) for values in zip(*(
-            objective._audit_arrays(problem, cert, *block) for block in blocks
-        )))
-        noise, xs, ys = (np.concatenate(draws) for draws in zip(*blocks))
-        worst_grad, worst_convexity = int(np.argmax(ratios)), int(np.argmin(slacks))
-        if case == "nan_ratio":
-            assert worst_grad == 999 and np.nanmax(ratios[:97]) > 1.0
-        outputs = set()
-        for cores in range(1, 6):
-            fake_cores(cores)
-            report = audit_certificate(problem, cert, 1000, aux_generator(7, 2))
-            assert_same_bits(np.array(report.max_grad_ratio), ratios[worst_grad])
-            assert_same_bits(np.array(report.min_convexity_slack), slacks[worst_convexity])
-            assert report.grad_violations == np.count_nonzero(~(ratios <= 1.0 + 1e-9))
-            assert report.convexity_violations == np.count_nonzero(~(slacks >= -1e-9))
-            assert np.array_equal(report.grad_witness[0], noise[worst_grad])
-            assert np.array_equal(report.grad_witness[1], xs[worst_grad])
-            assert np.array_equal(report.convexity_witness[0], xs[worst_convexity])
-            assert np.array_equal(report.convexity_witness[1], ys[worst_convexity])
-            assert main(["verify", str(config)]) == 1
-            outputs.add(capsys.readouterr().out)
-        (stdout,) = outputs
-        assert "  grad_witness: " in stdout and "  convexity_witness: " in stdout
-        assert ("max_grad_ratio=nan" in stdout) == (case == "nan_ratio")
+            # The reference: every block evaluated on its own, merged by one
+            # np.argmax and one np.argmin over all samples.
+            ratios, slacks = (np.concatenate(values) for values in zip(*(
+                objective._audit_arrays(problem, cert, *block) for block in blocks
+            )))
+            noise, xs, ys = joined(blocks)
+            worst_grad, worst_convexity = int(np.argmax(ratios)), int(np.argmin(slacks))
+            if case == "nan_ratio":
+                assert worst_grad == 999 and np.nanmax(ratios[:97]) > 1.0
+            outputs = set()
+            for cores in range(1, 6):
+                fake_cores(cores)
+                report = audit_certificate(problem, cert, 1000, aux_generator(7, 2))
+                assert_same_bits(np.array(report.max_grad_ratio), ratios[worst_grad])
+                assert_same_bits(np.array(report.min_convexity_slack), slacks[worst_convexity])
+                assert report.grad_violations == np.count_nonzero(~(ratios <= 1.0 + 1e-9))
+                assert report.convexity_violations == np.count_nonzero(~(slacks >= -1e-9))
+                assert np.array_equal(report.grad_witness[0], noise[worst_grad])
+                assert np.array_equal(report.grad_witness[1], xs[worst_grad])
+                assert np.array_equal(report.convexity_witness[0], xs[worst_convexity])
+                assert np.array_equal(report.convexity_witness[1], ys[worst_convexity])
+                assert main(["verify", str(config)]) == 1
+                outputs.add(capsys.readouterr().out)
+            (stdout,) = outputs
+            assert "  grad_witness: " in stdout and "  convexity_witness: " in stdout
+            assert ("max_grad_ratio=nan" in stdout) == (case == "nan_ratio")
+            stdouts.add(stdout)
+        # The groups drew other samples; the blocks drew from the same jumps.
+        assert len(stdouts) == 2
 
 
 class TestSampleInBall:
@@ -910,29 +922,51 @@ def stage_generators(rng, samples):
     ]
 
 
+def group_sizes(samples, dimension):
+    """The sample counts of the groups of a block of ``samples``: the
+    largest power of two whose (group, dimension) float64 array fits in
+    objective._GROUP_BYTES, capped at the block size, then the remainder."""
+    size = 1
+    while 2 * size * 8 * dimension <= objective._GROUP_BYTES:
+        size *= 2
+    size = min(size, objective._AUDIT_CHUNK)
+    return [min(size, samples - lo) for lo in range(0, samples, size)]
+
+
+def joined(groups):
+    """The draws of consecutive groups, each kind of draw concatenated."""
+    return tuple(np.concatenate(draws) for draws in zip(*groups))
+
+
 def audit_blocks(problem, cert, samples, rng):
-    """The (noise, x, y) draws of each block of ``audit_certificate``."""
+    """The (noise, x, y) draws of each block of ``audit_certificate``: a
+    block's groups draw one after the other from its generator, each x,
+    then y, then noise."""
     blocks = []
     for gen, count in stage_generators(rng, samples):
-        xs = sample_in_ball(cert.region_center, cert.region_radius, count, gen)
-        ys = sample_in_ball(cert.region_center, cert.region_radius, count, gen)
-        blocks.append((problem.noise_block(gen, count), xs, ys))
+        groups = []
+        for size in group_sizes(count, problem.dimension):
+            xs = sample_in_ball(cert.region_center, cert.region_radius, size, gen)
+            ys = sample_in_ball(cert.region_center, cert.region_radius, size, gen)
+            groups.append((problem.noise_block(gen, size), xs, ys))
+        blocks.append(joined(groups))
     return blocks
 
 
 def audit_draws(problem, cert, samples, seed):
     """The (noise, x, y) draws of ``audit_certificate`` for ``seed``."""
-    blocks = audit_blocks(problem, cert, samples, philox_generator(seed))
-    return tuple(np.concatenate(draws) for draws in zip(*blocks))
+    return joined(audit_blocks(problem, cert, samples, philox_generator(seed)))
 
 
 def gradient_draws(problem, cert, samples, seed):
-    """The (noise, x) draws of ``check_gradients`` for ``seed``."""
-    noise, xs = [], []
+    """The (noise, x) draws of ``check_gradients`` for ``seed``, each group
+    x, then noise."""
+    groups = []
     for gen, count in stage_generators(philox_generator(seed), samples):
-        xs.append(sample_in_ball(cert.region_center, cert.region_radius, count, gen))
-        noise.append(problem.noise_block(gen, count))
-    return np.concatenate(noise), np.concatenate(xs)
+        for size in group_sizes(count, problem.dimension):
+            xs = sample_in_ball(cert.region_center, cert.region_radius, size, gen)
+            groups.append((problem.noise_block(gen, size), xs))
+    return joined(groups)
 
 
 def chunk_problem(name):
@@ -991,6 +1025,26 @@ class TestVerifyChunks:
             audit_certificate(problem, cert, 10_000, philox_generator(3))
         assert lengths == [4096, 4096, 1808] * 3
 
+    @pytest.mark.parametrize("dimension, size", [
+        (1, 32_768),    # capped at the block
+        (2, 32_768),
+        (3, 16_384),
+        (4, 16_384),
+        (5, 8192),
+        (8, 8192),
+        (9, 4096),
+        (16, 4096),
+        (33, 1024),
+        (64, 1024),
+    ])
+    def test_group_size(self, dimension, size):
+        assert objective._verify_groups(1 << 15, dimension)[0] == size
+        assert objective._verify_groups(1 << 15, dimension) == group_sizes(1 << 15, dimension)
+
+    def test_one_sample_per_group_at_the_smallest_budget(self, monkeypatch):
+        monkeypatch.setattr(objective, "_GROUP_BYTES", 1)
+        assert objective._verify_groups(3, 64) == [1, 1, 1]
+
     def test_one_sample_per_chunk_at_the_smallest_budget(self, monkeypatch):
         monkeypatch.setattr(objective, "_VERIFY_CHUNK_BYTES", 1)
         assert objective._verify_chunks(3, 64) == [slice(0, 1), slice(1, 2), slice(2, 3)]
@@ -1003,8 +1057,11 @@ class TestVerifyChunks:
         counts = [count for _, count in objective._StageBlocks(philox_generator(0), samples)]
         assert counts == [min(cap, samples - lo) for lo in range(0, samples, cap)]
         for block_length in counts:
-            parts = objective._verify_chunks(block_length, 16)
-            assert parts[0].start == 0 and parts[-1].stop == block_length
+            groups = objective._verify_groups(block_length, 16)
+            assert groups == group_sizes(block_length, 16)
+            assert sum(groups) == block_length and all(group == size for group in groups[:-1])
+            parts = objective._verify_chunks(groups[-1], 16)
+            assert parts[0].start == 0 and parts[-1].stop == groups[-1]
             assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
             assert all(part.stop - part.start == size for part in parts[:-1])
             assert 0 < parts[-1].stop - parts[-1].start <= size
@@ -1046,6 +1103,46 @@ class TestVerifyChunks:
         assert stage[b][0].bit_generator.random_raw(64).tobytes() == (
             expected.bit_generator.random_raw(64).tobytes()
         )
+
+    @pytest.mark.parametrize("b, g", [(0, 0), (0, 3), (1, 0), (1, 7)])
+    @pytest.mark.parametrize("stage", ["audit", "gradient_check"])
+    def test_group_g_of_block_b_draws_after_the_groups_before_it(
+        self, stage, b, g, monkeypatch, fake_cores
+    ):
+        # ls-128x16 has groups of 4096 samples, 8 to a block, each evaluated
+        # as one chunk.  The reference draws groups 0..g-1 of block b from
+        # the stage stream jumped b times, then group g.
+        fake_cores(1)
+        problem, cert = chunk_problem("ls-128x16")
+        seed, size = 2**63 + 5, 4096
+        seen = []
+        if stage == "audit":
+            values = objective._audit_values
+
+            def recording(problem, cert, noise, x, y):
+                seen.append((noise.copy(), x.copy(), y.copy()))
+                return values(problem, cert, noise, x, y)
+
+            monkeypatch.setattr(objective, "_audit_values", recording)
+            audit_certificate(problem, cert, 2 << 15, philox_generator(seed))
+        else:
+            errors = objective._max_gradient_error
+
+            def recording(problem, noise, x):
+                seen.append((noise.copy(), x.copy()))
+                return errors(problem, noise, x)
+
+            monkeypatch.setattr(objective, "_max_gradient_error", recording)
+            check_gradients(problem, cert, 2 << 15, philox_generator(seed))
+        assert len(seen) == 16
+        gen = np.random.Generator(philox_generator(seed).bit_generator.jumped(b))
+        for _ in range(g + 1):
+            xs = sample_in_ball(cert.region_center, cert.region_radius, size, gen)
+            draws = [xs]
+            if stage == "audit":
+                draws.append(sample_in_ball(cert.region_center, cert.region_radius, size, gen))
+            expected = (problem.noise_block(gen, size), *draws)
+        assert [a.tobytes() for a in seen[8 * b + g]] == [a.tobytes() for a in expected]
 
     @pytest.mark.parametrize("check", [audit_certificate, check_gradients])
     def test_the_stage_generator_does_not_move(self, check):
@@ -1100,27 +1197,25 @@ class TestVerifyChunks:
         report = check_gradients(problem, cert, samples, philox_generator(11))
         assert report.max_rel_error == float(np.max(errors))
 
-    def test_audit_memory_stays_near_the_draws(self, peak_traced_bytes):
-        problem, cert = chunk_problem("ls-2048x16")
-        samples = 40_000
-        # x and y, the int64 row draws before they are stored compact, and
-        # one ratio and one slack per sample.
-        draws = 2 * samples * 16 * 8 + samples * 8 + 2 * samples * 8
+    # One thread, which holds one group at a time: each further thread holds
+    # a group of its own.  At d = 16 a group is 4096 samples, and the draws
+    # of x and y take 0.5 MiB each; the draws of a whole block took 4 MiB
+    # each, which put the peaks at 9.7 and 5.8 MiB.
+    def test_audit_memory_stays_near_the_draws(self, peak_traced_bytes, fake_cores):
+        fake_cores(1)
+        problem, cert = chunk_problem("ls-128x16")
         peak = peak_traced_bytes(
-            lambda: audit_certificate(problem, cert, samples, philox_generator(5))
+            lambda: audit_certificate(problem, cert, 40_000, philox_generator(5))
         )
-        assert peak < draws + 4 * 2**20
+        assert peak < 3 * 2**20
 
     def test_gradient_check_memory_stays_near_the_draws(self, peak_traced_bytes, fake_cores):
-        # One thread: each further thread holds a block and its chunk.
         fake_cores(1)
-        problem, cert = chunk_problem("ls-2048x16")
-        samples = 40_000
-        draws = samples * 16 * 8 + samples * 8
+        problem, cert = chunk_problem("ls-128x16")
         peak = peak_traced_bytes(
-            lambda: check_gradients(problem, cert, samples, philox_generator(5))
+            lambda: check_gradients(problem, cert, 40_000, philox_generator(5))
         )
-        assert peak < draws + 4 * 2**20
+        assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("stage", ["audit", "gradient_check"])
     def test_memory_stays_near_the_draws_at_two_dimensions(
@@ -1145,15 +1240,17 @@ class TestVerifyBlocks:
     @pytest.mark.parametrize("stage", ["audit", "gradient_check"])
     def test_memory_does_not_grow_with_the_samples(self, stage, fake_cores, peak_traced_bytes,
                                                    monkeypatch):
+        # At blocks of one group and at the shipped blocks of 8 groups.
         fake_cores(1)
-        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 1 << 12)
         problem, cert = chunk_problem("ls-128x16")
         check = audit_certificate if stage == "audit" else check_gradients
-        peaks = [
-            peak_traced_bytes(lambda: check(problem, cert, samples, philox_generator(5)))
-            for samples in (2 << 12, 8 << 12)
-        ]
-        assert peaks[1] <= 1.25 * peaks[0]
+        for block in (1 << 12, 1 << 15):
+            monkeypatch.setattr(objective, "_AUDIT_CHUNK", block)
+            peaks = [
+                peak_traced_bytes(lambda: check(problem, cert, samples, philox_generator(5)))
+                for samples in (2 * block, 8 * block)
+            ]
+            assert peaks[1] <= 1.25 * peaks[0], block
 
     def test_no_thread_is_left_behind(self, fake_cores, tmp_path, monkeypatch, capsys):
         # A thread left running would keep the next run_seeds in one process.
