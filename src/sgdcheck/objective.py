@@ -54,25 +54,17 @@ RANK_TOL = 1e-10
 
 MAX_DIMENSION = 64
 
-# audit_certificate and check_gradients draw and evaluate their samples in
-# blocks of _AUDIT_CHUNK, the last block taking the remainder.  Block b
+# audit_certificate and check_gradients draw their samples in blocks, the
+# last block taking the remainder, and evaluate each block in chunks.  A
+# block holds the largest power of two of samples whose (samples, d)
+# float64 array fits in _VERIFY_BYTES (see _StageBlocks); a chunk holds
+# _VERIFY_BYTES // (8 * max(d, 16)) samples (see _verify_chunks).  Block b
 # draws from a copy of the stage's generator jumped b times, its Philox
 # counter b * 2^128 ahead, so the blocks need nothing from each other and
 # run, those of both stages of verify_certificate together, on one pool of
-# threads (_map_blocks).
-_AUDIT_CHUNK = 1 << 15
-
-# Bytes of one (group, d) float64 array of a verify block.  A block draws
-# and evaluates its samples group by group (_verify_groups), each group all
-# its draws before the next, so a thread holds the draws of one group, not
-# of its block.  Groups are sized apart from the chunks that tile them, and
-# neither changes a sample's values.
-_GROUP_BYTES = 1 << 19
-
-# Bytes of one per-sample temporary of a verify chunk, d wide but counted as
-# at least 16 wide: a chunk holds _VERIFY_CHUNK_BYTES // (8 * max(d, 16))
-# samples (see _verify_chunks).
-_VERIFY_CHUNK_BYTES = 1 << 19
+# threads (_map_blocks).  The chunks do not change a sample's values; the
+# blocks do, through the jump each block draws from.
+_VERIFY_BYTES = 1 << 19
 
 # Bytes of the replication-major tile into which
 # ShiftedQuadratic.fill_noise_block draws the unit values of a block.
@@ -643,34 +635,15 @@ def sample_in_ball(center: np.ndarray, radius: float, count: int, rng) -> np.nda
 
 
 def _verify_chunks(samples: int, dimension: int) -> list[slice]:
-    """Slices of _VERIFY_CHUNK_BYTES // (8 * max(dimension, 16)) samples, at
-    least one, that cover the ``samples`` samples of one group in order.
+    """Slices of _VERIFY_BYTES // (8 * max(dimension, 16)) samples, at least
+    one, that cover the ``samples`` samples of one block in order.
 
     A sample's scalar temporaries (its ratio, two losses, alignment, quad,
     slack and scale in the audit) cost about as much as one 16-wide vector,
     so below 16 dimensions the chunk stops growing: 4096 samples at d <= 16.
     """
-    size = max(1, _VERIFY_CHUNK_BYTES // (8 * max(dimension, 16)))
+    size = max(1, _VERIFY_BYTES // (8 * max(dimension, 16)))
     return [slice(lo, min(lo + size, samples)) for lo in range(0, samples, size)]
-
-
-def _verify_groups(samples: int, dimension: int) -> list[int]:
-    """Sample counts of the groups of a block of ``samples``, in draw order.
-
-    A group holds the largest power of two of samples whose (group,
-    dimension) float64 array fits in _GROUP_BYTES, at least one and at most
-    _AUDIT_CHUNK, and the last group the remainder: 32768 samples at
-    d <= 2, 4096 at d = 9..16 and 1024 at d = 64.
-    """
-    # A group's draws and temporaries take about four group arrays, and
-    # glibc returns the free top of a heap to the system once it exceeds
-    # twice the largest mapped array freed so far, so each group faulted its
-    # pages in again (43 000 minor faults per ls-audit verify).  Freeing one
-    # untouched mapped array of four group arrays lifts that bound; it stays
-    # under the 4 MiB at which numpy asks for huge pages.
-    np.empty(4 * _GROUP_BYTES, dtype=np.uint8)
-    size = min(_AUDIT_CHUNK, 1 << max(0, (_GROUP_BYTES // (8 * dimension)).bit_length() - 1))
-    return [min(size, samples - lo) for lo in range(0, samples, size)]
 
 
 def usable_cores() -> int:
@@ -681,19 +654,23 @@ def usable_cores() -> int:
 
 
 class _StageBlocks:
-    """``(generator, count)`` of each block of a verify stage of ``samples``,
-    a sequence whose item b builds its generator when it is taken: a
-    generator on ``rng.bit_generator.jumped(b)``.
+    """``(generator, count)`` of each block of a verify stage of ``samples``
+    at ``dimension``, a sequence whose item b builds its generator when it
+    is taken: a generator on ``rng.bit_generator.jumped(b)``.
 
+    A block holds the largest power of two of samples whose (samples,
+    dimension) float64 array fits in _VERIFY_BYTES, and the last block the
+    remainder: 65536 samples at d = 1, 4096 at d = 9..16 and 1024 at d = 64.
     ``rng`` itself never draws, so a block's draws do not depend on when the
     others run, and a stage holds generators for the blocks being drawn, not
     one per block.  A stage whose per-block results cannot be allocated is
     refused before any block draws; np.empty touches no page.
     """
 
-    def __init__(self, rng, samples: int):
+    def __init__(self, rng, samples: int, dimension: int):
         self._bits, self._samples = rng.bit_generator, samples
-        self._blocks = -(-samples // _AUDIT_CHUNK)
+        self._size = 1 << max(0, (_VERIFY_BYTES // (8 * dimension)).bit_length() - 1)
+        self._blocks = -(-samples // self._size)
         try:
             np.empty(self._blocks)
         except (ValueError, MemoryError, OverflowError):
@@ -705,7 +682,14 @@ class _StageBlocks:
     def __getitem__(self, b: int) -> tuple:
         if not 0 <= b < self._blocks:
             raise IndexError(b)
-        count = min(_AUDIT_CHUNK, self._samples - b * _AUDIT_CHUNK)
+        # A block's draws and temporaries take about four block arrays, and
+        # glibc returns the free top of a heap to the system once it exceeds
+        # twice the largest mapped array freed so far, so each block faulted
+        # its pages in again (43 000 minor faults per ls-audit verify).
+        # Freeing one untouched mapped array of four block arrays lifts that
+        # bound; it stays under the 4 MiB at which numpy asks for huge pages.
+        np.empty(4 * _VERIFY_BYTES, dtype=np.uint8)
+        count = min(self._size, self._samples - b * self._size)
         return np.random.Generator(self._bits.jumped(b)), count
 
 
@@ -805,7 +789,7 @@ def _audit_values(problem, cert, noise, x, y) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _audit_arrays(problem, cert, noise, xs, ys) -> tuple[np.ndarray, np.ndarray]:
-    """_audit_values of every sample of one group, evaluated chunk by chunk."""
+    """_audit_values of every sample of one block, evaluated chunk by chunk."""
     samples = xs.shape[0]
     ratios = np.empty(samples)
     rel_slack = np.empty(samples)
@@ -817,11 +801,12 @@ def _audit_arrays(problem, cert, noise, xs, ys) -> tuple[np.ndarray, np.ndarray]
     return ratios, rel_slack
 
 
-def _audit_group(problem, cert, rng, count) -> tuple:
-    """Draw and audit one group, x, then y, then noise: its worst ratio and
-    slack (the first, a NaN before any number, as np.argmax and np.argmin
-    pick them), its violation counts and copies of the draws of both worst
-    samples."""
+def _audit_block(problem, cert, block) -> tuple:
+    """Draw one block, x, then y, then noise, and audit it: its worst ratio
+    and slack (the first, a NaN before any number, as np.argmax and
+    np.argmin pick them), its violation counts and copies of the draws of
+    both worst samples."""
+    rng, count = block
     xs = sample_in_ball(cert.region_center, cert.region_radius, count, rng)
     ys = sample_in_ball(cert.region_center, cert.region_radius, count, rng)
     noise = problem.noise_block(rng, count)
@@ -839,10 +824,10 @@ def _audit_group(problem, cert, rng, count) -> tuple:
 
 
 def _merge_audits(parts) -> tuple:
-    """The _audit_group result of consecutive groups or blocks from theirs,
-    in order: the first worst ratio and slack, as one np.argmax and
-    np.argmin over all their samples pick them, with their witnesses, and
-    the summed violation counts."""
+    """The _audit_block result of consecutive blocks from theirs, in order:
+    the first worst ratio and slack, as one np.argmax and np.argmin over
+    all their samples pick them, with their witnesses, and the summed
+    violation counts."""
     ratios, grad_bad, grad_witnesses, slacks, convexity_bad, convexity_witnesses = zip(*parts)
     worst_grad = int(np.argmax(ratios))
     worst_convexity = int(np.argmin(slacks))
@@ -850,14 +835,6 @@ def _merge_audits(parts) -> tuple:
         ratios[worst_grad], sum(grad_bad), grad_witnesses[worst_grad],
         slacks[worst_convexity], sum(convexity_bad), convexity_witnesses[worst_convexity],
     )
-
-
-def _audit_block(problem, cert, block) -> tuple:
-    """Draw and audit one block, group by group (see _audit_group)."""
-    rng, count = block
-    return _merge_audits([
-        _audit_group(problem, cert, rng, size) for size in _verify_groups(count, problem.dimension)
-    ])
 
 
 def _audit_stage(problem, cert, samples, rng) -> tuple:
@@ -880,7 +857,8 @@ def _audit_stage(problem, cert, samples, rng) -> tuple:
             convexity_witness=convexity_witness if convexity_violations else None,
         )
 
-    return functools.partial(_audit_block, problem, cert), _StageBlocks(rng, samples), report
+    blocks = _StageBlocks(rng, samples, problem.dimension)
+    return functools.partial(_audit_block, problem, cert), blocks, report
 
 
 def audit_certificate(
@@ -898,16 +876,14 @@ def audit_certificate(
     beyond AUDIT_RTOL relative.  A ratio or slack that is not finite is a
     violation, and a NaN is the worst value.
 
-    The samples come in blocks of _AUDIT_CHUNK (see _StageBlocks), each
-    drawn from ``rng`` jumped by its block number; ``rng`` does not move.
-    A block draws in groups of _verify_groups, each group x, then y, then
-    noise, and audits a group in chunks (_verify_chunks) before it draws
-    the next, so a thread holds O(group * d) memory: at most 512 KiB per
-    draw of x or y.  The blocks run on the thread pool of _map_blocks, and
-    groups and blocks are merged in order, so the report is that of one
-    argmax and one argmin over all samples and does not depend on how many
-    threads ran the blocks, nor on whether verify_certificate ran them
-    beside the gradient check.
+    The samples come in the blocks of _StageBlocks, each drawn from ``rng``
+    jumped by its block number, x, then y, then noise; ``rng`` does not
+    move.  A block is audited in chunks (_verify_chunks), so a thread holds
+    O(block * d) memory: at most 512 KiB per draw of x or y.  The blocks run
+    on the thread pool of _map_blocks and are merged in order, so the report
+    is that of one argmax and one argmin over all samples and does not
+    depend on how many threads ran the blocks, nor on whether
+    verify_certificate ran them beside the gradient check.
     """
     return _map_blocks(_audit_stage(problem, cert, samples, rng))[0]
 
@@ -937,8 +913,9 @@ def _max_gradient_error(problem, noise, x) -> float:
     return float(worst)
 
 
-def _gradient_group(problem, cert, rng, count) -> float:
-    """Draw one group, x then noise, and return its largest gradient error."""
+def _gradient_block(problem, cert, block) -> float:
+    """Draw one block, x then noise, and return its largest gradient error."""
+    rng, count = block
     xs = sample_in_ball(cert.region_center, cert.region_radius, count, rng)
     noise = problem.noise_block(rng, count)
     worst = 0.0
@@ -949,17 +926,10 @@ def _gradient_group(problem, cert, rng, count) -> float:
     return worst
 
 
-def _gradient_block(problem, cert, block) -> float:
-    """Draw and check one block, group by group: its largest gradient error."""
-    rng, count = block
-    return float(np.max([
-        _gradient_group(problem, cert, rng, size) for size in _verify_groups(count, problem.dimension)
-    ]))
-
-
 def _gradient_stage(problem, cert, samples, rng, tolerance) -> tuple:
     """check_gradients as a stage of _map_blocks (see _audit_stage)."""
     samples = require_int(samples, "samples", 1)
+    tolerance = require_real(tolerance, "tolerance", strict=False)
 
     def report(errors) -> GradientCheckReport:
         max_rel = float(np.max(errors))
@@ -970,7 +940,8 @@ def _gradient_stage(problem, cert, samples, rng, tolerance) -> tuple:
             passed=max_rel <= tolerance,
         )
 
-    return functools.partial(_gradient_block, problem, cert), _StageBlocks(rng, samples), report
+    blocks = _StageBlocks(rng, samples, problem.dimension)
+    return functools.partial(_gradient_block, problem, cert), blocks, report
 
 
 def check_gradients(
@@ -985,7 +956,7 @@ def check_gradients(
     Uses step h = 1e-6 * (1 + ||x||) per sample and measures the error of
     each coordinate relative to max(1, |gradient coordinate|).  A NaN error
     is the worst error and fails the check.  The samples are drawn and
-    checked in the blocks and groups of audit_certificate, each group x,
+    checked in the blocks and chunks of audit_certificate, each block x,
     then noise, on the same thread pool, and ``rng`` does not move.
     """
     return _map_blocks(_gradient_stage(problem, cert, samples, rng, tolerance))[0]
@@ -999,7 +970,8 @@ def verify_certificate(
     with the bits of the two calls.
 
     Both stages are planned first, so a sample count of either that cannot
-    be allocated is refused before any block draws, and their blocks run on
+    be allocated, or a ``tolerance`` that is not a finite real >= 0, is
+    refused before any block draws, and their blocks run on
     one thread pool: no thread waits for the audit's last block before it
     starts the gradient check.
     """

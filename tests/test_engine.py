@@ -185,7 +185,7 @@ class TestSeededGenerator:
         # The repr holds every word of the state, the buffered values too.
         before = repr(gen.bit_generator.state)
         expected = gen.bit_generator.jumped(jumps)
-        stage = objective._StageBlocks(gen, (jumps + 1) * objective._AUDIT_CHUNK)
+        stage = objective._StageBlocks(gen, (jumps + 1) * 1024, 64)  # blocks of 1024 at d = 64
         copy = stage[jumps][0].bit_generator
         counter = copy.state["state"]["counter"]
         assert np.array_equal(counter, expected.state["state"]["counter"])
@@ -216,7 +216,7 @@ class TestSeededGenerator:
                        "-0x1.cf161705b3e36p-2", "0x1.41ecaa3154b2dp+1"],
         }),
         "seed 0 jumped once": (lambda: objective._StageBlocks(
-            philox_generator(0), 2 * objective._AUDIT_CHUNK)[1][0], {
+            philox_generator(0), 2 * 1024, 64)[1][0], {
             "random": ["0x1.498ac0ff6240dp-1", "0x1.0435ec58bdff0p-4",
                        "0x1.ecd83886ec6c8p-4", "0x1.5aab132feebf6p-2"],
             "uniform": ["0x1.262b03fd89034p-3", "-0x1.bef284e9d0804p-2",

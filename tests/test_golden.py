@@ -41,13 +41,12 @@ DIGESTS = {
         "c42e27a327224df1264df57ddcb851297cb28018654fb27969863c7f3f307c72",
     ),
     # A 200x8 design with odd sample counts (33 001 audited, 1 001 gradient
-    # checks): the audit's first block draws 4 groups of 8 192 samples, one
-    # after the other, and it runs past the 2^15 block boundary into a
-    # second block of 233 samples, drawn from a generator jumped once.
+    # checks): the audit draws four blocks of 8 192 samples, then one block
+    # of 233, each from the stage generator jumped by its block number.
     "ls_chunk_tails": (
         "cba9aec8fcb801b5d8b34d568dc8b9d365c5933c05467732492e15dca44f599e",
         "6a482291e0d16576b89781af7c5935b0ddf72244f0f3fd3da1ded4cf18f3be06",
-        "ec9437ca8f90f19e184f0c264d63c2030c6a5d7f0edeb1f55ec3a2e3c9ae2d38",
+        "24ca6e35dd96ec9b3c25265dcc06232a1ef1d33ee40d156c032d87227a0f4484",
     ),
     # A d=3 quadratic at R=37, H=2000: the noise is drawn in one block of
     # replication tiles of 5, so the last tile holds 2.
@@ -102,8 +101,12 @@ def test_outputs_match_recorded_digests(name, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("name", sorted(DIGESTS))
 def test_verify_digest_holds_at_one_sample_per_chunk(name, monkeypatch):
-    # A sample's values do not depend on the chunk it is evaluated in.
-    monkeypatch.setattr(objective, "_VERIFY_CHUNK_BYTES", 1)
+    # A sample's values do not depend on the chunk it is evaluated in.  The
+    # chunk slicing is patched, not _VERIFY_BYTES, which sizes the blocks too.
+    monkeypatch.setattr(
+        objective, "_verify_chunks",
+        lambda samples, dimension: [slice(i, i + 1) for i in range(samples)],
+    )
     assert verify_digest(name) == DIGESTS[name][2]
 
 

@@ -391,6 +391,22 @@ class TestGradientConsistency:
         report = check_gradients(problem, cert, 300, philox_generator(43))
         assert report.passed, report
 
+    @pytest.mark.parametrize("tolerance", [float("nan"), -1.0, True, "1e-6", None])
+    @pytest.mark.parametrize("entry", ["check_gradients", "verify_certificate"])
+    def test_a_bad_tolerance_is_refused_before_any_draw(self, entry, tolerance, monkeypatch):
+        problem = make_quadratic()
+        cert = problem.certify(2.0, [1.0, 0.0])
+        drawn = []
+        monkeypatch.setattr(objective, "sample_in_ball", lambda *args: drawn.append(args))
+        with pytest.raises(UsageError, match="^tolerance must be a finite real >= 0$"):
+            if entry == "check_gradients":
+                check_gradients(problem, cert, 100, philox_generator(1), tolerance)
+            else:
+                objective.verify_certificate(
+                    problem, cert, 100, philox_generator(1), 100, philox_generator(2), tolerance
+                )
+        assert drawn == []
+
 
 def assert_same_bits(got, expected):
     assert got.shape == np.shape(expected)
@@ -530,14 +546,12 @@ class TestAudit:
     def test_verify_output_does_not_depend_on_the_thread_count(
         self, case, tmp_path, monkeypatch, capsys, fake_cores
     ):
-        # Blocks of 97 samples: the audit runs 11 blocks, the gradient check
-        # 4.  Each block is one group at the shipped group size, and several
-        # at the small one: 16-sample groups at d = 16 and 64-sample groups
-        # at d = 3.  The certificate is corrupted so both witnesses print; in
-        # nan_ratio the last sample of the last block has a NaN gradient,
-        # which must beat every larger finite ratio of the blocks and groups
-        # before it.
-        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 97)
+        # At the shipped _VERIFY_BYTES each stage is one block; at 8 KiB the
+        # audit runs 16 blocks of 64 samples at d = 16 and 4 of 256 at d = 3,
+        # each of 64-sample chunks, and the gradient check 5 and 2 blocks.
+        # The certificate is corrupted so both witnesses print; in nan_ratio
+        # the last sample of the last block has a NaN gradient, which must
+        # beat every larger finite ratio of the blocks before it.
         if case == "finite_sum":
             problem, radius = least_squares(201, 16, seed=3), 1.0
             design = {"family": "finite_sum_least_squares",
@@ -569,10 +583,10 @@ class TestAudit:
         monkeypatch.setattr(kind, "certify", corrupted)
         cert = problem.certify(radius, problem.minimizer())
         stdouts = set()
-        for group_bytes, several in [(objective._GROUP_BYTES, False), (8 * 16 * 20, True)]:
-            monkeypatch.setattr(objective, "_GROUP_BYTES", group_bytes)
-            assert (len(objective._verify_groups(97, problem.dimension)) > 1) == several
+        for verify_bytes, several in [(objective._VERIFY_BYTES, False), (8 * 1024, True)]:
+            monkeypatch.setattr(objective, "_VERIFY_BYTES", verify_bytes)
             blocks = audit_blocks(problem, cert, 1000, aux_generator(7, 2))
+            assert (len(blocks) > 1) == several
             monkeypatch.setattr(kind, "pointwise_gradient", gradient)
             if case == "nan_ratio":
                 last_noise = blocks[-1][0][-1]
@@ -593,7 +607,7 @@ class TestAudit:
             noise, xs, ys = joined(blocks)
             worst_grad, worst_convexity = int(np.argmax(ratios)), int(np.argmin(slacks))
             if case == "nan_ratio":
-                assert worst_grad == 999 and np.nanmax(ratios[:97]) > 1.0
+                assert worst_grad == 999 and np.nanmax(ratios[:len(blocks[0][1])]) > 1.0
             outputs = set()
             for cores in range(1, 6):
                 fake_cores(cores)
@@ -612,7 +626,8 @@ class TestAudit:
             assert "  grad_witness: " in stdout and "  convexity_witness: " in stdout
             assert ("max_grad_ratio=nan" in stdout) == (case == "nan_ratio")
             stdouts.add(stdout)
-        # The groups drew other samples; the blocks drew from the same jumps.
+        # Block b draws from the stage stream jumped b times at either size,
+        # so the smaller blocks drew other samples.
         assert len(stdouts) == 2
 
 
@@ -912,44 +927,39 @@ class TestFillNoiseBlock:
         assert_fill_matches_noise_block(make_quadratic(dim=3, halfwidth=0.37), 5, 263)
 
 
-def stage_generators(rng, samples):
+def block_size(dimension):
+    """The samples of a verify block at ``dimension``: the largest power of
+    two whose (samples, dimension) float64 array fits in
+    objective._VERIFY_BYTES, and at least one."""
+    size = 1
+    while 2 * size * 8 * dimension <= objective._VERIFY_BYTES:
+        size *= 2
+    return size
+
+
+def stage_generators(rng, samples, dimension):
     """The generator and sample count of each block of a verify stage: block
     b draws from a copy of ``rng`` jumped b times."""
-    cap = objective._AUDIT_CHUNK
+    size = block_size(dimension)
     return [
-        (np.random.Generator(rng.bit_generator.jumped(b)), min(cap, samples - lo))
-        for b, lo in enumerate(range(0, samples, cap))
+        (np.random.Generator(rng.bit_generator.jumped(b)), min(size, samples - lo))
+        for b, lo in enumerate(range(0, samples, size))
     ]
 
 
-def group_sizes(samples, dimension):
-    """The sample counts of the groups of a block of ``samples``: the
-    largest power of two whose (group, dimension) float64 array fits in
-    objective._GROUP_BYTES, capped at the block size, then the remainder."""
-    size = 1
-    while 2 * size * 8 * dimension <= objective._GROUP_BYTES:
-        size *= 2
-    size = min(size, objective._AUDIT_CHUNK)
-    return [min(size, samples - lo) for lo in range(0, samples, size)]
-
-
-def joined(groups):
-    """The draws of consecutive groups, each kind of draw concatenated."""
-    return tuple(np.concatenate(draws) for draws in zip(*groups))
+def joined(blocks):
+    """The draws of consecutive blocks, each kind of draw concatenated."""
+    return tuple(np.concatenate(draws) for draws in zip(*blocks))
 
 
 def audit_blocks(problem, cert, samples, rng):
-    """The (noise, x, y) draws of each block of ``audit_certificate``: a
-    block's groups draw one after the other from its generator, each x,
-    then y, then noise."""
+    """The (noise, x, y) draws of each block of ``audit_certificate``, each
+    x, then y, then noise."""
     blocks = []
-    for gen, count in stage_generators(rng, samples):
-        groups = []
-        for size in group_sizes(count, problem.dimension):
-            xs = sample_in_ball(cert.region_center, cert.region_radius, size, gen)
-            ys = sample_in_ball(cert.region_center, cert.region_radius, size, gen)
-            groups.append((problem.noise_block(gen, size), xs, ys))
-        blocks.append(joined(groups))
+    for gen, count in stage_generators(rng, samples, problem.dimension):
+        xs = sample_in_ball(cert.region_center, cert.region_radius, count, gen)
+        ys = sample_in_ball(cert.region_center, cert.region_radius, count, gen)
+        blocks.append((problem.noise_block(gen, count), xs, ys))
     return blocks
 
 
@@ -959,14 +969,13 @@ def audit_draws(problem, cert, samples, seed):
 
 
 def gradient_draws(problem, cert, samples, seed):
-    """The (noise, x) draws of ``check_gradients`` for ``seed``, each group
+    """The (noise, x) draws of ``check_gradients`` for ``seed``, each block
     x, then noise."""
-    groups = []
-    for gen, count in stage_generators(philox_generator(seed), samples):
-        for size in group_sizes(count, problem.dimension):
-            xs = sample_in_ball(cert.region_center, cert.region_radius, size, gen)
-            groups.append((problem.noise_block(gen, size), xs))
-    return joined(groups)
+    blocks = []
+    for gen, count in stage_generators(philox_generator(seed), samples, problem.dimension):
+        xs = sample_in_ball(cert.region_center, cert.region_radius, count, gen)
+        blocks.append((problem.noise_block(gen, count), xs))
+    return joined(blocks)
 
 
 def chunk_problem(name):
@@ -1026,7 +1035,7 @@ class TestVerifyChunks:
         assert lengths == [4096, 4096, 1808] * 3
 
     @pytest.mark.parametrize("dimension, size", [
-        (1, 32_768),    # capped at the block
+        (1, 65_536),
         (2, 32_768),
         (3, 16_384),
         (4, 16_384),
@@ -1034,47 +1043,47 @@ class TestVerifyChunks:
         (8, 8192),
         (9, 4096),
         (16, 4096),
+        (17, 2048),
+        (32, 2048),
         (33, 1024),
         (64, 1024),
     ])
-    def test_group_size(self, dimension, size):
-        assert objective._verify_groups(1 << 15, dimension)[0] == size
-        assert objective._verify_groups(1 << 15, dimension) == group_sizes(1 << 15, dimension)
+    def test_block_size(self, dimension, size):
+        stage = objective._StageBlocks(philox_generator(0), 1 << 17, dimension)
+        assert stage[0][1] == size == block_size(dimension)
+        assert len(stage) == (1 << 17) // size
 
-    def test_one_sample_per_group_at_the_smallest_budget(self, monkeypatch):
-        monkeypatch.setattr(objective, "_GROUP_BYTES", 1)
-        assert objective._verify_groups(3, 64) == [1, 1, 1]
-
-    def test_one_sample_per_chunk_at_the_smallest_budget(self, monkeypatch):
-        monkeypatch.setattr(objective, "_VERIFY_CHUNK_BYTES", 1)
+    def test_one_sample_per_block_and_chunk_at_the_smallest_budget(self, monkeypatch):
+        monkeypatch.setattr(objective, "_VERIFY_BYTES", 1)
+        assert [count for _, count in objective._StageBlocks(philox_generator(0), 3, 64)] == [1] * 3
         assert objective._verify_chunks(3, 64) == [slice(0, 1), slice(1, 2), slice(2, 3)]
 
+    @pytest.mark.parametrize("dimension", [2, 16])
     @pytest.mark.parametrize("samples", [
-        1, 7, 1023, 1024, 2047, 2048, 3000, 32_767, 32_768, 32_769, 33_792, 34_817, 40_001, 100_000,
+        1, 7, 1023, 1024, 2047, 2048, 3000, 4095, 4096, 4097, 32_767, 32_768, 32_769, 40_001,
+        100_000,
     ])
-    def test_chunks_tile_every_block(self, samples):
-        size, cap = 4096, objective._AUDIT_CHUNK
-        counts = [count for _, count in objective._StageBlocks(philox_generator(0), samples)]
-        assert counts == [min(cap, samples - lo) for lo in range(0, samples, cap)]
+    def test_chunks_tile_every_block(self, samples, dimension):
+        size, chunk = block_size(dimension), 4096
+        counts = [count for _, count in objective._StageBlocks(philox_generator(0), samples,
+                                                               dimension)]
+        assert counts == [min(size, samples - lo) for lo in range(0, samples, size)]
         for block_length in counts:
-            groups = objective._verify_groups(block_length, 16)
-            assert groups == group_sizes(block_length, 16)
-            assert sum(groups) == block_length and all(group == size for group in groups[:-1])
-            parts = objective._verify_chunks(groups[-1], 16)
-            assert parts[0].start == 0 and parts[-1].stop == groups[-1]
+            parts = objective._verify_chunks(block_length, dimension)
+            assert parts[0].start == 0 and parts[-1].stop == block_length
             assert all(a.stop == b.start for a, b in zip(parts, parts[1:]))
-            assert all(part.stop - part.start == size for part in parts[:-1])
-            assert 0 < parts[-1].stop - parts[-1].start <= size
+            assert all(part.stop - part.start == chunk for part in parts[:-1])
+            assert 0 < parts[-1].stop - parts[-1].start <= chunk
 
     def test_planning_a_stage_holds_no_generator_per_block(self, peak_traced_bytes):
-        # 10^9 samples are 30 518 blocks; planning them builds no generator,
-        # and each block's copy is built when it is taken.
+        # 10^9 samples at d = 2 are 30 518 blocks; planning them builds no
+        # generator, and each block's copy is built when it is taken.
         rng, blocks = philox_generator(5), []
-        peak = peak_traced_bytes(lambda: blocks.append(objective._StageBlocks(rng, 10**9)))
+        peak = peak_traced_bytes(lambda: blocks.append(objective._StageBlocks(rng, 10**9, 2)))
         assert peak < 2**20, peak
         [stage] = blocks
         assert len(stage) == 30_518
-        assert stage[30_517][1] == 10**9 - 30_517 * objective._AUDIT_CHUNK
+        assert stage[30_517][1] == 10**9 - 30_517 * 32_768
         with pytest.raises(IndexError):
             stage[30_518]
 
@@ -1086,7 +1095,7 @@ class TestVerifyChunks:
             np.random.Generator(philox_generator(11).bit_generator.jumped(b)).random(3)
             for b in (1, 3)
         ]
-        stage = objective._StageBlocks(rng, 4 * objective._AUDIT_CHUNK)
+        stage = objective._StageBlocks(rng, 4 * 4096, 16)
         stage[0][0].random(5)
         late = []
         for b in (1, 3):
@@ -1098,23 +1107,21 @@ class TestVerifyChunks:
     def test_block_b_draws_from_the_stage_stream_jumped_b_times(self, b):
         # Block 0 too: jumped(0) is a copy of the stage stream at its state.
         seed = 2**63 + 5
-        stage = objective._StageBlocks(philox_generator(seed), 4 * objective._AUDIT_CHUNK)
+        stage = objective._StageBlocks(philox_generator(seed), 4 * 1024, 64)
         expected = np.random.Generator(philox_generator(seed).bit_generator.jumped(b))
         assert stage[b][0].bit_generator.random_raw(64).tobytes() == (
             expected.bit_generator.random_raw(64).tobytes()
         )
 
-    @pytest.mark.parametrize("b, g", [(0, 0), (0, 3), (1, 0), (1, 7)])
+    @pytest.mark.parametrize("b", [0, 1, 3])
     @pytest.mark.parametrize("stage", ["audit", "gradient_check"])
-    def test_group_g_of_block_b_draws_after_the_groups_before_it(
-        self, stage, b, g, monkeypatch, fake_cores
-    ):
-        # ls-128x16 has groups of 4096 samples, 8 to a block, each evaluated
-        # as one chunk.  The reference draws groups 0..g-1 of block b from
-        # the stage stream jumped b times, then group g.
+    def test_block_b_of_a_d8_stage_holds_its_8192_samples(self, stage, b, fake_cores, monkeypatch):
+        # ls-200x8 has blocks of 8192 samples, each evaluated as two chunks
+        # of 4096, and a last block of 5.  Block b holds samples 8192 * b
+        # onward, drawn from the stage stream jumped b times.
         fake_cores(1)
-        problem, cert = chunk_problem("ls-128x16")
-        seed, size = 2**63 + 5, 4096
+        problem, cert = chunk_problem("ls-200x8")
+        seed, size, samples = 2**63 + 5, 8192, 3 * 8192 + 5
         seen = []
         if stage == "audit":
             values = objective._audit_values
@@ -1124,7 +1131,7 @@ class TestVerifyChunks:
                 return values(problem, cert, noise, x, y)
 
             monkeypatch.setattr(objective, "_audit_values", recording)
-            audit_certificate(problem, cert, 2 << 15, philox_generator(seed))
+            audit_certificate(problem, cert, samples, philox_generator(seed))
         else:
             errors = objective._max_gradient_error
 
@@ -1133,16 +1140,17 @@ class TestVerifyChunks:
                 return errors(problem, noise, x)
 
             monkeypatch.setattr(objective, "_max_gradient_error", recording)
-            check_gradients(problem, cert, 2 << 15, philox_generator(seed))
-        assert len(seen) == 16
+            check_gradients(problem, cert, samples, philox_generator(seed))
+        assert len(seen) == 7
+        count = min(size, samples - b * size)
         gen = np.random.Generator(philox_generator(seed).bit_generator.jumped(b))
-        for _ in range(g + 1):
-            xs = sample_in_ball(cert.region_center, cert.region_radius, size, gen)
-            draws = [xs]
-            if stage == "audit":
-                draws.append(sample_in_ball(cert.region_center, cert.region_radius, size, gen))
-            expected = (problem.noise_block(gen, size), *draws)
-        assert [a.tobytes() for a in seen[8 * b + g]] == [a.tobytes() for a in expected]
+        draws = [sample_in_ball(cert.region_center, cert.region_radius, count, gen)]
+        if stage == "audit":
+            draws.append(sample_in_ball(cert.region_center, cert.region_radius, count, gen))
+        expected = (problem.noise_block(gen, count), *draws)
+        held = joined(seen)
+        lo = b * size
+        assert [a[lo:lo + count].tobytes() for a in held] == [a.tobytes() for a in expected]
 
     @pytest.mark.parametrize("check", [audit_certificate, check_gradients])
     def test_the_stage_generator_does_not_move(self, check):
@@ -1150,15 +1158,14 @@ class TestVerifyChunks:
         rng = philox_generator(17)
         # The repr holds every word of the state, the buffered values too.
         before = repr(rng.bit_generator.state)
-        check(problem, cert, objective._AUDIT_CHUNK + 1, rng)
+        check(problem, cert, 32_769, rng)  # two blocks at d = 2
         assert repr(rng.bit_generator.state) == before
         assert rng.random(4).tobytes() == philox_generator(17).random(4).tobytes()
 
     @pytest.mark.parametrize("name, samples", CHUNK_GRID)
     def test_audit_values_equal_whole_blocks(self, name, samples):
-        # The reference evaluates each block of _AUDIT_CHUNK samples in one
-        # batch, as the audit did before chunks were sized by memory; up to
-        # 2^15 samples that is one whole-batch evaluation.
+        # The reference evaluates each block in one batch, as the audit did
+        # before chunks were sized by memory.
         problem, cert = chunk_problem(name)
         for block in audit_blocks(problem, cert, samples, philox_generator(samples)):
             ratios, rel_slack = objective._audit_arrays(problem, cert, *block)
@@ -1171,9 +1178,9 @@ class TestVerifyChunks:
         self, name, monkeypatch
     ):
         problem, cert = chunk_problem(name)
+        # Each block evaluated as one chunk.
         report = check_gradients(problem, cert, 40_001, philox_generator(9))
-        monkeypatch.setattr(objective, "_VERIFY_CHUNK_BYTES", 1 << 40)
-        assert objective._verify_chunks(1 << 15, problem.dimension) == [slice(0, 1 << 15)]
+        monkeypatch.setattr(objective, "_verify_chunks", lambda samples, d: [slice(0, samples)])
         assert check_gradients(problem, cert, 40_001, philox_generator(9)) == report
 
     @pytest.mark.parametrize("name", ["quadratic-2", "ls-12x3", "ls-128x16"])
@@ -1197,10 +1204,10 @@ class TestVerifyChunks:
         report = check_gradients(problem, cert, samples, philox_generator(11))
         assert report.max_rel_error == float(np.max(errors))
 
-    # One thread, which holds one group at a time: each further thread holds
-    # a group of its own.  At d = 16 a group is 4096 samples, and the draws
-    # of x and y take 0.5 MiB each; the draws of a whole block took 4 MiB
-    # each, which put the peaks at 9.7 and 5.8 MiB.
+    # One thread, which holds one block at a time: each further thread holds
+    # a block of its own.  At d = 16 a block is 4096 samples, and the draws
+    # of x and y take 0.5 MiB each; blocks of 2^15 samples took 4 MiB each,
+    # which put the peaks at 9.7 and 5.8 MiB.
     def test_audit_memory_stays_near_the_draws(self, peak_traced_bytes, fake_cores):
         fake_cores(1)
         problem, cert = chunk_problem("ls-128x16")
@@ -1218,20 +1225,22 @@ class TestVerifyChunks:
         assert peak < 3 * 2**20
 
     @pytest.mark.parametrize("stage", ["audit", "gradient_check"])
-    def test_memory_stays_near_the_draws_at_two_dimensions(
+    def test_memory_stays_near_the_draws_at_one_and_two_dimensions(
         self, stage, peak_traced_bytes, fake_cores
     ):
-        # The draws of a d=2 block take 1.5 MiB in the audit and 1 MiB in
-        # the gradient check; evaluated as one chunk, the block would take
-        # them to 6.0 and 4.0 MiB.
+        # The draws of a block of 65 536 samples at d = 1 or 32 768 at d = 2
+        # take 1.5 MiB in the audit and 1 MiB in the gradient check;
+        # evaluated as one chunk, the block would take them to 6.0 and
+        # 4.0 MiB.
         fake_cores(1)
-        problem, cert = chunk_problem("quadratic-2")
         check = audit_certificate if stage == "audit" else check_gradients
-        # A first call in a fresh process also traces the modules numpy
-        # imports on first use, about 0.7 MiB.
-        check(problem, cert, 40_000, philox_generator(5))
-        peak = peak_traced_bytes(lambda: check(problem, cert, 40_000, philox_generator(5)))
-        assert peak < 3 * 2**20
+        for name, samples in [("quadratic-1", 70_000), ("quadratic-2", 40_000)]:
+            problem, cert = chunk_problem(name)
+            # A first call in a fresh process also traces the modules numpy
+            # imports on first use, about 0.7 MiB.
+            check(problem, cert, samples, philox_generator(5))
+            peak = peak_traced_bytes(lambda: check(problem, cert, samples, philox_generator(5)))
+            assert peak < 3 * 2**20, name
 
 
 class TestVerifyBlocks:
@@ -1240,12 +1249,12 @@ class TestVerifyBlocks:
     @pytest.mark.parametrize("stage", ["audit", "gradient_check"])
     def test_memory_does_not_grow_with_the_samples(self, stage, fake_cores, peak_traced_bytes,
                                                    monkeypatch):
-        # At blocks of one group and at the shipped blocks of 8 groups.
+        # At the shipped blocks of 4096 samples at d = 16 and at blocks of 1024.
         fake_cores(1)
         problem, cert = chunk_problem("ls-128x16")
         check = audit_certificate if stage == "audit" else check_gradients
-        for block in (1 << 12, 1 << 15):
-            monkeypatch.setattr(objective, "_AUDIT_CHUNK", block)
+        for verify_bytes, block in [(1 << 19, 1 << 12), (1 << 17, 1 << 10)]:
+            monkeypatch.setattr(objective, "_VERIFY_BYTES", verify_bytes)
             peaks = [
                 peak_traced_bytes(lambda: check(problem, cert, samples, philox_generator(5)))
                 for samples in (2 * block, 8 * block)
@@ -1257,7 +1266,7 @@ class TestVerifyBlocks:
         from sgdcheck import engine
 
         fake_cores(2)
-        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 64)
+        monkeypatch.setattr(objective, "_VERIFY_BYTES", 8 * 2 * 64)  # 64 samples at d = 2
         config = tmp_path / "experiment.json"
         config.write_text(json.dumps({
             "problem": {"family": "shifted_quadratic", "curvature": 1.0,
@@ -1296,12 +1305,12 @@ class TestVerifyBlocks:
         assert results == [[(s, -b) for b in range(n)] for s, n in enumerate((1500, 500))]
 
     def test_the_stages_share_one_pool(self, fake_cores, monkeypatch):
-        # The audit's last block (of 30 samples) returns only once the
+        # The audit's last block (of 16 samples) returns only once the
         # gradient check's first block has started, which it does on the
         # thread freed by another audit block: no thread waits at the stage
         # boundary.
         fake_cores(2)
-        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
+        monkeypatch.setattr(objective, "_VERIFY_BYTES", 8 * 2 * 32)  # 32 samples at d = 2
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
         audit_block, gradient_block = objective._audit_block, objective._gradient_block
@@ -1310,7 +1319,7 @@ class TestVerifyBlocks:
         def recording_audit_block(problem, cert, block):
             count = block[1]
             events.append(("audit start", count))
-            if count == 30:
+            if count == 16:
                 assert gradient_started.wait(timeout=30)
             result = audit_block(problem, cert, block)
             events.append(("audit end", count))
@@ -1324,15 +1333,15 @@ class TestVerifyBlocks:
         monkeypatch.setattr(objective, "_audit_block", recording_audit_block)
         monkeypatch.setattr(objective, "_gradient_block", recording_gradient_block)
         audit, grad = objective.verify_certificate(
-            problem, cert, 130, philox_generator(8), 70, philox_generator(9)
+            problem, cert, 80, philox_generator(8), 40, philox_generator(9)
         )
-        assert events.index(("gradient start", 50)) < events.index(("audit end", 30))
+        assert events.index(("gradient start", 32)) < events.index(("audit end", 16))
         assert sorted(events) == sorted(
-            [(f"audit {e}", n) for e in ("start", "end") for n in (50, 50, 30)]
-            + [("gradient start", 50), ("gradient start", 20)]
+            [(f"audit {e}", n) for e in ("start", "end") for n in (32, 32, 16)]
+            + [("gradient start", 32), ("gradient start", 8)]
         )
-        assert vars(audit) == vars(audit_certificate(problem, cert, 130, philox_generator(8)))
-        assert grad == check_gradients(problem, cert, 70, philox_generator(9))
+        assert vars(audit) == vars(audit_certificate(problem, cert, 80, philox_generator(8)))
+        assert grad == check_gradients(problem, cert, 40, philox_generator(9))
 
     @staticmethod
     def block_of(blocks):
@@ -1344,9 +1353,9 @@ class TestVerifyBlocks:
         # Block 2 returns only after block 3 has raised, so the second
         # thread is free for block 4 only once block 3 failed.
         fake_cores(2)
-        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
-        problem = make_quadratic(halfwidth=0.5)
-        cert = problem.certify(2.0, [2.0, 0.0])
+        # Blocks of 32 samples at d = 16, each one chunk.
+        monkeypatch.setattr(objective, "_VERIFY_BYTES", 8 * 16 * 32)
+        problem, cert = chunk_problem("quadratic-16")
         block_of = self.block_of(audit_blocks(problem, cert, 300, philox_generator(8)))
         values = objective._audit_values
         ran, raised = [], threading.Event()
@@ -1378,9 +1387,9 @@ class TestVerifyBlocks:
         # it started both threads; both blocks return only once the caller
         # joins the threads, so no block after them starts.
         fake_cores(2)
-        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 50)
-        problem = make_quadratic(halfwidth=0.5)
-        cert = problem.certify(2.0, [2.0, 0.0])
+        # Blocks of 32 samples at d = 16, each one chunk.
+        monkeypatch.setattr(objective, "_VERIFY_BYTES", 8 * 16 * 32)
+        problem, cert = chunk_problem("quadratic-16")
         block_of = self.block_of(audit_blocks(problem, cert, 300, philox_generator(8)))
         values = objective._audit_values
         ran, waiting, joining = [], threading.Event(), threading.Event()
@@ -1420,7 +1429,7 @@ class TestVerifyBlocks:
         from sgdcheck import engine
 
         fake_cores(2)
-        monkeypatch.setattr(objective, "_AUDIT_CHUNK", 2000)
+        monkeypatch.setattr(objective, "_VERIFY_BYTES", 8 * 2 * 2048)  # 2048 samples at d = 2
         problem = make_quadratic(halfwidth=0.5)
         cert = problem.certify(2.0, [2.0, 0.0])
         start = threading.Thread.start
