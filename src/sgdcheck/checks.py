@@ -3,16 +3,16 @@
 ``CHECKS`` declares each check type once: the key table of its config
 section, its judge, its preflight and whether the judge reads the run.
 ``preflight_checks``, ``run_checks`` and ``started_checks`` loop over the
-configured checks through it.  The three d_n checks build their verdicts with
-one comparison, ``_compare``; the lemma check also compares the contraction
-product against a closed form where one exists.
+configured checks through it; ``started_checks`` splits those that do not
+read the run once between a forked worker and the caller.  The d_n checks
+build their verdicts with ``_compare``; the lemma check also compares the
+contraction product against a closed form where one exists.
 """
 from __future__ import annotations
 
 import contextlib
 import functools
 import math
-import os
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -337,34 +337,24 @@ def preflight_checks(cfg: ExperimentConfig, problem: StochasticProblem, schedule
             preflight(spec, cfg=cfg, problem=problem, schedule=schedule, cert=cert)
 
 
+def _verdicts(cfg: ExperimentConfig, run: dict, outcomes: dict) -> list[tuple[str, Verdict]]:
+    """What run_checks returns, with ``outcomes[i]``, a verdict or the error
+    it raised, for check i where it has one; raises the first error."""
+    verdicts = []
+    for i, spec in enumerate(cfg.checks):
+        outcome = outcomes[i] if i in outcomes else CHECKS[spec["type"]].judge(spec, **run)
+        if isinstance(outcome, SgdCheckError):
+            raise outcome
+        verdicts.append((spec["type"], outcome))
+    return verdicts
+
+
 def run_checks(cfg: ExperimentConfig, problem: StochasticProblem, schedule: Schedule,
                cert: HypothesisCertificate, dn: DnSeries,
                bounds: np.ndarray) -> list[tuple[str, Verdict]]:
     """One (check type, verdict) pair per configured check, in config order."""
     run = dict(cfg=cfg, problem=problem, schedule=schedule, cert=cert, dn=dn, bounds=bounds)
-    return [(spec["type"], CHECKS[spec["type"]].judge(spec, **run)) for spec in cfg.checks]
-
-
-# The indices of the checks that do not read the run go into a pipe as 4-byte
-# words in one write of at most 512 bytes, the least PIPE_BUF POSIX allows:
-# an empty pipe takes it whole and at once, so each read of 4 bytes takes one
-# index.  More such checks are judged in the caller.
-_QUEUE_BYTES = 512
-
-
-def _outcome(spec: dict, run: dict) -> Verdict | SgdCheckError:
-    """The verdict of the check ``spec`` on ``run``, or the error it raised."""
-    try:
-        return CHECKS[spec["type"]].judge(spec, **run)
-    except SgdCheckError as err:
-        return err
-
-
-def _take(queue: int):
-    """The check indices that the pipe ``queue`` still holds, taken one read
-    of 4 bytes at a time until it is empty."""
-    while word := os.read(queue, 4):
-        yield int.from_bytes(word, "little")
+    return _verdicts(cfg, run, {})
 
 
 @contextlib.contextmanager
@@ -373,55 +363,34 @@ def started_checks(cfg: ExperimentConfig, problem: StochasticProblem, schedule: 
     """Start judging the checks that do not read the run; yields
     ``judge(dn, bounds)``, which returns what run_checks returns.
 
-    Where fork_usable, a worker forked now and the caller take the checks
-    whose CHECKS row does not read the run from one queue, in config order:
-    the worker at once, the caller once it calls ``judge``, before it judges
-    the checks that read the run.  ``judge`` raises the error of the first
-    check in config order that raised, as run_checks does.  A worker that
-    dies raises RuntimeError naming the last check it took.  Elsewhere, or
-    with no such check, ``judge`` is run_checks and nothing is forked.
+    Where fork_usable, those checks are split once, in config order: a
+    worker forked now judges the 1st, 3rd, ... at once and the caller the
+    2nd, 4th, ... in ``judge``, before the checks that read the run.  The
+    first error in config order is raised, as in run_checks; a worker that
+    dies raises RuntimeError naming every check it was given.  Elsewhere,
+    or with no such check, ``judge`` is run_checks and nothing is forked.
     """
-    queued = [i for i, spec in enumerate(cfg.checks) if not CHECKS[spec["type"]].reads_run]
-    if not queued or 4 * len(queued) > _QUEUE_BYTES or not fork_usable():
+    free = [i for i, spec in enumerate(cfg.checks) if not CHECKS[spec["type"]].reads_run]
+    if not free or not fork_usable():
         yield functools.partial(run_checks, cfg, problem, schedule, cert)
         return
     run = dict(cfg=cfg, problem=problem, schedule=schedule, cert=cert)
+    given, kept = free[::2], free[1::2]
+    label = "judging " + ", ".join(f"check {i} ({cfg.checks[i]['type']})" for i in given)
 
-    def work(parent: int) -> dict:
+    def judged(share: list[int]) -> dict:
         outcomes = {}
-        for i in _take(queue):
-            if os.getppid() != parent:
-                break
-            outcomes[i] = _outcome(cfg.checks[i], run)
+        for i in share:
+            try:
+                outcomes[i] = CHECKS[cfg.checks[i]["type"]].judge(cfg.checks[i], **run)
+            except SgdCheckError as err:
+                outcomes[i] = err
         return outcomes
 
     def judge(dn: DnSeries, bounds: np.ndarray) -> list[tuple[str, Verdict]]:
-        outcomes = {i: _outcome(cfg.checks[i], run) for i in _take(queue)}
-        try:
-            [worker] = join()
-        except RuntimeError as err:
-            taken = [i for i in queued if i not in outcomes]
-            if not taken:
-                raise
-            last = taken[-1]
-            raise RuntimeError(f"{err} in check {last} ({cfg.checks[last]['type']})") from None
-        outcomes.update(worker)
-        verdicts = []
-        for i, spec in enumerate(cfg.checks):
-            outcome = outcomes[i] if i in outcomes else CHECKS[spec["type"]].judge(
-                spec, **run, dn=dn, bounds=bounds)
-            if isinstance(outcome, SgdCheckError):
-                raise outcome
-            verdicts.append((spec["type"], outcome))
-        return verdicts
+        outcomes = judged(kept)
+        [worker] = join()
+        return _verdicts(cfg, dict(run, dn=dn, bounds=bounds), {**outcomes, **worker})
 
-    queue, write = os.pipe()
-    try:
-        try:
-            os.write(write, b"".join(i.to_bytes(4, "little") for i in queued))
-        finally:
-            os.close(write)
-        with _fork_workers({"judging the checks that do not read the run": work}) as join:
-            yield judge
-    finally:
-        os.close(queue)
+    with _fork_workers({label: lambda parent: judged(given)}) as join:
+        yield judge

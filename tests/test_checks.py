@@ -1,4 +1,5 @@
 """Tests for the check pipeline of an experiment (sgdcheck.checks)."""
+import dataclasses
 import json
 import math
 import os
@@ -12,6 +13,7 @@ from sgdcheck import (
     FiniteSumLeastSquares,
     InverseTimeSchedule,
     StochasticProblem,
+    UsageError,
     Verdict,
     bound_sequence,
     build_problem,
@@ -122,6 +124,14 @@ class TestStartedChecks:
         {"type": "descent", "points": 2, "samples": 200},
         {"type": "lemma", "n": 3, "k": 5},
     ]
+    # Five checks that do not read the run: the worker is given 0, 2 and 4.
+    FREE = [
+        {"type": "lemma", "n": 1, "k": 10},
+        {"type": "descent", "points": 2, "samples": 200},
+        {"type": "lemma", "n": 2, "k": 10},
+        {"type": "descent", "points": 3, "samples": 200},
+        {"type": "lemma", "n": 3, "k": 10},
+    ]
 
     @staticmethod
     def judged(cfg, problem, schedule, cert, before_run=lambda: None):
@@ -131,9 +141,23 @@ class TestStartedChecks:
                                   cfg.master_seed, cfg.replications)
             return judge(dn, bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon))
 
+    @staticmethod
+    def wrap_free_judges(monkeypatch, wrapper):
+        """Replace the judge of every check that does not read the run by
+        ``wrapper(position, verdict_of)``, position the check's index in the
+        config and verdict_of() the verdict of the judge it replaces."""
+        for name, row in list(checks.CHECKS.items()):
+            if not row.reads_run:
+                def judge(spec, cfg, row=row, **run):
+                    return wrapper(cfg.checks.index(spec),
+                                   lambda: row.judge(spec, cfg=cfg, **run))
+
+                monkeypatch.setitem(checks.CHECKS, name, row._replace(judge=judge))
+
     @pytest.mark.parametrize("cores", [1, 2])
-    def test_the_verdicts_of_run_checks(self, cores, fake_cores):
-        cfg, problem, schedule, cert = experiment(self.CHECKS)
+    @pytest.mark.parametrize("check_list", [CHECKS, FREE], ids=["mixed", "free"])
+    def test_the_verdicts_of_run_checks(self, check_list, cores, fake_cores):
+        cfg, problem, schedule, cert = experiment(check_list)
         fake_cores(1)
         dn = run_replications(problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed,
                               cfg.replications)
@@ -142,9 +166,46 @@ class TestStartedChecks:
         fake_cores(cores)
         assert self.judged(cfg, problem, schedule, cert) == alone
 
+    def test_the_worker_judges_every_other_check_from_the_first(
+            self, fake_cores, monkeypatch):
+        # Each verdict's context becomes the pid of the process that judged it.
+        cfg, problem, schedule, cert = experiment(self.FREE)
+        self.wrap_free_judges(monkeypatch, lambda position, verdict_of: dataclasses.replace(
+            verdict_of(), context=str(os.getpid())))
+        dn = run_replications(problem, schedule, cfg.x0, cfg.horizon, cert, cfg.master_seed,
+                              cfg.replications)
+        bounds = bound_sequence(float(dn.mean[0]), schedule, cert, cfg.horizon)
+        forks = []
+        fork = os.fork
+        monkeypatch.setattr(os, "fork", lambda: forks.append(1) or fork())
+        fake_cores(2)
+        with started_checks(cfg, problem, schedule, cert) as judge:
+            pids = [int(verdict.context) for _, verdict in judge(dn, bounds)]
+        assert len(forks) == 1
+        assert pids[1] == pids[3] == os.getpid()
+        assert pids[0] == pids[2] == pids[4] != os.getpid()
+
+    @pytest.mark.parametrize("raising, first", [((2, 3), 2), ((1, 4), 1)],
+                             ids=["worker-first", "caller-first"])
+    def test_the_first_error_in_config_order_is_raised(self, raising, first, fake_cores,
+                                                       monkeypatch):
+        # Checks 0, 2 and 4 are the worker's and 1 and 3 the caller's, so
+        # one raising check is in each process.
+        cfg, problem, schedule, cert = experiment(self.FREE)
+
+        def refuse(position, verdict_of):
+            if position in raising:
+                raise UsageError(f"check {position}")
+            return verdict_of()
+
+        self.wrap_free_judges(monkeypatch, refuse)
+        fake_cores(2)
+        with pytest.raises(UsageError, match=rf"^check {first}$"):
+            self.judged(cfg, problem, schedule, cert)
+
     def test_a_worker_killed_mid_check_names_the_check(self, fake_cores, monkeypatch):
-        # The worker takes check 0, the first lemma, and dies in it only
-        # after the run was held back until it had taken it.
+        # The worker is given checks 0 and 3, both lemmas, and dies in
+        # check 0 only after the run was held back until it had started it.
         cfg, problem, schedule, cert = experiment(self.CHECKS)
         parent = os.getpid()
         read, write = os.pipe()
@@ -159,8 +220,8 @@ class TestStartedChecks:
         monkeypatch.setitem(checks.CHECKS, "lemma", lemma._replace(judge=dying))
         fake_cores(2)
         try:
-            with pytest.raises(RuntimeError, match=r"^the process judging the checks that do "
-                               r"not read the run exited with code -9 in check 0 \(lemma\)$"):
+            with pytest.raises(RuntimeError, match=r"^the process judging check 0 \(lemma\), "
+                               r"check 3 \(lemma\) exited with code -9$"):
                 self.judged(cfg, problem, schedule, cert, lambda: os.read(read, 1))
         finally:
             os.close(read)
