@@ -76,15 +76,16 @@ def step_stats(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     fixes (the engine's is ascending seed order).  The values and their
     squared deviations from the mean are summed with np.add.reduce along
     each row, pairwise, with the bits of the row summed alone, whatever the
-    memory layout of the block or its split into steps; the block is not
-    written to.  A row whose values are all equal (a single replication
-    included) gets an exact mean and a standard error of exactly zero.  A
-    row whose sum is not finite, of the values or of their squared
-    deviations (one that overflows, or whose pairwise halves overflow to
-    -inf and +inf and add to NaN), is summed again with its values scaled by
-    2^-_RESCALE; its deviations are then taken between scaled values, so
-    they cannot overflow.  It keeps its plain mean where that is finite, and
-    every other row keeps the bits of the plain sums.
+    memory layout of the block or its split into steps (np.einsum sums rows
+    wider than 8192 values in buffers of 8192); the block is not written to.
+    A row whose values are all equal (a single replication included) gets an
+    exact mean and a standard error of exactly zero.  A row whose sum is not
+    finite, of the values or of their squared deviations (one that
+    overflows, or whose pairwise halves overflow to -inf and +inf and add to
+    NaN), is summed again with its values scaled by 2^-_RESCALE; its
+    deviations are then taken between scaled values, so they cannot
+    overflow.  It keeps its plain mean where that is finite, and every other
+    row keeps the bits of the plain sums.
     """
     values = np.ascontiguousarray(block)
     count = values.shape[1]

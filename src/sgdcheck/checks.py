@@ -369,6 +369,9 @@ def started_checks(cfg: ExperimentConfig, problem: StochasticProblem, schedule: 
     first error in config order is raised, as in run_checks; a worker that
     dies raises RuntimeError naming every check it was given.  Elsewhere,
     or with no such check, ``judge`` is run_checks and nothing is forked.
+    Such a verdict depends only on the config, the certificate, the schedule
+    and its own auxiliary streams, and pickling keeps its doubles, so who
+    judges a check changes no output byte.
     """
     free = [i for i, spec in enumerate(cfg.checks) if not CHECKS[spec["type"]].reads_run]
     if not free or not fork_usable():

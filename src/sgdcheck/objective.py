@@ -47,6 +47,9 @@ from .errors import (
 # relative tolerance; it absorbs float roundoff without hiding real slack.
 AUDIT_RTOL = 1e-9
 
+# The largest relative error of an analytic gradient that check_gradients passes.
+GRADIENT_RTOL = 1e-6
+
 # Designs whose normalized Gram matrix has a smallest eigenvalue at or below
 # this floor times its largest eigenvalue are treated as rank deficient; the
 # floor does not move when the design is scaled.
@@ -54,16 +57,9 @@ RANK_TOL = 1e-10
 
 MAX_DIMENSION = 64
 
-# audit_certificate and check_gradients draw their samples in blocks, the
-# last block taking the remainder, and evaluate each block in chunks.  A
-# block holds the largest power of two of samples whose (samples, d)
-# float64 array fits in _VERIFY_BYTES (see _StageBlocks); a chunk holds
-# _VERIFY_BYTES // (8 * max(d, 16)) samples (see _verify_chunks).  Block b
-# draws from a copy of the stage's generator jumped b times, its Philox
-# counter b * 2^128 ahead, so the blocks need nothing from each other and
-# run, those of both stages of verify_certificate together, on one pool of
-# threads (_map_blocks).  The chunks do not change a sample's values; the
-# blocks do, through the jump each block draws from.
+# Bytes that size the blocks of a verify stage (_StageBlocks) and the chunks
+# in which a block is evaluated (_verify_chunks).  The chunks do not change a
+# sample's values; the blocks do, through the jump each block draws from.
 _VERIFY_BYTES = 1 << 19
 
 # Bytes of the replication-major tile into which
@@ -407,7 +403,8 @@ class FiniteSumLeastSquares(StochasticProblem):
     c solves G c = design^T targets, or is 0 where G is singular or the
     solution is not finite.  The form is the only normal-equations state:
     ``minimizer`` returns c and ``certify`` reads G and r, so the audit
-    evaluates the form near its centre.  A point
+    evaluates the form near its centre, where |r|^2 does not cancel against
+    the size of the targets.  A point
     costs d^2 multiply-adds of its own and no BLAS call, so its values do
     not depend on the batch it is in or on the BLAS threads.
     """
@@ -656,7 +653,8 @@ def usable_cores() -> int:
 class _StageBlocks:
     """``(generator, count)`` of each block of a verify stage of ``samples``
     at ``dimension``, a sequence whose item b builds its generator when it
-    is taken: a generator on ``rng.bit_generator.jumped(b)``.
+    is taken: a generator on ``rng.bit_generator.jumped(b)``, whose Philox
+    counter is b * 2^128 ahead (block 0 draws what ``rng`` would draw).
 
     A block holds the largest power of two of samples whose (samples,
     dimension) float64 array fits in _VERIFY_BYTES, and the last block the
@@ -926,18 +924,17 @@ def _gradient_block(problem, cert, block) -> float:
     return worst
 
 
-def _gradient_stage(problem, cert, samples, rng, tolerance) -> tuple:
+def _gradient_stage(problem, cert, samples, rng) -> tuple:
     """check_gradients as a stage of _map_blocks (see _audit_stage)."""
     samples = require_int(samples, "samples", 1)
-    tolerance = require_real(tolerance, "tolerance", strict=False)
 
     def report(errors) -> GradientCheckReport:
         max_rel = float(np.max(errors))
         return GradientCheckReport(
             samples=samples,
             max_rel_error=max_rel,
-            tolerance=tolerance,
-            passed=max_rel <= tolerance,
+            tolerance=GRADIENT_RTOL,
+            passed=max_rel <= GRADIENT_RTOL,
         )
 
     blocks = _StageBlocks(rng, samples, problem.dimension)
@@ -949,33 +946,32 @@ def check_gradients(
     cert: HypothesisCertificate,
     samples: int,
     rng,
-    tolerance: float = 1e-6,
 ) -> GradientCheckReport:
     """Compare analytic gradients against central finite differences.
 
     Uses step h = 1e-6 * (1 + ||x||) per sample and measures the error of
-    each coordinate relative to max(1, |gradient coordinate|).  A NaN error
-    is the worst error and fails the check.  The samples are drawn and
-    checked in the blocks and chunks of audit_certificate, each block x,
-    then noise, on the same thread pool, and ``rng`` does not move.
+    each coordinate relative to max(1, |gradient coordinate|); the check
+    passes up to GRADIENT_RTOL.  A NaN error is the worst error and fails it.
+    The samples are drawn and checked in the blocks and chunks of
+    audit_certificate, each block x, then noise, on the same thread pool,
+    and ``rng`` does not move.
     """
-    return _map_blocks(_gradient_stage(problem, cert, samples, rng, tolerance))[0]
+    return _map_blocks(_gradient_stage(problem, cert, samples, rng))[0]
 
 
 def verify_certificate(
     problem: StochasticProblem, cert: HypothesisCertificate, audit_samples: int, audit_rng,
-    gradient_samples: int, gradient_rng, tolerance: float = 1e-6,
+    gradient_samples: int, gradient_rng,
 ) -> tuple[AuditReport, GradientCheckReport]:
     """``(audit_certificate(...), check_gradients(...))`` of the certificate,
     with the bits of the two calls.
 
     Both stages are planned first, so a sample count of either that cannot
-    be allocated, or a ``tolerance`` that is not a finite real >= 0, is
-    refused before any block draws, and their blocks run on
+    be allocated is refused before any block draws, and their blocks run on
     one thread pool: no thread waits for the audit's last block before it
     starts the gradient check.
     """
     return tuple(_map_blocks(
         _audit_stage(problem, cert, audit_samples, audit_rng),
-        _gradient_stage(problem, cert, gradient_samples, gradient_rng, tolerance),
+        _gradient_stage(problem, cert, gradient_samples, gradient_rng),
     ))

@@ -32,7 +32,6 @@ from sgdcheck import (
     run_replications,
     run_seeds,
     validate_schedule,
-    verify_certificate,
 )
 from sgdcheck import config
 from sgdcheck.analyzer import validate_lemma
@@ -130,11 +129,6 @@ REAL_SITES = [
      lambda v: check_recurrence(flat_series(3), np.ones(4), v)),
     ("check_neighborhood tol_rel", False, UsageError, "tol_rel must be a finite real >= 0",
      lambda v: check_neighborhood(flat_series(3), CERT, CONSTANT, 2, v)),
-    ("check_gradients tolerance", False, UsageError, "tolerance must be a finite real >= 0",
-     lambda v: check_gradients(PROBLEM, CERT, 10, philox_generator(3), v)),
-    ("verify_certificate tolerance", False, UsageError, "tolerance must be a finite real >= 0",
-     lambda v: verify_certificate(
-         PROBLEM, CERT, 10, philox_generator(2), 10, philox_generator(3), v)),
 ]
 
 
